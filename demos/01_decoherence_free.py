@@ -45,6 +45,6 @@ rho = scenario_density(ScenarioParams(r=0.5, d=1.0), Scenario.FREE)
 res = chsh_brute_force(rho, restarts=16)
 print(f"  closed form : {bell_closed_form(Scenario.FREE, ScenarioParams(r=0.5, d=1.0)):.9f}")
 print(f"  Horodecki   : {res.b_horodecki:.9f}")
-print(f"  brute force : {res.b_brute:.9f}  (settings found by golden-section ascent)")
+print(f"  brute force : {res.b_brute:.9f}  (settings found by see-saw ascent)")
 for label, vec in zip(("a ", "a'", "b ", "b'"), res.settings):
     print(f"    {label} = [{vec[0]:+.6f}, {vec[1]:+.6f}, {vec[2]:+.6f}]")

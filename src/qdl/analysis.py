@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bell import BellResult, bell_analysis, violation_boundary
+from .bell import SEESAW_SWEEPS, BellResult, bell_analysis, violation_boundary
 from .infotheory import InformationReport, SeparabilityReport, info_threshold, mutual_information, ppt_check
 from .states import Scenario, ScenarioParams, scenario_density
 from .visibility import predictability, visibility_analytic
@@ -35,7 +35,7 @@ def analyze(
     scenario: Scenario,
     params: ScenarioParams,
     restarts: int = 32,
-    iterations: int = 80,
+    iterations: int = SEESAW_SWEEPS,
     seed: int = 0,
 ) -> AnalysisReport:
     """Compute visibility, CHSH maxima, separability and information for one point."""

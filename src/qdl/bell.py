@@ -2,14 +2,15 @@
 a brute-force optimizer over measurement settings, and violation boundaries.
 
 The optimizer exists as an independent check on the analytic route: it knows
-nothing about eigenvalues, it just climbs the CHSH landscape from many
-deterministic starting points.
+nothing about eigenvalues, it runs the alternating (see-saw) maximization of
+the CHSH value from many deterministic starting points, using only the
+correlation tensor and vector norms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,11 +23,12 @@ TSIRELSON = 2.0 * math.sqrt(2.0)
 
 _PAULI_KRON = [[kron(PAULIS[i], PAULIS[j]) for j in range(3)] for i in range(3)]
 
+# Default sweep budget of the CHSH see-saw; it converges slowly where the two
+# smaller singular values of T nearly coincide.
+SEESAW_SWEEPS = 3000
+
 _HALTON_BASES = (2, 3, 5, 7, 11, 13, 17, 19)
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_STEP_TOL = 1e-7
-_BRACKET_TOL = 1e-8
-_VALUE_STALL_TOL = 1e-11
+_VALUE_STALL_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -146,146 +148,60 @@ def _bloch_vectors(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
 
 
-def _chsh_from_angles(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    a = _bloch_vectors(x[:, 0], x[:, 1])
-    a2 = _bloch_vectors(x[:, 2], x[:, 3])
-    tb = _bloch_vectors(x[:, 4], x[:, 5]) @ t.T
-    tb2 = _bloch_vectors(x[:, 6], x[:, 7]) @ t.T
-    return np.einsum("mi,mi->m", a, tb + tb2) + np.einsum("mi,mi->m", a2, tb - tb2)
+def _seesaw_half(fixed: np.ndarray, matrix: np.ndarray, prev: np.ndarray):
+    """Best pair for one party with the other party's pair `fixed` held.
 
-
-def _coord_section(t: np.ndarray, x: np.ndarray, k: int):
-    """Coefficients of the CHSH value along coordinate k: f(c) = k1 sin c + k2 cos c + c0.
-
-    The objective is linear in each Bloch vector and each vector component is
-    a sinusoid in its own angle, so every coordinate section is exactly a
-    shifted sinusoid; extracting it once makes the line search cheap without
-    changing the objective being searched.
+    `fixed` stacks (v, v') per restart; the optimal partners are the unit
+    vectors along (v + v') M and (v - v') M, and the CHSH value they reach is
+    the sum of those two norms.  A zero row leaves the objective flat in that
+    vector, so it keeps its previous value.
     """
-    a = _bloch_vectors(x[:, 0], x[:, 1])
-    a2 = _bloch_vectors(x[:, 2], x[:, 3])
-    b = _bloch_vectors(x[:, 4], x[:, 5])
-    b2 = _bloch_vectors(x[:, 6], x[:, 7])
-    if k < 4:
-        tb = b @ t.T
-        tb2 = b2 @ t.T
-        if k < 2:
-            u, rest = tb + tb2, np.einsum("mi,mi->m", a2, tb - tb2)
-            theta, phi = x[:, 0], x[:, 1]
-        else:
-            u, rest = tb - tb2, np.einsum("mi,mi->m", a, tb + tb2)
-            theta, phi = x[:, 2], x[:, 3]
-    else:
-        if k < 6:
-            u, rest = (a + a2) @ t, np.einsum("mi,mi->m", a - a2, b2 @ t.T)
-            theta, phi = x[:, 4], x[:, 5]
-        else:
-            u, rest = (a - a2) @ t, np.einsum("mi,mi->m", a + a2, b @ t.T)
-            theta, phi = x[:, 6], x[:, 7]
-    if k % 2 == 0:  # polar angle
-        k1 = u[:, 0] * np.cos(phi) + u[:, 1] * np.sin(phi)
-        k2 = u[:, 2]
-        c0 = rest
-    else:  # azimuthal angle
-        st = np.sin(theta)
-        k1 = st * u[:, 1]
-        k2 = st * u[:, 0]
-        c0 = np.cos(theta) * u[:, 2] + rest
-    return k1, k2, c0
-
-
-def _golden_ascent_coord(t, x, k, width):
-    """Maximize over coordinate k inside [x_k - width, x_k + width] per restart.
-
-    Never returns a point worse than the current one, so sweep values are
-    monotone and a value-stall stopping rule is sound.
-    """
-    k1, k2, c0 = _coord_section(t, x, k)
-
-    def feval(col):
-        return k1 * np.sin(col) + k2 * np.cos(col) + c0
-
-    lo = x[:, k] - width
-    hi = x[:, k] + width
-    if np.max(width) > math.pi / 2.0:
-        # Coarse scan first: a bracket wider than half a period may span two
-        # lobes of the sinusoidal section, which golden-section alone cannot
-        # handle.  The scan grid includes the current point (its midpoint).
-        n_scan = 17
-        grid = lo[:, None] + (hi - lo)[:, None] * np.arange(n_scan) / (n_scan - 1)
-        vals = np.stack([feval(grid[:, j]) for j in range(n_scan)], axis=1)
-        best = np.argmax(vals, axis=1)
-        step = (hi - lo) / (n_scan - 1)
-        centre = grid[np.arange(len(best)), best]
-        lo = centre - step
-        hi = centre + step
-    span = np.max(hi - lo)
-    iters = max(1, math.ceil(math.log(max(span, _BRACKET_TOL) / _BRACKET_TOL) / math.log(1.0 / _INV_PHI)))
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    fc = feval(c)
-    fd = feval(d)
-    for _ in range(iters):
-        shrink_right = fc < fd  # maximum lies in [c, hi]
-        lo = np.where(shrink_right, c, lo)
-        hi = np.where(shrink_right, hi, d)
-        # Recomputing both interior points from the updated interval always
-        # reproduces the recyclable point exactly; only the stored values
-        # need the branch-aware shuffle.
-        c_new = hi - _INV_PHI * (hi - lo)
-        d_new = lo + _INV_PHI * (hi - lo)
-        fc_old = fc
-        fc = np.where(shrink_right, fd, feval(c_new))
-        fd = np.where(shrink_right, feval(d_new), fc_old)
-        c, d = c_new, d_new
-    mid = (lo + hi) / 2.0
-    current = x[:, k]
-    return np.where(feval(mid) >= feval(current), mid, current)
+    raw = np.stack((fixed[0] + fixed[1], fixed[0] - fixed[1])) @ matrix
+    norm = np.sqrt(np.einsum("pmi,pmi->pm", raw, raw))
+    live = norm > 0.0
+    unit = raw / np.where(live, norm, 1.0)[..., None]
+    return np.where(live[..., None], unit, prev), norm
 
 
 def chsh_brute_force(
     rho: np.ndarray,
     restarts: int = 32,
-    iterations: int = 80,
+    iterations: int = SEESAW_SWEEPS,
     seed: int = 0,
 ) -> BellResult:
-    """Maximize the CHSH value by multi-start coordinate-wise golden-section ascent.
+    """Maximize the CHSH value by a multi-start see-saw over measurement settings.
 
-    Each of the four settings is parameterized by polar/azimuthal angles;
-    restarts are Halton points, so the whole search is deterministic.  Sweeps
-    stop once every coordinate moves by less than 1e-7 or the best value
-    stalls (the optimum is a flat manifold whenever the correlation matrix
-    has degenerate singular values, so a pure step criterion need not bind).
-    Exhausting the sweep budget flags the result unconverged but returns it.
+    For fixed b, b' the best a is T(b+b')/|T(b+b')| and the best a' is
+    T(b-b')/|T(b-b')|; likewise b and b' from T^T(a+a') and T^T(a-a').  Each
+    sweep applies both updates to every restart at once, so the value of every
+    restart never decreases.  The search uses only the correlation tensor and
+    vector norms, never an eigenvalue, which keeps it independent of the
+    Horodecki route.  Restarts are Halton points, so the whole search is
+    deterministic.  Sweeps stop once the best value stalls; exhausting the
+    sweep budget flags the result unconverged but returns it.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     t = correlation_tensor(rho)
     x = _initial_angles(restarts, seed)
-    width = np.full((restarts, 8), math.pi)
+    alice = np.stack([_bloch_vectors(x[:, 0], x[:, 1]), _bloch_vectors(x[:, 2], x[:, 3])])
+    bob = np.stack([_bloch_vectors(x[:, 4], x[:, 5]), _bloch_vectors(x[:, 6], x[:, 7])])
     converged = False
     prev_best = -np.inf
-    sweeps_done = 0
+    values = np.zeros(restarts)
     for _ in range(iterations):
-        max_move = 0.0
-        for k in range(8):
-            new_col = _golden_ascent_coord(t, x, k, width[:, k])
-            move = np.abs(new_col - x[:, k])
-            x[:, k] = new_col
-            width[:, k] = np.clip(4.0 * move, _STEP_TOL, math.pi)
-            max_move = max(max_move, float(np.max(move)))
-        sweeps_done += 1
-        best_now = float(np.max(_chsh_from_angles(t, x)))
-        if max_move < _STEP_TOL or (sweeps_done >= 3 and best_now - prev_best < _VALUE_STALL_TOL):
+        alice, _ = _seesaw_half(bob, t.T, alice)
+        bob, norms = _seesaw_half(alice, t, bob)
+        values = norms.sum(axis=0)
+        best_now = float(np.max(values))
+        if best_now - prev_best < _VALUE_STALL_TOL:
             converged = True
             break
         prev_best = best_now
-    values = _chsh_from_angles(t, x)
     best = int(np.argmax(values))  # ties resolve to the lowest restart index
-    angles = x[best]
-    settings = np.stack(
-        [_bloch_vectors(np.array([angles[2 * i]]), np.array([angles[2 * i + 1]]))[0] for i in range(4)]
-    )
+    settings = np.stack([alice[0, best], alice[1, best], bob[0, best], bob[1, best]])
     settings /= np.linalg.norm(settings, axis=1, keepdims=True)
     b_brute = chsh_value(rho, settings[0], settings[1], settings[2], settings[3])
     b_h = horodecki_bmax(rho)
@@ -303,20 +219,13 @@ def bell_analysis(
     scenario: Scenario | None = None,
     params: ScenarioParams | None = None,
     restarts: int = 32,
-    iterations: int = 80,
+    iterations: int = SEESAW_SWEEPS,
     seed: int = 0,
 ) -> BellResult:
     """Bundle Horodecki, closed-form (when the scenario is known) and brute-force maxima."""
     brute = chsh_brute_force(rho, restarts=restarts, iterations=iterations, seed=seed)
     closed = bell_closed_form(scenario, params) if scenario is not None and params is not None else None
-    return BellResult(
-        b_horodecki=brute.b_horodecki,
-        b_closed_form=closed,
-        b_brute=brute.b_brute,
-        violates=brute.violates,
-        settings=brute.settings,
-        brute_converged=brute.brute_converged,
-    )
+    return replace(brute, b_closed_form=closed)
 
 
 def violation_boundary(scenario: Scenario, params: ScenarioParams) -> BoundaryResult:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bell import (
+    SEESAW_SWEEPS,
     bell_closed_form,
     chsh_brute_force,
     horodecki_bmax,
@@ -108,7 +109,7 @@ def suite_closed_form(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
 def suite_brute(
     resolution: int = BRUTE_RESOLUTION,
     restarts: int = 32,
-    iterations: int = 80,
+    iterations: int = SEESAW_SWEEPS,
     seed: int = 0,
 ) -> SuiteResult:
     """Brute-force CHSH maximization against the Horodecki value.
@@ -396,12 +397,18 @@ DISCREPANCY_SUITES = ("p_definition", "polarity", "meter_entropy", "meter_thresh
 def run_suites(
     resolution: int = DEFAULT_RESOLUTION,
     restarts: int = 32,
-    iterations: int = 80,
+    iterations: int = SEESAW_SWEEPS,
     seed: int = 0,
     tolerance_override: float | None = None,
     names=None,
 ) -> list[SuiteResult]:
     """Run the requested suites (all by default) and apply any tolerance override."""
+    if resolution < 2:
+        raise ValueError("resolution must be at least 2")
+    if tolerance_override is not None and not (math.isfinite(tolerance_override) and tolerance_override >= 0.0):
+        raise ValueError("tolerance must be a finite non-negative number")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     selected = list(SUITES) if names is None else list(names)
     results = []
     for name in selected:

@@ -13,6 +13,7 @@ from qdl.bell import (
     violation_boundary,
 )
 from qdl.states import Scenario, ScenarioParams, scenario_density
+from qdl.verify import BRUTE_TOL
 
 SQ2 = math.sqrt(2.0)
 SINGLET = np.array([0, 1, -1, 0], dtype=complex) / SQ2
@@ -175,6 +176,39 @@ def test_brute_force_settings_are_unit_vectors():
     res = chsh_brute_force(singlet_rho(), restarts=8)
     assert res.settings.shape == (4, 3)
     assert np.allclose(np.linalg.norm(res.settings, axis=1), 1.0, atol=1e-12)
+
+
+def test_brute_force_near_degenerate_singular_values():
+    # sigma_2 ~ sigma_3 here, where the see-saw converges slowly
+    rho = scenario_density(ScenarioParams(d=0.9999557243204511, r_s=0.9995418905310595), Scenario.SYSTEM)
+    res = chsh_brute_force(rho)
+    assert -1e-6 <= res.b_horodecki - res.b_brute <= BRUTE_TOL
+
+
+def test_brute_force_settings_reproduce_value():
+    rho = scenario_density(ScenarioParams(d=0.7, r_s=0.5, r_m=0.4), Scenario.COMBINED)
+    res = chsh_brute_force(rho)
+    assert res.brute_converged
+    assert chsh_value(rho, *res.settings) == pytest.approx(res.b_brute, abs=1e-12)
+
+
+def test_brute_force_sweep_budget_flags_unconverged():
+    rho = scenario_density(ScenarioParams(d=0.7, r_s=0.5, r_m=0.4), Scenario.COMBINED)
+    assert not chsh_brute_force(rho, iterations=1).brute_converged
+
+
+def test_brute_force_rank_one_tensor():
+    # |00><00| has T = diag(0, 0, 1): a and a' end up along +-z, so one of
+    # T^T(a + a'), T^T(a - a') is the zero vector
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[0, 0] = 1.0
+    res = chsh_brute_force(rho, restarts=8)
+    assert res.b_brute == pytest.approx(2.0, abs=1e-9)
+
+
+def test_brute_force_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed"):
+        chsh_brute_force(singlet_rho(), seed=-1)
 
 
 def test_tsirelson_bound_everywhere():

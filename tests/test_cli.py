@@ -2,6 +2,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from qdl.cli import main
 from qdl.figures import figure_rows
 
@@ -140,6 +142,29 @@ def test_verify_tolerance_override_fails(capsys):
     )
     assert code == 1
     assert "FAIL" in out
+
+
+def test_analyze_rejects_negative_seed(capsys):
+    code, _, err = run_cli(["analyze", "--scenario", "free", "--d", "0.5", "--seed", "-1"], capsys)
+    assert code == 2
+    assert "seed must be non-negative" in err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--seed", "-1"], "seed"),
+        (["--resolution", "0"], "resolution"),
+        (["--resolution", "1"], "resolution"),
+        (["--tolerance", "nan"], "tolerance"),
+        (["--tolerance", "-0.5"], "tolerance"),
+    ],
+)
+def test_verify_rejects_bad_arguments(flags, message, capsys):
+    code, out, err = run_cli(["verify", *flags], capsys)
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 def test_console_entry_point():

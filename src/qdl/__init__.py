@@ -47,6 +47,7 @@ from .states import (
     interference_rotation,
     phase_shift,
     reduce_to_ab,
+    scenario_densities,
     scenario_density,
 )
 from .visibility import (

@@ -21,7 +21,7 @@ from .visibility import unpredictability
 VIOLATION_TOL = 1e-9
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
-_PAULI_KRON = [[kron(PAULIS[i], PAULIS[j]) for j in range(3)] for i in range(3)]
+_PAULI_KRON = np.array([[kron(PAULIS[i], PAULIS[j]) for j in range(3)] for i in range(3)])  # (3, 3, 4, 4)
 
 # Default sweep budget of the CHSH see-saw; it converges slowly where the two
 # smaller singular values of T nearly coincide.
@@ -52,28 +52,31 @@ class BoundaryResult:
 
 
 def correlation_tensor(rho: np.ndarray) -> np.ndarray:
-    """3x3 matrix of spin correlators T_ij = Tr[rho (sigma_i x sigma_j)]."""
-    rho = np.asarray(rho, dtype=complex)
-    t = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            val = np.einsum("kl,lk->", rho, _PAULI_KRON[i][j])
-            if abs(val.imag) > 1e-9:
-                raise ValueError(f"correlator T[{i},{j}] has imaginary residue {val.imag:.3e}")
-            t[i, j] = val.real
-    return t
+    """3x3 matrix of spin correlators T_ij = Tr[rho (sigma_i x sigma_j)].
+
+    A stack of states (..., 4, 4) gives a stack of tensors (..., 3, 3).
+    """
+    vals = np.einsum("...kl,ijlk->...ij", np.asarray(rho, dtype=complex), _PAULI_KRON)
+    residue = np.abs(vals.imag)
+    worst = residue.max(initial=0.0)
+    if worst > 1e-9:
+        i, j = np.unravel_index(np.argmax(residue), residue.shape)[-2:]
+        raise ValueError(f"correlator T[{i},{j}] has imaginary residue {worst:.3e}")
+    return vals.real.copy()
 
 
-def horodecki_m(rho: np.ndarray) -> float:
-    """Sum of the two largest eigenvalues of T^T T."""
+def horodecki_m(rho: np.ndarray) -> float | np.ndarray:
+    """Sum of the two largest eigenvalues of T^T T; an array over a stack of states."""
     t = correlation_tensor(rho)
-    evals = hermitian_eigenvalues(t.T @ t)
-    return float(evals[0] + evals[1])
+    evals = hermitian_eigenvalues(np.swapaxes(t, -1, -2) @ t)
+    m = evals[..., 0] + evals[..., 1]
+    return float(m) if m.ndim == 0 else m
 
 
-def horodecki_bmax(rho: np.ndarray) -> float:
-    """Maximal CHSH value 2 sqrt(M) over all measurement settings."""
-    return 2.0 * math.sqrt(max(0.0, horodecki_m(rho)))
+def horodecki_bmax(rho: np.ndarray) -> float | np.ndarray:
+    """Maximal CHSH value 2 sqrt(M) over all measurement settings; an array over a stack of states."""
+    b = 2.0 * np.sqrt(np.maximum(0.0, horodecki_m(rho)))
+    return float(b) if b.ndim == 0 else b
 
 
 def violates_chsh(b_max: float) -> bool:

@@ -11,17 +11,10 @@ import argparse
 import sys
 
 from .analysis import analyze
-from .figures import DEFAULT_RESOLUTION, write_figure_csv
+from .figures import DEFAULT_RESOLUTION, _fmt, write_figure_csv
 from .states import Scenario, ScenarioParams
 from .verify import DEFAULT_RESOLUTION as VERIFY_RESOLUTION
 from .verify import SUITES, run_suites
-
-
-def _fmt(value: float) -> str:
-    value = float(value)
-    if value == 0.0:
-        value = 0.0
-    return f"{value:.9f}"
 
 
 def _fmt_bool(value) -> str:

@@ -1,57 +1,54 @@
 """Parameter sweeps behind the seven figure data sets, emitted as CSV grids.
 
-Each figure is a SweepSpec: one or two axes, a row function mapping a grid
-point to its value columns, and a fixed column order.  Grid points are
-independent; QDL_THREADS > 1 fans them out over a thread pool, with rows
-always written in row-major axis order.
+Each figure is a SweepSpec: two axes, a column function and a fixed column
+order.  The column function maps the flattened grid coordinates of a chunk
+of points to its value columns, evaluating every point of the chunk through
+the stacked (N, 4, 4) layers at once.  Rows are written in row-major axis
+order, one chunk of at most CHUNK_POINTS points at a time.
 """
 
 from __future__ import annotations
 
-import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .bell import horodecki_bmax, violates_chsh, violation_boundary
 from .infotheory import mutual_information
-from .states import Scenario, ScenarioParams, scenario_density
+from .states import Scenario, ScenarioParams, scenario_densities
 from .visibility import visibility_analytic
 
 MIN_RESOLUTION = 11
 DEFAULT_RESOLUTION = 41
+CHUNK_POINTS = 1024
 
 
 @dataclass(frozen=True)
 class SweepSpec:
     """Axes and outputs of one figure grid."""
 
-    scenario: Scenario
-    axes: tuple[str, ...]  # one or two parameter names, outer axis first
+    axes: tuple[str, str]  # parameter names, outer axis first
     columns: tuple[str, ...]
-    row: Callable[..., tuple]
+    evaluate: Callable[[np.ndarray, np.ndarray], tuple]  # (outer, inner) coordinates -> columns
     start: float = 0.0
     stop: float = 1.0
 
     def __post_init__(self):
-        if not 1 <= len(self.axes) <= 2:
-            raise ValueError("a sweep uses one or two axes")
+        if len(self.axes) != 2:
+            raise ValueError("a sweep uses two axes")
         if not (0.0 <= self.start < self.stop <= 1.0):
             raise ValueError("axis range must satisfy 0 <= start < stop <= 1")
 
-    def grid(self, steps: int) -> list[tuple[float, ...]]:
+    def line(self, steps: int) -> np.ndarray:
+        """The coordinates of one axis."""
         if steps < 2:
             raise ValueError("steps must be at least 2")
-        line = [self.start + (self.stop - self.start) * i / (steps - 1) for i in range(steps)]
-        if len(self.axes) == 1:
-            return [(x,) for x in line]
-        return [(x, y) for x in line for y in line]
+        return np.array([self.start + (self.stop - self.start) * i / (steps - 1) for i in range(steps)])
 
 
 def _fmt(value) -> str:
+    """Fixed-point with 9 decimals (-0.0 printed as 0.0); booleans as 1/0."""
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     value = float(value)
@@ -60,88 +57,79 @@ def _fmt(value) -> str:
     return f"{value:.9f}"
 
 
-def _row_fig1(d: float, u: float) -> tuple:
-    r = (1.0 - math.sqrt(1.0 - u * u)) / 2.0
-    rho = scenario_density(ScenarioParams(r=r, d=d), Scenario.FREE)
-    return d, u, horodecki_bmax(rho)
+def _fig1(d: np.ndarray, u: np.ndarray) -> tuple:
+    r = (1.0 - np.sqrt(1.0 - u * u)) / 2.0
+    return d, u, horodecki_bmax(scenario_densities(Scenario.FREE, r=r, d=d))
 
 
-def _row_fig2(o: float, r: float) -> tuple:
-    d = math.sqrt(1.0 - o * o)
-    rho = scenario_density(ScenarioParams(d=d, r_s=r), Scenario.SYSTEM)
-    return o, r, horodecki_bmax(rho)
+def _fig2(o: np.ndarray, r: np.ndarray) -> tuple:
+    d = np.sqrt(1.0 - o * o)
+    return o, r, horodecki_bmax(scenario_densities(Scenario.SYSTEM, d=d, r_s=r))
 
 
-def _row_fig3(d: float, r: float) -> tuple:
-    rho = scenario_density(ScenarioParams(d=d, r_s=r), Scenario.SYSTEM)
-    v = visibility_analytic(rho)
+def _fig3(d: np.ndarray, r: np.ndarray) -> tuple:
+    v = visibility_analytic(scenario_densities(Scenario.SYSTEM, d=d, r_s=r))
     return d, r, v, v <= 1.0 - d * d
 
 
-def _row_fig4(d: float, r: float) -> tuple:
-    rho = scenario_density(ScenarioParams(d=d, r_s=r), Scenario.SYSTEM)
+def _fig4(d: np.ndarray, r: np.ndarray) -> tuple:
+    rho = scenario_densities(Scenario.SYSTEM, d=d, r_s=r)
     return d, r, mutual_information(rho).i_ab, violates_chsh(horodecki_bmax(rho))
 
 
-def _row_fig5(r: float, d: float) -> tuple:
-    rho = scenario_density(ScenarioParams(d=d, r_m=r), Scenario.METER)
-    return r, d, horodecki_bmax(rho)
+def _fig5(r: np.ndarray, d: np.ndarray) -> tuple:
+    return r, d, horodecki_bmax(scenario_densities(Scenario.METER, d=d, r_m=r))
 
 
-def _row_fig6(d: float, r: float) -> tuple:
-    rho = scenario_density(ScenarioParams(d=d, r_m=r), Scenario.METER)
+def _fig6(d: np.ndarray, r: np.ndarray) -> tuple:
+    rho = scenario_densities(Scenario.METER, d=d, r_m=r)
     return d, r, mutual_information(rho).i_ab, violates_chsh(horodecki_bmax(rho))
 
 
-def _row_fig7(r_s: float, r_m: float) -> tuple:
-    boundary = violation_boundary(Scenario.COMBINED, ScenarioParams(r_s=r_s, r_m=r_m))
-    return r_s, r_m, boundary.d_threshold
+def _fig7(r_s: np.ndarray, r_m: np.ndarray) -> tuple:
+    d_thr = [
+        violation_boundary(Scenario.COMBINED, ScenarioParams(r_s=a, r_m=b)).d_threshold
+        for a, b in zip(r_s, r_m)
+    ]
+    return r_s, r_m, d_thr
 
 
 FIGURES: dict[int, SweepSpec] = {
-    1: SweepSpec(Scenario.FREE, ("d", "u"), ("d", "u", "b_max"), _row_fig1),
-    2: SweepSpec(Scenario.SYSTEM, ("o", "r"), ("o", "r", "b_max"), _row_fig2),
-    3: SweepSpec(Scenario.SYSTEM, ("d", "r"), ("d", "r", "v", "lrt_explainable"), _row_fig3),
-    4: SweepSpec(Scenario.SYSTEM, ("d", "r"), ("d", "r", "i_ab", "chsh_violating"), _row_fig4),
-    5: SweepSpec(Scenario.METER, ("r", "d"), ("r", "d", "b_max"), _row_fig5),
-    6: SweepSpec(Scenario.METER, ("d", "r"), ("d", "r", "i_ab", "chsh_violating"), _row_fig6),
-    7: SweepSpec(Scenario.COMBINED, ("r_s", "r_m"), ("r_s", "r_m", "d_threshold"), _row_fig7),
+    1: SweepSpec(("d", "u"), ("d", "u", "b_max"), _fig1),
+    2: SweepSpec(("o", "r"), ("o", "r", "b_max"), _fig2),
+    3: SweepSpec(("d", "r"), ("d", "r", "v", "lrt_explainable"), _fig3),
+    4: SweepSpec(("d", "r"), ("d", "r", "i_ab", "chsh_violating"), _fig4),
+    5: SweepSpec(("r", "d"), ("r", "d", "b_max"), _fig5),
+    6: SweepSpec(("d", "r"), ("d", "r", "i_ab", "chsh_violating"), _fig6),
+    7: SweepSpec(("r_s", "r_m"), ("r_s", "r_m", "d_threshold"), _fig7),
 }
 
 
-def thread_count() -> int:
-    """Worker cap from QDL_THREADS; default is serial evaluation."""
-    raw = os.environ.get("QDL_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-def map_grid(row: Callable[..., tuple], points: Sequence[tuple]) -> list[tuple]:
-    """Evaluate a row function over grid points, preserving row-major order."""
-    workers = thread_count()
-    if workers == 1:
-        return [row(*pt) for pt in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda pt: row(*pt), points))
-
-
-def figure_rows(n: int, resolution: int) -> tuple[tuple[str, ...], list[tuple]]:
+def figure_rows(n: int, resolution: int) -> tuple[tuple[str, ...], Iterator[tuple]]:
+    """Column names and an iterator over the grid rows, in row-major axis order."""
     if n not in FIGURES:
         raise ValueError(f"figure number must be 1..7, got {n}")
     if resolution < MIN_RESOLUTION:
         raise ValueError(f"resolution must be at least {MIN_RESOLUTION}, got {resolution}")
     spec = FIGURES[n]
-    return spec.columns, map_grid(spec.row, spec.grid(resolution))
+    return spec.columns, _grid_rows(spec, resolution)
+
+
+def _grid_rows(spec: SweepSpec, resolution: int) -> Iterator[tuple]:
+    line = spec.line(resolution)
+    points = resolution * resolution
+    for start in range(0, points, CHUNK_POINTS):
+        flat = np.arange(start, min(start + CHUNK_POINTS, points))
+        yield from zip(*spec.evaluate(line[flat // resolution], line[flat % resolution]))
 
 
 def write_figure_csv(n: int, resolution: int, path: str) -> int:
     """Write the figure grid as UTF-8 CSV with LF line endings; returns the row count."""
     columns, rows = figure_rows(n, resolution)
+    count = 0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-    return len(rows)
+            count += 1
+    return count

@@ -52,21 +52,24 @@ def ppt_check(rho: np.ndarray) -> SeparabilityReport:
     return SeparabilityReport(ppt_spectrum=spectrum, negativity=negativity, separable=separable)
 
 
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """-sum lambda ln lambda over the spectrum, with 0 ln 0 = 0."""
+def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
+    """-sum lambda ln lambda over the spectrum, with 0 ln 0 = 0; an array over a stack of states."""
     evals = hermitian_eigenvalues(rho)
-    if evals[-1] < ENTROPY_EIGENVALUE_FLOOR:
-        raise ValueError(f"state has eigenvalue {evals[-1]:.3e}; not positive semidefinite")
-    total = 0.0
-    for lam in evals:
-        lam = min(1.0, max(0.0, float(lam)))
-        if lam > 0.0:
-            total -= lam * math.log(lam)
-    return total
+    lowest = evals[..., -1].min()
+    if lowest < ENTROPY_EIGENVALUE_FLOOR:
+        raise ValueError(f"state has eigenvalue {lowest:.3e}; not positive semidefinite")
+    lam = np.minimum(1.0, np.maximum(0.0, evals))
+    logs = np.zeros_like(lam)
+    positive = lam > 0.0
+    # math.log, not np.log: the SIMD np.log differs from libm in the last bit for some inputs.
+    logs[positive] = [math.log(x) for x in lam[positive].tolist()]
+    # subtract is not reorderable, so the reduction runs left to right from the largest eigenvalue.
+    total = np.subtract.reduce(lam * logs, axis=-1, initial=0.0)
+    return float(total) if total.ndim == 0 else total
 
 
 def mutual_information(rho: np.ndarray) -> InformationReport:
-    """I_AB = S_A + S_B - S_AB from the eigenvalue route."""
+    """I_AB = S_A + S_B - S_AB from the eigenvalue route; array fields over a stack of states."""
     s_a = von_neumann_entropy(partial_trace(rho, ("A",)))
     s_b = von_neumann_entropy(partial_trace(rho, ("B",)))
     s_ab = von_neumann_entropy(rho)

@@ -3,6 +3,8 @@
 Everything here is a pure function of immutable inputs.  The eigensolver is a
 cyclic complex Jacobi iteration, deliberately self-contained so the rest of
 the package does not depend on LAPACK behaviour for its contractual results.
+It and the density-matrix partial trace also take stacks (..., n, n) of
+matrices, which grid sweeps use to evaluate many points per call.
 """
 
 from __future__ import annotations
@@ -27,10 +29,12 @@ KET_UP = np.array([1, 0], dtype=complex)
 KET_DOWN = np.array([0, 1], dtype=complex)
 
 
-def _as_square(m, name: str = "matrix") -> np.ndarray:
+def _as_square(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """Complex square matrix with finite entries; ``stack`` also admits (..., n, n)."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {m.shape}")
+    if m.ndim < 2 or (m.ndim > 2 and not stack) or m.shape[-1] != m.shape[-2]:
+        what = "a square matrix or a stack (..., n, n)" if stack else "square"
+        raise ValueError(f"{name} must be {what}, got shape {m.shape}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError(f"{name} contains NaN/Inf entries")
     return m
@@ -67,7 +71,14 @@ def hermitian_eigensystem(
     off-diagonal pivot once and iteration stops when the off-diagonal
     Frobenius norm drops below ``offdiag_tol``.  Column k of the returned
     vector matrix is the eigenvector for the k-th eigenvalue.
+
+    A stack of shape (..., n, n) returns values (..., n) and vectors
+    (..., n, n), solved together by ``_stacked_jacobi``.  A single matrix
+    keeps this scalar loop, which is faster for one matrix and is the
+    reference the stacked loop is tested against.
     """
+    if np.ndim(m) > 2:
+        return _stacked_jacobi(_as_square(m, "m", stack=True), offdiag_tol, max_sweeps)
     a = _as_square(m, "m").copy()
     n = a.shape[0]
     dev = np.max(np.abs(a - a.conj().T))
@@ -123,8 +134,79 @@ def hermitian_eigensystem(
     return values[order], vecs[:, order]
 
 
+def _stacked_jacobi(m: np.ndarray, offdiag_tol: float, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cyclic Jacobi of ``hermitian_eigensystem`` run over a stack of matrices at once.
+
+    Every matrix visits the same pivots in the same order and gets the same
+    rotation arithmetic as in the scalar loop, element-wise over the stack.
+    Each matrix keeps its own convergence flag (a converged matrix is not
+    rotated again) and skips a pivot whose a[p, q] is exactly zero, so each
+    result equals that of a separate call.  Only the off-diagonal norm that
+    ends the iteration is summed in another order; that can change the
+    sweep count only for a norm within rounding of ``offdiag_tol``.
+    """
+    batch, n = m.shape[:-2], m.shape[-1]
+    a = m.reshape((-1, n, n)).copy()
+    dev = np.max(np.abs(a - a.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    if np.any(dev >= HERMITICITY_TOL):
+        k = int(np.argmax(dev >= HERMITICITY_TOL))
+        raise ValueError(f"matrix {k} of the stack is not Hermitian (max |m - m^dag| = {dev[k]:.3e})")
+    a = (a + a.conj().swapaxes(-1, -2)) / 2.0
+    vecs = np.broadcast_to(np.eye(n, dtype=complex), a.shape).copy()
+    diag = np.arange(n)
+    live = np.ones(a.shape[0], dtype=bool)
+
+    sweeps = 0
+    while True:
+        off = a.copy()
+        off[:, diag, diag] = 0.0
+        live &= np.sqrt(np.sum(off.real**2 + off.imag**2, axis=(-2, -1))) >= offdiag_tol
+        if not live.any():
+            break
+        if sweeps >= max_sweeps:
+            raise ArithmeticError(f"Jacobi iteration failed to converge in {max_sweeps} sweeps")
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                # abs() of one complex scalar is C hypot; np.abs on a complex
+                # array may round differently in the last bit, np.hypot does not.
+                h = np.hypot(a[:, p, q].real, a[:, p, q].imag)
+                idx = np.flatnonzero(live & (h != 0.0))
+                if idx.size == 0:
+                    continue
+                h = h[idx]
+                phase = a[idx, p, q].conj() / h
+                app, aqq = a[idx, p, p].real, a[idx, q, q].real
+                tau = (aqq - app) / (2.0 * h)
+                t = np.where(tau != 0.0, np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau)), 1.0)
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                cc, sc = c[:, None], s[:, None]
+                sp, cp = (s * phase)[:, None], (c * phase)[:, None]
+                spc, cpc = (s * phase.conj())[:, None], (c * phase.conj())[:, None]
+                col_p, col_q = a[idx, :, p], a[idx, :, q]
+                a[idx, :, p] = cc * col_p - sp * col_q
+                a[idx, :, q] = sc * col_p + cp * col_q
+                row_p, row_q = a[idx, p, :], a[idx, q, :]
+                a[idx, p, :] = cc * row_p - spc * row_q
+                a[idx, q, :] = sc * row_p + cpc * row_q
+                a[idx, p, p] = app - t * h
+                a[idx, q, q] = aqq + t * h
+                a[idx, p, q] = 0.0
+                a[idx, q, p] = 0.0
+                vcol_p, vcol_q = vecs[idx, :, p], vecs[idx, :, q]
+                vecs[idx, :, p] = cc * vcol_p - sp * vcol_q
+                vecs[idx, :, q] = sc * vcol_p + cp * vcol_q
+        sweeps += 1
+
+    values = np.real(a[:, diag, diag])
+    order = np.argsort(values, axis=-1)[:, ::-1]
+    values = np.take_along_axis(values, order, axis=-1)
+    vecs = np.take_along_axis(vecs, order[:, None, :], axis=-1)
+    return values.reshape(batch + (n,)), vecs.reshape(batch + (n, n))
+
+
 def hermitian_eigenvalues(m, **kwargs) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, sorted descending."""
+    """All eigenvalues of a Hermitian matrix (or of each in a stack), sorted descending."""
     values, _ = hermitian_eigensystem(m, **kwargs)
     return values
 
@@ -176,9 +258,9 @@ class PureState:
 def partial_trace(state, keep) -> np.ndarray:
     """Reduced density matrix on the kept factors.
 
-    ``state`` is a PureState or a 4x4 density matrix on A (tensor) B; ``keep``
-    is a sequence of labels or axis indices, in the order the kept factors
-    should appear in the result.
+    ``state`` is a PureState, a 4x4 density matrix on A (tensor) B or a stack
+    (..., 4, 4) of them; ``keep`` is a sequence of labels or axis indices, in
+    the order the kept factors should appear in the result.
     """
     if isinstance(state, PureState):
         axes = [state.axis_of(k) for k in keep]
@@ -188,8 +270,8 @@ def partial_trace(state, keep) -> np.ndarray:
         rest = [i for i in range(n) if i not in axes]
         psi = state.amps.reshape((2,) * n).transpose(axes + rest).reshape(2 ** len(axes), -1)
         return psi @ psi.conj().T
-    rho = _as_square(state, "rho")
-    if rho.shape[0] != 4:
+    rho = _as_square(state, "rho", stack=True)
+    if rho.shape[-1] != 4:
         raise ValueError("density-matrix partial trace expects a 4x4 A(x)B operator")
     labels = ("A", "B")
     axes = []
@@ -204,14 +286,15 @@ def partial_trace(state, keep) -> np.ndarray:
             raise ValueError(f"no subsystem labeled {k!r} in {labels}")
     if len(set(axes)) != len(axes):
         raise ValueError("duplicate subsystem in keep")
-    r = rho.reshape(2, 2, 2, 2)
+    batch = rho.shape[:-2]
+    r = rho.reshape(batch + (2, 2, 2, 2))
     if axes == [0, 1]:
         return rho.copy()
     if axes == [1, 0]:
-        return r.transpose(1, 0, 3, 2).reshape(4, 4)
+        return np.einsum("...abcd->...badc", r).reshape(batch + (4, 4))
     if axes == [0]:
-        return np.einsum("ikjk->ij", r)
-    return np.einsum("kikj->ij", r)
+        return np.einsum("...ikjk->...ij", r)
+    return np.einsum("...kikj->...ij", r)
 
 
 def partial_transpose(rho) -> np.ndarray:

@@ -58,6 +58,31 @@ class ScenarioParams:
         object.__setattr__(self, "r_m", _check_unit_interval("r_m", self.r_m))
 
 
+def _matrix_2x2(shape: tuple, a, b, c, d) -> np.ndarray:
+    """Complex [[a, b], [c, d]] at every point of a knob array of the given shape: (*shape, 2, 2)."""
+    m = np.empty(shape + (2, 2), dtype=complex)
+    m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1] = a, b, c, d
+    return m
+
+
+def _meter_rotation(d) -> np.ndarray:
+    """Rotation of B on the A=down branch; columns are the images of |up>, |down>."""
+    o = np.sqrt(1.0 - d * d)
+    return _matrix_2x2(np.shape(d), o, d, -d, o)
+
+
+def _environment_weights(control: str, r) -> np.ndarray:
+    """weights[..., k, e]: amplitude for environment level e given control level k, robustness r.
+
+    Environment basis: index 0 = |up>, 1 = |down>; it starts in |down>.  On A
+    the up-branch is inert, on B the down-branch.
+    """
+    leak = np.sqrt(1.0 - r * r)
+    if control == "A":
+        return _matrix_2x2(np.shape(r), 0.0, 1.0, leak, r)
+    return _matrix_2x2(np.shape(r), leak, r, 0.0, 1.0)
+
+
 def input_state(r: float) -> PureState:
     """Source qubit sqrt(r)|up> - sqrt(1-r)|down> on factor A."""
     r = _check_unit_interval("r", r)
@@ -75,15 +100,13 @@ def couple_meter(state: PureState, d: float) -> PureState:
     d = _check_unit_interval("d", d)
     if "B" in state.labels:
         raise ValueError("state already carries a meter factor B")
-    o = math.sqrt(1.0 - d * d)
     psi = state.amps.reshape(state.dims)
     a_axis = state.axis_of("A")
     psi = np.moveaxis(psi, a_axis, 0)
     # Append B (initially |down>), then rotate B on the A=down branch.
     new = np.zeros((2,) + psi.shape[1:] + (2,), dtype=complex)
     new[..., 1] = psi
-    rot = np.array([[o, d], [-d, o]], dtype=complex)  # columns: image of |up>, |down>
-    new[1] = np.moveaxis(np.tensordot(rot, new[1], axes=([1], [-1])), 0, -1)
+    new[1] = np.moveaxis(np.tensordot(_meter_rotation(d), new[1], axes=([1], [-1])), 0, -1)
     new = np.moveaxis(new, 0, a_axis)
     return PureState(new.reshape(-1), state.labels + ("B",))
 
@@ -92,17 +115,9 @@ def _decohere(state: PureState, control: str, robustness: float, env_label: str)
     """Append environment qubit entangled with the control=|down-branch-of-map|."""
     if env_label in state.labels:
         raise ValueError(f"state already carries environment {env_label}")
-    r = robustness
-    # weights[k, e]: amplitude for env level e given control level k
-    # (env basis: index 0 = |up>, 1 = |down>; env starts in |down>)
-    leak = math.sqrt(1.0 - r * r)
-    if control == "A":
-        weights = np.array([[0.0, 1.0], [leak, r]], dtype=complex)  # up-branch inert
-    else:
-        weights = np.array([[leak, r], [0.0, 1.0]], dtype=complex)  # down-branch inert
     axis = state.axis_of(control)
     psi = np.moveaxis(state.amps.reshape(state.dims), axis, 0)
-    new = np.einsum("k...,ke->k...e", psi, weights)
+    new = np.einsum("k...,ke->k...e", psi, _environment_weights(control, robustness))
     new = np.moveaxis(new, 0, axis)
     return PureState(new.reshape(-1), state.labels + (env_label,))
 
@@ -141,6 +156,48 @@ def reduce_to_ab(state: PureState) -> np.ndarray:
 def scenario_density(params: ScenarioParams, scenario: Scenario) -> np.ndarray:
     """Convenience: build the joint state and reduce it to A(x)B."""
     return reduce_to_ab(build_joint_state(params, scenario))
+
+
+def _checked_norms(psi: np.ndarray) -> np.ndarray:
+    """Stacked amplitudes (N, ...) whose every state has unit norm within 1e-12."""
+    norms = np.sqrt(np.sum(np.abs(psi) ** 2, axis=tuple(range(1, psi.ndim))))
+    if np.any(np.abs(norms - 1.0) > 1e-12):
+        raise ValueError(f"state norm {norms[np.argmax(np.abs(norms - 1.0))]} is not 1 within 1e-12")
+    return psi
+
+
+def scenario_densities(scenario: Scenario, *, r=0.5, d=0.0, r_s=1.0, r_m=1.0) -> np.ndarray:
+    """Stack of A(x)B density matrices over the broadcast knob arrays, shape (N, 4, 4).
+
+    Point k is the state ``scenario_density`` builds from the k-th knob values
+    (flattened in C order): the same isometries and gate matrices, applied to
+    all points at once.
+    """
+    knobs = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (r, d, r_s, r_m)))
+    for name, values in zip(("r", "d", "r_s", "r_m"), knobs):
+        if not np.all((values >= 0.0) & (values <= 1.0)):
+            raise ValueError(f"{name} must lie in [0, 1] and be finite")
+    r, d, r_s, r_m = (values.reshape(-1) for values in knobs)
+    if scenario is not Scenario.FREE and np.any(r != 0.5):
+        raise ValueError(f"scenario {scenario.value} requires the balanced path weight r = 1/2")
+    # psi[n, a, b, environments...]: source on A, then B in |down> rotated on the A=down branch.
+    psi = np.zeros((r.size, 2, 2), dtype=complex)
+    psi[..., 1] = _checked_norms(np.stack((np.sqrt(r), -np.sqrt(1.0 - r)), axis=-1))
+    psi[:, 1] = np.einsum("nij,nj->ni", _meter_rotation(d), psi[:, 1])
+    psi = _checked_norms(psi)
+    if scenario in (Scenario.SYSTEM, Scenario.COMBINED):
+        psi = _checked_norms(_decohere_stack(psi, 1, _environment_weights("A", r_s)))
+    if scenario in (Scenario.METER, Scenario.COMBINED):
+        psi = _checked_norms(_decohere_stack(psi, 2, _environment_weights("B", r_m)))
+    psi = psi.reshape(r.size, 4, -1)
+    return psi @ psi.conj().swapaxes(-1, -2)
+
+
+def _decohere_stack(psi: np.ndarray, axis: int, weights: np.ndarray) -> np.ndarray:
+    """Append an environment factor entangled with factor ``axis`` of each stacked state."""
+    psi = np.moveaxis(psi, axis, 1)
+    new = np.einsum("nk...,nke->nk...e", psi, weights)
+    return np.moveaxis(new, 1, axis)
 
 
 def _apply_a_unitary(target, u: np.ndarray):

@@ -21,7 +21,6 @@ from .bell import (
     violates_chsh,
     violation_boundary,
 )
-from .figures import map_grid
 from .infotheory import (
     binary_entropy,
     entropy_closed_form,
@@ -77,8 +76,7 @@ def suite_identities(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     """Complementarity identities of all four scenarios, analytic visibility."""
     worst = 0.0
     for scenario, grid in _scenario_grids(resolution).items():
-        residuals = map_grid(lambda p, s=scenario: (check_identity(s, p),), [(p,) for p in grid])
-        worst = max(worst, max(r[0] for r in residuals))
+        worst = max(worst, max(check_identity(scenario, p) for p in grid))
     return SuiteResult("identities", worst, IDENTITY_TOL, worst < IDENTITY_TOL)
 
 
@@ -97,12 +95,9 @@ def suite_closed_form(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     """Analytic B_max of each scenario against the matrix-route Horodecki value."""
     worst = 0.0
     for scenario, grid in _scenario_grids(resolution).items():
-        def residual(params, s=scenario):
-            rho = scenario_density(params, s)
-            return (abs(bell_closed_form(s, params) - horodecki_bmax(rho)),)
-
-        residuals = map_grid(residual, [(p,) for p in grid])
-        worst = max(worst, max(r[0] for r in residuals))
+        for params in grid:
+            rho = scenario_density(params, scenario)
+            worst = max(worst, abs(bell_closed_form(scenario, params) - horodecki_bmax(rho)))
     return SuiteResult("bell_closed_form", worst, CLOSED_FORM_TOL, worst < CLOSED_FORM_TOL)
 
 
@@ -119,15 +114,12 @@ def suite_brute(
     """
     worst = 0.0
     for scenario, grid in _scenario_grids(resolution).items():
-        def residual(params, s=scenario):
-            rho = scenario_density(params, s)
+        for params in grid:
+            rho = scenario_density(params, scenario)
             res = chsh_brute_force(rho, restarts=restarts, iterations=iterations, seed=seed)
             low = res.b_horodecki - res.b_brute
             high = res.b_brute - res.b_horodecki - 1e-6
-            return (max(low, high, 0.0),)
-
-        residuals = map_grid(residual, [(p,) for p in grid])
-        worst = max(worst, max(r[0] for r in residuals))
+            worst = max(worst, low, high)
     return SuiteResult("chsh_brute_force", worst, BRUTE_TOL, worst < BRUTE_TOL)
 
 

@@ -57,10 +57,11 @@ def visibility_sweep(rho: np.ndarray, n: int = DEFAULT_SWEEP_POINTS) -> FringeSc
     return FringeScan(phases=phases, probabilities=probs, visibility=vis)
 
 
-def visibility_analytic(rho: np.ndarray) -> float:
-    """Fringe contrast from the A coherence: V = 2 |<up| rho_A |down>|."""
-    rho_a = partial_trace(rho, ("A",))
-    return float(2.0 * abs(rho_a[0, 1]))
+def visibility_analytic(rho: np.ndarray) -> float | np.ndarray:
+    """Fringe contrast from the A coherence: V = 2 |<up| rho_A |down>|; an array over a stack of states."""
+    c = partial_trace(rho, ("A",))[..., 0, 1]
+    v = 2.0 * np.hypot(c.real, c.imag)  # hypot rounds like abs() of one complex scalar
+    return float(v) if v.ndim == 0 else v
 
 
 def predictability(r: float) -> float:

@@ -1,11 +1,16 @@
-import os
+import math
 import subprocess
 import sys
 
 import pytest
 
+from qdl.bell import horodecki_bmax, violates_chsh, violation_boundary
 from qdl.cli import main
-from qdl.figures import figure_rows
+from qdl import figures
+from qdl.figures import FIGURES, _fmt, figure_rows
+from qdl.infotheory import mutual_information
+from qdl.states import Scenario, ScenarioParams, scenario_density
+from qdl.visibility import visibility_analytic
 
 
 def run_cli(args, capsys):
@@ -98,15 +103,59 @@ def test_figure_determinism(tmp_path, capsys):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_figure_parallel_matches_serial(tmp_path, capsys):
-    serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-    run_cli(["figure", "2", "--resolution", "11", "--out", str(serial)], capsys)
-    os.environ["QDL_THREADS"] = "4"
-    try:
-        run_cli(["figure", "2", "--resolution", "11", "--out", str(parallel)], capsys)
-    finally:
-        del os.environ["QDL_THREADS"]
-    assert serial.read_bytes() == parallel.read_bytes()
+def _ref_fig1(d, u):
+    r = (1.0 - math.sqrt(1.0 - u * u)) / 2.0
+    rho = scenario_density(ScenarioParams(r=r, d=d), Scenario.FREE)
+    return d, u, horodecki_bmax(rho)
+
+
+def _ref_fig2(o, r):
+    d = math.sqrt(1.0 - o * o)
+    rho = scenario_density(ScenarioParams(d=d, r_s=r), Scenario.SYSTEM)
+    return o, r, horodecki_bmax(rho)
+
+
+def _ref_fig3(d, r):
+    rho = scenario_density(ScenarioParams(d=d, r_s=r), Scenario.SYSTEM)
+    v = visibility_analytic(rho)
+    return d, r, v, v <= 1.0 - d * d
+
+
+def _ref_fig4(d, r):
+    rho = scenario_density(ScenarioParams(d=d, r_s=r), Scenario.SYSTEM)
+    return d, r, mutual_information(rho).i_ab, violates_chsh(horodecki_bmax(rho))
+
+
+def _ref_fig5(r, d):
+    rho = scenario_density(ScenarioParams(d=d, r_m=r), Scenario.METER)
+    return r, d, horodecki_bmax(rho)
+
+
+def _ref_fig6(d, r):
+    rho = scenario_density(ScenarioParams(d=d, r_m=r), Scenario.METER)
+    return d, r, mutual_information(rho).i_ab, violates_chsh(horodecki_bmax(rho))
+
+
+def _ref_fig7(r_s, r_m):
+    boundary = violation_boundary(Scenario.COMBINED, ScenarioParams(r_s=r_s, r_m=r_m))
+    return r_s, r_m, boundary.d_threshold
+
+
+PER_POINT_REFERENCE = {1: _ref_fig1, 2: _ref_fig2, 3: _ref_fig3, 4: _ref_fig4, 5: _ref_fig5, 6: _ref_fig6, 7: _ref_fig7}
+
+
+def test_figure_csv_matches_per_point_reference(tmp_path, capsys, monkeypatch):
+    """The batched grid evaluation writes the bytes a point-by-point loop over single states gives."""
+    monkeypatch.setattr(figures, "CHUNK_POINTS", 50)  # 121 points: chunks of 50, 50 and 21
+    steps = 11
+    line = [i / (steps - 1) for i in range(steps)]
+    for n, row in PER_POINT_REFERENCE.items():
+        out_path = tmp_path / f"fig{n}.csv"
+        code, _, _ = run_cli(["figure", str(n), "--resolution", str(steps), "--out", str(out_path)], capsys)
+        assert code == 0
+        header = ",".join(FIGURES[n].columns) + "\n"
+        body = "".join(",".join(_fmt(v) for v in row(x, y)) + "\n" for x in line for y in line)
+        assert out_path.read_bytes() == (header + body).encode("utf-8"), f"figure {n}"
 
 
 def test_figure_rejects_low_resolution(tmp_path, capsys):

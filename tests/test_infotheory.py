@@ -13,7 +13,9 @@ from qdl.infotheory import (
     printed_meter_info_threshold,
     von_neumann_entropy,
 )
-from qdl.states import Scenario, ScenarioParams, scenario_density
+from qdl.bell import horodecki_bmax
+from qdl.states import Scenario, ScenarioParams, scenario_densities, scenario_density
+from qdl.visibility import visibility_analytic
 
 LN2 = math.log(2.0)
 SINGLET = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2)
@@ -209,3 +211,20 @@ def test_negativity_zero_iff_separable_on_grid():
                 rep = ppt_check(scenario_density(params, scenario))
                 assert rep.separable == (rep.negativity <= 1e-10)
                 assert rep.separable == (d < 1e-9 or r < 1e-9)
+
+
+def test_stacked_layers_equal_single_point_calls():
+    line = np.array([0.0, 1e-12, 0.3, 0.7, 1.0 - 1e-12, 1.0])
+    d, r = np.repeat(line, line.size), np.tile(line, line.size)
+    for scenario, knobs in ((Scenario.SYSTEM, {"r_s": r}), (Scenario.METER, {"r_m": r})):
+        stack = scenario_densities(scenario, d=d, **knobs)
+        info = mutual_information(stack)
+        b_max = horodecki_bmax(stack)
+        v = visibility_analytic(stack)
+        for k, rho in enumerate(stack):
+            single = mutual_information(rho)
+            assert (info.s_a[k], info.s_b[k], info.s_ab[k], info.i_ab[k]) == (
+                single.s_a, single.s_b, single.s_ab, single.i_ab
+            )
+            assert b_max[k] == horodecki_bmax(rho)
+            assert v[k] == visibility_analytic(rho)

@@ -173,3 +173,55 @@ def test_partial_transpose_involution_and_structure():
 def test_pure_state_norm_guard():
     with pytest.raises(ValueError):
         PureState(np.array([1.0, 1.0]), ("A",))
+
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+hnp = pytest.importorskip("hypothesis.extra.numpy")
+
+
+@st.composite
+def hermitian_stacks(draw):
+    n = draw(st.integers(2, 16))
+    batch = draw(st.integers(1, 8))
+    # Entries stay far above the underflow range: the rotation phase conj(z)/|z| of both
+    # routes overflows once a pivot |z| is subnormal.
+    entries = st.floats(-1e3, 1e3).filter(lambda x: x == 0.0 or abs(x) >= 1e-100)
+    parts = hnp.arrays(np.float64, (2, batch, n, n), elements=entries)
+    re, im = draw(parts)
+    g = re + 1j * im
+    return (g + g.conj().swapaxes(-1, -2)) / 2
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(hermitian_stacks())
+def test_stacked_eigensystem_equals_per_matrix_calls(m):
+    values, vectors = hermitian_eigensystem(m)
+    scale = max(1.0, float(np.max(np.abs(m))))
+    for k in range(m.shape[0]):
+        v1, w1 = hermitian_eigensystem(m[k])
+        assert np.array_equal(values[k], v1)
+        assert np.array_equal(vectors[k], w1)
+        ref = np.sort(np.linalg.eigvalsh(m[k]))[::-1]
+        assert np.max(np.abs(values[k] - ref)) < 1e-10 * scale
+
+
+@hypothesis.settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@hypothesis.given(hermitian_stacks(), st.data())
+def test_stacked_eigensystem_rejects_one_bad_member(m, data):
+    k = data.draw(st.integers(0, m.shape[0] - 1))
+    bad = m.copy()
+    if data.draw(st.booleans()):
+        bad[k, 0, -1] += 1.0  # breaks Hermiticity of member k only
+    else:
+        bad[k, -1, 0] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    with pytest.raises(ValueError):
+        hermitian_eigensystem(bad)
+
+
+def test_stacked_eigensystem_reports_non_convergence():
+    m = np.stack([np.diag([1.0, 2.0]), SIGMA_X]).astype(complex)
+    with pytest.raises(ArithmeticError):
+        hermitian_eigensystem(m, max_sweeps=0)
+    values, _ = hermitian_eigensystem(m, max_sweeps=1)
+    assert np.array_equal(values, [[2.0, 1.0], [1.0, -1.0]])

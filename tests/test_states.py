@@ -15,6 +15,7 @@ from qdl.states import (
     interference_rotation,
     phase_shift,
     reduce_to_ab,
+    scenario_densities,
     scenario_density,
 )
 
@@ -242,3 +243,36 @@ def test_params_validation():
         ScenarioParams(d=-0.1)
     with pytest.raises(ValueError):
         ScenarioParams(r_m=1.0001)
+
+
+EDGE_LINE = np.array([0.0, 1e-15, 1e-8, 0.25, 0.5, 0.7, 1.0 - 1e-10, 1.0 - 1e-15, 1.0])
+OUTER, INNER = np.repeat(EDGE_LINE, EDGE_LINE.size), np.tile(EDGE_LINE, EDGE_LINE.size)
+STACKED_CASES = [
+    (Scenario.FREE, {"r": OUTER, "d": INNER}),
+    (Scenario.SYSTEM, {"d": OUTER, "r_s": INNER}),
+    (Scenario.METER, {"d": OUTER, "r_m": INNER}),
+    (Scenario.COMBINED, {"d": OUTER, "r_s": INNER, "r_m": INNER[::-1]}),
+]
+
+
+@pytest.mark.parametrize("scenario, knobs", STACKED_CASES)
+def test_scenario_densities_equal_single_point_states(scenario, knobs):
+    stack = scenario_densities(scenario, **knobs)
+    assert stack.shape == (OUTER.size, 4, 4)
+    for k in range(OUTER.size):
+        params = ScenarioParams(**{name: float(values[k]) for name, values in knobs.items()})
+        assert np.array_equal(stack[k], scenario_density(params, scenario))
+
+
+@pytest.mark.parametrize(
+    "scenario, knobs",
+    [
+        (Scenario.SYSTEM, {"d": [0.2, 1.5]}),
+        (Scenario.METER, {"r_m": [0.5, np.nan]}),
+        (Scenario.FREE, {"d": [-1e-3]}),
+        (Scenario.SYSTEM, {"r": [0.5, 0.3]}),
+    ],
+)
+def test_scenario_densities_reject_bad_knobs(scenario, knobs):
+    with pytest.raises(ValueError):
+        scenario_densities(scenario, **knobs)

@@ -10,7 +10,6 @@ from .analysis import AnalysisReport, Classifications, analyze
 from .bell import (
     BellResult,
     BoundaryResult,
-    bell_analysis,
     bell_closed_form,
     chsh_brute_force,
     chsh_value,

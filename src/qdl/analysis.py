@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .bell import SEESAW_SWEEPS, BellResult, bell_analysis, violation_boundary
+from .bell import BellResult, bell_closed_form, chsh_brute_force, violation_boundary
 from .infotheory import InformationReport, SeparabilityReport, info_threshold, mutual_information, ppt_check
 from .states import Scenario, ScenarioParams, scenario_density
 from .visibility import predictability, visibility_analytic
@@ -35,23 +35,22 @@ def analyze(
     scenario: Scenario,
     params: ScenarioParams,
     restarts: int = 32,
-    iterations: int = SEESAW_SWEEPS,
     seed: int = 0,
 ) -> AnalysisReport:
     """Compute visibility, CHSH maxima, separability and information for one point."""
     rho = scenario_density(params, scenario)
     v = visibility_analytic(rho)
     p = predictability(params.r)
-    bell = bell_analysis(rho, scenario, params, restarts=restarts, iterations=iterations, seed=seed)
+    brute = chsh_brute_force(rho, restarts=restarts, seed=seed)
+    bell = replace(brute, b_closed_form=bell_closed_form(scenario, params))
     sep = ppt_check(rho)
-    info = mutual_information(rho)
     boundary = violation_boundary(scenario, params)
     if scenario in (Scenario.SYSTEM, Scenario.METER):
         robustness = params.r_s if scenario is Scenario.SYSTEM else params.r_m
         threshold = info_threshold(scenario, robustness)
     else:
         threshold = None
-    info = InformationReport(s_a=info.s_a, s_b=info.s_b, s_ab=info.s_ab, i_ab=info.i_ab, threshold=threshold)
+    info = replace(mutual_information(rho), threshold=threshold)
     above = info.i_ab > threshold if threshold is not None else None
     cls = Classifications(
         chsh_violating=bell.violates,

@@ -10,7 +10,7 @@ correlation tensor and vector norms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -215,20 +215,6 @@ def chsh_brute_force(
         settings=settings,
         brute_converged=converged,
     )
-
-
-def bell_analysis(
-    rho: np.ndarray,
-    scenario: Scenario | None = None,
-    params: ScenarioParams | None = None,
-    restarts: int = 32,
-    iterations: int = SEESAW_SWEEPS,
-    seed: int = 0,
-) -> BellResult:
-    """Bundle Horodecki, closed-form (when the scenario is known) and brute-force maxima."""
-    brute = chsh_brute_force(rho, restarts=restarts, iterations=iterations, seed=seed)
-    closed = bell_closed_form(scenario, params) if scenario is not None and params is not None else None
-    return replace(brute, b_closed_form=closed)
 
 
 def violation_boundary(scenario: Scenario, params: ScenarioParams) -> BoundaryResult:

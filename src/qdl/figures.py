@@ -115,12 +115,19 @@ def figure_rows(n: int, resolution: int) -> tuple[tuple[str, ...], Iterator[tupl
     return spec.columns, _grid_rows(spec, resolution)
 
 
-def _grid_rows(spec: SweepSpec, resolution: int) -> Iterator[tuple]:
-    line = spec.line(resolution)
-    points = resolution * resolution
+def _grid_chunks(line: np.ndarray, n_axes: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """Points of the n_axes-fold grid over ``line`` in row-major order, at most
+    CHUNK_POINTS at a time, as one coordinate array per axis."""
+    shape = (line.size,) * n_axes
+    points = line.size**n_axes
     for start in range(0, points, CHUNK_POINTS):
         flat = np.arange(start, min(start + CHUNK_POINTS, points))
-        yield from zip(*spec.evaluate(line[flat // resolution], line[flat % resolution]))
+        yield tuple(line[i] for i in np.unravel_index(flat, shape))
+
+
+def _grid_rows(spec: SweepSpec, resolution: int) -> Iterator[tuple]:
+    for coords in _grid_chunks(spec.line(resolution), 2):
+        yield from zip(*spec.evaluate(*coords))
 
 
 def write_figure_csv(n: int, resolution: int, path: str) -> int:

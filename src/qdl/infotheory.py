@@ -29,8 +29,8 @@ class SeparabilityReport:
     """Spectrum of the partial transpose and what it implies."""
 
     ppt_spectrum: np.ndarray  # 4 eigenvalues, descending
-    negativity: float
-    separable: bool
+    negativity: float | np.ndarray
+    separable: bool | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -45,10 +45,12 @@ class InformationReport:
 
 
 def ppt_check(rho: np.ndarray) -> SeparabilityReport:
-    """Peres-Horodecki test: spectrum of the partial transpose."""
+    """Peres-Horodecki test: spectrum of the partial transpose; array fields over a stack of states."""
     spectrum = hermitian_eigenvalues(partial_transpose(rho))
-    negativity = float(np.sum(np.abs(spectrum[spectrum < 0.0])))
-    separable = bool(spectrum[-1] >= -SEPARABILITY_TOL)
+    negativity = np.sum(np.where(spectrum < 0.0, -spectrum, 0.0), axis=-1)
+    separable = spectrum[..., -1] >= -SEPARABILITY_TOL
+    if spectrum.ndim == 1:
+        negativity, separable = float(negativity), bool(separable)
     return SeparabilityReport(ppt_spectrum=spectrum, negativity=negativity, separable=separable)
 
 

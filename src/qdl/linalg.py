@@ -3,8 +3,9 @@
 Everything here is a pure function of immutable inputs.  The eigensolver is a
 cyclic complex Jacobi iteration, deliberately self-contained so the rest of
 the package does not depend on LAPACK behaviour for its contractual results.
-It and the density-matrix partial trace also take stacks (..., n, n) of
-matrices, which grid sweeps use to evaluate many points per call.
+It, the density-matrix partial trace and the partial transpose also take
+stacks (..., n, n) of matrices, which grid sweeps use to evaluate many
+points per call.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ MAX_DIM = 16
 HERMITICITY_TOL = 1e-10
 JACOBI_OFFDIAG_TOL = 1e-14
 JACOBI_MAX_SWEEPS = 100
+_TINY = np.finfo(float).tiny  # smallest normal float
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -38,15 +40,6 @@ def _as_square(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError(f"{name} contains NaN/Inf entries")
     return m
-
-
-def dagger(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m).conj().T
-
-
-def is_hermitian(m, tol: float = HERMITICITY_TOL) -> bool:
-    m = np.asarray(m, dtype=complex)
-    return bool(np.max(np.abs(m - m.conj().T)) < tol)
 
 
 def kron(a, b) -> np.ndarray:
@@ -100,7 +93,7 @@ def hermitian_eigensystem(
         for p in range(n - 1):
             for q in range(p + 1, n):
                 z = a[p, q]
-                if abs(z) == 0.0:
+                if abs(z) < _TINY:  # conj(z)/|z| overflows for a subnormal pivot
                     continue
                 # Absorb the phase of a[p,q] so the 2x2 pivot block is real,
                 # then apply the standard symmetric Jacobi rotation.
@@ -140,10 +133,11 @@ def _stacked_jacobi(m: np.ndarray, offdiag_tol: float, max_sweeps: int) -> tuple
     Every matrix visits the same pivots in the same order and gets the same
     rotation arithmetic as in the scalar loop, element-wise over the stack.
     Each matrix keeps its own convergence flag (a converged matrix is not
-    rotated again) and skips a pivot whose a[p, q] is exactly zero, so each
-    result equals that of a separate call.  Only the off-diagonal norm that
-    ends the iteration is summed in another order; that can change the
-    sweep count only for a norm within rounding of ``offdiag_tol``.
+    rotated again) and skips a pivot whose |a[p, q]| is below the smallest
+    normal float, so each result equals that of a separate call.  Only the
+    off-diagonal norm that ends the iteration is summed in another order;
+    that can change the sweep count only for a norm within rounding of
+    ``offdiag_tol``.
     """
     batch, n = m.shape[:-2], m.shape[-1]
     a = m.reshape((-1, n, n)).copy()
@@ -170,7 +164,7 @@ def _stacked_jacobi(m: np.ndarray, offdiag_tol: float, max_sweeps: int) -> tuple
                 # abs() of one complex scalar is C hypot; np.abs on a complex
                 # array may round differently in the last bit, np.hypot does not.
                 h = np.hypot(a[:, p, q].real, a[:, p, q].imag)
-                idx = np.flatnonzero(live & (h != 0.0))
+                idx = np.flatnonzero(live & (h >= _TINY))
                 if idx.size == 0:
                     continue
                 h = h[idx]
@@ -245,14 +239,24 @@ class PureState:
         return len(self.labels)
 
     def axis_of(self, label) -> int:
+        return _axes_of(self.labels, (label,))[0]
+
+
+def _axes_of(labels: tuple[str, ...], keep) -> list[int]:
+    """Tensor positions of the factors in ``keep`` (labels or axis indices), each at most once."""
+    axes = []
+    for label in keep:
         if isinstance(label, int):
-            if not 0 <= label < self.num_qubits:
+            if not 0 <= label < len(labels):
                 raise ValueError(f"subsystem index {label} out of range")
-            return label
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValueError(f"no subsystem labeled {label!r} in {self.labels}") from None
+            axes.append(label)
+        elif label in labels:
+            axes.append(labels.index(label))
+        else:
+            raise ValueError(f"no subsystem labeled {label!r} in {labels}")
+    if len(set(axes)) != len(axes):
+        raise ValueError("duplicate subsystem in keep")
+    return axes
 
 
 def partial_trace(state, keep) -> np.ndarray:
@@ -263,9 +267,7 @@ def partial_trace(state, keep) -> np.ndarray:
     the order the kept factors should appear in the result.
     """
     if isinstance(state, PureState):
-        axes = [state.axis_of(k) for k in keep]
-        if len(set(axes)) != len(axes):
-            raise ValueError("duplicate subsystem in keep")
+        axes = _axes_of(state.labels, keep)
         n = state.num_qubits
         rest = [i for i in range(n) if i not in axes]
         psi = state.amps.reshape((2,) * n).transpose(axes + rest).reshape(2 ** len(axes), -1)
@@ -273,19 +275,7 @@ def partial_trace(state, keep) -> np.ndarray:
     rho = _as_square(state, "rho", stack=True)
     if rho.shape[-1] != 4:
         raise ValueError("density-matrix partial trace expects a 4x4 A(x)B operator")
-    labels = ("A", "B")
-    axes = []
-    for k in keep:
-        if isinstance(k, int):
-            if k not in (0, 1):
-                raise ValueError(f"subsystem index {k} out of range")
-            axes.append(k)
-        elif k in labels:
-            axes.append(labels.index(k))
-        else:
-            raise ValueError(f"no subsystem labeled {k!r} in {labels}")
-    if len(set(axes)) != len(axes):
-        raise ValueError("duplicate subsystem in keep")
+    axes = _axes_of(("A", "B"), keep)
     batch = rho.shape[:-2]
     r = rho.reshape(batch + (2, 2, 2, 2))
     if axes == [0, 1]:
@@ -298,11 +288,12 @@ def partial_trace(state, keep) -> np.ndarray:
 
 
 def partial_transpose(rho) -> np.ndarray:
-    """Transpose the second (B) factor in the computational product basis."""
-    rho = _as_square(rho, "rho")
-    if rho.shape[0] != 4:
+    """Transpose the second (B) factor in the computational product basis, of each matrix in a stack."""
+    rho = _as_square(rho, "rho", stack=True)
+    if rho.shape[-1] != 4:
         raise ValueError("partial transpose expects a 4x4 A(x)B operator")
-    return rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    batch = rho.shape[:-2]
+    return rho.reshape(batch + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(batch + (4, 4))
 
 
 def check_density_matrix(rho, psd_tol: float = 1e-10) -> np.ndarray:

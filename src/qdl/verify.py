@@ -13,14 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bell import (
-    SEESAW_SWEEPS,
-    bell_closed_form,
-    chsh_brute_force,
-    horodecki_bmax,
-    violates_chsh,
-    violation_boundary,
-)
+from .bell import bell_closed_form, chsh_brute_force, horodecki_bmax, violates_chsh, violation_boundary
+from .figures import _grid_chunks
 from .infotheory import (
     binary_entropy,
     entropy_closed_form,
@@ -30,8 +24,8 @@ from .infotheory import (
     printed_meter_entropies,
     printed_meter_info_threshold,
 )
-from .states import Scenario, ScenarioParams, scenario_density
-from .visibility import check_identity, visibility_analytic, visibility_sweep
+from .states import Scenario, ScenarioParams, scenario_densities
+from .visibility import _ratio_residual, check_identity, predictability, visibility_analytic, visibility_sweep
 
 IDENTITY_TOL = 1e-9
 CLOSED_FORM_TOL = 1e-9
@@ -43,6 +37,14 @@ NEGATIVITY_TOL = 1e-10
 
 DEFAULT_RESOLUTION = 13
 BRUTE_RESOLUTION = 5
+
+# The live knobs of each scenario, outer grid axis first.
+_AXES = {
+    Scenario.FREE: ("r", "d"),
+    Scenario.SYSTEM: ("d", "r_s"),
+    Scenario.METER: ("d", "r_m"),
+    Scenario.COMBINED: ("d", "r_s", "r_m"),
+}
 
 
 @dataclass
@@ -58,88 +60,89 @@ def _axis(steps: int, start: float = 0.0, stop: float = 1.0) -> np.ndarray:
     return np.linspace(start, stop, steps)
 
 
-def _scenario_grids(steps: int) -> dict[Scenario, list[ScenarioParams]]:
-    """Grid of ScenarioParams over each scenario's live axes."""
-    line = _axis(steps)
-    grids: dict[Scenario, list[ScenarioParams]] = {
-        Scenario.FREE: [ScenarioParams(r=r, d=d) for r in line for d in line],
-        Scenario.SYSTEM: [ScenarioParams(d=d, r_s=r) for d in line for r in line],
-        Scenario.METER: [ScenarioParams(d=d, r_m=r) for d in line for r in line],
-        Scenario.COMBINED: [
-            ScenarioParams(d=d, r_s=rs, r_m=rm) for d in line for rs in line for rm in line
-        ],
-    }
-    return grids
+def _grid(scenario: Scenario, steps: int):
+    """The scenario's grid over its live knobs in row-major order, as chunks
+    (params, rho) of per-point ScenarioParams and the (N, 4, 4) stack of states."""
+    axes = _AXES[scenario]
+    for coords in _grid_chunks(_axis(steps), len(axes)):
+        params = [ScenarioParams(**dict(zip(axes, point))) for point in zip(*coords)]
+        yield params, scenario_densities(scenario, **dict(zip(axes, coords)))
+
+
+def _system_boundary(steps: int) -> np.ndarray:
+    """System-scenario states on the violation boundary d^2 + r_s^2 = 1, one per r_s of the axis."""
+    r = _axis(steps)
+    return scenario_densities(Scenario.SYSTEM, d=np.sqrt(np.maximum(0.0, 1.0 - r * r)), r_s=r)
+
+
+def _threshold_surface(steps: int):
+    """Chunks (r_s, r_m, b_max) of the combined scenario's B_max at the printed
+    threshold d = d_threshold(r_s, r_m), over the (r_s, r_m) grid."""
+    for r_s, r_m in _grid_chunks(_axis(steps), 2):
+        d = [
+            violation_boundary(Scenario.COMBINED, ScenarioParams(r_s=a, r_m=b)).d_threshold
+            for a, b in zip(r_s, r_m)
+        ]
+        yield r_s, r_m, horodecki_bmax(scenario_densities(Scenario.COMBINED, d=d, r_s=r_s, r_m=r_m))
+
+
+def _max_off_two(b_max: np.ndarray) -> float:
+    return float(np.max(np.abs(b_max - 2.0)))
 
 
 def suite_identities(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     """Complementarity identities of all four scenarios, analytic visibility."""
     worst = 0.0
-    for scenario, grid in _scenario_grids(resolution).items():
-        worst = max(worst, max(check_identity(scenario, p) for p in grid))
+    for scenario in _AXES:
+        for params, _ in _grid(scenario, resolution):
+            worst = max(worst, max(check_identity(scenario, p) for p in params))
     return SuiteResult("identities", worst, IDENTITY_TOL, worst < IDENTITY_TOL)
 
 
 def suite_sweep_agreement(resolution: int = 5, n_phases: int = 1024) -> SuiteResult:
     """Fringe-definition visibility (phase sweep) against the analytic shortcut."""
     worst = 0.0
-    for scenario, grid in _scenario_grids(resolution).items():
-        for params in grid:
-            rho = scenario_density(params, scenario)
-            dev = abs(visibility_sweep(rho, n_phases).visibility - visibility_analytic(rho))
-            worst = max(worst, dev)
+    for scenario in _AXES:
+        for _, rho in _grid(scenario, resolution):
+            for state, v in zip(rho, visibility_analytic(rho).tolist()):
+                worst = max(worst, abs(visibility_sweep(state, n_phases).visibility - v))
     return SuiteResult("visibility_sweep", worst, 1e-5, worst < 1e-5)
 
 
 def suite_closed_form(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     """Analytic B_max of each scenario against the matrix-route Horodecki value."""
     worst = 0.0
-    for scenario, grid in _scenario_grids(resolution).items():
-        for params in grid:
-            rho = scenario_density(params, scenario)
-            worst = max(worst, abs(bell_closed_form(scenario, params) - horodecki_bmax(rho)))
+    for scenario in _AXES:
+        for params, rho in _grid(scenario, resolution):
+            for p, b in zip(params, horodecki_bmax(rho).tolist()):
+                worst = max(worst, abs(bell_closed_form(scenario, p) - b))
     return SuiteResult("bell_closed_form", worst, CLOSED_FORM_TOL, worst < CLOSED_FORM_TOL)
 
 
-def suite_brute(
-    resolution: int = BRUTE_RESOLUTION,
-    restarts: int = 32,
-    iterations: int = SEESAW_SWEEPS,
-    seed: int = 0,
-) -> SuiteResult:
+def suite_brute(resolution: int = BRUTE_RESOLUTION, restarts: int = 32, seed: int = 0) -> SuiteResult:
     """Brute-force CHSH maximization against the Horodecki value.
 
     The optimizer must reach the analytic maximum from below: residual is
     max(b_horodecki - b_brute, b_brute - b_horodecki - 1e-6, 0).
     """
     worst = 0.0
-    for scenario, grid in _scenario_grids(resolution).items():
-        for params in grid:
-            rho = scenario_density(params, scenario)
-            res = chsh_brute_force(rho, restarts=restarts, iterations=iterations, seed=seed)
-            low = res.b_horodecki - res.b_brute
-            high = res.b_brute - res.b_horodecki - 1e-6
-            worst = max(worst, low, high)
+    for scenario in _AXES:
+        for _, rho in _grid(scenario, resolution):
+            for state in rho:
+                res = chsh_brute_force(state, restarts=restarts, seed=seed)
+                worst = max(worst, res.b_horodecki - res.b_brute, res.b_brute - res.b_horodecki - 1e-6)
     return SuiteResult("chsh_brute_force", worst, BRUTE_TOL, worst < BRUTE_TOL)
 
 
 def suite_boundaries(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     """|B_max - 2| on each printed violation boundary."""
-    worst = 0.0
-    for r in _axis(resolution):
-        d = math.sqrt(max(0.0, 1.0 - r * r))
-        rho = scenario_density(ScenarioParams(d=d, r_s=r), Scenario.SYSTEM)
-        worst = max(worst, abs(horodecki_bmax(rho) - 2.0))
-    for r in _axis(resolution, 0.0, 1.0 / math.sqrt(2.0)):
-        d = math.sqrt(max(0.0, 1.0 - r * r / (1.0 - r * r))) if r * r < 0.5 else 0.0
-        rho = scenario_density(ScenarioParams(d=d, r_m=r), Scenario.METER)
-        worst = max(worst, abs(horodecki_bmax(rho) - 2.0))
-    for r_s in _axis(resolution):
-        for r_m in _axis(resolution):
-            params = ScenarioParams(r_s=r_s, r_m=r_m)
-            d = violation_boundary(Scenario.COMBINED, params).d_threshold
-            rho = scenario_density(ScenarioParams(d=d, r_s=r_s, r_m=r_m), Scenario.COMBINED)
-            worst = max(worst, abs(horodecki_bmax(rho) - 2.0))
+    r_m = _axis(resolution, 0.0, 1.0 / math.sqrt(2.0))
+    d_m = [math.sqrt(max(0.0, 1.0 - r * r / (1.0 - r * r))) if r * r < 0.5 else 0.0 for r in r_m]
+    worst = max(
+        _max_off_two(horodecki_bmax(_system_boundary(resolution))),
+        _max_off_two(horodecki_bmax(scenario_densities(Scenario.METER, d=d_m, r_m=r_m))),
+        *(_max_off_two(b_max) for _, _, b_max in _threshold_surface(resolution)),
+    )
     return SuiteResult("boundary_exactness", worst, BOUNDARY_TOL, worst < BOUNDARY_TOL)
 
 
@@ -153,26 +156,15 @@ def suite_ppt_region(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     mismatches = 0
     gap_found = False
     for scenario in (Scenario.SYSTEM, Scenario.METER):
-        for d in _axis(resolution):
-            for r in _axis(resolution):
-                params = (
-                    ScenarioParams(d=d, r_s=r)
-                    if scenario is Scenario.SYSTEM
-                    else ScenarioParams(d=d, r_m=r)
-                )
-                rho = scenario_density(params, scenario)
-                rep = ppt_check(rho)
-                expected = d > REGION_MARGIN and r > REGION_MARGIN
-                entangled = rep.negativity > NEGATIVITY_TOL
-                if entangled != expected:
-                    mismatches += 1
-                    continue
-                if entangled:
-                    n_negative = int(np.sum(rep.ppt_spectrum < -NEGATIVITY_TOL))
-                    if n_negative != 1:
-                        mismatches += 1
-                    if scenario is Scenario.METER and not violates_chsh(horodecki_bmax(rho)):
-                        gap_found = True
+        robustness = _AXES[scenario][1]
+        for params, rho in _grid(scenario, resolution):
+            rep = ppt_check(rho)
+            expected = np.array([p.d > REGION_MARGIN and getattr(p, robustness) > REGION_MARGIN for p in params])
+            entangled = rep.negativity > NEGATIVITY_TOL
+            single_negative = np.sum(rep.ppt_spectrum < -NEGATIVITY_TOL, axis=-1) == 1
+            mismatches += int(np.sum(entangled != expected)) + int(np.sum(entangled & expected & ~single_negative))
+            if scenario is Scenario.METER:
+                gap_found |= bool(np.any(entangled & expected & ~violates_chsh(horodecki_bmax(rho))))
     if not gap_found:
         mismatches += 1
     return SuiteResult("ppt_region", float(mismatches), 0.5, mismatches == 0)
@@ -183,26 +175,14 @@ def suite_entropy_forms(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     plus the system information threshold against boundary mutual information."""
     worst = 0.0
     for scenario in (Scenario.SYSTEM, Scenario.METER):
-        for d in _axis(resolution):
-            for r in _axis(resolution):
-                params = (
-                    ScenarioParams(d=d, r_s=r)
-                    if scenario is Scenario.SYSTEM
-                    else ScenarioParams(d=d, r_m=r)
-                )
-                closed = entropy_closed_form(scenario, params)
-                matrix = mutual_information(scenario_density(params, scenario))
-                worst = max(
-                    worst,
-                    abs(closed.s_a - matrix.s_a),
-                    abs(closed.s_b - matrix.s_b),
-                    abs(closed.s_ab - matrix.s_ab),
-                    abs(closed.i_ab - matrix.i_ab),
-                )
-    for r in _axis(resolution):
-        d = math.sqrt(max(0.0, 1.0 - r * r))
-        boundary_info = mutual_information(scenario_density(ScenarioParams(d=d, r_s=r), Scenario.SYSTEM))
-        worst = max(worst, abs(info_threshold(Scenario.SYSTEM, r) - boundary_info.i_ab))
+        for params, rho in _grid(scenario, resolution):
+            m = mutual_information(rho)
+            for p, matrix in zip(params, np.column_stack((m.s_a, m.s_b, m.s_ab, m.i_ab)).tolist()):
+                c = entropy_closed_form(scenario, p)
+                worst = max(worst, *(abs(x - y) for x, y in zip((c.s_a, c.s_b, c.s_ab, c.i_ab), matrix)))
+    boundary = mutual_information(_system_boundary(resolution)).i_ab.tolist()
+    for r, i_ab in zip(_axis(resolution), boundary):
+        worst = max(worst, abs(info_threshold(Scenario.SYSTEM, r) - i_ab))
     return SuiteResult("entropy_closed_forms", worst, ENTROPY_TOL, worst < ENTROPY_TOL)
 
 
@@ -215,17 +195,15 @@ def suite_threshold_consistency(resolution: int = DEFAULT_RESOLUTION) -> SuiteRe
     wherever the visibility itself degenerates).
     """
     mismatches = 0
-    for d in _axis(resolution):
-        for r in _axis(resolution):
-            params = ScenarioParams(d=d, r_s=r)
-            rho = scenario_density(params, Scenario.SYSTEM)
-            bell = horodecki_bmax(rho) > 2.0
+    for params, rho in _grid(Scenario.SYSTEM, resolution):
+        columns = (horodecki_bmax(rho) > 2.0, mutual_information(rho).i_ab, visibility_analytic(rho))
+        for p, bell, i_ab, v in zip(params, *(c.tolist() for c in columns)):
+            d, r = p.d, p.r_s
             if abs(d * d + r * r - 1.0) > REGION_MARGIN:
                 geometric = d * d + r * r > 1.0
-                info = mutual_information(rho).i_ab > info_threshold(Scenario.SYSTEM, r)
+                info = i_ab > info_threshold(Scenario.SYSTEM, r)
                 if not (geometric == bell == info):
                     mismatches += 1
-            v = visibility_analytic(rho)
             if abs(v - (1.0 - d * d)) > REGION_MARGIN:
                 if (v > 1.0 - d * d) != bell:
                     mismatches += 1
@@ -236,16 +214,12 @@ def probe_predictability(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     """Adjudicate P = |1-2r| against the published P = sqrt|1-2r| via identity (V^2/(1-P^2) + D^2 = 1)."""
     worst_adopted = 0.0
     worst_printed = 0.0
-    for r in _axis(resolution):
-        for d in _axis(resolution):
-            v = visibility_analytic(scenario_density(ScenarioParams(r=r, d=d), Scenario.FREE))
-            for tag, p in (("adopted", abs(1.0 - 2.0 * r)), ("printed", math.sqrt(abs(1.0 - 2.0 * r)))):
-                denom = 1.0 - p * p
-                res = abs(v * v - denom * (1.0 - d * d)) if denom < 1e-15 else abs(v * v / denom + d * d - 1.0)
-                if tag == "adopted":
-                    worst_adopted = max(worst_adopted, res)
-                else:
-                    worst_printed = max(worst_printed, res)
+    for params, rho in _grid(Scenario.FREE, resolution):
+        for p, v in zip(params, visibility_analytic(rho).tolist()):
+            adopted = predictability(p.r)
+            printed = math.sqrt(adopted)
+            worst_adopted = max(worst_adopted, _ratio_residual(v, 1.0 - adopted * adopted, p.d))
+            worst_printed = max(worst_printed, _ratio_residual(v, 1.0 - printed * printed, p.d))
     lines = [
         "predictability definition vs the visibility identity:",
         f"  P = |1-2r|       max identity residual = {worst_adopted:.3e}   (adopted)",
@@ -264,14 +238,12 @@ def probe_ppt_polarity(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     """
     entangled_points = 0
     with_negative_eig = 0
-    line = _axis(resolution)
-    for d in line[1:]:
-        for r in line[1:]:
-            rep = ppt_check(scenario_density(ScenarioParams(d=d, r_s=r), Scenario.SYSTEM))
-            if rep.negativity > NEGATIVITY_TOL:
-                entangled_points += 1
-                if rep.ppt_spectrum[-1] < -NEGATIVITY_TOL:
-                    with_negative_eig += 1
+    for params, rho in _grid(Scenario.SYSTEM, resolution):
+        rep = ppt_check(rho)
+        interior = np.array([p.d > 0.0 and p.r_s > 0.0 for p in params])
+        entangled = interior & (rep.negativity > NEGATIVITY_TOL)
+        entangled_points += int(np.sum(entangled))
+        with_negative_eig += int(np.sum(entangled & (rep.ppt_spectrum[:, -1] < -NEGATIVITY_TOL)))
     mism = entangled_points - with_negative_eig
     lines = [
         "partial-transpose polarity (system scenario, d > 0, r > 0):",
@@ -287,19 +259,16 @@ def probe_meter_entropy_form(resolution: int = DEFAULT_RESOLUTION) -> SuiteResul
     worst_adopted = 0.0
     worst_printed = 0.0
     samples = []
-    line = _axis(resolution)
-    for d in line:
-        for r in line:
-            params = ScenarioParams(d=d, r_m=r)
-            matrix = mutual_information(scenario_density(params, Scenario.METER))
-            adopted = entropy_closed_form(Scenario.METER, params)
-            printed = printed_meter_entropies(params)
-            worst_adopted = max(worst_adopted, abs(adopted.s_b - matrix.s_b))
-            dev = abs(printed.s_b - matrix.s_b)
+    for params, rho in _grid(Scenario.METER, resolution):
+        for p, s_b in zip(params, mutual_information(rho).s_b.tolist()):
+            adopted = entropy_closed_form(Scenario.METER, p)
+            printed = printed_meter_entropies(p)
+            worst_adopted = max(worst_adopted, abs(adopted.s_b - s_b))
+            dev = abs(printed.s_b - s_b)
             if dev > worst_printed:
                 worst_printed = dev
                 samples = [
-                    f"  worst point d={d:.3f} r_m={r:.3f}: matrix S_B={matrix.s_b:.9f}"
+                    f"  worst point d={p.d:.3f} r_m={p.r_m:.3f}: matrix S_B={s_b:.9f}"
                     f" printed={printed.s_b:.9f} adopted={adopted.s_b:.9f}"
                 ]
     lines = [
@@ -340,24 +309,23 @@ def probe_threshold_sign(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     flipped_valid = 0
     flipped_total = 0
     worst_flipped = 0.0
-    for r_s in _axis(resolution):
-        for r_m in _axis(resolution):
-            params = ScenarioParams(r_s=r_s, r_m=r_m)
-            d = violation_boundary(Scenario.COMBINED, params).d_threshold
-            rho = scenario_density(ScenarioParams(d=d, r_s=r_s, r_m=r_m), Scenario.COMBINED)
-            worst_printed = max(worst_printed, abs(horodecki_bmax(rho) - 2.0))
-            if r_m < 1.0:
+    for r_s, r_m, b_max in _threshold_surface(resolution):
+        worst_printed = max(worst_printed, _max_off_two(b_max))
+        admissible = []  # (d, r_s, r_m) where the flipped threshold lies in [0, 1]
+        for a, b in zip(r_s, r_m):
+            if b < 1.0:
                 flipped_total += 1
-                alpha = r_s * r_s - r_m * r_m / (1.0 - r_m * r_m)
-                disc = (alpha / 2.0) ** 2 - (1.0 - r_s * r_s) / (1.0 - r_m * r_m)
+                alpha = a * a - b * b / (1.0 - b * b)
+                disc = (alpha / 2.0) ** 2 - (1.0 - a * a) / (1.0 - b * b)
                 if disc >= 0.0:
                     x = alpha / 2.0 + math.sqrt(disc)
                     if 0.0 <= x <= 1.0:
-                        flipped_valid += 1
-                        rho_f = scenario_density(
-                            ScenarioParams(d=math.sqrt(x), r_s=r_s, r_m=r_m), Scenario.COMBINED
-                        )
-                        worst_flipped = max(worst_flipped, abs(horodecki_bmax(rho_f) - 2.0))
+                        admissible.append((math.sqrt(x), a, b))
+        if admissible:
+            d, a, b = zip(*admissible)
+            flipped_valid += len(admissible)
+            rho_f = scenario_densities(Scenario.COMBINED, d=d, r_s=a, r_m=b)
+            worst_flipped = max(worst_flipped, _max_off_two(horodecki_bmax(rho_f)))
     lines = [
         "combined-scenario threshold sign adjudication:",
         f"  printed '+beta' sign: max |B_max - 2| on the threshold surface = {worst_printed:.3e}  (confirmed)",
@@ -389,7 +357,6 @@ DISCREPANCY_SUITES = ("p_definition", "polarity", "meter_entropy", "meter_thresh
 def run_suites(
     resolution: int = DEFAULT_RESOLUTION,
     restarts: int = 32,
-    iterations: int = SEESAW_SWEEPS,
     seed: int = 0,
     tolerance_override: float | None = None,
     names=None,
@@ -399,6 +366,8 @@ def run_suites(
         raise ValueError("resolution must be at least 2")
     if tolerance_override is not None and not (math.isfinite(tolerance_override) and tolerance_override >= 0.0):
         raise ValueError("tolerance must be a finite non-negative number")
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
     if seed < 0:
         raise ValueError("seed must be non-negative")
     selected = list(SUITES) if names is None else list(names)
@@ -407,7 +376,7 @@ def run_suites(
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
         if name == "brute":
-            res = suite_brute(min(resolution, BRUTE_RESOLUTION), restarts, iterations, seed)
+            res = suite_brute(min(resolution, BRUTE_RESOLUTION), restarts, seed)
         elif name == "sweep":
             res = suite_sweep_agreement(min(resolution, 5))
         elif name == "meter_threshold":

@@ -207,6 +207,8 @@ def test_analyze_rejects_negative_seed(capsys):
         (["--resolution", "1"], "resolution"),
         (["--tolerance", "nan"], "tolerance"),
         (["--tolerance", "-0.5"], "tolerance"),
+        (["--restarts", "0"], "restarts"),
+        (["--suite", "identities", "--restarts", "0"], "restarts"),
     ],
 )
 def test_verify_rejects_bad_arguments(flags, message, capsys):

@@ -228,3 +228,17 @@ def test_stacked_layers_equal_single_point_calls():
             )
             assert b_max[k] == horodecki_bmax(rho)
             assert v[k] == visibility_analytic(rho)
+
+
+def test_stacked_ppt_check_equals_single_point_calls():
+    line = np.array([0.0, 1e-12, 0.3, 0.7, 1.0 - 1e-12, 1.0])
+    d, r_s, r_m = (axis.reshape(-1) for axis in np.meshgrid(line, line, line, indexing="ij"))
+    for scenario in Scenario:
+        knobs = {"r": 0.5 if scenario is not Scenario.FREE else r_s, "r_s": r_s, "r_m": r_m}
+        stack = scenario_densities(scenario, d=d, **knobs)
+        rep = ppt_check(stack)
+        assert rep.ppt_spectrum.shape == (d.size, 4)
+        for k, rho in enumerate(stack):
+            single = ppt_check(rho)
+            assert np.array_equal(rep.ppt_spectrum[k], single.ppt_spectrum)
+            assert (rep.negativity[k], rep.separable[k]) == (single.negativity, single.separable)

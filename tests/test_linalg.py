@@ -170,6 +170,15 @@ def test_partial_transpose_involution_and_structure():
         assert np.max(np.abs(pt - pt.conj().T)) < 1e-15
 
 
+def test_partial_transpose_of_a_stack_equals_per_matrix_calls():
+    rng = np.random.default_rng(5)
+    stack = rng.standard_normal((3, 2, 4, 4)) + 1j * rng.standard_normal((3, 2, 4, 4))
+    pt = partial_transpose(stack)
+    assert pt.shape == stack.shape
+    for index in np.ndindex(stack.shape[:2]):
+        assert np.array_equal(pt[index], partial_transpose(stack[index]))
+
+
 def test_pure_state_norm_guard():
     with pytest.raises(ValueError):
         PureState(np.array([1.0, 1.0]), ("A",))
@@ -225,3 +234,15 @@ def test_stacked_eigensystem_reports_non_convergence():
         hermitian_eigensystem(m, max_sweeps=0)
     values, _ = hermitian_eigensystem(m, max_sweeps=1)
     assert np.array_equal(values, [[2.0, 1.0], [1.0, -1.0]])
+
+
+@pytest.mark.parametrize("pivot", [1e-309, -4e-309, 5e-324, 1e-309j])
+def test_subnormal_pivot_gives_finite_eigenvalues(pivot):
+    # 1/|z| overflows below about 5.6e-309: both loops must skip such a pivot, not rotate it.
+    m = np.array([[1.0, pivot, 0.5], [np.conj(pivot), 2.0, 0.3], [0.5, 0.3, 3.0]], dtype=complex)
+    ref = np.sort(np.linalg.eigvalsh(m))[::-1]
+    single = hermitian_eigenvalues(m)
+    stacked = hermitian_eigenvalues(np.stack([m, np.diag([1.0, 2.0, 3.0])]))
+    assert np.max(np.abs(single - ref)) < 1e-12
+    assert np.array_equal(stacked[0], single)
+    assert np.array_equal(stacked[1], [3.0, 2.0, 1.0])

@@ -9,6 +9,7 @@ correlation tensor and vector norms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -100,24 +101,34 @@ def bell_closed_form(scenario: Scenario, params: ScenarioParams) -> float:
     return 2.0 * math.sqrt(max(0.0, m))
 
 
-def _check_unit_vector(v, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=float).reshape(3)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-12:
+def _unit_vectors(v, name: str) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    if v.shape[-1:] != (3,) or np.any(np.abs(np.linalg.norm(v, axis=-1) - 1.0) > 1e-12):
         raise ValueError(f"{name} must be a unit Bloch vector")
     return v
 
 
-def correlator(rho: np.ndarray, a, b) -> float:
-    """C(a, b) = Tr[rho (a.sigma x b.sigma)]."""
-    a = _check_unit_vector(a, "a")
-    b = _check_unit_vector(b, "b")
-    op_a = sum(a[i] * PAULIS[i] for i in range(3))
-    op_b = sum(b[i] * PAULIS[i] for i in range(3))
-    return float(np.einsum("kl,lk->", np.asarray(rho, dtype=complex), kron(op_a, op_b)).real)
+def _spin_operator(v: np.ndarray) -> np.ndarray:
+    """v.sigma, with a leading stack shape taken from v (..., 3)."""
+    return sum(v[..., i, None, None] * PAULIS[i] for i in range(3))
 
 
-def chsh_value(rho: np.ndarray, a, a2, b, b2) -> float:
-    """CHSH combination C(a,b) + C(a,b') + C(a',b) - C(a',b')."""
+def correlator(rho: np.ndarray, a, b) -> float | np.ndarray:
+    """C(a, b) = Tr[rho (a.sigma x b.sigma)].
+
+    A stack of states (..., 4, 4) with settings (..., 3) gives one value per
+    state; a single state uses the same arithmetic.
+    """
+    op_a = _spin_operator(_unit_vectors(a, "a"))
+    op_b = _spin_operator(_unit_vectors(b, "b"))
+    # Kronecker product: block (i, j) is op_a[i, j] * op_b
+    op = (op_a[..., :, None, :, None] * op_b[..., None, :, None, :]).reshape(op_a.shape[:-2] + (4, 4))
+    c = np.einsum("...kl,...lk->...", np.asarray(rho, dtype=complex), op).real
+    return float(c) if c.ndim == 0 else c
+
+
+def chsh_value(rho: np.ndarray, a, a2, b, b2) -> float | np.ndarray:
+    """CHSH combination C(a,b) + C(a,b') + C(a',b) - C(a',b'); an array over a stack."""
     return (
         correlator(rho, a, b)
         + correlator(rho, a, b2)
@@ -135,14 +146,16 @@ def _halton(index: int, base: int) -> float:
     return r
 
 
+@functools.lru_cache(maxsize=16)
 def _initial_angles(restarts: int, seed: int) -> np.ndarray:
-    """Low-discrepancy starting angles, deterministic for a given seed."""
+    """Low-discrepancy starting angles, deterministic for a given seed (read-only, cached)."""
     offset = 1 + 61 * int(seed)
     x = np.empty((restarts, 8))
     for i in range(restarts):
         for k, base in enumerate(_HALTON_BASES):
             u = _halton(offset + i, base)
             x[i, k] = u * (math.pi if k % 2 == 0 else 2.0 * math.pi)
+    x.flags.writeable = False
     return x
 
 
@@ -154,16 +167,72 @@ def _bloch_vectors(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
 def _seesaw_half(fixed: np.ndarray, matrix: np.ndarray, prev: np.ndarray):
     """Best pair for one party with the other party's pair `fixed` held.
 
-    `fixed` stacks (v, v') per restart; the optimal partners are the unit
-    vectors along (v + v') M and (v - v') M, and the CHSH value they reach is
-    the sum of those two norms.  A zero row leaves the objective flat in that
-    vector, so it keeps its previous value.
+    `fixed` stacks (v, v') per state and restart, shape (N, 2, R, 3), and
+    `matrix` is (N, 1, 3, 3); the optimal partners are the unit vectors along
+    (v + v') M and (v - v') M, and the CHSH value they reach is the sum of
+    those two norms.  A zero row leaves the objective flat in that vector, so
+    it keeps its previous value.
     """
-    raw = np.stack((fixed[0] + fixed[1], fixed[0] - fixed[1])) @ matrix
-    norm = np.sqrt(np.einsum("pmi,pmi->pm", raw, raw))
+    pair = np.empty_like(fixed)
+    np.add(fixed[:, 0], fixed[:, 1], out=pair[:, 0])
+    np.subtract(fixed[:, 0], fixed[:, 1], out=pair[:, 1])
+    raw = pair @ matrix
+    norm = np.sqrt(np.einsum("...pmi,...pmi->...pm", raw, raw))
     live = norm > 0.0
     unit = raw / np.where(live, norm, 1.0)[..., None]
     return np.where(live[..., None], unit, prev), norm
+
+
+def _seesaw(rho: np.ndarray, restarts: int, seed: int, iterations: int = SEESAW_SWEEPS):
+    """Multi-start see-saw over a stack of states (N, 4, 4).
+
+    Returns the best settings (N, 4, 3) as unit rows (a, a', b, b') and the
+    per-state convergence flags (N,).  Every state runs exactly the sweeps it
+    would run alone: a state leaves the active set on the sweep where its best
+    value stalls, and the active set is compacted only on such sweeps.
+    """
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    t = correlation_tensor(rho)[:, None]  # (N, 1, 3, 3): one tensor for both vectors of a pair
+    t_t = np.swapaxes(t, -1, -2)
+    n = t.shape[0]
+    x = _initial_angles(restarts, seed)
+    start_a = np.stack([_bloch_vectors(x[:, 0], x[:, 1]), _bloch_vectors(x[:, 2], x[:, 3])])
+    start_b = np.stack([_bloch_vectors(x[:, 4], x[:, 5]), _bloch_vectors(x[:, 6], x[:, 7])])
+    alice = np.repeat(start_a[None], n, axis=0)
+    bob = np.repeat(start_b[None], n, axis=0)
+    values = np.zeros((n, restarts))
+    converged = np.zeros(n, dtype=bool)
+    # sweeps run on the active states only; final_* take each state's last sweep
+    final_alice, final_bob, final_values = np.empty_like(alice), np.empty_like(bob), np.empty_like(values)
+    active = np.arange(n)
+    prev_best = np.full(n, -np.inf)
+    for _ in range(iterations):
+        alice, _ = _seesaw_half(bob, t_t, alice)
+        bob, norms = _seesaw_half(alice, t, bob)
+        values = np.add(norms[:, 0], norms[:, 1])
+        best_now = values.max(axis=1)
+        stalled = best_now - prev_best < _VALUE_STALL_TOL
+        if stalled.any():
+            done = active[stalled]
+            final_alice[done], final_bob[done], final_values[done] = alice[stalled], bob[stalled], values[stalled]
+            converged[done] = True
+            keep = ~stalled
+            if not keep.any():
+                break
+            active, alice, bob, values, t = (a[keep] for a in (active, alice, bob, values, t))
+            t_t = np.swapaxes(t, -1, -2)
+            best_now = best_now[keep]
+        prev_best = best_now
+    else:
+        final_alice[active], final_bob[active], final_values[active] = alice, bob, values
+    best = np.argmax(final_values, axis=1)  # ties resolve to the lowest restart index
+    rows = np.arange(n)
+    settings = np.concatenate((final_alice[rows, :, best], final_bob[rows, :, best]), axis=1)
+    settings /= np.linalg.norm(settings, axis=-1, keepdims=True)
+    return settings, converged
 
 
 def chsh_brute_force(
@@ -183,37 +252,17 @@ def chsh_brute_force(
     deterministic.  Sweeps stop once the best value stalls; exhausting the
     sweep budget flags the result unconverged but returns it.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-    t = correlation_tensor(rho)
-    x = _initial_angles(restarts, seed)
-    alice = np.stack([_bloch_vectors(x[:, 0], x[:, 1]), _bloch_vectors(x[:, 2], x[:, 3])])
-    bob = np.stack([_bloch_vectors(x[:, 4], x[:, 5]), _bloch_vectors(x[:, 6], x[:, 7])])
-    converged = False
-    prev_best = -np.inf
-    values = np.zeros(restarts)
-    for _ in range(iterations):
-        alice, _ = _seesaw_half(bob, t.T, alice)
-        bob, norms = _seesaw_half(alice, t, bob)
-        values = norms.sum(axis=0)
-        best_now = float(np.max(values))
-        if best_now - prev_best < _VALUE_STALL_TOL:
-            converged = True
-            break
-        prev_best = best_now
-    best = int(np.argmax(values))  # ties resolve to the lowest restart index
-    settings = np.stack([alice[0, best], alice[1, best], bob[0, best], bob[1, best]])
-    settings /= np.linalg.norm(settings, axis=1, keepdims=True)
-    b_brute = chsh_value(rho, settings[0], settings[1], settings[2], settings[3])
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (4, 4):
+        raise ValueError("the CHSH optimizer expects a 4x4 A(x)B density matrix")
+    settings, converged = _seesaw(rho[None], restarts, seed, iterations)
     b_h = horodecki_bmax(rho)
     return BellResult(
         b_horodecki=b_h,
-        b_brute=b_brute,
+        b_brute=chsh_value(rho, *settings[0]),
         violates=violates_chsh(b_h),
-        settings=settings,
-        brute_converged=converged,
+        settings=settings[0],
+        brute_converged=bool(converged[0]),
     )
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bell import bell_closed_form, chsh_brute_force, horodecki_bmax, violates_chsh, violation_boundary
+from .bell import _seesaw, bell_closed_form, chsh_value, horodecki_bmax, violates_chsh, violation_boundary
 from .figures import _grid_chunks
 from .infotheory import (
     binary_entropy,
@@ -25,7 +25,7 @@ from .infotheory import (
     printed_meter_info_threshold,
 )
 from .states import Scenario, ScenarioParams, scenario_densities
-from .visibility import _ratio_residual, check_identity, predictability, visibility_analytic, visibility_sweep
+from .visibility import _identity_residual, _ratio_residual, predictability, visibility_analytic, visibility_sweep
 
 IDENTITY_TOL = 1e-9
 CLOSED_FORM_TOL = 1e-9
@@ -94,8 +94,12 @@ def suite_identities(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     """Complementarity identities of all four scenarios, analytic visibility."""
     worst = 0.0
     for scenario in _AXES:
-        for params, _ in _grid(scenario, resolution):
-            worst = max(worst, max(check_identity(scenario, p) for p in params))
+        for params, rho in _grid(scenario, resolution):
+            v = visibility_analytic(rho).tolist()
+            v_free = [None] * len(params)
+            if scenario is Scenario.SYSTEM:
+                v_free = visibility_analytic(scenario_densities(Scenario.FREE, r=0.5, d=[p.d for p in params])).tolist()
+            worst = max(worst, *(_identity_residual(scenario, p, a, b) for p, a, b in zip(params, v, v_free)))
     return SuiteResult("identities", worst, IDENTITY_TOL, worst < IDENTITY_TOL)
 
 
@@ -104,8 +108,8 @@ def suite_sweep_agreement(resolution: int = 5, n_phases: int = 1024) -> SuiteRes
     worst = 0.0
     for scenario in _AXES:
         for _, rho in _grid(scenario, resolution):
-            for state, v in zip(rho, visibility_analytic(rho).tolist()):
-                worst = max(worst, abs(visibility_sweep(state, n_phases).visibility - v))
+            gap = np.abs(visibility_sweep(rho, n_phases).visibility - visibility_analytic(rho))
+            worst = max(worst, float(np.max(gap)))
     return SuiteResult("visibility_sweep", worst, 1e-5, worst < 1e-5)
 
 
@@ -128,9 +132,10 @@ def suite_brute(resolution: int = BRUTE_RESOLUTION, restarts: int = 32, seed: in
     worst = 0.0
     for scenario in _AXES:
         for _, rho in _grid(scenario, resolution):
-            for state in rho:
-                res = chsh_brute_force(state, restarts=restarts, seed=seed)
-                worst = max(worst, res.b_horodecki - res.b_brute, res.b_brute - res.b_horodecki - 1e-6)
+            settings, _ = _seesaw(rho, restarts, seed)
+            b_brute = chsh_value(rho, *np.moveaxis(settings, 1, 0))
+            b_h = horodecki_bmax(rho)
+            worst = max(worst, float(np.max(np.maximum(b_h - b_brute, b_brute - b_h - 1e-6))))
     return SuiteResult("chsh_brute_force", worst, BRUTE_TOL, worst < BRUTE_TOL)
 
 
@@ -151,19 +156,25 @@ def suite_ppt_region(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
 
     Residual is the number of misclassified grid points; a pass also requires
     at least one entangled-but-nonviolating point in the meter scenario (the
-    hidden-nonlocality gap).
+    hidden-nonlocality gap).  The gap needs an interior meter point, so it is
+    searched on a grid of at least 3 steps per axis.
     """
     mismatches = 0
     gap_found = False
-    for scenario in (Scenario.SYSTEM, Scenario.METER):
+    gap_steps = max(resolution, 3)
+    grids = [(Scenario.SYSTEM, resolution), (Scenario.METER, resolution)]
+    if gap_steps != resolution:
+        grids.append((Scenario.METER, gap_steps))
+    for scenario, steps in grids:
         robustness = _AXES[scenario][1]
-        for params, rho in _grid(scenario, resolution):
+        for params, rho in _grid(scenario, steps):
             rep = ppt_check(rho)
             expected = np.array([p.d > REGION_MARGIN and getattr(p, robustness) > REGION_MARGIN for p in params])
             entangled = rep.negativity > NEGATIVITY_TOL
-            single_negative = np.sum(rep.ppt_spectrum < -NEGATIVITY_TOL, axis=-1) == 1
-            mismatches += int(np.sum(entangled != expected)) + int(np.sum(entangled & expected & ~single_negative))
-            if scenario is Scenario.METER:
+            if steps == resolution:
+                single_negative = np.sum(rep.ppt_spectrum < -NEGATIVITY_TOL, axis=-1) == 1
+                mismatches += int(np.sum(entangled != expected)) + int(np.sum(entangled & expected & ~single_negative))
+            if scenario is Scenario.METER and steps == gap_steps:
                 gap_found |= bool(np.any(entangled & expected & ~violates_chsh(horodecki_bmax(rho))))
     if not gap_found:
         mismatches += 1

@@ -23,11 +23,15 @@ DEFAULT_SWEEP_POINTS = 1024
 
 @dataclass(frozen=True)
 class FringeScan:
-    """Sampled interference fringe and its contrast."""
+    """Sampled interference fringe and its contrast.
+
+    For a stack of states (..., 4, 4), `probabilities` has shape (..., n) and
+    `visibility` is an array (...,); a single state gives (n,) and a float.
+    """
 
     phases: np.ndarray
     probabilities: np.ndarray
-    visibility: float
+    visibility: float | np.ndarray
 
 
 def visibility_sweep(rho: np.ndarray, n: int = DEFAULT_SWEEP_POINTS) -> FringeScan:
@@ -35,13 +39,14 @@ def visibility_sweep(rho: np.ndarray, n: int = DEFAULT_SWEEP_POINTS) -> FringeSc
 
     For each phase: shift the |up>_A branch, apply the recombination rotation,
     reduce to A and record the |up> probability.  The per-phase gate products
-    are batched into one einsum, which changes nothing about what is computed.
+    are batched into one einsum, which changes nothing about what is computed;
+    a stack of states goes through the same einsum as a single one.
     """
     if n < 8:
         raise ValueError(f"phase count must be at least 8, got {n}")
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError("visibility sweep expects a 4x4 A(x)B density matrix")
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError("visibility sweep expects a 4x4 A(x)B density matrix or a stack of them")
     phases = 2.0 * math.pi * np.arange(n) / n
     shift = np.zeros((n, 2, 2), dtype=complex)
     shift[:, 0, 0] = np.exp(-1j * phases)
@@ -50,11 +55,12 @@ def visibility_sweep(rho: np.ndarray, n: int = DEFAULT_SWEEP_POINTS) -> FringeSc
     gate_ab = np.einsum("kab,cd->kacbd", gate, np.eye(2)).reshape(n, 4, 4)
     # probability of |up>_A: trace of the upper-left 2x2 block of U rho U^dag
     block = gate_ab[:, :2, :]
-    probs = np.einsum("kab,bc,kac->k", block, rho, block.conj()).real
-    p_max = float(probs.max())
-    p_min = float(probs.min())
+    probs = np.einsum("kab,nbc,kac->nk", block, rho.reshape(-1, 4, 4), block.conj()).real
+    probs = probs.reshape(rho.shape[:-2] + (n,))
+    p_max = probs.max(axis=-1)
+    p_min = probs.min(axis=-1)
     vis = (p_max - p_min) / (p_max + p_min)
-    return FringeScan(phases=phases, probabilities=probs, visibility=vis)
+    return FringeScan(phases=phases, probabilities=probs, visibility=float(vis) if vis.ndim == 0 else vis)
 
 
 def visibility_analytic(rho: np.ndarray) -> float | np.ndarray:
@@ -72,8 +78,9 @@ def predictability(r: float) -> float:
 
 
 def unpredictability(r: float) -> float:
-    p = predictability(r)
-    return math.sqrt(max(0.0, 1.0 - p * p))
+    """sqrt(1 - P^2), written as 2 sqrt(r (1 - r)): 1 - P^2 cancels as r -> 0 or 1."""
+    predictability(r)  # range check
+    return 2.0 * math.sqrt(r * (1.0 - r))
 
 
 def overlap(d: float) -> float:
@@ -96,15 +103,9 @@ def _ratio_residual(v: float, denom: float, d: float) -> float:
     return abs(v * v / denom + d * d - 1.0)
 
 
-def check_identity(scenario: Scenario, params: ScenarioParams) -> float:
-    """Largest residual of the complementarity identities that apply to the scenario.
-
-    free:      v^2/(1-p^2) + d^2 = 1  and  v = overlap * unpredictability
-    system:    v^2/r_s^2 + d^2 = 1    and  v / v_free(d) = r_s   (for d < 1)
-    meter:     v^2 + d^2 = 1
-    combined:  v^2/r_s^2 + d^2 = 1    (visibility independent of r_m)
-    """
-    v = visibility_analytic(scenario_density(params, scenario))
+def _identity_residual(scenario: Scenario, params: ScenarioParams, v: float, v_free: float | None) -> float:
+    """Residual of `check_identity` given the visibility v of the point and,
+    for a system point with d < 1, the decoherence-free visibility v_free(d)."""
     d = params.d
     if scenario is Scenario.FREE:
         u = unpredictability(params.r)
@@ -114,6 +115,18 @@ def check_identity(scenario: Scenario, params: ScenarioParams) -> float:
         return abs(v * v + d * d - 1.0)
     res = _ratio_residual(v, params.r_s * params.r_s, d)
     if scenario is Scenario.SYSTEM and d < 1.0:
-        v0 = decoherence_free_visibility(d)
-        res = max(res, abs(v / v0 - params.r_s))
+        res = max(res, abs(v / v_free - params.r_s))
     return res
+
+
+def check_identity(scenario: Scenario, params: ScenarioParams) -> float:
+    """Largest residual of the complementarity identities that apply to the scenario.
+
+    free:      v^2/(1-p^2) + d^2 = 1  and  v = overlap * unpredictability
+    system:    v^2/r_s^2 + d^2 = 1    and  v / v_free(d) = r_s   (for d < 1)
+    meter:     v^2 + d^2 = 1
+    combined:  v^2/r_s^2 + d^2 = 1    (visibility independent of r_m)
+    """
+    v = visibility_analytic(scenario_density(params, scenario))
+    v_free = decoherence_free_visibility(params.d) if scenario is Scenario.SYSTEM and params.d < 1.0 else None
+    return _identity_residual(scenario, params, v, v_free)

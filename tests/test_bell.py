@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from qdl.bell import (
+    SEESAW_SWEEPS,
+    _initial_angles,
+    _seesaw,
     bell_closed_form,
     chsh_brute_force,
     chsh_value,
@@ -12,7 +15,7 @@ from qdl.bell import (
     violates_chsh,
     violation_boundary,
 )
-from qdl.states import Scenario, ScenarioParams, scenario_density
+from qdl.states import Scenario, ScenarioParams, scenario_densities, scenario_density
 from qdl.verify import BRUTE_TOL
 
 SQ2 = math.sqrt(2.0)
@@ -209,6 +212,56 @@ def test_brute_force_rank_one_tensor():
 def test_brute_force_rejects_negative_seed():
     with pytest.raises(ValueError, match="seed"):
         chsh_brute_force(singlet_rho(), seed=-1)
+
+
+def _mixed_optimizer_stack():
+    """Fast points, a rank-one tensor and an analyze-pool point near sigma_2 ~ sigma_3 that
+    runs the whole sweep budget, so states leave the active set at different sweeps."""
+    rank_one = np.zeros((4, 4), dtype=complex)
+    rank_one[0, 0] = 1.0
+    return np.array(
+        [
+            scenario_density(ScenarioParams(d=0.7, r_s=0.5, r_m=0.4), Scenario.COMBINED),
+            singlet_rho(),
+            scenario_density(ScenarioParams(d=0.9999557243204511, r_s=0.9995418905310595), Scenario.SYSTEM),
+            np.eye(4, dtype=complex) / 4,
+            rank_one,
+            scenario_density(ScenarioParams(d=0.3, r_m=0.8), Scenario.METER),
+        ]
+    )
+
+
+@pytest.mark.parametrize("iterations", [SEESAW_SWEEPS, 40, 1])
+def test_stacked_seesaw_equals_per_point_calls(iterations):
+    rho = _mixed_optimizer_stack()
+    settings, converged = _seesaw(rho, 32, 0, iterations)
+    b_brute = chsh_value(rho, *np.moveaxis(settings, 1, 0))
+    for k, state in enumerate(rho):
+        single = chsh_brute_force(state, iterations=iterations)
+        assert single.b_brute == b_brute[k]
+        assert np.array_equal(single.settings, settings[k])
+        assert single.brute_converged == converged[k]
+    if iterations == SEESAW_SWEEPS:
+        assert converged.tolist() == [True, True, False, True, True, True]
+    if iterations == 1:
+        assert not converged.any()
+
+
+def test_stacked_chsh_value_equals_per_state_calls():
+    rng = np.random.default_rng(37)
+    rho = scenario_densities(Scenario.COMBINED, d=rng.uniform(0, 1, 12), r_s=rng.uniform(0, 1, 12), r_m=0.3)
+    vs = rng.standard_normal((4, 12, 3))
+    vs /= np.linalg.norm(vs, axis=-1, keepdims=True)
+    stacked = chsh_value(rho, *vs)
+    assert stacked.shape == (12,)
+    for k in range(12):
+        assert chsh_value(rho[k], *vs[:, k]) == stacked[k]
+
+
+def test_initial_angles_are_cached_read_only():
+    x = _initial_angles(8, 3)
+    assert x is _initial_angles(8, 3)
+    assert not x.flags.writeable
 
 
 def test_tsirelson_bound_everywhere():

@@ -193,8 +193,8 @@ hnp = pytest.importorskip("hypothesis.extra.numpy")
 def hermitian_stacks(draw):
     n = draw(st.integers(2, 16))
     batch = draw(st.integers(1, 8))
-    # Entries stay far above the underflow range: the rotation phase conj(z)/|z| of both
-    # routes overflows once a pivot |z| is subnormal.
+    # Entries are 0 or at least 1e-100; subnormal pivots are covered by
+    # test_subnormal_pivot_gives_finite_eigenvalues.
     entries = st.floats(-1e3, 1e3).filter(lambda x: x == 0.0 or abs(x) >= 1e-100)
     parts = hnp.arrays(np.float64, (2, batch, n, n), elements=entries)
     re, im = draw(parts)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qdl.states import Scenario, ScenarioParams, scenario_density
+from qdl.states import Scenario, ScenarioParams, scenario_densities, scenario_density
 from qdl.visibility import (
     check_identity,
     decoherence_free_visibility,
@@ -41,6 +41,18 @@ def test_sweep_records_requested_grid():
     scan = visibility_sweep(rho, 16)
     assert len(scan.phases) == len(scan.probabilities) == 16
     assert np.all((scan.probabilities >= 0) & (scan.probabilities <= 1))
+
+
+def test_stacked_sweep_equals_per_state_scans():
+    rng = np.random.default_rng(23)
+    rho = scenario_densities(Scenario.COMBINED, d=rng.uniform(0, 1, 9), r_s=rng.uniform(0, 1, 9), r_m=0.6)
+    scan = visibility_sweep(rho, 256)
+    assert scan.probabilities.shape == (9, 256)
+    assert scan.visibility.shape == (9,)
+    for k in range(9):
+        single = visibility_sweep(rho[k], 256)
+        assert np.array_equal(single.probabilities, scan.probabilities[k])
+        assert single.visibility == scan.visibility[k]
 
 
 def test_analytic_zero_for_maximally_mixed():

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULIS, hermitian_eigenvalues, kron
+from .linalg import PAULIS, _float_or_array, _libm_pow, hermitian_eigenvalues, kron
 from .states import Scenario, ScenarioParams
 from .visibility import unpredictability
 
@@ -27,6 +27,7 @@ _PAULI_KRON = np.array([[kron(PAULIS[i], PAULIS[j]) for j in range(3)] for i in 
 # Default sweep budget of the CHSH see-saw; it converges slowly where the two
 # smaller singular values of T nearly coincide.
 SEESAW_SWEEPS = 3000
+MAX_RESTARTS = 1024  # each state carries (2, restarts, 3) settings per party
 
 _HALTON_BASES = (2, 3, 5, 7, 11, 13, 17, 19)
 _VALUE_STALL_TOL = 1e-13
@@ -48,8 +49,8 @@ class BellResult:
 class BoundaryResult:
     """Violation classification plus the minimal distinguishability for violation."""
 
-    violates: bool
-    d_threshold: float
+    violates: bool | np.ndarray
+    d_threshold: float | np.ndarray
 
 
 def correlation_tensor(rho: np.ndarray) -> np.ndarray:
@@ -70,22 +71,20 @@ def horodecki_m(rho: np.ndarray) -> float | np.ndarray:
     """Sum of the two largest eigenvalues of T^T T; an array over a stack of states."""
     t = correlation_tensor(rho)
     evals = hermitian_eigenvalues(np.swapaxes(t, -1, -2) @ t)
-    m = evals[..., 0] + evals[..., 1]
-    return float(m) if m.ndim == 0 else m
+    return _float_or_array(evals[..., 0] + evals[..., 1])
 
 
 def horodecki_bmax(rho: np.ndarray) -> float | np.ndarray:
     """Maximal CHSH value 2 sqrt(M) over all measurement settings; an array over a stack of states."""
-    b = 2.0 * np.sqrt(np.maximum(0.0, horodecki_m(rho)))
-    return float(b) if b.ndim == 0 else b
+    return _float_or_array(2.0 * np.sqrt(np.maximum(0.0, horodecki_m(rho))))
 
 
 def violates_chsh(b_max: float) -> bool:
     return b_max > 2.0 + VIOLATION_TOL
 
 
-def bell_closed_form(scenario: Scenario, params: ScenarioParams) -> float:
-    """Scenario-specific analytic maximum of the CHSH value."""
+def bell_closed_form(scenario: Scenario, params: ScenarioParams) -> float | np.ndarray:
+    """Scenario-specific analytic maximum of the CHSH value; an array over array knobs."""
     d2 = params.d * params.d
     if scenario is Scenario.FREE:
         u = unpredictability(params.r)
@@ -94,11 +93,11 @@ def bell_closed_form(scenario: Scenario, params: ScenarioParams) -> float:
         m = params.r_s * params.r_s + d2
     elif scenario is Scenario.METER:
         rm2 = params.r_m * params.r_m
-        m = (1.0 - rm2) * (1.0 - d2) ** 2 + rm2 + d2
+        m = (1.0 - rm2) * _libm_pow(1.0 - d2, 2.0) + rm2 + d2
     else:
         rs2, rm2 = params.r_s * params.r_s, params.r_m * params.r_m
         m = d2 * (1.0 - rm2) * (d2 - rs2) + d2 * rm2 + rs2
-    return 2.0 * math.sqrt(max(0.0, m))
+    return _float_or_array(2.0 * np.sqrt(np.maximum(0.0, m)))
 
 
 def _unit_vectors(v, name: str) -> np.ndarray:
@@ -123,8 +122,7 @@ def correlator(rho: np.ndarray, a, b) -> float | np.ndarray:
     op_b = _spin_operator(_unit_vectors(b, "b"))
     # Kronecker product: block (i, j) is op_a[i, j] * op_b
     op = (op_a[..., :, None, :, None] * op_b[..., None, :, None, :]).reshape(op_a.shape[:-2] + (4, 4))
-    c = np.einsum("...kl,...lk->...", np.asarray(rho, dtype=complex), op).real
-    return float(c) if c.ndim == 0 else c
+    return _float_or_array(np.einsum("...kl,...lk->...", np.asarray(rho, dtype=complex), op).real)
 
 
 def chsh_value(rho: np.ndarray, a, a2, b, b2) -> float | np.ndarray:
@@ -191,8 +189,8 @@ def _seesaw(rho: np.ndarray, restarts: int, seed: int, iterations: int = SEESAW_
     would run alone: a state leaves the active set on the sweep where its best
     value stalls, and the active set is compacted only on such sweeps.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
+    if not 1 <= restarts <= MAX_RESTARTS:
+        raise ValueError(f"restarts must lie in [1, {MAX_RESTARTS}], got {restarts}")
     if seed < 0:
         raise ValueError("seed must be non-negative")
     t = correlation_tensor(rho)[:, None]  # (N, 1, 3, 3): one tensor for both vectors of a pair
@@ -270,33 +268,33 @@ def violation_boundary(scenario: Scenario, params: ScenarioParams) -> BoundaryRe
     """Whether the point violates CHSH, and the minimal d for violation.
 
     The threshold is the infimum of distinguishabilities giving B_max > 2 at
-    the given robustness values; 1.0 means no admissible d violates.
+    the given robustness values; 1.0 means no admissible d violates.  Array knobs give arrays.
     """
     violates = violates_chsh(bell_closed_form(scenario, params))
     if scenario is Scenario.FREE:
-        d_thr = 0.0 if unpredictability(params.r) > 0.0 else 1.0
+        d_thr = np.where(unpredictability(params.r) > 0.0, 0.0, 1.0)
     elif scenario is Scenario.SYSTEM:
-        d_thr = math.sqrt(max(0.0, 1.0 - params.r_s * params.r_s))
+        d_thr = np.sqrt(np.maximum(0.0, 1.0 - params.r_s * params.r_s))
     elif scenario is Scenario.METER:
-        d_thr = _meter_threshold_sq(params.r_m) ** 0.5
+        d_thr = _libm_pow(_meter_threshold_sq(params.r_m), 0.5)
     else:
-        d_thr = math.sqrt(_combined_threshold_sq(params.r_s, params.r_m))
-    return BoundaryResult(violates=violates, d_threshold=d_thr)
+        d_thr = np.sqrt(_combined_threshold_sq(params.r_s, params.r_m))
+    return BoundaryResult(violates=violates, d_threshold=_float_or_array(d_thr))
 
 
-def _meter_threshold_sq(r_m: float) -> float:
+def _meter_threshold_sq(r_m: float | np.ndarray) -> float | np.ndarray:
     rm2 = r_m * r_m
-    if rm2 >= 0.5:  # r_m >= 1/sqrt(2): violation for every d > 0
-        return 0.0
-    return min(1.0, max(0.0, 1.0 - rm2 / (1.0 - rm2)))
+    below = rm2 < 0.5  # r_m >= 1/sqrt(2): violation for every d > 0
+    x = 1.0 - rm2 / np.where(below, 1.0 - rm2, 1.0)
+    return _float_or_array(np.where(below, np.minimum(1.0, np.maximum(0.0, x)), 0.0))
 
 
-def _combined_threshold_sq(r_s: float, r_m: float) -> float:
+def _combined_threshold_sq(r_s: float | np.ndarray, r_m: float | np.ndarray) -> float | np.ndarray:
     rs2, rm2 = r_s * r_s, r_m * r_m
-    if 1.0 - rm2 < 1e-15:
-        # Analytic r_m -> 1 limit: the system-decoherence boundary d^2 = 1 - r_s^2.
-        return max(0.0, 1.0 - rs2)
-    alpha = rs2 - rm2 / (1.0 - rm2)
-    beta = (1.0 - rs2) / (1.0 - rm2)
-    x = alpha / 2.0 + math.sqrt((alpha / 2.0) ** 2 + beta)
-    return min(1.0, max(0.0, x))
+    # Analytic r_m -> 1 limit: the system-decoherence boundary d^2 = 1 - r_s^2.
+    limit = 1.0 - rm2 < 1e-15
+    denom = np.where(limit, 1.0, 1.0 - rm2)
+    alpha = rs2 - rm2 / denom
+    beta = (1.0 - rs2) / denom
+    x = alpha / 2.0 + np.sqrt(_libm_pow(alpha / 2.0, 2.0) + beta)
+    return _float_or_array(np.where(limit, np.maximum(0.0, 1.0 - rs2), np.minimum(1.0, np.maximum(0.0, x))))

@@ -21,6 +21,7 @@ from .visibility import visibility_analytic
 
 MIN_RESOLUTION = 11
 DEFAULT_RESOLUTION = 41
+MAX_RESOLUTION = 1001  # resolution^2 rows: about 1e6 rows, some 40 MB of CSV
 CHUNK_POINTS = 1024
 
 
@@ -87,11 +88,7 @@ def _fig6(d: np.ndarray, r: np.ndarray) -> tuple:
 
 
 def _fig7(r_s: np.ndarray, r_m: np.ndarray) -> tuple:
-    d_thr = [
-        violation_boundary(Scenario.COMBINED, ScenarioParams(r_s=a, r_m=b)).d_threshold
-        for a, b in zip(r_s, r_m)
-    ]
-    return r_s, r_m, d_thr
+    return r_s, r_m, violation_boundary(Scenario.COMBINED, ScenarioParams(r_s=r_s, r_m=r_m)).d_threshold
 
 
 FIGURES: dict[int, SweepSpec] = {
@@ -109,8 +106,8 @@ def figure_rows(n: int, resolution: int) -> tuple[tuple[str, ...], Iterator[tupl
     """Column names and an iterator over the grid rows, in row-major axis order."""
     if n not in FIGURES:
         raise ValueError(f"figure number must be 1..7, got {n}")
-    if resolution < MIN_RESOLUTION:
-        raise ValueError(f"resolution must be at least {MIN_RESOLUTION}, got {resolution}")
+    if not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
+        raise ValueError(f"resolution must lie in [{MIN_RESOLUTION}, {MAX_RESOLUTION}], got {resolution}")
     spec = FIGURES[n]
     return spec.columns, _grid_rows(spec, resolution)
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_eigenvalues, partial_trace, partial_transpose
-from .states import Scenario, ScenarioParams, scenario_density
+from .linalg import _float_or_array, _libm_pow, hermitian_eigenvalues, partial_trace, partial_transpose
+from .states import Scenario, ScenarioParams, _check_unit_interval, scenario_density
 
 SEPARABILITY_TOL = 1e-10
 ENTROPY_EIGENVALUE_FLOOR = -1e-8
@@ -61,13 +61,15 @@ def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
     if lowest < ENTROPY_EIGENVALUE_FLOOR:
         raise ValueError(f"state has eigenvalue {lowest:.3e}; not positive semidefinite")
     lam = np.minimum(1.0, np.maximum(0.0, evals))
-    logs = np.zeros_like(lam)
-    positive = lam > 0.0
-    # math.log, not np.log: the SIMD np.log differs from libm in the last bit for some inputs.
-    logs[positive] = [math.log(x) for x in lam[positive].tolist()]
     # subtract is not reorderable, so the reduction runs left to right from the largest eigenvalue.
-    total = np.subtract.reduce(lam * logs, axis=-1, initial=0.0)
-    return float(total) if total.ndim == 0 else total
+    return _float_or_array(np.subtract.reduce(_xlogx(lam), axis=-1, initial=0.0))
+
+
+def _xlogx(x: float | np.ndarray) -> np.ndarray:
+    """x ln x element-wise, with 0 ln 0 = 0, for x in [0, 1]."""
+    x = np.asarray(x, dtype=float)
+    # math.log, not np.log: the SIMD np.log differs from libm in the last bit for some inputs.
+    return np.array([v * math.log(v) if v > 0.0 else 0.0 for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def mutual_information(rho: np.ndarray) -> InformationReport:
@@ -78,14 +80,10 @@ def mutual_information(rho: np.ndarray) -> InformationReport:
     return InformationReport(s_a=s_a, s_b=s_b, s_ab=s_ab, i_ab=s_a + s_b - s_ab)
 
 
-def binary_entropy(p: float) -> float:
-    """Entropy (nats) of a two-outcome distribution (p, 1-p)."""
-    p = min(1.0, max(0.0, p))
-    total = 0.0
-    for x in (p, 1.0 - p):
-        if x > 0.0:
-            total -= x * math.log(x)
-    return total
+def binary_entropy(p: float | np.ndarray) -> float | np.ndarray:
+    """Entropy (nats) of a two-outcome distribution (p, 1-p); an array over an array of p."""
+    p = np.minimum(1.0, np.maximum(0.0, p))
+    return _float_or_array(0.0 - _xlogx(p) - _xlogx(1.0 - p))
 
 
 def entropy_closed_form(scenario: Scenario, params: ScenarioParams) -> InformationReport:
@@ -94,10 +92,10 @@ def entropy_closed_form(scenario: Scenario, params: ScenarioParams) -> Informati
     The meter-case S_B uses the corrected radical (1-d^2)(1 - d^2(1-r^2));
     see ``printed_meter_entropies`` for the published version, which is
     inconsistent with the constructed state (it already fails the purity
-    requirement S_A = S_B at r = 1).
+    requirement S_A = S_B at r = 1).  Array knobs give array fields.
     """
     d2 = params.d * params.d
-    o = math.sqrt(1.0 - d2)
+    o = np.sqrt(1.0 - d2)
     if scenario is Scenario.SYSTEM:
         r = params.r_s
         s_ab = binary_entropy((1.0 + r) / 2.0)
@@ -105,9 +103,9 @@ def entropy_closed_form(scenario: Scenario, params: ScenarioParams) -> Informati
         s_b = binary_entropy((1.0 + o) / 2.0)
     elif scenario is Scenario.METER:
         r2 = params.r_m * params.r_m
-        s_ab = binary_entropy(0.5 + 0.5 * math.sqrt(1.0 - d2 * (2.0 - d2) * (1.0 - r2)))
+        s_ab = binary_entropy(0.5 + 0.5 * np.sqrt(1.0 - d2 * (2.0 - d2) * (1.0 - r2)))
         s_a = binary_entropy((1.0 + o) / 2.0)
-        s_b = binary_entropy(0.5 + 0.5 * math.sqrt((1.0 - d2) * (1.0 - d2 * (1.0 - r2))))
+        s_b = binary_entropy(0.5 + 0.5 * np.sqrt((1.0 - d2) * (1.0 - d2 * (1.0 - r2))))
     else:
         raise ValueError(f"no closed-form entropies for scenario {scenario.value}")
     return InformationReport(s_a=s_a, s_b=s_b, s_ab=s_ab, i_ab=s_a + s_b - s_ab)
@@ -117,22 +115,21 @@ def printed_meter_entropies(params: ScenarioParams) -> InformationReport:
     """Meter-case entropies exactly as published (S_B radical (1-d^2)^2 (1-r^2))."""
     d2 = params.d * params.d
     r2 = params.r_m * params.r_m
-    s_ab = binary_entropy(0.5 + 0.5 * math.sqrt(1.0 - d2 * (2.0 - d2) * (1.0 - r2)))
-    s_a = binary_entropy(0.5 + 0.5 * math.sqrt(1.0 - d2))
-    s_b = binary_entropy(0.5 + 0.5 * math.sqrt((1.0 - d2) ** 2 * (1.0 - r2)))
+    s_ab = binary_entropy(0.5 + 0.5 * np.sqrt(1.0 - d2 * (2.0 - d2) * (1.0 - r2)))
+    s_a = binary_entropy(0.5 + 0.5 * np.sqrt(1.0 - d2))
+    s_b = binary_entropy(0.5 + 0.5 * np.sqrt(_libm_pow(1.0 - d2, 2.0) * (1.0 - r2)))
     return InformationReport(s_a=s_a, s_b=s_b, s_ab=s_ab, i_ab=s_a + s_b - s_ab)
 
 
-def info_threshold(scenario: Scenario, robustness: float) -> float | None:
+def info_threshold(scenario: Scenario, robustness: float | np.ndarray) -> float | np.ndarray | None:
     """Mutual information needed for a CHSH violation at the given robustness.
 
-    System case: the closed form h((1+r^2)/2), which equals I_AB on the
-    violation boundary d^2 = 1 - r^2.  Meter case: computed numerically as
-    I_AB at the boundary distinguishability; returns None for robustness
-    >= 1/sqrt(2), where every d > 0 already violates.
+    System case: the closed form h((1+r^2)/2), which equals I_AB on the violation
+    boundary d^2 = 1 - r^2, and an array over an array of robustness values.  Meter
+    case: computed numerically as I_AB at the boundary distinguishability; returns
+    None for robustness >= 1/sqrt(2), where every d > 0 already violates.
     """
-    if not 0.0 <= robustness <= 1.0:
-        raise ValueError(f"robustness must lie in [0, 1], got {robustness}")
+    robustness = _check_unit_interval("robustness", robustness)
     if scenario is Scenario.SYSTEM:
         return binary_entropy((1.0 + robustness * robustness) / 2.0)
     if scenario is Scenario.METER:

@@ -42,6 +42,16 @@ def _as_square(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
     return m
 
 
+def _float_or_array(x) -> float | np.ndarray:
+    """A float for a scalar or 0-d result, the array otherwise."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _libm_pow(x: float | np.ndarray, y: float) -> float | np.ndarray:
+    """x ** y element-wise through the C library's pow, which numpy's SIMD pow can differ from in the last bit."""
+    return _float_or_array(np.array([v**y for v in np.ravel(x).tolist()], dtype=float).reshape(np.shape(x)))
+
+
 def kron(a, b) -> np.ndarray:
     """Kronecker product; block (i,j) of the result is a[i,j] * b."""
     a = _as_square(a, "a")

@@ -28,11 +28,15 @@ class Scenario(enum.Enum):
     COMBINED = "combined"
 
 
-def _check_unit_interval(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value) or not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    return value
+def _check_unit_interval(name: str, value) -> float | np.ndarray:
+    """The value as a float, or a float array if it is one, once every element lies in [0, 1]."""
+    if isinstance(value, float) and 0.0 <= value <= 1.0:  # the common scalar case, without numpy
+        return float(value)
+    values = np.asarray(value, dtype=float)
+    outside = ~((values >= 0.0) & (values <= 1.0))  # NaN is outside too
+    if outside.any():
+        raise ValueError(f"{name} must lie in [0, 1], got {values[outside].flat[0]}")
+    return float(values) if values.ndim == 0 else values
 
 
 @dataclass(frozen=True)
@@ -44,18 +48,19 @@ class ScenarioParams:
     d     distinguishability of the meter coupling
     r_s   robustness of the system qubit against its environment
     r_m   robustness of the meter qubit against its environment
+
+    A knob may also be an array over many points, checked once as a whole; the
+    closed forms then return one value per point.  ``scenario_density`` takes one point.
     """
 
-    r: float = 0.5
-    d: float = 0.0
-    r_s: float = 1.0
-    r_m: float = 1.0
+    r: float | np.ndarray = 0.5
+    d: float | np.ndarray = 0.0
+    r_s: float | np.ndarray = 1.0
+    r_m: float | np.ndarray = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "r", _check_unit_interval("r", self.r))
-        object.__setattr__(self, "d", _check_unit_interval("d", self.d))
-        object.__setattr__(self, "r_s", _check_unit_interval("r_s", self.r_s))
-        object.__setattr__(self, "r_m", _check_unit_interval("r_m", self.r_m))
+        for name in ("r", "d", "r_s", "r_m"):
+            object.__setattr__(self, name, _check_unit_interval(name, getattr(self, name)))
 
 
 def _matrix_2x2(shape: tuple, a, b, c, d) -> np.ndarray:
@@ -173,11 +178,8 @@ def scenario_densities(scenario: Scenario, *, r=0.5, d=0.0, r_s=1.0, r_m=1.0) ->
     (flattened in C order): the same isometries and gate matrices, applied to
     all points at once.
     """
-    knobs = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (r, d, r_s, r_m)))
-    for name, values in zip(("r", "d", "r_s", "r_m"), knobs):
-        if not np.all((values >= 0.0) & (values <= 1.0)):
-            raise ValueError(f"{name} must lie in [0, 1] and be finite")
-    r, d, r_s, r_m = (values.reshape(-1) for values in knobs)
+    knobs = ScenarioParams(r=r, d=d, r_s=r_s, r_m=r_m)
+    r, d, r_s, r_m = (values.reshape(-1) for values in np.broadcast_arrays(knobs.r, knobs.d, knobs.r_s, knobs.r_m))
     if scenario is not Scenario.FREE and np.any(r != 0.5):
         raise ValueError(f"scenario {scenario.value} requires the balanced path weight r = 1/2")
     # psi[n, a, b, environments...]: source on A, then B in |down> rotated on the A=down branch.

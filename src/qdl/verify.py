@@ -13,17 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bell import _seesaw, bell_closed_form, chsh_value, horodecki_bmax, violates_chsh, violation_boundary
+from .bell import MAX_RESTARTS, _seesaw, bell_closed_form, chsh_value, horodecki_bmax, violates_chsh, violation_boundary
 from .figures import _grid_chunks
-from .infotheory import (
-    binary_entropy,
-    entropy_closed_form,
-    info_threshold,
-    mutual_information,
-    ppt_check,
-    printed_meter_entropies,
-    printed_meter_info_threshold,
-)
+from .infotheory import binary_entropy, entropy_closed_form, info_threshold, mutual_information, ppt_check
+from .infotheory import printed_meter_entropies, printed_meter_info_threshold
+from .linalg import _libm_pow
 from .states import Scenario, ScenarioParams, scenario_densities
 from .visibility import _identity_residual, _ratio_residual, predictability, visibility_analytic, visibility_sweep
 
@@ -37,6 +31,8 @@ NEGATIVITY_TOL = 1e-10
 
 DEFAULT_RESOLUTION = 13
 BRUTE_RESOLUTION = 5
+SWEEP_RESOLUTION = 5
+MAX_RESOLUTION = 201  # the combined-scenario suites evaluate resolution^3 points
 
 # The live knobs of each scenario, outer grid axis first.
 _AXES = {
@@ -54,73 +50,81 @@ class SuiteResult:
     tolerance: float
     passed: bool
     lines: list[str] = field(default_factory=list)
-
-
-def _axis(steps: int, start: float = 0.0, stop: float = 1.0) -> np.ndarray:
-    return np.linspace(start, stop, steps)
+    worst_point: dict | None = None  # scenario and live knobs of the largest residual
+    points: int = 0  # number of residuals the maximum was taken over
 
 
 def _grid(scenario: Scenario, steps: int):
     """The scenario's grid over its live knobs in row-major order, as chunks
-    (params, rho) of per-point ScenarioParams and the (N, 4, 4) stack of states."""
+    (coords, rho): the ScenarioParams of the chunk's points, as arrays, and their (N, 4, 4) stack of states."""
     axes = _AXES[scenario]
-    for coords in _grid_chunks(_axis(steps), len(axes)):
-        params = [ScenarioParams(**dict(zip(axes, point))) for point in zip(*coords)]
-        yield params, scenario_densities(scenario, **dict(zip(axes, coords)))
+    for line in _grid_chunks(np.linspace(0.0, 1.0, steps), len(axes)):
+        coords = dict(zip(axes, line))
+        yield ScenarioParams(**coords), scenario_densities(scenario, **coords)
 
 
-def _system_boundary(steps: int) -> np.ndarray:
-    """System-scenario states on the violation boundary d^2 + r_s^2 = 1, one per r_s of the axis."""
-    r = _axis(steps)
-    return scenario_densities(Scenario.SYSTEM, d=np.sqrt(np.maximum(0.0, 1.0 - r * r)), r_s=r)
+def _reduce(name: str, tolerance: float, chunks) -> SuiteResult:
+    """SuiteResult of the largest residual (at least 0) over chunks (scenario, coords, residuals) and
+    the first point holding it.  A NaN residual is the largest of all, so it fails the suite."""
+    worst, point, points = -math.inf, None, 0
+    for scenario, coords, residual in chunks:
+        points += residual.size
+        k = int(np.argmax(residual))  # the first NaN, else the first maximum
+        if residual[k] > worst or (np.isnan(residual[k]) and not np.isnan(worst)):
+            worst = float(residual[k])
+            point = {"scenario": scenario.value, **{a: float(getattr(coords, a)[k]) for a in _AXES[scenario]}}
+    worst = float(np.maximum(0.0, worst))  # np.maximum keeps a NaN
+    return SuiteResult(name, worst, tolerance, worst < tolerance, [], point, points)
+
+
+def _system_boundary(steps: int):
+    """Coords and states of the system scenario on the violation boundary d^2 + r_s^2 = 1, one per r_s of the axis."""
+    r = np.linspace(0.0, 1.0, steps)
+    coords = ScenarioParams(d=np.sqrt(np.maximum(0.0, 1.0 - r * r)), r_s=r)
+    return coords, scenario_densities(Scenario.SYSTEM, d=coords.d, r_s=r)
 
 
 def _threshold_surface(steps: int):
-    """Chunks (r_s, r_m, b_max) of the combined scenario's B_max at the printed
+    """Chunks (coords, b_max) of the combined scenario's B_max at the printed
     threshold d = d_threshold(r_s, r_m), over the (r_s, r_m) grid."""
-    for r_s, r_m in _grid_chunks(_axis(steps), 2):
-        d = [
-            violation_boundary(Scenario.COMBINED, ScenarioParams(r_s=a, r_m=b)).d_threshold
-            for a, b in zip(r_s, r_m)
-        ]
-        yield r_s, r_m, horodecki_bmax(scenario_densities(Scenario.COMBINED, d=d, r_s=r_s, r_m=r_m))
+    for r_s, r_m in _grid_chunks(np.linspace(0.0, 1.0, steps), 2):
+        d = violation_boundary(Scenario.COMBINED, ScenarioParams(r_s=r_s, r_m=r_m)).d_threshold
+        rho = scenario_densities(Scenario.COMBINED, d=d, r_s=r_s, r_m=r_m)
+        yield ScenarioParams(d=d, r_s=r_s, r_m=r_m), horodecki_bmax(rho)
 
 
-def _max_off_two(b_max: np.ndarray) -> float:
-    return float(np.max(np.abs(b_max - 2.0)))
+def _residuals(scenarios, steps: int, residual):
+    """Chunks (scenario, coords, residual(scenario, coords, rho)) over the grid of each scenario."""
+    for scenario in scenarios:
+        for coords, rho in _grid(scenario, steps):
+            yield scenario, coords, residual(scenario, coords, rho)
 
 
 def suite_identities(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     """Complementarity identities of all four scenarios, analytic visibility."""
-    worst = 0.0
-    for scenario in _AXES:
-        for params, rho in _grid(scenario, resolution):
-            v = visibility_analytic(rho).tolist()
-            v_free = [None] * len(params)
-            if scenario is Scenario.SYSTEM:
-                v_free = visibility_analytic(scenario_densities(Scenario.FREE, r=0.5, d=[p.d for p in params])).tolist()
-            worst = max(worst, *(_identity_residual(scenario, p, a, b) for p, a, b in zip(params, v, v_free)))
-    return SuiteResult("identities", worst, IDENTITY_TOL, worst < IDENTITY_TOL)
+
+    def residual(scenario, coords, rho):
+        v_free = None
+        if scenario is Scenario.SYSTEM:
+            v_free = visibility_analytic(scenario_densities(Scenario.FREE, d=coords.d))
+        return _identity_residual(scenario, coords, visibility_analytic(rho), v_free)
+
+    return _reduce("identities", IDENTITY_TOL, _residuals(_AXES, resolution, residual))
 
 
-def suite_sweep_agreement(resolution: int = 5, n_phases: int = 1024) -> SuiteResult:
+def suite_sweep_agreement(resolution: int = SWEEP_RESOLUTION, n_phases: int = 1024) -> SuiteResult:
     """Fringe-definition visibility (phase sweep) against the analytic shortcut."""
-    worst = 0.0
-    for scenario in _AXES:
-        for _, rho in _grid(scenario, resolution):
-            gap = np.abs(visibility_sweep(rho, n_phases).visibility - visibility_analytic(rho))
-            worst = max(worst, float(np.max(gap)))
-    return SuiteResult("visibility_sweep", worst, 1e-5, worst < 1e-5)
+
+    def gap(scenario, coords, rho):
+        return np.abs(visibility_sweep(rho, n_phases).visibility - visibility_analytic(rho))
+
+    return _reduce("visibility_sweep", 1e-5, _residuals(_AXES, resolution, gap))
 
 
 def suite_closed_form(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     """Analytic B_max of each scenario against the matrix-route Horodecki value."""
-    worst = 0.0
-    for scenario in _AXES:
-        for params, rho in _grid(scenario, resolution):
-            for p, b in zip(params, horodecki_bmax(rho).tolist()):
-                worst = max(worst, abs(bell_closed_form(scenario, p) - b))
-    return SuiteResult("bell_closed_form", worst, CLOSED_FORM_TOL, worst < CLOSED_FORM_TOL)
+    gaps = _residuals(_AXES, resolution, lambda s, c, rho: np.abs(bell_closed_form(s, c) - horodecki_bmax(rho)))
+    return _reduce("bell_closed_form", CLOSED_FORM_TOL, gaps)
 
 
 def suite_brute(resolution: int = BRUTE_RESOLUTION, restarts: int = 32, seed: int = 0) -> SuiteResult:
@@ -129,26 +133,28 @@ def suite_brute(resolution: int = BRUTE_RESOLUTION, restarts: int = 32, seed: in
     The optimizer must reach the analytic maximum from below: residual is
     max(b_horodecki - b_brute, b_brute - b_horodecki - 1e-6, 0).
     """
-    worst = 0.0
-    for scenario in _AXES:
-        for _, rho in _grid(scenario, resolution):
-            settings, _ = _seesaw(rho, restarts, seed)
-            b_brute = chsh_value(rho, *np.moveaxis(settings, 1, 0))
-            b_h = horodecki_bmax(rho)
-            worst = max(worst, float(np.max(np.maximum(b_h - b_brute, b_brute - b_h - 1e-6))))
-    return SuiteResult("chsh_brute_force", worst, BRUTE_TOL, worst < BRUTE_TOL)
+
+    def shortfall(scenario, coords, rho):
+        settings, _ = _seesaw(rho, restarts, seed)
+        b_brute = chsh_value(rho, *np.moveaxis(settings, 1, 0))
+        b_h = horodecki_bmax(rho)
+        return np.maximum(b_h - b_brute, b_brute - b_h - 1e-6)
+
+    return _reduce("chsh_brute_force", BRUTE_TOL, _residuals(_AXES, resolution, shortfall))
 
 
 def suite_boundaries(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     """|B_max - 2| on each printed violation boundary."""
-    r_m = _axis(resolution, 0.0, 1.0 / math.sqrt(2.0))
-    d_m = [math.sqrt(max(0.0, 1.0 - r * r / (1.0 - r * r))) if r * r < 0.5 else 0.0 for r in r_m]
-    worst = max(
-        _max_off_two(horodecki_bmax(_system_boundary(resolution))),
-        _max_off_two(horodecki_bmax(scenario_densities(Scenario.METER, d=d_m, r_m=r_m))),
-        *(_max_off_two(b_max) for _, _, b_max in _threshold_surface(resolution)),
-    )
-    return SuiteResult("boundary_exactness", worst, BOUNDARY_TOL, worst < BOUNDARY_TOL)
+    r_m = np.linspace(0.0, 1.0 / math.sqrt(2.0), resolution)
+    r2 = r_m * r_m
+    meter = ScenarioParams(d=np.where(r2 < 0.5, np.sqrt(np.maximum(0.0, 1.0 - r2 / (1.0 - r2))), 0.0), r_m=r_m)
+    system, rho_system = _system_boundary(resolution)
+    chunks = [
+        (Scenario.SYSTEM, system, np.abs(horodecki_bmax(rho_system) - 2.0)),
+        (Scenario.METER, meter, np.abs(horodecki_bmax(scenario_densities(Scenario.METER, d=meter.d, r_m=r_m)) - 2.0)),
+        *((Scenario.COMBINED, coords, np.abs(b_max - 2.0)) for coords, b_max in _threshold_surface(resolution)),
+    ]
+    return _reduce("boundary_exactness", BOUNDARY_TOL, chunks)
 
 
 def suite_ppt_region(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
@@ -167,9 +173,9 @@ def suite_ppt_region(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
         grids.append((Scenario.METER, gap_steps))
     for scenario, steps in grids:
         robustness = _AXES[scenario][1]
-        for params, rho in _grid(scenario, steps):
+        for coords, rho in _grid(scenario, steps):
             rep = ppt_check(rho)
-            expected = np.array([p.d > REGION_MARGIN and getattr(p, robustness) > REGION_MARGIN for p in params])
+            expected = (coords.d > REGION_MARGIN) & (getattr(coords, robustness) > REGION_MARGIN)
             entangled = rep.negativity > NEGATIVITY_TOL
             if steps == resolution:
                 single_negative = np.sum(rep.ppt_spectrum < -NEGATIVITY_TOL, axis=-1) == 1
@@ -184,17 +190,15 @@ def suite_ppt_region(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
 def suite_entropy_forms(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     """Closed-form entropies against the eigenvalue route, both scenarios,
     plus the system information threshold against boundary mutual information."""
-    worst = 0.0
-    for scenario in (Scenario.SYSTEM, Scenario.METER):
-        for params, rho in _grid(scenario, resolution):
-            m = mutual_information(rho)
-            for p, matrix in zip(params, np.column_stack((m.s_a, m.s_b, m.s_ab, m.i_ab)).tolist()):
-                c = entropy_closed_form(scenario, p)
-                worst = max(worst, *(abs(x - y) for x, y in zip((c.s_a, c.s_b, c.s_ab, c.i_ab), matrix)))
-    boundary = mutual_information(_system_boundary(resolution)).i_ab.tolist()
-    for r, i_ab in zip(_axis(resolution), boundary):
-        worst = max(worst, abs(info_threshold(Scenario.SYSTEM, r) - i_ab))
-    return SuiteResult("entropy_closed_forms", worst, ENTROPY_TOL, worst < ENTROPY_TOL)
+
+    def gap(scenario, coords, rho):
+        m, c = mutual_information(rho), entropy_closed_form(scenario, coords)
+        return np.max(np.abs([c.s_a - m.s_a, c.s_b - m.s_b, c.s_ab - m.s_ab, c.i_ab - m.i_ab]), axis=0)
+
+    boundary, rho = _system_boundary(resolution)
+    threshold_gap = np.abs(info_threshold(Scenario.SYSTEM, boundary.r_s) - mutual_information(rho).i_ab)
+    grids = _residuals((Scenario.SYSTEM, Scenario.METER), resolution, gap)
+    return _reduce("entropy_closed_forms", ENTROPY_TOL, [*grids, (Scenario.SYSTEM, boundary, threshold_gap)])
 
 
 def suite_threshold_consistency(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
@@ -206,37 +210,34 @@ def suite_threshold_consistency(resolution: int = DEFAULT_RESOLUTION) -> SuiteRe
     wherever the visibility itself degenerates).
     """
     mismatches = 0
-    for params, rho in _grid(Scenario.SYSTEM, resolution):
-        columns = (horodecki_bmax(rho) > 2.0, mutual_information(rho).i_ab, visibility_analytic(rho))
-        for p, bell, i_ab, v in zip(params, *(c.tolist() for c in columns)):
-            d, r = p.d, p.r_s
-            if abs(d * d + r * r - 1.0) > REGION_MARGIN:
-                geometric = d * d + r * r > 1.0
-                info = i_ab > info_threshold(Scenario.SYSTEM, r)
-                if not (geometric == bell == info):
-                    mismatches += 1
-            if abs(v - (1.0 - d * d)) > REGION_MARGIN:
-                if (v > 1.0 - d * d) != bell:
-                    mismatches += 1
+    for coords, rho in _grid(Scenario.SYSTEM, resolution):
+        d, r = coords.d, coords.r_s
+        bell = horodecki_bmax(rho) > 2.0
+        info = mutual_information(rho).i_ab > info_threshold(Scenario.SYSTEM, r)
+        geometric = d * d + r * r > 1.0
+        off_boundary = np.abs(d * d + r * r - 1.0) > REGION_MARGIN
+        mismatches += int(np.sum(off_boundary & ((geometric != bell) | (bell != info))))
+        v, lrt = visibility_analytic(rho), 1.0 - d * d
+        mismatches += int(np.sum((np.abs(v - lrt) > REGION_MARGIN) & ((v > lrt) != bell)))
     return SuiteResult("info_threshold_consistency", float(mismatches), 0.5, mismatches == 0)
 
 
 def probe_predictability(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     """Adjudicate P = |1-2r| against the published P = sqrt|1-2r| via identity (V^2/(1-P^2) + D^2 = 1)."""
-    worst_adopted = 0.0
-    worst_printed = 0.0
-    for params, rho in _grid(Scenario.FREE, resolution):
-        for p, v in zip(params, visibility_analytic(rho).tolist()):
-            adopted = predictability(p.r)
-            printed = math.sqrt(adopted)
-            worst_adopted = max(worst_adopted, _ratio_residual(v, 1.0 - adopted * adopted, p.d))
-            worst_printed = max(worst_printed, _ratio_residual(v, 1.0 - printed * printed, p.d))
-    lines = [
+    chunks, worst_printed = [], 0.0
+    for coords, rho in _grid(Scenario.FREE, resolution):
+        v = visibility_analytic(rho)
+        adopted = predictability(coords.r)
+        printed = np.sqrt(adopted)
+        chunks.append((Scenario.FREE, coords, _ratio_residual(v, 1.0 - adopted * adopted, coords.d)))
+        worst_printed = max(worst_printed, float(np.max(_ratio_residual(v, 1.0 - printed * printed, coords.d))))
+    res = _reduce("discrepancy_p_definition", IDENTITY_TOL, chunks)
+    res.lines = [
         "predictability definition vs the visibility identity:",
-        f"  P = |1-2r|       max identity residual = {worst_adopted:.3e}   (adopted)",
+        f"  P = |1-2r|       max identity residual = {res.max_residual:.3e}   (adopted)",
         f"  P = sqrt|1-2r|   max identity residual = {worst_printed:.3e}   (published; rejected)",
     ]
-    return SuiteResult("discrepancy_p_definition", worst_adopted, IDENTITY_TOL, worst_adopted < IDENTITY_TOL, lines)
+    return res
 
 
 def probe_ppt_polarity(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
@@ -249,10 +250,9 @@ def probe_ppt_polarity(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     """
     entangled_points = 0
     with_negative_eig = 0
-    for params, rho in _grid(Scenario.SYSTEM, resolution):
+    for coords, rho in _grid(Scenario.SYSTEM, resolution):
         rep = ppt_check(rho)
-        interior = np.array([p.d > 0.0 and p.r_s > 0.0 for p in params])
-        entangled = interior & (rep.negativity > NEGATIVITY_TOL)
+        entangled = (coords.d > 0.0) & (coords.r_s > 0.0) & (rep.negativity > NEGATIVITY_TOL)
         entangled_points += int(np.sum(entangled))
         with_negative_eig += int(np.sum(entangled & (rep.ppt_spectrum[:, -1] < -NEGATIVITY_TOL)))
     mism = entangled_points - with_negative_eig
@@ -267,28 +267,28 @@ def probe_ppt_polarity(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
 
 def probe_meter_entropy_form(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     """Quantify the published meter-scenario S_B against the matrix route."""
-    worst_adopted = 0.0
-    worst_printed = 0.0
-    samples = []
-    for params, rho in _grid(Scenario.METER, resolution):
-        for p, s_b in zip(params, mutual_information(rho).s_b.tolist()):
-            adopted = entropy_closed_form(Scenario.METER, p)
-            printed = printed_meter_entropies(p)
-            worst_adopted = max(worst_adopted, abs(adopted.s_b - s_b))
-            dev = abs(printed.s_b - s_b)
-            if dev > worst_printed:
-                worst_printed = dev
-                samples = [
-                    f"  worst point d={p.d:.3f} r_m={p.r_m:.3f}: matrix S_B={s_b:.9f}"
-                    f" printed={printed.s_b:.9f} adopted={adopted.s_b:.9f}"
-                ]
-    lines = [
+    chunks, samples, worst_printed = [], [], 0.0
+    for coords, rho in _grid(Scenario.METER, resolution):
+        s_b = mutual_information(rho).s_b
+        adopted = entropy_closed_form(Scenario.METER, coords).s_b
+        printed = printed_meter_entropies(coords).s_b
+        chunks.append((Scenario.METER, coords, np.abs(adopted - s_b)))
+        dev = np.abs(printed - s_b)
+        k = int(np.argmax(dev))
+        if dev[k] > worst_printed:
+            worst_printed = float(dev[k])
+            samples = [
+                f"  worst point d={coords.d[k]:.3f} r_m={coords.r_m[k]:.3f}: matrix S_B={s_b[k]:.9f}"
+                f" printed={printed[k]:.9f} adopted={adopted[k]:.9f}"
+            ]
+    res = _reduce("discrepancy_meter_s_b", ENTROPY_TOL, chunks)
+    res.lines = [
         "meter-scenario S_B closed form:",
-        f"  adopted radical (1-d^2)(1-d^2(1-r^2)): max |S_B - matrix| = {worst_adopted:.3e}",
+        f"  adopted radical (1-d^2)(1-d^2(1-r^2)): max |S_B - matrix| = {res.max_residual:.3e}",
         f"  printed radical (1-d^2)^2 (1-r^2):     max |S_B - matrix| = {worst_printed:.3e}  (rejected)",
         *samples,
     ]
-    return SuiteResult("discrepancy_meter_s_b", worst_adopted, ENTROPY_TOL, worst_adopted < ENTROPY_TOL, lines)
+    return res
 
 
 def probe_meter_threshold_form(robustness_values=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)) -> SuiteResult:
@@ -316,34 +316,29 @@ def probe_threshold_sign(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     exactly on B_max = 2; the flipped sign mostly leaves the admissible range
     or misses the boundary.
     """
-    worst_printed = 0.0
-    flipped_valid = 0
-    flipped_total = 0
-    worst_flipped = 0.0
-    for r_s, r_m, b_max in _threshold_surface(resolution):
-        worst_printed = max(worst_printed, _max_off_two(b_max))
-        admissible = []  # (d, r_s, r_m) where the flipped threshold lies in [0, 1]
-        for a, b in zip(r_s, r_m):
-            if b < 1.0:
-                flipped_total += 1
-                alpha = a * a - b * b / (1.0 - b * b)
-                disc = (alpha / 2.0) ** 2 - (1.0 - a * a) / (1.0 - b * b)
-                if disc >= 0.0:
-                    x = alpha / 2.0 + math.sqrt(disc)
-                    if 0.0 <= x <= 1.0:
-                        admissible.append((math.sqrt(x), a, b))
-        if admissible:
-            d, a, b = zip(*admissible)
-            flipped_valid += len(admissible)
-            rho_f = scenario_densities(Scenario.COMBINED, d=d, r_s=a, r_m=b)
-            worst_flipped = max(worst_flipped, _max_off_two(horodecki_bmax(rho_f)))
-    lines = [
+    chunks, flipped_valid, flipped_total, worst_flipped = [], 0, 0, 0.0
+    for coords, b_max in _threshold_surface(resolution):
+        chunks.append((Scenario.COMBINED, coords, np.abs(b_max - 2.0)))
+        a, b = coords.r_s, coords.r_m
+        inside = b < 1.0
+        flipped_total += int(np.sum(inside))
+        denom = np.where(inside, 1.0 - b * b, 1.0)
+        alpha = a * a - b * b / denom
+        disc = _libm_pow(alpha / 2.0, 2.0) - (1.0 - a * a) / denom
+        x = alpha / 2.0 + np.sqrt(np.maximum(0.0, disc))
+        valid = inside & (disc >= 0.0) & (x >= 0.0) & (x <= 1.0)  # the flipped threshold lies in [0, 1]
+        if valid.any():
+            flipped_valid += int(np.sum(valid))
+            rho_f = scenario_densities(Scenario.COMBINED, d=np.sqrt(x[valid]), r_s=a[valid], r_m=b[valid])
+            worst_flipped = max(worst_flipped, float(np.max(np.abs(horodecki_bmax(rho_f) - 2.0))))
+    res = _reduce("discrepancy_threshold_sign", BOUNDARY_TOL, chunks)
+    res.lines = [
         "combined-scenario threshold sign adjudication:",
-        f"  printed '+beta' sign: max |B_max - 2| on the threshold surface = {worst_printed:.3e}  (confirmed)",
+        f"  printed '+beta' sign: max |B_max - 2| on the threshold surface = {res.max_residual:.3e}  (confirmed)",
         f"  flipped '-beta' sign: admissible at {flipped_valid}/{flipped_total} grid points,"
         f" max |B_max - 2| where admissible = {worst_flipped:.3e}  (rejected)",
     ]
-    return SuiteResult("discrepancy_threshold_sign", worst_printed, BOUNDARY_TOL, worst_printed < BOUNDARY_TOL, lines)
+    return res
 
 
 SUITES = {
@@ -362,6 +357,10 @@ SUITES = {
     "threshold_sign": probe_threshold_sign,
 }
 
+# Steps per axis a suite's grid never exceeds (None: no grid): the see-saw and
+# the phase sweep cost far more per point than the closed forms.
+RESOLUTION_CAPS = {"brute": BRUTE_RESOLUTION, "sweep": SWEEP_RESOLUTION, "meter_threshold": None}
+
 DISCREPANCY_SUITES = ("p_definition", "polarity", "meter_entropy", "meter_threshold", "threshold_sign")
 
 
@@ -372,28 +371,26 @@ def run_suites(
     tolerance_override: float | None = None,
     names=None,
 ) -> list[SuiteResult]:
-    """Run the requested suites (all by default) and apply any tolerance override."""
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
+    """Check every argument, then run the requested suites (all by default) and apply any tolerance override."""
+    if not 2 <= resolution <= MAX_RESOLUTION:
+        raise ValueError(f"resolution must lie in [2, {MAX_RESOLUTION}], got {resolution}")
     if tolerance_override is not None and not (math.isfinite(tolerance_override) and tolerance_override >= 0.0):
         raise ValueError("tolerance must be a finite non-negative number")
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
+    if not 1 <= restarts <= MAX_RESTARTS:
+        raise ValueError(f"restarts must lie in [1, {MAX_RESTARTS}], got {restarts}")
     if seed < 0:
         raise ValueError("seed must be non-negative")
     selected = list(SUITES) if names is None else list(names)
-    results = []
     for name in selected:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    results = []
+    for name in selected:
+        cap = RESOLUTION_CAPS.get(name, resolution)
+        args = () if cap is None else (min(resolution, cap),)
         if name == "brute":
-            res = suite_brute(min(resolution, BRUTE_RESOLUTION), restarts, seed)
-        elif name == "sweep":
-            res = suite_sweep_agreement(min(resolution, 5))
-        elif name == "meter_threshold":
-            res = probe_meter_threshold_form()
-        else:
-            res = SUITES[name](resolution)
+            args += (restarts, seed)
+        res = SUITES[name](*args)
         if tolerance_override is not None:
             res.tolerance = tolerance_override
             res.passed = res.max_residual < tolerance_override

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import partial_trace
-from .states import ROTATION_A, Scenario, ScenarioParams, scenario_density
+from .linalg import _float_or_array, partial_trace
+from .states import ROTATION_A, Scenario, ScenarioParams, _check_unit_interval, scenario_density
 
 DEFAULT_SWEEP_POINTS = 1024
 
@@ -38,9 +38,9 @@ def visibility_sweep(rho: np.ndarray, n: int = DEFAULT_SWEEP_POINTS) -> FringeSc
     """Measure the fringe at n equally spaced phases over [0, 2pi).
 
     For each phase: shift the |up>_A branch, apply the recombination rotation,
-    reduce to A and record the |up> probability.  The per-phase gate products
-    are batched into one einsum, which changes nothing about what is computed;
-    a stack of states goes through the same einsum as a single one.
+    reduce to A and record the |up> probability.  Each phase's gate product and
+    readout fold into one measurement operator, so a stack of states is read
+    out by one contraction with all of them, the same as a single state.
     """
     if n < 8:
         raise ValueError(f"phase count must be at least 8, got {n}")
@@ -53,41 +53,38 @@ def visibility_sweep(rho: np.ndarray, n: int = DEFAULT_SWEEP_POINTS) -> FringeSc
     shift[:, 1, 1] = 1.0
     gate = np.einsum("ab,kbc->kac", ROTATION_A, shift)  # rotation after phase shift
     gate_ab = np.einsum("kab,cd->kacbd", gate, np.eye(2)).reshape(n, 4, 4)
-    # probability of |up>_A: trace of the upper-left 2x2 block of U rho U^dag
+    # Heisenberg picture: p_k = Tr[rho G_k], G_k = U_k^dag Pi_up U_k; readout[k] is G_k transposed
     block = gate_ab[:, :2, :]
-    probs = np.einsum("kab,nbc,kac->nk", block, rho.reshape(-1, 4, 4), block.conj()).real
+    readout = np.einsum("kab,kac->kbc", block, block.conj())
+    probs = np.einsum("nbc,kbc->nk", rho.reshape(-1, 4, 4), readout).real
     probs = probs.reshape(rho.shape[:-2] + (n,))
     p_max = probs.max(axis=-1)
     p_min = probs.min(axis=-1)
     vis = (p_max - p_min) / (p_max + p_min)
-    return FringeScan(phases=phases, probabilities=probs, visibility=float(vis) if vis.ndim == 0 else vis)
+    return FringeScan(phases=phases, probabilities=probs, visibility=_float_or_array(vis))
 
 
 def visibility_analytic(rho: np.ndarray) -> float | np.ndarray:
     """Fringe contrast from the A coherence: V = 2 |<up| rho_A |down>|; an array over a stack of states."""
     c = partial_trace(rho, ("A",))[..., 0, 1]
-    v = 2.0 * np.hypot(c.real, c.imag)  # hypot rounds like abs() of one complex scalar
-    return float(v) if v.ndim == 0 else v
+    return _float_or_array(2.0 * np.hypot(c.real, c.imag))  # hypot rounds like abs() of one complex scalar
 
 
-def predictability(r: float) -> float:
-    """A-priori path bias |p_down - p_up| = |1 - 2r| of the source state."""
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"r must lie in [0, 1], got {r}")
-    return abs(1.0 - 2.0 * r)
+def predictability(r: float | np.ndarray) -> float | np.ndarray:
+    """A-priori path bias |p_down - p_up| = |1 - 2r| of the source state; an array over an array of r."""
+    return abs(1.0 - 2.0 * _check_unit_interval("r", r))
 
 
-def unpredictability(r: float) -> float:
+def unpredictability(r: float | np.ndarray) -> float | np.ndarray:
     """sqrt(1 - P^2), written as 2 sqrt(r (1 - r)): 1 - P^2 cancels as r -> 0 or 1."""
-    predictability(r)  # range check
-    return 2.0 * math.sqrt(r * (1.0 - r))
+    r = _check_unit_interval("r", r)
+    return _float_or_array(2.0 * np.sqrt(r * (1.0 - r)))
 
 
-def overlap(d: float) -> float:
+def overlap(d: float | np.ndarray) -> float | np.ndarray:
     """Overlap of the two meter states tagging the paths: sqrt(1 - d^2)."""
-    if not 0.0 <= d <= 1.0:
-        raise ValueError(f"d must lie in [0, 1], got {d}")
-    return math.sqrt(1.0 - d * d)
+    d = _check_unit_interval("d", d)
+    return _float_or_array(np.sqrt(1.0 - d * d))
 
 
 def decoherence_free_visibility(d: float) -> float:
@@ -96,27 +93,28 @@ def decoherence_free_visibility(d: float) -> float:
     return visibility_analytic(scenario_density(params, Scenario.FREE))
 
 
-def _ratio_residual(v: float, denom: float, d: float) -> float:
-    """|v^2/denom + d^2 - 1|, falling back to the product form at denom = 0."""
-    if denom < 1e-15:
-        return abs(v * v - denom * (1.0 - d * d))
-    return abs(v * v / denom + d * d - 1.0)
+def _ratio_residual(v, denom, d) -> float | np.ndarray:
+    """|v^2/denom + d^2 - 1|, falling back to the product form where denom = 0."""
+    small = denom < 1e-15
+    ratio = np.abs(v * v / np.where(small, 1.0, denom) + d * d - 1.0)
+    return _float_or_array(np.where(small, np.abs(v * v - denom * (1.0 - d * d)), ratio))
 
 
-def _identity_residual(scenario: Scenario, params: ScenarioParams, v: float, v_free: float | None) -> float:
-    """Residual of `check_identity` given the visibility v of the point and,
-    for a system point with d < 1, the decoherence-free visibility v_free(d)."""
+def _identity_residual(scenario: Scenario, params: ScenarioParams, v, v_free) -> float | np.ndarray:
+    """Residual of `check_identity` given the visibility v of the point and, for a system point, the
+    decoherence-free visibility v_free(d), read only where d < 1 (None if no point has d < 1).
+    Array knobs with arrays v and v_free give one residual per point."""
     d = params.d
     if scenario is Scenario.FREE:
         u = unpredictability(params.r)
-        res = _ratio_residual(v, u * u, d)
-        return max(res, abs(v - overlap(d) * u))
+        return _float_or_array(np.maximum(_ratio_residual(v, u * u, d), np.abs(v - overlap(d) * u)))
     if scenario is Scenario.METER:
-        return abs(v * v + d * d - 1.0)
+        return _float_or_array(np.abs(v * v + d * d - 1.0))
     res = _ratio_residual(v, params.r_s * params.r_s, d)
-    if scenario is Scenario.SYSTEM and d < 1.0:
-        res = max(res, abs(v / v_free - params.r_s))
-    return res
+    if scenario is Scenario.SYSTEM and v_free is not None:
+        below = d < 1.0
+        res = np.where(below, np.maximum(res, np.abs(v / np.where(below, v_free, 1.0) - params.r_s)), res)
+    return _float_or_array(res)
 
 
 def check_identity(scenario: Scenario, params: ScenarioParams) -> float:

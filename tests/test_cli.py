@@ -4,12 +4,13 @@ import sys
 
 import pytest
 
-from qdl.bell import horodecki_bmax, violates_chsh, violation_boundary
+from qdl.bell import MAX_RESTARTS, horodecki_bmax, violates_chsh, violation_boundary
 from qdl.cli import main
 from qdl import figures
-from qdl.figures import FIGURES, _fmt, figure_rows
+from qdl.figures import FIGURES, _fmt, figure_rows, write_figure_csv
 from qdl.infotheory import mutual_information
 from qdl.states import Scenario, ScenarioParams, scenario_density
+from qdl.verify import MAX_RESOLUTION as VERIFY_MAX_RESOLUTION
 from qdl.visibility import visibility_analytic
 
 
@@ -158,9 +159,38 @@ def test_figure_csv_matches_per_point_reference(tmp_path, capsys, monkeypatch):
         assert out_path.read_bytes() == (header + body).encode("utf-8"), f"figure {n}"
 
 
+def test_figure_csvs_do_not_depend_on_the_run_or_the_chunk_size(tmp_path, monkeypatch):
+    def csvs():
+        for n in FIGURES:
+            write_figure_csv(n, 11, str(tmp_path / "fig.csv"))
+            yield (tmp_path / "fig.csv").read_bytes()
+
+    first = list(csvs())
+    assert list(csvs()) == first
+    for chunk in (1, 7, 1024, 4096):
+        monkeypatch.setattr(figures, "CHUNK_POINTS", chunk)
+        assert list(csvs()) == first, f"CHUNK_POINTS={chunk}"
+
+
 def test_figure_rejects_low_resolution(tmp_path, capsys):
     code, _, err = run_cli(["figure", "1", "--resolution", "5", "--out", str(tmp_path / "x.csv")], capsys)
     assert code == 2
+
+
+def test_figure_rejects_resolution_above_the_cap(tmp_path, capsys):
+    # only the first rejected value: the cap itself would write a grid of 1e6 rows
+    out_path = tmp_path / "x.csv"
+    args = ["figure", "4", "--resolution", str(figures.MAX_RESOLUTION + 1), "--out", str(out_path)]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == "" and not out_path.exists()
+    assert err.count("\n") == 1 and "resolution" in err
+
+
+def test_analyze_rejects_restarts_above_the_cap(capsys):
+    args = ["analyze", "--scenario", "free", "--d", "0.5", "--restarts", str(MAX_RESTARTS + 1)]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert "restarts" in err
 
 
 def test_figure_unwritable_path(capsys):
@@ -209,6 +239,9 @@ def test_analyze_rejects_negative_seed(capsys):
         (["--tolerance", "-0.5"], "tolerance"),
         (["--restarts", "0"], "restarts"),
         (["--suite", "identities", "--restarts", "0"], "restarts"),
+        # the first values above the caps: the caps themselves start runs of about a minute
+        (["--resolution", str(VERIFY_MAX_RESOLUTION + 1)], "resolution"),
+        (["--suite", "meter_threshold", "--restarts", str(MAX_RESTARTS + 1)], "restarts"),
     ],
 )
 def test_verify_rejects_bad_arguments(flags, message, capsys):

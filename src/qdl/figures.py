@@ -4,7 +4,8 @@ Each figure is a SweepSpec: two axes, a column function and a fixed column
 order.  The column function maps the flattened grid coordinates of a chunk
 of points to its value columns, evaluating every point of the chunk through
 the stacked (N, 4, 4) layers at once.  Rows are written in row-major axis
-order, one chunk of at most CHUNK_POINTS points at a time.
+order, one chunk of at most CHUNK_POINTS points at a time; each chunk is one
+float table, formatted by a single '%' over a per-row line template and written at once.
 """
 
 from __future__ import annotations
@@ -102,14 +103,20 @@ FIGURES: dict[int, SweepSpec] = {
 }
 
 
-def figure_rows(n: int, resolution: int) -> tuple[tuple[str, ...], Iterator[tuple]]:
-    """Column names and an iterator over the grid rows, in row-major axis order."""
+def _evaluated_chunks(n: int, resolution: int) -> tuple[SweepSpec, Iterator[tuple]]:
+    """The figure's spec (arguments checked first) and its value columns, one chunk of points at a time."""
     if n not in FIGURES:
         raise ValueError(f"figure number must be 1..7, got {n}")
     if not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
         raise ValueError(f"resolution must lie in [{MIN_RESOLUTION}, {MAX_RESOLUTION}], got {resolution}")
     spec = FIGURES[n]
-    return spec.columns, _grid_rows(spec, resolution)
+    return spec, (spec.evaluate(*coords) for coords in _grid_chunks(spec.line(resolution), 2))
+
+
+def figure_rows(n: int, resolution: int) -> tuple[tuple[str, ...], Iterator[tuple]]:
+    """Column names and an iterator over the grid rows, in row-major axis order."""
+    spec, chunks = _evaluated_chunks(n, resolution)
+    return spec.columns, (row for columns in chunks for row in zip(*columns))
 
 
 def _grid_chunks(line: np.ndarray, n_axes: int) -> Iterator[tuple[np.ndarray, ...]]:
@@ -122,18 +129,21 @@ def _grid_chunks(line: np.ndarray, n_axes: int) -> Iterator[tuple[np.ndarray, ..
         yield tuple(line[i] for i in np.unravel_index(flat, shape))
 
 
-def _grid_rows(spec: SweepSpec, resolution: int) -> Iterator[tuple]:
-    for coords in _grid_chunks(spec.line(resolution), 2):
-        yield from zip(*spec.evaluate(*coords))
+def _format_chunk(columns: tuple) -> str:
+    """CSV lines of equal-length columns as ``_fmt`` writes them: '%.9f' shares f"{x:.9f}"'s formatter,
+    adding 0.0 turns -0.0 into 0.0, and a bool column (as 1.0 or 0.0) prints through '%d'."""
+    line = ",".join("%d" if np.asarray(c).dtype == bool else "%.9f" for c in columns) + "\n"
+    table = np.column_stack([np.asarray(c, dtype=float) for c in columns]) + 0.0
+    return (line * len(table)) % tuple(table.ravel().tolist())
 
 
 def write_figure_csv(n: int, resolution: int, path: str) -> int:
     """Write the figure grid as UTF-8 CSV with LF line endings; returns the row count."""
-    columns, rows = figure_rows(n, resolution)
+    spec, chunks = _evaluated_chunks(n, resolution)
     count = 0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-            count += 1
+        fh.write(",".join(spec.columns) + "\n")
+        for columns in chunks:
+            fh.write(_format_chunk(columns))
+            count += len(columns[0])
     return count

@@ -20,6 +20,7 @@ HERMITICITY_TOL = 1e-10
 JACOBI_OFFDIAG_TOL = 1e-14
 JACOBI_MAX_SWEEPS = 100
 _TINY = np.finfo(float).tiny  # smallest normal float
+_TAU_HUGE = 1e154  # tau * tau overflows past ~1.3e154; from 2**27 on, sqrt(1 + tau * tau) rounds to |tau|
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -110,7 +111,8 @@ def hermitian_eigensystem(
                 phase = z.conjugate() / abs(z)
                 app, aqq, h = a[p, p].real, a[q, q].real, abs(z)
                 tau = (aqq - app) / (2.0 * h)
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) if tau != 0.0 else 1.0
+                root = abs(tau) if abs(tau) > _TAU_HUGE else np.sqrt(1.0 + tau * tau)
+                t = np.sign(tau) / (abs(tau) + root) if tau != 0.0 else 1.0
                 c = 1.0 / np.sqrt(1.0 + t * t)
                 s = t * c
                 # Unitary columns: U[:,p] = (c, -s*phase), U[:,q] = (s, c*phase)
@@ -181,7 +183,9 @@ def _stacked_jacobi(m: np.ndarray, offdiag_tol: float, max_sweeps: int) -> tuple
                 phase = a[idx, p, q].conj() / h
                 app, aqq = a[idx, p, p].real, a[idx, q, q].real
                 tau = (aqq - app) / (2.0 * h)
-                t = np.where(tau != 0.0, np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau)), 1.0)
+                tame = np.minimum(np.abs(tau), _TAU_HUGE)  # |tau| wherever tau * tau is finite
+                root = np.where(np.abs(tau) > _TAU_HUGE, np.abs(tau), np.sqrt(1.0 + tame * tame))
+                t = np.where(tau != 0.0, np.sign(tau) / (np.abs(tau) + root), 1.0)
                 c = 1.0 / np.sqrt(1.0 + t * t)
                 s = t * c
                 cc, sc = c[:, None], s[:, None]

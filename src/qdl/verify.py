@@ -131,16 +131,16 @@ def suite_brute(resolution: int = BRUTE_RESOLUTION, restarts: int = 32, seed: in
     """Brute-force CHSH maximization against the Horodecki value.
 
     The optimizer must reach the analytic maximum from below: residual is
-    max(b_horodecki - b_brute, b_brute - b_horodecki - 1e-6, 0).
+    max(b_horodecki - b_brute, b_brute - b_horodecki - 1e-6, 0).  The states
+    of every scenario share one see-saw, in which each runs the sweeps it would run alone.
     """
-
-    def shortfall(scenario, coords, rho):
-        settings, _ = _seesaw(rho, restarts, seed)
-        b_brute = chsh_value(rho, *np.moveaxis(settings, 1, 0))
-        b_h = horodecki_bmax(rho)
-        return np.maximum(b_h - b_brute, b_brute - b_h - 1e-6)
-
-    return _reduce("chsh_brute_force", BRUTE_TOL, _residuals(_AXES, resolution, shortfall))
+    chunks = [(scenario, coords, rho) for scenario in _AXES for coords, rho in _grid(scenario, resolution)]
+    rho = np.concatenate([states for *_, states in chunks])
+    settings, _ = _seesaw(rho, restarts, seed)
+    b_brute = chsh_value(rho, *np.moveaxis(settings, 1, 0))
+    b_h = horodecki_bmax(rho)
+    gaps = np.split(np.maximum(b_h - b_brute, b_brute - b_h - 1e-6), np.cumsum([len(c[2]) for c in chunks[:-1]]))
+    return _reduce("chsh_brute_force", BRUTE_TOL, [(s, c, g) for (s, c, _), g in zip(chunks, gaps)])
 
 
 def suite_boundaries(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:

@@ -2,12 +2,16 @@ import math
 import subprocess
 import sys
 
+import hypothesis
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
+import numpy as np
 import pytest
 
 from qdl.bell import MAX_RESTARTS, horodecki_bmax, violates_chsh, violation_boundary
 from qdl.cli import main
 from qdl import figures
-from qdl.figures import FIGURES, _fmt, figure_rows, write_figure_csv
+from qdl.figures import FIGURES, _fmt, _format_chunk, figure_rows, write_figure_csv
 from qdl.infotheory import mutual_information
 from qdl.states import Scenario, ScenarioParams, scenario_density
 from qdl.verify import MAX_RESOLUTION as VERIFY_MAX_RESOLUTION
@@ -162,7 +166,7 @@ def test_figure_csv_matches_per_point_reference(tmp_path, capsys, monkeypatch):
 def test_figure_csvs_do_not_depend_on_the_run_or_the_chunk_size(tmp_path, monkeypatch):
     def csvs():
         for n in FIGURES:
-            write_figure_csv(n, 11, str(tmp_path / "fig.csv"))
+            assert write_figure_csv(n, 11, str(tmp_path / "fig.csv")) == 11 * 11
             yield (tmp_path / "fig.csv").read_bytes()
 
     first = list(csvs())
@@ -170,6 +174,28 @@ def test_figure_csvs_do_not_depend_on_the_run_or_the_chunk_size(tmp_path, monkey
     for chunk in (1, 7, 1024, 4096):
         monkeypatch.setattr(figures, "CHUNK_POINTS", chunk)
         assert list(csvs()) == first, f"CHUNK_POINTS={chunk}"
+
+
+# -0.0, negatives that print as -0.000000000, the 5e-10 rounding tie, subnormals and huge magnitudes
+EDGE_VALUES = [-0.0, -1e-12, -4.9e-10, 5e-10, -5e-10, 1.5e-9, 2.5e-9, 0.1234567895, 5e-324, -2e-310, 1e300, -1e300]
+CELL_VALUES = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(-1e300, 1e300))
+
+
+@st.composite
+def value_columns(draw):
+    rows = draw(st.sampled_from([1, 7, 1024]))
+    kinds = draw(st.lists(st.booleans(), min_size=1, max_size=5))
+    return tuple(
+        draw(hnp.arrays(bool, rows) if is_bool else hnp.arrays(np.float64, rows, elements=CELL_VALUES))
+        for is_bool in kinds
+    )
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(value_columns())
+def test_chunk_text_equals_rows_joined_from_fmt(columns):
+    expected = "".join(",".join(_fmt(v) for v in row) + "\n" for row in zip(*columns))
+    assert _format_chunk(columns) == expected
 
 
 def test_figure_rejects_low_resolution(tmp_path, capsys):

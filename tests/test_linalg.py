@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -244,5 +246,19 @@ def test_subnormal_pivot_gives_finite_eigenvalues(pivot):
     single = hermitian_eigenvalues(m)
     stacked = hermitian_eigenvalues(np.stack([m, np.diag([1.0, 2.0, 3.0])]))
     assert np.max(np.abs(single - ref)) < 1e-12
+    assert np.array_equal(stacked[0], single)
+    assert np.array_equal(stacked[1], [3.0, 2.0, 1.0])
+
+
+@pytest.mark.parametrize("pivot", [1e-200, -3e-250j, 2e-300])
+def test_huge_tau_rotates_without_overflow(pivot):
+    # tau = (a_qq - a_pp) / (2|z|) lies past 1e154 here, where tau * tau overflows.
+    m = np.array([[1.0, pivot, 0.5], [np.conj(pivot), 0.0, 0.3], [0.5, 0.3, 3.0]], dtype=complex)
+    ref = np.sort(np.linalg.eigvalsh(m))[::-1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        single = hermitian_eigenvalues(m)
+        stacked = hermitian_eigenvalues(np.stack([m, np.diag([1.0, 2.0, 3.0])]))
+    assert np.max(np.abs(single - ref)) < 1e-12 * np.max(np.abs(m))
     assert np.array_equal(stacked[0], single)
     assert np.array_equal(stacked[1], [3.0, 2.0, 1.0])

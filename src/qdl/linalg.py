@@ -10,6 +10,7 @@ points per call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,13 +69,18 @@ def hermitian_eigensystem(
     m,
     offdiag_tol: float = JACOBI_OFFDIAG_TOL,
     max_sweeps: int = JACOBI_MAX_SWEEPS,
-) -> tuple[np.ndarray, np.ndarray]:
+    *,
+    vectors: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Eigenvalues (descending) and eigenvectors of a Hermitian matrix.
 
     Cyclic Jacobi with complex plane rotations; a sweep visits every
     off-diagonal pivot once and iteration stops when the off-diagonal
     Frobenius norm drops below ``offdiag_tol``.  Column k of the returned
-    vector matrix is the eigenvector for the k-th eigenvalue.
+    vector matrix is the eigenvector for the k-th eigenvalue.  With
+    ``vectors=False`` no rotation is accumulated, the vectors come back as
+    None and the values are the same bit for bit; ``hermitian_eigenvalues``
+    takes that route, so it never builds a vector matrix.
 
     A stack of shape (..., n, n) returns values (..., n) and vectors
     (..., n, n), solved together by ``_stacked_jacobi``.  A single matrix
@@ -82,14 +88,14 @@ def hermitian_eigensystem(
     reference the stacked loop is tested against.
     """
     if np.ndim(m) > 2:
-        return _stacked_jacobi(_as_square(m, "m", stack=True), offdiag_tol, max_sweeps)
+        return _stacked_jacobi(_as_square(m, "m", stack=True), offdiag_tol, max_sweeps, vectors)
     a = _as_square(m, "m").copy()
     n = a.shape[0]
     dev = np.max(np.abs(a - a.conj().T))
     if dev >= HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (max |m - m^dag| = {dev:.3e})")
     a = (a + a.conj().T) / 2.0
-    vecs = np.eye(n, dtype=complex)
+    vecs = np.eye(n, dtype=complex) if vectors else None
 
     def offdiag_norm():
         off = a - np.diag(np.diag(a))
@@ -104,118 +110,145 @@ def hermitian_eigensystem(
         for p in range(n - 1):
             for q in range(p + 1, n):
                 z = a[p, q]
-                if abs(z) < _TINY:  # conj(z)/|z| overflows for a subnormal pivot
+                h = float(abs(z))
+                if h < _TINY:  # conj(z)/|z| overflows for a subnormal pivot
                     continue
                 # Absorb the phase of a[p,q] so the 2x2 pivot block is real,
                 # then apply the standard symmetric Jacobi rotation.
-                phase = z.conjugate() / abs(z)
-                app, aqq, h = a[p, p].real, a[q, q].real, abs(z)
+                phase = z.conjugate() / h
+                app, aqq = float(a[p, p].real), float(a[q, q].real)
+                # tau, and |tau| + root, pass the largest double once the gap is
+                # about 1e308 x |a[p,q]|.  As Python floats they are then inf with
+                # no overflow warning, and inf is their limit: t = 0.
                 tau = (aqq - app) / (2.0 * h)
-                root = abs(tau) if abs(tau) > _TAU_HUGE else np.sqrt(1.0 + tau * tau)
-                t = np.sign(tau) / (abs(tau) + root) if tau != 0.0 else 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
+                root = abs(tau) if abs(tau) > _TAU_HUGE else math.sqrt(1.0 + tau * tau)
+                t = math.copysign(1.0, tau) / (abs(tau) + root) if tau != 0.0 else 1.0
+                c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
-                # Unitary columns: U[:,p] = (c, -s*phase), U[:,q] = (s, c*phase)
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * phase * col_q
-                a[:, q] = s * col_p + c * phase * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * phase.conjugate() * row_q
-                a[q, :] = s * row_p + c * phase.conjugate() * row_q
+                # Unitary columns: U[:,p] = (c, -s*phase), U[:,q] = (s, c*phase).
+                # a is exactly Hermitian, so rotating its rows gives the conjugates
+                # of the rotated columns; at most the sign of a zero could differ,
+                # and nothing reads that sign.
+                col_p = c * a[:, p] - s * phase * a[:, q]
+                col_q = s * a[:, p] + c * phase * a[:, q]
+                a[:, p], a[:, q] = col_p, col_q
+                a[p, :], a[q, :] = col_p.conj(), col_q.conj()
                 a[p, p] = app - t * h
                 a[q, q] = aqq + t * h
                 a[p, q] = 0.0
                 a[q, p] = 0.0
-                vcol_p = vecs[:, p].copy()
-                vcol_q = vecs[:, q].copy()
-                vecs[:, p] = c * vcol_p - s * phase * vcol_q
-                vecs[:, q] = s * vcol_p + c * phase * vcol_q
+                if vectors:
+                    vcol_p = c * vecs[:, p] - s * phase * vecs[:, q]
+                    vcol_q = s * vecs[:, p] + c * phase * vecs[:, q]
+                    vecs[:, p], vecs[:, q] = vcol_p, vcol_q
         sweeps += 1
 
     values = np.real(np.diag(a))
     order = np.argsort(values)[::-1]
-    return values[order], vecs[:, order]
+    return values[order], (vecs[:, order] if vectors else None)
 
 
-def _stacked_jacobi(m: np.ndarray, offdiag_tol: float, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
+def _stacked_jacobi(
+    m: np.ndarray, offdiag_tol: float, max_sweeps: int, vectors: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
     """The cyclic Jacobi of ``hermitian_eigensystem`` run over a stack of matrices at once.
 
     Every matrix visits the same pivots in the same order and gets the same
-    rotation arithmetic as in the scalar loop, element-wise over the stack.
-    Each matrix keeps its own convergence flag (a converged matrix is not
-    rotated again) and skips a pivot whose |a[p, q]| is below the smallest
-    normal float, so each result equals that of a separate call.  Only the
-    off-diagonal norm that ends the iteration is summed in another order;
-    that can change the sweep count only for a norm within rounding of
-    ``offdiag_tol``.
+    rotation arithmetic as in the scalar loop, element-wise over the stack;
+    as there, the rotated rows are written as the conjugates of the rotated
+    columns.  A matrix skips a pivot whose |a[p, q]| is below the smallest
+    normal float, so each result equals that of a separate call.  At each
+    sweep boundary the matrices whose off-diagonal norm has dropped below
+    ``offdiag_tol`` are copied out to the result and the stack is compacted
+    to the rest, so a converged matrix is not rotated again.  Only that norm
+    is summed in another order than in the scalar loop; that can change the
+    sweep count only for a norm within rounding of ``offdiag_tol``.
     """
     batch, n = m.shape[:-2], m.shape[-1]
-    a = m.reshape((-1, n, n)).copy()
-    dev = np.max(np.abs(a - a.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    a = m.reshape((-1, n, n))
+    ah = a.conj().swapaxes(-1, -2)
+    dev = np.max(np.abs(a - ah), axis=(-2, -1))
     if np.any(dev >= HERMITICITY_TOL):
         k = int(np.argmax(dev >= HERMITICITY_TOL))
         raise ValueError(f"matrix {k} of the stack is not Hermitian (max |m - m^dag| = {dev[k]:.3e})")
-    a = (a + a.conj().swapaxes(-1, -2)) / 2.0
-    vecs = np.broadcast_to(np.eye(n, dtype=complex), a.shape).copy()
+    a = (a + ah) / 2.0
+    del ah
     diag = np.arange(n)
-    live = np.ones(a.shape[0], dtype=bool)
+    values = np.empty(a.shape[:-1])
+    vecs = np.broadcast_to(np.eye(n, dtype=complex), a.shape).copy() if vectors else None
+    vecs_out = np.empty_like(a) if vectors else None
+    slot = np.arange(a.shape[0])  # the result row of each matrix left in the stack
 
     sweeps = 0
     while True:
-        off = a.copy()
+        off = a.real**2 + a.imag**2
         off[:, diag, diag] = 0.0
-        live &= np.sqrt(np.sum(off.real**2 + off.imag**2, axis=(-2, -1))) >= offdiag_tol
-        if not live.any():
+        done = np.sqrt(np.sum(off, axis=(-2, -1))) < offdiag_tol
+        if done.any():
+            values[slot[done]] = a[done][:, diag, diag].real
+            if vectors:
+                vecs_out[slot[done]] = vecs[done]
+                vecs = vecs[~done]
+            a, slot = a[~done], slot[~done]
+        if slot.size == 0:
             break
         if sweeps >= max_sweeps:
             raise ArithmeticError(f"Jacobi iteration failed to converge in {max_sweeps} sweeps")
         for p in range(n - 1):
             for q in range(p + 1, n):
+                z = a[:, p, q]
                 # abs() of one complex scalar is C hypot; np.abs on a complex
                 # array may round differently in the last bit, np.hypot does not.
-                h = np.hypot(a[:, p, q].real, a[:, p, q].imag)
-                idx = np.flatnonzero(live & (h >= _TINY))
-                if idx.size == 0:
-                    continue
-                h = h[idx]
-                phase = a[idx, p, q].conj() / h
+                h = np.hypot(z.real, z.imag)
+                skip = h < _TINY
+                if skip.any():  # gather the matrices that rotate this pivot
+                    idx = np.flatnonzero(~skip)
+                    if idx.size == 0:
+                        continue
+                    z, h = z[idx], h[idx]
+                else:
+                    idx = slice(None)
+                # With idx a slice, z, app, aqq and the columns are views of a:
+                # everything is read before the first write.
+                phase = z.conj() / h
                 app, aqq = a[idx, p, p].real, a[idx, q, q].real
-                tau = (aqq - app) / (2.0 * h)
-                tame = np.minimum(np.abs(tau), _TAU_HUGE)  # |tau| wherever tau * tau is finite
-                root = np.where(np.abs(tau) > _TAU_HUGE, np.abs(tau), np.sqrt(1.0 + tame * tame))
-                t = np.where(tau != 0.0, np.sign(tau) / (np.abs(tau) + root), 1.0)
+                with np.errstate(over="ignore"):  # inf is the limit, as in the scalar loop
+                    tau = (aqq - app) / (2.0 * h)
+                    abs_tau = np.abs(tau)
+                    tame = np.minimum(abs_tau, _TAU_HUGE)  # |tau| wherever tau * tau is finite
+                    root = np.where(abs_tau > _TAU_HUGE, abs_tau, np.sqrt(1.0 + tame * tame))
+                    t = np.where(tau != 0.0, np.sign(tau) / (abs_tau + root), 1.0)
                 c = 1.0 / np.sqrt(1.0 + t * t)
                 s = t * c
+                new_pp, new_qq = app - t * h, aqq + t * h
                 cc, sc = c[:, None], s[:, None]
                 sp, cp = (s * phase)[:, None], (c * phase)[:, None]
-                spc, cpc = (s * phase.conj())[:, None], (c * phase.conj())[:, None]
                 col_p, col_q = a[idx, :, p], a[idx, :, q]
-                a[idx, :, p] = cc * col_p - sp * col_q
-                a[idx, :, q] = sc * col_p + cp * col_q
-                row_p, row_q = a[idx, p, :], a[idx, q, :]
-                a[idx, p, :] = cc * row_p - spc * row_q
-                a[idx, q, :] = sc * row_p + cpc * row_q
-                a[idx, p, p] = app - t * h
-                a[idx, q, q] = aqq + t * h
+                new_p = cc * col_p - sp * col_q
+                new_q = sc * col_p + cp * col_q
+                a[idx, :, p], a[idx, :, q] = new_p, new_q
+                a[idx, p, :], a[idx, q, :] = new_p.conj(), new_q.conj()
+                a[idx, p, p], a[idx, q, q] = new_pp, new_qq
                 a[idx, p, q] = 0.0
                 a[idx, q, p] = 0.0
-                vcol_p, vcol_q = vecs[idx, :, p], vecs[idx, :, q]
-                vecs[idx, :, p] = cc * vcol_p - sp * vcol_q
-                vecs[idx, :, q] = sc * vcol_p + cp * vcol_q
+                if vectors:
+                    vcol_p, vcol_q = vecs[idx, :, p], vecs[idx, :, q]
+                    new_p = cc * vcol_p - sp * vcol_q
+                    new_q = sc * vcol_p + cp * vcol_q
+                    vecs[idx, :, p], vecs[idx, :, q] = new_p, new_q
         sweeps += 1
 
-    values = np.real(a[:, diag, diag])
     order = np.argsort(values, axis=-1)[:, ::-1]
-    values = np.take_along_axis(values, order, axis=-1)
-    vecs = np.take_along_axis(vecs, order[:, None, :], axis=-1)
-    return values.reshape(batch + (n,)), vecs.reshape(batch + (n, n))
+    values = np.take_along_axis(values, order, axis=-1).reshape(batch + (n,))
+    if not vectors:
+        return values, None
+    vecs = np.take_along_axis(vecs_out, order[:, None, :], axis=-1)
+    return values, vecs.reshape(batch + (n, n))
 
 
 def hermitian_eigenvalues(m, **kwargs) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix (or of each in a stack), sorted descending."""
-    values, _ = hermitian_eigensystem(m, **kwargs)
+    values, _ = hermitian_eigensystem(m, vectors=False, **kwargs)
     return values
 
 

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from qdl.linalg import (
+    _TAU_HUGE,
+    _TINY,
+    HERMITICITY_TOL,
     IDENTITY_2,
+    JACOBI_MAX_SWEEPS,
+    JACOBI_OFFDIAG_TOL,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -195,9 +200,10 @@ hnp = pytest.importorskip("hypothesis.extra.numpy")
 def hermitian_stacks(draw):
     n = draw(st.integers(2, 16))
     batch = draw(st.integers(1, 8))
-    # Entries are 0 or at least 1e-100; subnormal pivots are covered by
-    # test_subnormal_pivot_gives_finite_eigenvalues.
-    entries = st.floats(-1e3, 1e3).filter(lambda x: x == 0.0 or abs(x) >= 1e-100)
+    # Half the entries straddle the smallest normal float, so that pivots below
+    # it (skipped) and just above it (rotated, with tau past 1e154 or overflowing)
+    # meet ordinary ones in the same stack.
+    entries = st.floats(-1e3, 1e3) | st.floats(-2 * _TINY, 2 * _TINY)
     parts = hnp.arrays(np.float64, (2, batch, n, n), elements=entries)
     re, im = draw(parts)
     g = re + 1j * im
@@ -213,7 +219,9 @@ def test_stacked_eigensystem_equals_per_matrix_calls(m):
         v1, w1 = hermitian_eigensystem(m[k])
         assert np.array_equal(values[k], v1)
         assert np.array_equal(vectors[k], w1)
-        ref = np.sort(np.linalg.eigvalsh(m[k]))[::-1]
+        # LAPACK loses accuracy on subnormal entries (one eigenvalue of 2.5 came
+        # back as 2.49999999); scaling by 2**600 is exact here and makes them normal.
+        ref = np.sort(np.linalg.eigvalsh(m[k] * 2.0**600))[::-1] / 2.0**600
         assert np.max(np.abs(values[k] - ref)) < 1e-10 * scale
 
 
@@ -250,10 +258,15 @@ def test_subnormal_pivot_gives_finite_eigenvalues(pivot):
     assert np.array_equal(stacked[1], [3.0, 2.0, 1.0])
 
 
-@pytest.mark.parametrize("pivot", [1e-200, -3e-250j, 2e-300])
-def test_huge_tau_rotates_without_overflow(pivot):
-    # tau = (a_qq - a_pp) / (2|z|) lies past 1e154 here, where tau * tau overflows.
-    m = np.array([[1.0, pivot, 0.5], [np.conj(pivot), 0.0, 0.3], [0.5, 0.3, 3.0]], dtype=complex)
+@pytest.mark.parametrize(
+    "pivot, a11",
+    [(1e-200, 0.0), (-3e-250j, 0.0), (2e-300, 0.0), (1e-300, 1e10)],
+    ids=["1e-200", "(-0-3e-250j)", "2e-300", "1e-300-gap-1e10"],
+)
+def test_huge_tau_rotates_without_overflow(pivot, a11):
+    # tau = (a_qq - a_pp) / (2|z|) lies past 1e154 here, where tau * tau overflows;
+    # with a gap of 1e10 over a pivot of 1e-300 the quotient itself overflows.
+    m = np.array([[1.0, pivot, 0.5], [np.conj(pivot), a11, 0.3], [0.5, 0.3, 3.0]], dtype=complex)
     ref = np.sort(np.linalg.eigvalsh(m))[::-1]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -262,3 +275,108 @@ def test_huge_tau_rotates_without_overflow(pivot):
     assert np.max(np.abs(single - ref)) < 1e-12 * np.max(np.abs(m))
     assert np.array_equal(stacked[0], single)
     assert np.array_equal(stacked[1], [3.0, 2.0, 1.0])
+
+
+def reference_jacobi(m, offdiag_tol=JACOBI_OFFDIAG_TOL, max_sweeps=JACOBI_MAX_SWEEPS):
+    """The stacked Jacobi as first written, for one matrix or a stack.
+
+    It rotates the rows on their own after the columns, keeps converged
+    matrices in the stack behind a mask and always builds the vectors.
+    """
+    single = np.ndim(m) == 2
+    a = np.array(m, dtype=complex).reshape((-1,) + np.shape(m)[-2:])
+    n = a.shape[-1]
+    assert np.max(np.abs(a - a.conj().swapaxes(-1, -2))) < HERMITICITY_TOL
+    a = (a + a.conj().swapaxes(-1, -2)) / 2.0
+    vecs = np.broadcast_to(np.eye(n, dtype=complex), a.shape).copy()
+    diag = np.arange(n)
+    live = np.ones(a.shape[0], dtype=bool)
+    sweeps = 0
+    while True:
+        off = a.copy()
+        off[:, diag, diag] = 0.0
+        live &= np.sqrt(np.sum(off.real**2 + off.imag**2, axis=(-2, -1))) >= offdiag_tol
+        if not live.any():
+            break
+        if sweeps >= max_sweeps:
+            raise ArithmeticError("no convergence")
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                h = np.hypot(a[:, p, q].real, a[:, p, q].imag)
+                idx = np.flatnonzero(live & (h >= _TINY))
+                if idx.size == 0:
+                    continue
+                h = h[idx]
+                phase = a[idx, p, q].conj() / h
+                app, aqq = a[idx, p, p].real, a[idx, q, q].real
+                with np.errstate(over="ignore"):  # tau and |tau| + root may reach inf
+                    tau = (aqq - app) / (2.0 * h)
+                    tame = np.minimum(np.abs(tau), _TAU_HUGE)
+                    root = np.where(np.abs(tau) > _TAU_HUGE, np.abs(tau), np.sqrt(1.0 + tame * tame))
+                    t = np.where(tau != 0.0, np.sign(tau) / (np.abs(tau) + root), 1.0)
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                cc, sc = c[:, None], s[:, None]
+                sp, cp = (s * phase)[:, None], (c * phase)[:, None]
+                spc, cpc = (s * phase.conj())[:, None], (c * phase.conj())[:, None]
+                col_p, col_q = a[idx, :, p], a[idx, :, q]
+                a[idx, :, p] = cc * col_p - sp * col_q
+                a[idx, :, q] = sc * col_p + cp * col_q
+                row_p, row_q = a[idx, p, :], a[idx, q, :]
+                a[idx, p, :] = cc * row_p - spc * row_q
+                a[idx, q, :] = sc * row_p + cpc * row_q
+                a[idx, p, p] = app - t * h
+                a[idx, q, q] = aqq + t * h
+                a[idx, p, q] = 0.0
+                a[idx, q, p] = 0.0
+                vcol_p, vcol_q = vecs[idx, :, p], vecs[idx, :, q]
+                vecs[idx, :, p] = cc * vcol_p - sp * vcol_q
+                vecs[idx, :, q] = sc * vcol_p + cp * vcol_q
+        sweeps += 1
+    values = np.real(a[:, diag, diag])
+    order = np.argsort(values, axis=-1)[:, ::-1]
+    values = np.take_along_axis(values, order, axis=-1)
+    vecs = np.take_along_axis(vecs, order[:, None, :], axis=-1)
+    return (values[0], vecs[0]) if single else (values, vecs)
+
+
+def assert_same_as_reference(m, **kwargs):
+    """The eigensystem and the values-only route against ``reference_jacobi``, bit for bit.
+
+    ``np.array_equal`` lets a zero vector entry differ in sign only.
+    """
+    ref_values, ref_vectors = reference_jacobi(m, **kwargs)
+    values, vectors = hermitian_eigensystem(m, **kwargs)
+    assert values.tobytes() == ref_values.tobytes()
+    assert np.array_equal(vectors, ref_vectors)
+    assert hermitian_eigenvalues(m, **kwargs).tobytes() == ref_values.tobytes()
+    assert hermitian_eigensystem(m, vectors=False, **kwargs)[1] is None
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(hermitian_stacks())
+def test_eigensystem_and_eigenvalues_equal_the_reference_loop_bit_for_bit(m):
+    assert_same_as_reference(m)
+    assert_same_as_reference(m[0])
+
+
+def test_stack_converging_at_different_sweeps_with_skipped_pivots():
+    rng = np.random.default_rng(8)
+    dense = random_hermitian(rng, 4)
+    blocks = np.zeros((4, 4), dtype=complex)  # pivots (0,2), (0,3), (1,2) and (1,3) stay exactly 0
+    blocks[:2, :2] = random_hermitian(rng, 2)
+    blocks[2:, 2:] = random_hermitian(rng, 2)
+    diagonal = np.diag([0.5, -1.0, 2.0, 0.0]).astype(complex)
+    stack = np.stack([dense, blocks, diagonal, dense.conj()])
+    # diagonal needs no sweep, blocks one, the dense members several
+    hermitian_eigensystem(stack[2:3], max_sweeps=0)
+    hermitian_eigensystem(stack[1:3], max_sweeps=1)
+    with pytest.raises(ArithmeticError):
+        hermitian_eigensystem(stack[1:3], max_sweeps=0)
+    with pytest.raises(ArithmeticError):
+        hermitian_eigensystem(stack, max_sweeps=1)
+    assert_same_as_reference(stack)
+    values, vectors = hermitian_eigensystem(stack)
+    for k in range(stack.shape[0]):
+        v1, w1 = hermitian_eigensystem(stack[k])
+        assert np.array_equal(values[k], v1) and np.array_equal(vectors[k], w1)

@@ -6,7 +6,8 @@ import pytest
 
 from qdl import figures
 from qdl.bell import _combined_threshold_sq, _meter_threshold_sq, bell_closed_form, horodecki_bmax, violation_boundary
-from qdl.infotheory import _xlogx, binary_entropy, entropy_closed_form, info_threshold, mutual_information
+from qdl.infotheory import METER_THRESHOLD_MAX_ROBUSTNESS, _xlogx, binary_entropy, entropy_closed_form, info_threshold
+from qdl.infotheory import mutual_information
 from qdl.infotheory import printed_meter_entropies
 from qdl.linalg import _libm_pow
 from qdl.states import Scenario, ScenarioParams, scenario_densities
@@ -148,3 +149,23 @@ def test_b_max_is_two_at_the_violation_threshold_at_edge_biased_points(scenario,
     d = violation_boundary(scenario, ScenarioParams(**{knob: np.array(robustness)})).d_threshold
     b_max = horodecki_bmax(scenario_densities(scenario, d=d, **{knob: robustness}))
     assert np.max(np.abs(b_max - 2.0)) < BOUNDARY_TOL
+
+
+
+# Robustness in [0, 1/sqrt2): exactly 0, within 10^-k of 0, uniform, or 1 to 8 ulps below 1/sqrt2.
+_BELOW_SQRT_HALF = st.integers(1, 8).map(
+    lambda k: METER_THRESHOLD_MAX_ROBUSTNESS - k * math.ulp(METER_THRESHOLD_MAX_ROBUSTNESS)
+)
+METER_ROBUSTNESS = st.one_of(
+    st.just(0.0), _near_zero, st.floats(0.0, METER_THRESHOLD_MAX_ROBUSTNESS, exclude_max=True), _BELOW_SQRT_HALF
+)
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(METER_ROBUSTNESS)
+def test_meter_info_threshold_is_the_information_at_the_boundary_at_edge_biased_points(r):
+    # info_threshold solves the boundary state with the scalar Jacobi loop.
+    r2 = r * r
+    d_boundary = math.sqrt(1.0 - r2 / (1.0 - r2))
+    closed = entropy_closed_form(Scenario.METER, ScenarioParams(d=d_boundary, r_m=r)).i_ab
+    assert abs(info_threshold(Scenario.METER, r) - closed) < ENTROPY_TOL

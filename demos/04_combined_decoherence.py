@@ -13,18 +13,18 @@ from qdl import (
     Scenario,
     ScenarioParams,
     bell_closed_form,
-    build_joint_state,
     horodecki_bmax,
-    reduce_to_ab,
+    scenario_amplitudes,
     scenario_density,
     violation_boundary,
     visibility_analytic,
 )
 
 params = ScenarioParams(d=0.8, r_s=0.7, r_m=0.5)
-psi = build_joint_state(params, Scenario.COMBINED)
-print(f"joint state factors: {psi.labels}, {len(psi.amps)} amplitudes")
-rho = reduce_to_ab(psi)
+psi = scenario_amplitudes(Scenario.COMBINED, d=params.d, r_s=params.r_s, r_m=params.r_m)[0]
+print(f"joint state factors: ('A', 'B', 'ES', 'EM'), {psi.size} amplitudes")
+psi = psi.reshape(4, 4)  # rows: A(x)B, columns: ES(x)EM
+rho = psi @ psi.conj().T  # trace out both environments
 print(f"reduced A(x)B purity: {np.trace(rho @ rho).real:.6f}")
 print(f"visibility          : {visibility_analytic(rho):.9f}  (= r_s sqrt(1-d^2) = {0.7*0.6:.9f})")
 print(f"B_max closed form   : {bell_closed_form(Scenario.COMBINED, params):.9f}")

@@ -27,28 +27,8 @@ from .infotheory import (
     ppt_check,
     von_neumann_entropy,
 )
-from .linalg import (
-    PureState,
-    hermitian_eigenvalues,
-    hermitian_eigensystem,
-    kron,
-    partial_trace,
-    partial_transpose,
-)
-from .states import (
-    Scenario,
-    ScenarioParams,
-    build_joint_state,
-    couple_meter,
-    decohere_meter,
-    decohere_system,
-    input_state,
-    interference_rotation,
-    phase_shift,
-    reduce_to_ab,
-    scenario_densities,
-    scenario_density,
-)
+from .linalg import hermitian_eigenvalues, hermitian_eigensystem, partial_trace, partial_transpose
+from .states import Scenario, ScenarioParams, scenario_amplitudes, scenario_densities, scenario_density
 from .visibility import (
     FringeScan,
     check_identity,

@@ -15,14 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULIS, _float_or_array, _libm_pow, hermitian_eigenvalues, kron
+from .linalg import PAULIS, _float_or_array, _libm_pow, hermitian_eigenvalues
 from .states import Scenario, ScenarioParams
 from .visibility import unpredictability
 
 VIOLATION_TOL = 1e-9
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
-_PAULI_KRON = np.array([[kron(PAULIS[i], PAULIS[j]) for j in range(3)] for i in range(3)])  # (3, 3, 4, 4)
+_PAULI_KRON = np.array([[np.kron(PAULIS[i], PAULIS[j]) for j in range(3)] for i in range(3)])  # (3, 3, 4, 4)
 
 # Default sweep budget of the CHSH see-saw; it converges slowly where the two
 # smaller singular values of T nearly coincide.

@@ -1,21 +1,18 @@
-"""Dense complex linear algebra for small multi-qubit operators (dims 2..16).
+"""Dense complex linear algebra for small Hermitian matrices and A(x)B operators.
 
 Everything here is a pure function of immutable inputs.  The eigensolver is a
 cyclic complex Jacobi iteration, deliberately self-contained so the rest of
 the package does not depend on LAPACK behaviour for its contractual results.
-It, the density-matrix partial trace and the partial transpose also take
-stacks (..., n, n) of matrices, which grid sweeps use to evaluate many
+It, the partial trace and the partial transpose of 4x4 A(x)B operators also
+take stacks (..., n, n) of matrices, which grid sweeps use to evaluate many
 points per call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-MAX_DIM = 16
 
 HERMITICITY_TOL = 1e-10
 JACOBI_OFFDIAG_TOL = 1e-14
@@ -26,11 +23,7 @@ _TAU_HUGE = 1e154  # tau * tau overflows past ~1.3e154; from 2**27 on, sqrt(1 + 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-
-KET_UP = np.array([1, 0], dtype=complex)
-KET_DOWN = np.array([0, 1], dtype=complex)
 
 
 def _as_square(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
@@ -52,17 +45,6 @@ def _float_or_array(x) -> float | np.ndarray:
 def _libm_pow(x: float | np.ndarray, y: float) -> float | np.ndarray:
     """x ** y element-wise through the C library's pow, which numpy's SIMD pow can differ from in the last bit."""
     return _float_or_array(np.array([v**y for v in np.ravel(x).tolist()], dtype=float).reshape(np.shape(x)))
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; block (i,j) of the result is a[i,j] * b."""
-    a = _as_square(a, "a")
-    b = _as_square(b, "b")
-    if a.shape[0] * b.shape[0] > MAX_DIM:
-        raise ValueError(
-            f"result dimension {a.shape[0] * b.shape[0]} exceeds supported maximum {MAX_DIM}"
-        )
-    return np.kron(a, b)
 
 
 def hermitian_eigensystem(
@@ -252,77 +234,28 @@ def hermitian_eigenvalues(m, **kwargs) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
-class PureState:
-    """Normalized amplitude vector over a labeled product of qubits.
-
-    ``labels`` names the factors in tensor order, e.g. ("A", "B", "ES").
-    """
-
-    amps: np.ndarray
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        amps = np.asarray(self.amps, dtype=complex).reshape(-1)
-        if amps.size != 2 ** len(self.labels):
-            raise ValueError(
-                f"amplitude length {amps.size} does not match {len(self.labels)} qubit labels"
-            )
-        if not np.all(np.isfinite(amps.real)) or not np.all(np.isfinite(amps.imag)):
-            raise ValueError("amplitudes contain NaN/Inf")
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"state norm {norm} is not 1 within 1e-12")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amps", amps)
-        object.__setattr__(self, "labels", tuple(self.labels))
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return (2,) * len(self.labels)
-
-    @property
-    def num_qubits(self) -> int:
-        return len(self.labels)
-
-    def axis_of(self, label) -> int:
-        return _axes_of(self.labels, (label,))[0]
-
-
-def _axes_of(labels: tuple[str, ...], keep) -> list[int]:
-    """Tensor positions of the factors in ``keep`` (labels or axis indices), each at most once."""
+def _axes_of(keep) -> list[int]:
+    """Tensor positions of the A(x)B factors in ``keep`` (labels "A"/"B" or axis indices 0/1)."""
     axes = []
     for label in keep:
-        if isinstance(label, int):
-            if not 0 <= label < len(labels):
-                raise ValueError(f"subsystem index {label} out of range")
-            axes.append(label)
-        elif label in labels:
-            axes.append(labels.index(label))
-        else:
-            raise ValueError(f"no subsystem labeled {label!r} in {labels}")
-    if len(set(axes)) != len(axes):
-        raise ValueError("duplicate subsystem in keep")
+        if label not in ("A", "B", 0, 1):
+            raise ValueError(f"no subsystem {label!r} in A(x)B: keep names 'A'/'B' or 0/1")
+        axes.append(("A", "B").index(label) if isinstance(label, str) else int(label))
+    if not axes or len(set(axes)) != len(axes):
+        raise ValueError(f"keep must name one or both of A and B once each, got {tuple(keep)!r}")
     return axes
 
 
-def partial_trace(state, keep) -> np.ndarray:
-    """Reduced density matrix on the kept factors.
+def partial_trace(rho, keep) -> np.ndarray:
+    """Reduced density matrix on the kept factors of a 4x4 A(x)B density matrix, or of each in a stack (..., 4, 4).
 
-    ``state`` is a PureState, a 4x4 density matrix on A (tensor) B or a stack
-    (..., 4, 4) of them; ``keep`` is a sequence of labels or axis indices, in
-    the order the kept factors should appear in the result.
+    ``keep`` is a sequence of labels or axis indices, in the order the kept
+    factors should appear in the result.
     """
-    if isinstance(state, PureState):
-        axes = _axes_of(state.labels, keep)
-        n = state.num_qubits
-        rest = [i for i in range(n) if i not in axes]
-        psi = state.amps.reshape((2,) * n).transpose(axes + rest).reshape(2 ** len(axes), -1)
-        return psi @ psi.conj().T
-    rho = _as_square(state, "rho", stack=True)
+    rho = _as_square(rho, "rho", stack=True)
     if rho.shape[-1] != 4:
         raise ValueError("density-matrix partial trace expects a 4x4 A(x)B operator")
-    axes = _axes_of(("A", "B"), keep)
+    axes = _axes_of(keep)
     batch = rho.shape[:-2]
     r = rho.reshape(batch + (2, 2, 2, 2))
     if axes == [0, 1]:
@@ -341,18 +274,3 @@ def partial_transpose(rho) -> np.ndarray:
         raise ValueError("partial transpose expects a 4x4 A(x)B operator")
     batch = rho.shape[:-2]
     return rho.reshape(batch + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(batch + (4, 4))
-
-
-def check_density_matrix(rho, psd_tol: float = 1e-10) -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity; returns rho unchanged."""
-    rho = _as_square(rho, "rho")
-    dev = np.max(np.abs(rho - rho.conj().T))
-    if dev >= 1e-12:
-        raise ValueError(f"density matrix not Hermitian (max deviation {dev:.3e})")
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > 1e-12:
-        raise ValueError(f"density matrix trace {tr} is not 1 within 1e-12")
-    evals = hermitian_eigenvalues(rho)
-    if evals[-1] < -psd_tol:
-        raise ValueError(f"density matrix has eigenvalue {evals[-1]:.3e} below -{psd_tol:.0e}")
-    return rho

@@ -1,4 +1,4 @@
-"""Construction of the system-meter-environment states and the gates acting on them.
+"""Construction of the system-meter-environment states of the four scenarios.
 
 Conventions (fixed globally):
   * qubit basis |up> = (1, 0), |down> = (0, 1)
@@ -13,12 +13,9 @@ appends a fresh qubit entangled with one branch.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .linalg import PureState, partial_trace
 
 
 class Scenario(enum.Enum):
@@ -88,81 +85,6 @@ def _environment_weights(control: str, r) -> np.ndarray:
     return _matrix_2x2(np.shape(r), leak, r, 0.0, 1.0)
 
 
-def input_state(r: float) -> PureState:
-    """Source qubit sqrt(r)|up> - sqrt(1-r)|down> on factor A."""
-    r = _check_unit_interval("r", r)
-    amps = np.array([math.sqrt(r), -math.sqrt(1.0 - r)], dtype=complex)
-    return PureState(amps, ("A",))
-
-
-def couple_meter(state: PureState, d: float) -> PureState:
-    """Attach the meter qubit B in |down> and monitor the path with strength d.
-
-    Acts as the controlled rotation  |up>_A: B unchanged,
-    |down>_A: |down>_B -> sqrt(1-d^2)|down>_B + d|up>_B  (unitary completion
-    on |up>_B keeps the map an isometry for arbitrary inputs).
-    """
-    d = _check_unit_interval("d", d)
-    if "B" in state.labels:
-        raise ValueError("state already carries a meter factor B")
-    psi = state.amps.reshape(state.dims)
-    a_axis = state.axis_of("A")
-    psi = np.moveaxis(psi, a_axis, 0)
-    # Append B (initially |down>), then rotate B on the A=down branch.
-    new = np.zeros((2,) + psi.shape[1:] + (2,), dtype=complex)
-    new[..., 1] = psi
-    new[1] = np.moveaxis(np.tensordot(_meter_rotation(d), new[1], axes=([1], [-1])), 0, -1)
-    new = np.moveaxis(new, 0, a_axis)
-    return PureState(new.reshape(-1), state.labels + ("B",))
-
-
-def _decohere(state: PureState, control: str, robustness: float, env_label: str) -> PureState:
-    """Append environment qubit entangled with the control=|down-branch-of-map|."""
-    if env_label in state.labels:
-        raise ValueError(f"state already carries environment {env_label}")
-    axis = state.axis_of(control)
-    psi = np.moveaxis(state.amps.reshape(state.dims), axis, 0)
-    new = np.einsum("k...,ke->k...e", psi, _environment_weights(control, robustness))
-    new = np.moveaxis(new, 0, axis)
-    return PureState(new.reshape(-1), state.labels + (env_label,))
-
-
-def decohere_system(state: PureState, r_s: float) -> PureState:
-    """Couple an environment qubit ES to the |down> branch of A (Eve on the system)."""
-    r_s = _check_unit_interval("r_s", r_s)
-    return _decohere(state, "A", r_s, "ES")
-
-
-def decohere_meter(state: PureState, r_m: float) -> PureState:
-    """Couple an environment qubit EM to the |up> branch of B (Eve on the meter)."""
-    r_m = _check_unit_interval("r_m", r_m)
-    return _decohere(state, "B", r_m, "EM")
-
-
-def build_joint_state(params: ScenarioParams, scenario: Scenario) -> PureState:
-    """Full pure state of the scenario on A (x) B (x) environments."""
-    if scenario is not Scenario.FREE and params.r != 0.5:
-        raise ValueError(f"scenario {scenario.value} requires the balanced path weight r = 1/2")
-    state = couple_meter(input_state(params.r), params.d)
-    if scenario is Scenario.FREE:
-        return state
-    if scenario is Scenario.SYSTEM:
-        return decohere_system(state, params.r_s)
-    if scenario is Scenario.METER:
-        return decohere_meter(state, params.r_m)
-    return decohere_meter(decohere_system(state, params.r_s), params.r_m)
-
-
-def reduce_to_ab(state: PureState) -> np.ndarray:
-    """Trace out every environment factor, leaving the 4x4 A(x)B density matrix."""
-    return partial_trace(state, ("A", "B"))
-
-
-def scenario_density(params: ScenarioParams, scenario: Scenario) -> np.ndarray:
-    """Convenience: build the joint state and reduce it to A(x)B."""
-    return reduce_to_ab(build_joint_state(params, scenario))
-
-
 def _checked_norms(psi: np.ndarray) -> np.ndarray:
     """Stacked amplitudes (N, ...) whose every state has unit norm within 1e-12."""
     norms = np.sqrt(np.sum(np.abs(psi) ** 2, axis=tuple(range(1, psi.ndim))))
@@ -171,12 +93,12 @@ def _checked_norms(psi: np.ndarray) -> np.ndarray:
     return psi
 
 
-def scenario_densities(scenario: Scenario, *, r=0.5, d=0.0, r_s=1.0, r_m=1.0) -> np.ndarray:
-    """Stack of A(x)B density matrices over the broadcast knob arrays, shape (N, 4, 4).
+def scenario_amplitudes(scenario: Scenario, *, r=0.5, d=0.0, r_s=1.0, r_m=1.0) -> np.ndarray:
+    """Pure states of the scenario over the broadcast knob arrays, before any trace.
 
-    Point k is the state ``scenario_density`` builds from the k-th knob values
-    (flattened in C order): the same isometries and gate matrices, applied to
-    all points at once.
+    Shape (N, 2, 2[, 2][, 2]): point k holds the k-th knob values (flattened in
+    C order), with factors in the order A, B, then ES if the system decoheres
+    and EM if the meter does.
     """
     knobs = ScenarioParams(r=r, d=d, r_s=r_s, r_m=r_m)
     r, d, r_s, r_m = (values.reshape(-1) for values in np.broadcast_arrays(knobs.r, knobs.d, knobs.r_s, knobs.r_m))
@@ -191,8 +113,24 @@ def scenario_densities(scenario: Scenario, *, r=0.5, d=0.0, r_s=1.0, r_m=1.0) ->
         psi = _checked_norms(_decohere_stack(psi, 1, _environment_weights("A", r_s)))
     if scenario in (Scenario.METER, Scenario.COMBINED):
         psi = _checked_norms(_decohere_stack(psi, 2, _environment_weights("B", r_m)))
-    psi = psi.reshape(r.size, 4, -1)
+    return psi
+
+
+def scenario_densities(scenario: Scenario, *, r=0.5, d=0.0, r_s=1.0, r_m=1.0) -> np.ndarray:
+    """Stack of A(x)B density matrices over the broadcast knob arrays, shape (N, 4, 4).
+
+    Point k is the k-th state of ``scenario_amplitudes`` with its environments traced out.
+    """
+    psi = scenario_amplitudes(scenario, r=r, d=d, r_s=r_s, r_m=r_m)
+    psi = psi.reshape(psi.shape[0], 4, -1)
     return psi @ psi.conj().swapaxes(-1, -2)
+
+
+def scenario_density(params: ScenarioParams, scenario: Scenario) -> np.ndarray:
+    """The 4x4 A(x)B density matrix of one point: the one-point ``scenario_densities`` stack."""
+    if any(isinstance(knob, np.ndarray) for knob in (params.r, params.d, params.r_s, params.r_m)):
+        raise ValueError("scenario_density takes one point; use scenario_densities for arrays of knobs")
+    return scenario_densities(scenario, r=params.r, d=params.d, r_s=params.r_s, r_m=params.r_m)[0]
 
 
 def _decohere_stack(psi: np.ndarray, axis: int, weights: np.ndarray) -> np.ndarray:
@@ -200,33 +138,3 @@ def _decohere_stack(psi: np.ndarray, axis: int, weights: np.ndarray) -> np.ndarr
     psi = np.moveaxis(psi, axis, 1)
     new = np.einsum("nk...,nke->nk...e", psi, weights)
     return np.moveaxis(new, 1, axis)
-
-
-def _apply_a_unitary(target, u: np.ndarray):
-    """Apply a single-qubit unitary on factor A of a PureState or 4x4 matrix."""
-    if isinstance(target, PureState):
-        axis = target.axis_of("A")
-        psi = target.amps.reshape(target.dims)
-        psi = np.moveaxis(np.tensordot(u, psi, axes=([1], [axis])), 0, axis)
-        return PureState(psi.reshape(-1), target.labels)
-    rho = np.asarray(target, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError("expected a PureState or a 4x4 A(x)B density matrix")
-    full = np.kron(u, np.eye(2, dtype=complex))
-    return full @ rho @ full.conj().T
-
-
-def phase_shift(target, phi: float):
-    """Multiply the |up>_A amplitude by exp(-i phi); |down>_A is untouched."""
-    if not math.isfinite(phi):
-        raise ValueError("phase must be finite")
-    u = np.diag([np.exp(-1j * phi), 1.0]).astype(complex)
-    return _apply_a_unitary(target, u)
-
-
-ROTATION_A = np.array([[1, -1], [1, 1]], dtype=complex) / math.sqrt(2)
-
-
-def interference_rotation(target):
-    """Recombination rotation on A: |up> -> (|up>+|down>)/sqrt2, |down> -> (-|up>+|down>)/sqrt2."""
-    return _apply_a_unitary(target, ROTATION_A)

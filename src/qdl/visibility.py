@@ -16,9 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _float_or_array, partial_trace
-from .states import ROTATION_A, Scenario, ScenarioParams, _check_unit_interval, scenario_density
+from .states import Scenario, ScenarioParams, _check_unit_interval, scenario_density
 
 DEFAULT_SWEEP_POINTS = 1024
+# Recombination rotation on A: |up> -> (|up>+|down>)/sqrt2, |down> -> (-|up>+|down>)/sqrt2.
+ROTATION_A = np.array([[1, -1], [1, 1]], dtype=complex) / math.sqrt(2)
 
 
 @dataclass(frozen=True)

@@ -3,54 +3,55 @@ import math
 import numpy as np
 import pytest
 
-from qdl.linalg import PureState
+from qdl.analysis import analyze
+from qdl.linalg import hermitian_eigenvalues
 from qdl.states import (
     Scenario,
     ScenarioParams,
-    build_joint_state,
-    couple_meter,
-    decohere_meter,
-    decohere_system,
-    input_state,
-    interference_rotation,
-    phase_shift,
-    reduce_to_ab,
+    _environment_weights,
+    _meter_rotation,
+    scenario_amplitudes,
     scenario_densities,
     scenario_density,
 )
+from qdl.visibility import ROTATION_A, check_identity
 
 SQ2 = math.sqrt(2.0)
+EDGE_KNOBS = np.array([0.0, 1e-15, 1e-8, 0.3, 0.5, 1 / SQ2, 1.0 - 1e-15, 1.0])
 
 
-def amp(state: PureState, bits: str) -> complex:
+def amplitudes(scenario, **knobs) -> np.ndarray:
+    """The pure state of one point, indexed [A, B, (ES), (EM)]."""
+    return scenario_amplitudes(scenario, **knobs)[0]
+
+
+def amp(psi: np.ndarray, bits: str) -> complex:
     """Amplitude of a basis label like 'du' (A=down, B=up, ...); u=up, d=down."""
-    idx = 0
-    for ch in bits:
-        idx = idx * 2 + (0 if ch == "u" else 1)
-    return state.amps[idx]
+    return psi[tuple(0 if ch == "u" else 1 for ch in bits)]
 
 
 def test_input_state_degenerate():
-    assert np.allclose(input_state(1.0).amps, [1, 0])
+    psi = amplitudes(Scenario.FREE, r=1.0)
+    assert np.allclose(psi[:, 1], [1, 0]) and np.all(psi[:, 0] == 0)  # B starts in |down>
 
 
 def test_input_state_balanced():
-    assert np.allclose(input_state(0.5).amps, [1 / SQ2, -1 / SQ2])
+    assert np.allclose(amplitudes(Scenario.FREE, r=0.5)[:, 1], [1 / SQ2, -1 / SQ2])
 
 
 def test_input_state_quarter():
-    psi = input_state(0.25)
-    assert abs(np.linalg.norm(psi.amps) - 1) < 1e-12
-    assert psi.amps[0] == pytest.approx(0.5)
+    psi = amplitudes(Scenario.FREE, r=0.25)
+    assert abs(np.linalg.norm(psi) - 1) < 1e-12
+    assert amp(psi, "ud") == pytest.approx(0.5)
 
 
 def test_input_state_range_guard():
     with pytest.raises(ValueError):
-        input_state(1.2)
+        scenario_amplitudes(Scenario.FREE, r=1.2)
 
 
 def test_couple_meter_no_monitoring():
-    psi = couple_meter(input_state(0.5), 0.0)
+    psi = amplitudes(Scenario.FREE, r=0.5, d=0.0)
     # product state, B stays |down>
     assert amp(psi, "uu") == 0 and amp(psi, "du") == 0
     assert amp(psi, "ud") == pytest.approx(1 / SQ2)
@@ -58,32 +59,29 @@ def test_couple_meter_no_monitoring():
 
 
 def test_couple_meter_perfect_tagging():
-    psi = couple_meter(input_state(0.5), 1.0)
+    psi = amplitudes(Scenario.FREE, r=0.5, d=1.0)
     assert amp(psi, "ud") == pytest.approx(1 / SQ2)
     assert amp(psi, "du") == pytest.approx(-1 / SQ2)
     assert abs(amp(psi, "dd")) < 1e-15
 
 
 def test_couple_meter_partial():
-    psi = couple_meter(input_state(0.5), 0.6)
+    psi = amplitudes(Scenario.FREE, r=0.5, d=0.6)
     assert amp(psi, "dd") == pytest.approx(-0.8 / SQ2)
 
 
 def test_couple_meter_is_isometry():
-    rng = np.random.default_rng(8)
-    for _ in range(10):
-        raw = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        raw /= np.linalg.norm(raw)
-        psi = couple_meter(PureState(raw, ("A",)), rng.uniform(0, 1))
-        assert abs(np.linalg.norm(psi.amps) - 1) < 1e-12
+    # The meter coupling rotates B on the A=down branch: unitary for every d, edges included.
+    d = np.concatenate([EDGE_KNOBS, np.random.default_rng(8).uniform(0, 1, 10)])
+    u = _meter_rotation(d)
+    assert u.shape == (d.size, 2, 2)
+    assert np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(2))) < 1e-15
 
 
 def test_decohere_system_factorizes_at_full_robustness():
-    psi = decohere_system(couple_meter(input_state(0.5), 0.7), 1.0)
+    psi = amplitudes(Scenario.SYSTEM, d=0.7, r_s=1.0)
     # ES stays |down>: every ES=up amplitude vanishes
-    for a in "ud":
-        for b in "ud":
-            assert abs(amp(psi, a + b + "u")) < 1e-15
+    assert np.max(np.abs(psi[:, :, 0])) < 1e-15
 
 
 def test_decohere_system_kills_visibility_at_zero_robustness():
@@ -94,17 +92,15 @@ def test_decohere_system_kills_visibility_at_zero_robustness():
 
 def test_decohere_system_amplitudes():
     # balanced source, d=0, r_s=0.5: amplitudes expand term by term
-    psi = decohere_system(couple_meter(input_state(0.5), 0.0), 0.5)
+    psi = amplitudes(Scenario.SYSTEM, d=0.0, r_s=0.5)
     assert amp(psi, "udd") == pytest.approx(1 / SQ2)
     assert amp(psi, "ddd") == pytest.approx(-0.5 / SQ2)
     assert amp(psi, "ddu") == pytest.approx(-math.sqrt(0.75) / SQ2)
 
 
 def test_decohere_meter_factorizes_at_full_robustness():
-    psi = decohere_meter(couple_meter(input_state(0.5), 0.7), 1.0)
-    for a in "ud":
-        for b in "ud":
-            assert abs(amp(psi, a + b + "u")) < 1e-15
+    psi = amplitudes(Scenario.METER, d=0.7, r_m=1.0)
+    assert np.max(np.abs(psi[:, :, 0])) < 1e-15
 
 
 def test_decohere_meter_classical_mixture():
@@ -116,31 +112,29 @@ def test_decohere_meter_classical_mixture():
 
 
 def test_decohere_meter_amplitudes():
-    psi = decohere_meter(couple_meter(input_state(0.5), 0.8), 0.5)
+    psi = amplitudes(Scenario.METER, d=0.8, r_m=0.5)
     assert amp(psi, "duu") == pytest.approx(-0.8 * math.sqrt(0.75) / SQ2)
 
 
 def test_environment_couplings_are_isometries():
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        raw = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        raw /= np.linalg.norm(raw)
-        base = PureState(raw, ("A", "B"))
-        for op, r in ((decohere_system, rng.uniform(0, 1)), (decohere_meter, rng.uniform(0, 1))):
-            out = op(base, r)
-            assert abs(np.linalg.norm(out.amps) - 1) < 1e-12
+    # Each control level k sends the environment's |down> to the unit vector weights[k, :].
+    r = np.concatenate([EDGE_KNOBS, np.random.default_rng(9).uniform(0, 1, 10)])
+    for control in ("A", "B"):
+        weights = _environment_weights(control, r)
+        assert weights.shape == (r.size, 2, 2)
+        assert np.max(np.abs(np.linalg.norm(weights, axis=-1) - 1.0)) < 1e-15
 
 
 def test_build_joint_state_free_trivial():
-    psi = build_joint_state(ScenarioParams(r=0.5, d=0.0), Scenario.FREE)
-    assert psi.labels == ("A", "B")
-    assert amp(psi, "ud") == pytest.approx(1 / SQ2)
-    assert amp(psi, "dd") == pytest.approx(-1 / SQ2)
+    psi = scenario_amplitudes(Scenario.FREE, r=0.5, d=0.0)
+    assert psi.shape == (1, 2, 2)  # A and B only
+    assert amp(psi[0], "ud") == pytest.approx(1 / SQ2)
+    assert amp(psi[0], "dd") == pytest.approx(-1 / SQ2)
 
 
 def test_build_joint_state_system_matches_published_amplitudes():
     d, r = 0.6, 0.3
-    psi = build_joint_state(ScenarioParams(d=d, r_s=r), Scenario.SYSTEM)
+    psi = amplitudes(Scenario.SYSTEM, d=d, r_s=r)
     o, leak = math.sqrt(1 - d * d), math.sqrt(1 - r * r)
     assert amp(psi, "udd") == pytest.approx(1 / SQ2)
     assert amp(psi, "ddd") == pytest.approx(-o * r / SQ2)
@@ -149,20 +143,31 @@ def test_build_joint_state_system_matches_published_amplitudes():
     assert amp(psi, "duu") == pytest.approx(-d * leak / SQ2)
 
 
+def test_combined_amplitudes_in_factor_order_a_b_es_em():
+    d, r_s, r_m = 0.6, 0.3, 0.8
+    psi = amplitudes(Scenario.COMBINED, d=d, r_s=r_s, r_m=r_m)
+    o, leak_s, leak_m = math.sqrt(1 - d * d), math.sqrt(1 - r_s * r_s), math.sqrt(1 - r_m * r_m)
+    assert psi.shape == (2, 2, 2, 2)
+    assert amp(psi, "uddd") == pytest.approx(1 / SQ2)
+    assert amp(psi, "ddud") == pytest.approx(-o * leak_s / SQ2)
+    assert amp(psi, "dudd") == pytest.approx(-d * r_s * r_m / SQ2)
+    assert amp(psi, "duuu") == pytest.approx(-d * leak_s * leak_m / SQ2)
+    assert np.all(psi[:, 1, :, 0] == 0)  # on B=down, EM stays |down>
+
+
 def test_build_joint_state_rejects_biased_r_with_decoherence():
     with pytest.raises(ValueError):
-        build_joint_state(ScenarioParams(r=0.3, d=0.5), Scenario.SYSTEM)
+        scenario_amplitudes(Scenario.SYSTEM, r=0.3, d=0.5)
 
 
 def test_build_joint_state_norm():
     rng = np.random.default_rng(10)
+    factors = {Scenario.FREE: 2, Scenario.SYSTEM: 3, Scenario.METER: 3, Scenario.COMBINED: 4}
     for scenario in Scenario:
-        for _ in range(5):
-            params = ScenarioParams(
-                r=0.5, d=rng.uniform(0, 1), r_s=rng.uniform(0, 1), r_m=rng.uniform(0, 1)
-            )
-            psi = build_joint_state(params, scenario)
-            assert abs(np.linalg.norm(psi.amps) - 1) < 1e-12
+        knobs = {name: rng.uniform(0, 1, 5) for name in ("d", "r_s", "r_m")}
+        psi = scenario_amplitudes(scenario, **knobs)
+        assert psi.shape == (5,) + (2,) * factors[scenario]
+        assert np.max(np.abs(np.linalg.norm(psi.reshape(5, -1), axis=-1) - 1)) < 1e-12
 
 
 def test_scenario_embedding_consistency():
@@ -199,43 +204,26 @@ def test_reduce_to_ab_fully_decohered_diagonal():
 
 
 def test_reduce_to_ab_system_full_tagging_is_bell_projector():
-    psi = build_joint_state(ScenarioParams(d=1.0, r_s=1.0), Scenario.SYSTEM)
-    rho = reduce_to_ab(psi)
+    rho = scenario_density(ScenarioParams(d=1.0, r_s=1.0), Scenario.SYSTEM)
     evals = np.sort(np.linalg.eigvalsh(rho))[::-1]
     assert np.allclose(evals, [1, 0, 0, 0], atol=1e-12)
 
 
-def test_phase_shift_identity_and_period():
-    psi = build_joint_state(ScenarioParams(d=0.4), Scenario.FREE)
-    assert np.max(np.abs(phase_shift(psi, 0.0).amps - psi.amps)) < 1e-15
-    assert np.max(np.abs(phase_shift(psi, 2 * math.pi).amps - psi.amps)) < 1e-12
-
-
-def test_phase_shift_half_turn():
-    psi = PureState(np.array([1, -1]) / SQ2, ("A",))
-    out = phase_shift(psi, math.pi)
-    assert np.allclose(out.amps, np.array([-1, -1]) / SQ2, atol=1e-15)
+# The recombination rotation that the phase sweep applies on A.
 
 
 def test_interference_rotation_matrix_action():
-    down = PureState(np.array([0.0, 1.0]), ("A",))
-    out = interference_rotation(down)
-    assert np.allclose(out.amps, np.array([-1, 1]) / SQ2, atol=1e-15)
+    assert np.allclose(ROTATION_A @ [0.0, 1.0], np.array([-1, 1]) / SQ2, atol=1e-15)
 
 
 def test_interference_rotation_twice_is_quarter_turn():
-    up = PureState(np.array([1.0, 0.0]), ("A",))
-    out = interference_rotation(interference_rotation(up))
-    assert np.allclose(out.amps, np.array([0.0, 1.0]), atol=1e-14)
-    from qdl.states import ROTATION_A
-
-    assert np.max(np.abs(ROTATION_A.conj().T @ ROTATION_A - np.eye(2))) < 1e-14
+    assert np.allclose(ROTATION_A @ ROTATION_A @ [1.0, 0.0], [0.0, 1.0], atol=1e-14)
 
 
 def test_interference_rotation_fixes_maximally_mixed():
     rho = np.kron(np.eye(2) / 2, np.diag([0.3, 0.7])).astype(complex)
-    out = interference_rotation(rho)
-    assert np.max(np.abs(out - rho)) < 1e-14
+    full = np.kron(ROTATION_A, np.eye(2))
+    assert np.max(np.abs(full @ rho @ full.conj().T - rho)) < 1e-14
 
 
 def test_params_validation():
@@ -243,6 +231,42 @@ def test_params_validation():
         ScenarioParams(d=-0.1)
     with pytest.raises(ValueError):
         ScenarioParams(r_m=1.0001)
+
+
+@pytest.mark.parametrize("knobs", [{"d": np.array([0.1, 0.2])}, {"r_s": np.array([0.5])}, {"r_m": np.zeros((2, 2))}])
+def test_one_point_entry_points_reject_array_knobs(knobs):
+    params = ScenarioParams(**knobs)
+    message = "scenario_density takes one point; use scenario_densities"
+    with pytest.raises(ValueError, match=message):
+        scenario_density(params, Scenario.COMBINED)
+    with pytest.raises(ValueError, match=message):
+        analyze(Scenario.COMBINED, params)
+    with pytest.raises(ValueError, match=message):
+        check_identity(Scenario.COMBINED, params)
+
+
+def reference_density(scenario, r=0.5, d=0.0, r_s=1.0, r_m=1.0):
+    """The per-point builder the stacked route replaced, for one point.
+
+    It grows one pure state a factor at a time (A, then B, then each
+    environment appended last) and traces the environments out of it.
+    """
+    o = math.sqrt(1.0 - d * d)
+    psi = np.zeros((2, 2), dtype=complex)
+    psi[:, 1] = [math.sqrt(r), -math.sqrt(1.0 - r)]  # source on A, B in |down>
+    psi[1] = np.array([[o, d], [-d, o]], dtype=complex) @ psi[1]  # rotate B on the A=down branch
+    couplings = []
+    if scenario in (Scenario.SYSTEM, Scenario.COMBINED):
+        leak = math.sqrt(1.0 - r_s * r_s)
+        couplings.append((0, [[0.0, 1.0], [leak, r_s]]))  # ES leaks on A=down
+    if scenario in (Scenario.METER, Scenario.COMBINED):
+        leak = math.sqrt(1.0 - r_m * r_m)
+        couplings.append((1, [[leak, r_m], [0.0, 1.0]]))  # EM leaks on B=up
+    for axis, weights in couplings:
+        grown = np.einsum("k...,ke->k...e", np.moveaxis(psi, axis, 0), np.array(weights, dtype=complex))
+        psi = np.moveaxis(grown, 0, axis)
+    psi = psi.reshape(4, -1)
+    return psi @ psi.conj().T
 
 
 EDGE_LINE = np.array([0.0, 1e-15, 1e-8, 0.25, 0.5, 0.7, 1.0 - 1e-10, 1.0 - 1e-15, 1.0])
@@ -260,8 +284,18 @@ def test_scenario_densities_equal_single_point_states(scenario, knobs):
     stack = scenario_densities(scenario, **knobs)
     assert stack.shape == (OUTER.size, 4, 4)
     for k in range(OUTER.size):
-        params = ScenarioParams(**{name: float(values[k]) for name, values in knobs.items()})
-        assert np.array_equal(stack[k], scenario_density(params, scenario))
+        point = {name: float(values[k]) for name, values in knobs.items()}
+        rho = reference_density(scenario, **point)
+        assert np.array_equal(stack[k], rho)
+        assert np.array_equal(scenario_density(ScenarioParams(**point), scenario), rho)
+
+
+@pytest.mark.parametrize("scenario, knobs", STACKED_CASES)
+def test_scenario_densities_are_density_matrices_on_the_edge_line(scenario, knobs):
+    stack = scenario_densities(scenario, **knobs)
+    assert np.max(np.abs(stack - stack.conj().swapaxes(-1, -2))) < 1e-12
+    assert np.max(np.abs(np.trace(stack, axis1=-2, axis2=-1) - 1.0)) < 1e-12
+    assert np.min(hermitian_eigenvalues(stack)) >= -1e-10
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from qdl.linalg import partial_trace
 from qdl.states import Scenario, ScenarioParams, scenario_densities, scenario_density
 from qdl.visibility import (
+    ROTATION_A,
     check_identity,
     decoherence_free_visibility,
     overlap,
@@ -41,6 +43,25 @@ def test_sweep_records_requested_grid():
     scan = visibility_sweep(rho, 16)
     assert len(scan.phases) == len(scan.probabilities) == 16
     assert np.all((scan.probabilities >= 0) & (scan.probabilities <= 1))
+
+
+def test_sweep_probabilities_follow_the_fringe_formula():
+    # p(phi) = (1 - 2 Re(e^{-i phi} c)) / 2 with c = rho_A[0, 1]: the phase shift multiplies
+    # |up>_A by e^{-i phi} and ROTATION_A recombines the paths.  A complex c pins the sign of phi.
+    coherent = np.kron(np.array([[0.5, 0.3 - 0.2j], [0.3 + 0.2j, 0.5]]), np.diag([0.6, 0.4]))
+    states = [
+        scenario_density(ScenarioParams(r=0.3, d=0.4), Scenario.FREE),
+        scenario_density(ScenarioParams(d=0.6, r_s=0.7), Scenario.SYSTEM),
+        scenario_density(ScenarioParams(d=0.5, r_m=0.2), Scenario.METER),
+        scenario_density(ScenarioParams(d=0.8, r_s=0.7, r_m=0.5), Scenario.COMBINED),
+        coherent,
+    ]
+    for rho in states:
+        scan = visibility_sweep(rho, 64)
+        c = partial_trace(rho, ("A",))[0, 1]
+        expected = (1.0 - 2.0 * np.real(np.exp(-1j * scan.phases) * c)) / 2.0
+        assert np.max(np.abs(scan.probabilities - expected)) < 1e-14
+    assert np.max(np.abs(ROTATION_A.conj().T @ ROTATION_A - np.eye(2))) < 1e-15
 
 
 def test_stacked_sweep_equals_per_state_scans():

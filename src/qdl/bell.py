@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,28 +158,59 @@ def _initial_angles(restarts: int, seed: int) -> np.ndarray:
     return x
 
 
+@functools.lru_cache(maxsize=16)
+def _start_vectors(restarts: int, seed: int) -> np.ndarray:
+    """Starting settings (a, a', b, b') of every restart as Bloch vectors, shape (4, R, 3) (read-only, cached)."""
+    x = _initial_angles(restarts, seed)
+    start = np.stack([_bloch_vectors(x[:, 2 * k], x[:, 2 * k + 1]) for k in range(4)])
+    start.flags.writeable = False
+    return start
+
+
 def _bloch_vectors(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     st = np.sin(theta)
     return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
 
 
-def _seesaw_half(fixed: np.ndarray, matrix: np.ndarray, prev: np.ndarray):
-    """Best pair for one party with the other party's pair `fixed` held.
+# Rows give (v + v', v - v') from (v, v'); a factor of +-1 is exact and each
+# sum rounds once, as an add or subtract does.
+_PAIR_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]])
 
-    `fixed` stacks (v, v') per state and restart, shape (N, 2, R, 3), and
-    `matrix` is (N, 1, 3, 3); the optimal partners are the unit vectors along
-    (v + v') M and (v - v') M, and the CHSH value they reach is the sum of
-    those two norms.  A zero row leaves the objective flat in that vector, so
-    it keeps its previous value.
+
+def _seesaw_half(
+    fixed: np.ndarray, matrix: np.ndarray, vectors: np.ndarray, pair: np.ndarray, raw: np.ndarray, norm: np.ndarray
+) -> None:
+    """Set `vectors` in place to the best pair for one party with the other party's pair `fixed` held.
+
+    `fixed` and `vectors` stack (v, v') per state and restart, shape (N, 2, R, 3),
+    and `matrix` is (N, 1, 3, 3); the optimal partners are the unit vectors
+    along (v + v') M and (v - v') M, and the CHSH value they reach is the sum of
+    those two norms, left in `norm` (N, 2, R).  `pair` and `raw` are scratch
+    buffers shaped like `fixed`.  A zero row leaves the objective flat in that
+    vector, so it keeps its previous value.
     """
-    pair = np.empty_like(fixed)
-    np.add(fixed[:, 0], fixed[:, 1], out=pair[:, 0])
-    np.subtract(fixed[:, 0], fixed[:, 1], out=pair[:, 1])
-    raw = pair @ matrix
-    norm = np.sqrt(np.einsum("...pmi,...pmi->...pm", raw, raw))
-    live = norm > 0.0
-    unit = raw / np.where(live, norm, 1.0)[..., None]
-    return np.where(live[..., None], unit, prev), norm
+    n = fixed.shape[0]
+    np.matmul(_PAIR_SIGNS, fixed.reshape(n, 2, -1), out=pair.reshape(n, 2, -1))
+    np.matmul(pair, matrix, out=raw)
+    np.einsum("...pmi,...pmi->...pm", raw, raw, out=norm)
+    np.sqrt(norm, out=norm)
+    if norm.all():
+        np.divide(raw, norm[..., None], out=vectors)
+    else:
+        live = norm > 0.0
+        vectors[...] = np.where(live[..., None], raw / np.where(live, norm, 1.0)[..., None], vectors)
+
+
+def _check_seesaw_args(restarts: int, seed: int, iterations: int = SEESAW_SWEEPS) -> None:
+    for name, value in (("restarts", restarts), ("seed", seed), ("iterations", iterations)):
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not 1 <= restarts <= MAX_RESTARTS:
+        raise ValueError(f"restarts must lie in [1, {MAX_RESTARTS}], got {restarts}")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    if iterations < 1:
+        raise ValueError(f"iterations must be at least 1, got {iterations}")
 
 
 def _seesaw(rho: np.ndarray, restarts: int, seed: int, iterations: int = SEESAW_SWEEPS):
@@ -189,28 +221,28 @@ def _seesaw(rho: np.ndarray, restarts: int, seed: int, iterations: int = SEESAW_
     would run alone: a state leaves the active set on the sweep where its best
     value stalls, and the active set is compacted only on such sweeps.
     """
-    if not 1 <= restarts <= MAX_RESTARTS:
-        raise ValueError(f"restarts must lie in [1, {MAX_RESTARTS}], got {restarts}")
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
+    _check_seesaw_args(restarts, seed, iterations)
     t = correlation_tensor(rho)[:, None]  # (N, 1, 3, 3): one tensor for both vectors of a pair
     t_t = np.swapaxes(t, -1, -2)
     n = t.shape[0]
-    x = _initial_angles(restarts, seed)
-    start_a = np.stack([_bloch_vectors(x[:, 0], x[:, 1]), _bloch_vectors(x[:, 2], x[:, 3])])
-    start_b = np.stack([_bloch_vectors(x[:, 4], x[:, 5]), _bloch_vectors(x[:, 6], x[:, 7])])
-    alice = np.repeat(start_a[None], n, axis=0)
-    bob = np.repeat(start_b[None], n, axis=0)
-    values = np.zeros((n, restarts))
+    start = _start_vectors(restarts, seed)
+    alice = np.repeat(start[None, :2], n, axis=0)
+    bob = np.repeat(start[None, 2:], n, axis=0)
     converged = np.zeros(n, dtype=bool)
     # sweeps run on the active states only; final_* take each state's last sweep
-    final_alice, final_bob, final_values = np.empty_like(alice), np.empty_like(bob), np.empty_like(values)
+    final_alice, final_bob, final_values = np.empty_like(alice), np.empty_like(bob), np.empty((n, restarts))
     active = np.arange(n)
     prev_best = np.full(n, -np.inf)
+
+    def buffers(m: int):  # scratch of the sweeps over m active states: pair, raw, norm, values
+        shape = (m, 2, restarts)
+        return np.empty(shape + (3,)), np.empty(shape + (3,)), np.empty(shape), np.empty((m, restarts))
+
+    pair, raw, norm, values = buffers(n)
     for _ in range(iterations):
-        alice, _ = _seesaw_half(bob, t_t, alice)
-        bob, norms = _seesaw_half(alice, t, bob)
-        values = np.add(norms[:, 0], norms[:, 1])
+        _seesaw_half(bob, t_t, alice, pair, raw, norm)
+        _seesaw_half(alice, t, bob, pair, raw, norm)
+        np.add(norm[:, 0], norm[:, 1], out=values)
         best_now = values.max(axis=1)
         stalled = best_now - prev_best < _VALUE_STALL_TOL
         if stalled.any():
@@ -220,9 +252,10 @@ def _seesaw(rho: np.ndarray, restarts: int, seed: int, iterations: int = SEESAW_
             keep = ~stalled
             if not keep.any():
                 break
-            active, alice, bob, values, t = (a[keep] for a in (active, alice, bob, values, t))
+            active, alice, bob, t = (a[keep] for a in (active, alice, bob, t))
             t_t = np.swapaxes(t, -1, -2)
             best_now = best_now[keep]
+            pair, raw, norm, values = buffers(len(active))
         prev_best = best_now
     else:
         final_alice[active], final_bob[active], final_values[active] = alice, bob, values

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bell import MAX_RESTARTS, _seesaw, bell_closed_form, chsh_value, horodecki_bmax, violates_chsh, violation_boundary
+from .bell import _check_seesaw_args, _seesaw, bell_closed_form, chsh_value, horodecki_bmax, violates_chsh
+from .bell import violation_boundary
 from .figures import _grid_chunks
 from .infotheory import binary_entropy, entropy_closed_form, info_threshold, mutual_information, ppt_check
 from .infotheory import printed_meter_entropies, printed_meter_info_threshold
@@ -376,10 +377,7 @@ def run_suites(
         raise ValueError(f"resolution must lie in [2, {MAX_RESOLUTION}], got {resolution}")
     if tolerance_override is not None and not (math.isfinite(tolerance_override) and tolerance_override >= 0.0):
         raise ValueError("tolerance must be a finite non-negative number")
-    if not 1 <= restarts <= MAX_RESTARTS:
-        raise ValueError(f"restarts must lie in [1, {MAX_RESTARTS}], got {restarts}")
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
+    _check_seesaw_args(restarts, seed)
     selected = list(SUITES) if names is None else list(names)
     for name in selected:
         if name not in SUITES:

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from qdl.bell import (
+    _VALUE_STALL_TOL,
     SEESAW_SWEEPS,
+    _bloch_vectors,
     _initial_angles,
     _seesaw,
+    _start_vectors,
     bell_closed_form,
     chsh_brute_force,
     chsh_value,
@@ -16,7 +19,7 @@ from qdl.bell import (
     violation_boundary,
 )
 from qdl.states import Scenario, ScenarioParams, scenario_densities, scenario_density
-from qdl.verify import BRUTE_TOL
+from qdl.verify import _AXES, BRUTE_RESOLUTION, BRUTE_TOL, _grid
 
 SQ2 = math.sqrt(2.0)
 SINGLET = np.array([0, 1, -1, 0], dtype=complex) / SQ2
@@ -262,6 +265,107 @@ def test_initial_angles_are_cached_read_only():
     x = _initial_angles(8, 3)
     assert x is _initial_angles(8, 3)
     assert not x.flags.writeable
+
+
+def test_start_vectors_are_cached_read_only():
+    start = _start_vectors(8, 3)
+    assert start is _start_vectors(8, 3)
+    assert not start.flags.writeable
+    assert start.shape == (4, 8, 3)
+    before = start.copy()
+    rho = _mixed_optimizer_stack()
+    first = _seesaw(rho, 8, 3)
+    second = _seesaw(rho, 8, 3)
+    # the sweeps update their vectors in place; none of it may reach the cache
+    assert np.array_equal(start, before)
+    assert all(np.array_equal(a, b) for a, b in zip(first, second))
+
+
+def _reference_seesaw_half(fixed, matrix, prev):
+    pair = np.empty_like(fixed)
+    np.add(fixed[:, 0], fixed[:, 1], out=pair[:, 0])
+    np.subtract(fixed[:, 0], fixed[:, 1], out=pair[:, 1])
+    raw = pair @ matrix
+    norm = np.sqrt(np.einsum("...pmi,...pmi->...pm", raw, raw))
+    live = norm > 0.0
+    unit = raw / np.where(live, norm, 1.0)[..., None]
+    return np.where(live[..., None], unit, prev), norm
+
+
+def _reference_seesaw(rho, restarts, seed, iterations=SEESAW_SWEEPS):
+    """The see-saw written with a fresh array per step, as the in-place one must reproduce bit for bit."""
+    t = correlation_tensor(rho)[:, None]
+    t_t = np.swapaxes(t, -1, -2)
+    n = t.shape[0]
+    x = _initial_angles(restarts, seed)
+    start_a = np.stack([_bloch_vectors(x[:, 0], x[:, 1]), _bloch_vectors(x[:, 2], x[:, 3])])
+    start_b = np.stack([_bloch_vectors(x[:, 4], x[:, 5]), _bloch_vectors(x[:, 6], x[:, 7])])
+    alice = np.repeat(start_a[None], n, axis=0)
+    bob = np.repeat(start_b[None], n, axis=0)
+    values = np.zeros((n, restarts))
+    converged = np.zeros(n, dtype=bool)
+    final_alice, final_bob, final_values = np.empty_like(alice), np.empty_like(bob), np.empty_like(values)
+    active = np.arange(n)
+    prev_best = np.full(n, -np.inf)
+    for _ in range(iterations):
+        alice, _ = _reference_seesaw_half(bob, t_t, alice)
+        bob, norms = _reference_seesaw_half(alice, t, bob)
+        values = np.add(norms[:, 0], norms[:, 1])
+        best_now = values.max(axis=1)
+        stalled = best_now - prev_best < _VALUE_STALL_TOL
+        if stalled.any():
+            done = active[stalled]
+            final_alice[done], final_bob[done], final_values[done] = alice[stalled], bob[stalled], values[stalled]
+            converged[done] = True
+            keep = ~stalled
+            if not keep.any():
+                break
+            active, alice, bob, values, t = (a[keep] for a in (active, alice, bob, values, t))
+            t_t = np.swapaxes(t, -1, -2)
+            best_now = best_now[keep]
+        prev_best = best_now
+    else:
+        final_alice[active], final_bob[active], final_values[active] = alice, bob, values
+    best = np.argmax(final_values, axis=1)
+    rows = np.arange(n)
+    settings = np.concatenate((final_alice[rows, :, best], final_bob[rows, :, best]), axis=1)
+    settings /= np.linalg.norm(settings, axis=-1, keepdims=True)
+    return settings, converged
+
+
+@pytest.mark.parametrize("iterations", [SEESAW_SWEEPS, 40, 1])
+@pytest.mark.parametrize("restarts", [1, 8, 32])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_seesaw_equals_reference_bit_for_bit(iterations, restarts, seed):
+    # the stack holds zero-norm rows (zero and rank-one tensors), all-live sweeps and compaction
+    rho = _mixed_optimizer_stack()
+    settings, converged = _seesaw(rho, restarts, seed, iterations)
+    ref_settings, ref_converged = _reference_seesaw(rho, restarts, seed, iterations)
+    assert np.array_equal(settings, ref_settings)
+    assert np.array_equal(converged, ref_converged)
+
+
+def test_seesaw_equals_reference_on_the_brute_grid():
+    rho = np.concatenate([states for scenario in _AXES for _, states in _grid(scenario, BRUTE_RESOLUTION)])
+    settings, converged = _seesaw(rho, 32, 0)
+    ref_settings, ref_converged = _reference_seesaw(rho, 32, 0)
+    assert np.array_equal(settings, ref_settings)
+    assert np.array_equal(converged, ref_converged)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"iterations": 0}, "iterations"),
+        ({"iterations": -3}, "iterations"),
+        ({"iterations": 40.0}, "iterations"),
+        ({"restarts": 2.0}, "restarts"),
+        ({"seed": 1.5}, "seed"),
+    ],
+)
+def test_brute_force_rejects_bad_counts(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        chsh_brute_force(singlet_rho(), **kwargs)
 
 
 def test_tsirelson_bound_everywhere():

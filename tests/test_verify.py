@@ -47,6 +47,12 @@ def test_ppt_region_passes_on_the_coarsest_grid():
     assert result.passed and result.max_residual == 0.0
 
 
+@pytest.mark.parametrize("kwargs, name", [({"restarts": 2.0}, "restarts"), ({"seed": 1.5}, "seed")])
+def test_run_suites_rejects_non_integral_optimizer_arguments_before_any_suite(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        run_suites(resolution=2, names=["identities"], **kwargs)
+
+
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULIS, _float_or_array, _libm_pow, hermitian_eigenvalues
+from .linalg import PAULIS, _float_or_array, hermitian_eigenvalues
 from .states import Scenario, ScenarioParams
 from .visibility import unpredictability
 
@@ -94,7 +94,7 @@ def bell_closed_form(scenario: Scenario, params: ScenarioParams) -> float | np.n
         m = params.r_s * params.r_s + d2
     elif scenario is Scenario.METER:
         rm2 = params.r_m * params.r_m
-        m = (1.0 - rm2) * _libm_pow(1.0 - d2, 2.0) + rm2 + d2
+        m = (1.0 - rm2) * ((1.0 - d2) * (1.0 - d2)) + rm2 + d2
     else:
         rs2, rm2 = params.r_s * params.r_s, params.r_m * params.r_m
         m = d2 * (1.0 - rm2) * (d2 - rs2) + d2 * rm2 + rs2
@@ -309,7 +309,7 @@ def violation_boundary(scenario: Scenario, params: ScenarioParams) -> BoundaryRe
     elif scenario is Scenario.SYSTEM:
         d_thr = np.sqrt(np.maximum(0.0, 1.0 - params.r_s * params.r_s))
     elif scenario is Scenario.METER:
-        d_thr = _libm_pow(_meter_threshold_sq(params.r_m), 0.5)
+        d_thr = np.sqrt(_meter_threshold_sq(params.r_m))
     else:
         d_thr = np.sqrt(_combined_threshold_sq(params.r_s, params.r_m))
     return BoundaryResult(violates=violates, d_threshold=_float_or_array(d_thr))
@@ -329,5 +329,5 @@ def _combined_threshold_sq(r_s: float | np.ndarray, r_m: float | np.ndarray) -> 
     denom = np.where(limit, 1.0, 1.0 - rm2)
     alpha = rs2 - rm2 / denom
     beta = (1.0 - rs2) / denom
-    x = alpha / 2.0 + np.sqrt(_libm_pow(alpha / 2.0, 2.0) + beta)
+    x = alpha / 2.0 + np.sqrt((alpha / 2.0) * (alpha / 2.0) + beta)
     return _float_or_array(np.where(limit, np.maximum(0.0, 1.0 - rs2), np.minimum(1.0, np.maximum(0.0, x))))

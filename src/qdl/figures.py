@@ -33,20 +33,6 @@ class SweepSpec:
     axes: tuple[str, str]  # parameter names, outer axis first
     columns: tuple[str, ...]
     evaluate: Callable[[np.ndarray, np.ndarray], tuple]  # (outer, inner) coordinates -> columns
-    start: float = 0.0
-    stop: float = 1.0
-
-    def __post_init__(self):
-        if len(self.axes) != 2:
-            raise ValueError("a sweep uses two axes")
-        if not (0.0 <= self.start < self.stop <= 1.0):
-            raise ValueError("axis range must satisfy 0 <= start < stop <= 1")
-
-    def line(self, steps: int) -> np.ndarray:
-        """The coordinates of one axis."""
-        if steps < 2:
-            raise ValueError("steps must be at least 2")
-        return np.array([self.start + (self.stop - self.start) * i / (steps - 1) for i in range(steps)])
 
 
 def _fmt(value) -> str:
@@ -103,22 +89,6 @@ FIGURES: dict[int, SweepSpec] = {
 }
 
 
-def _evaluated_chunks(n: int, resolution: int) -> tuple[SweepSpec, Iterator[tuple]]:
-    """The figure's spec (arguments checked first) and its value columns, one chunk of points at a time."""
-    if n not in FIGURES:
-        raise ValueError(f"figure number must be 1..7, got {n}")
-    if not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
-        raise ValueError(f"resolution must lie in [{MIN_RESOLUTION}, {MAX_RESOLUTION}], got {resolution}")
-    spec = FIGURES[n]
-    return spec, (spec.evaluate(*coords) for coords in _grid_chunks(spec.line(resolution), 2))
-
-
-def figure_rows(n: int, resolution: int) -> tuple[tuple[str, ...], Iterator[tuple]]:
-    """Column names and an iterator over the grid rows, in row-major axis order."""
-    spec, chunks = _evaluated_chunks(n, resolution)
-    return spec.columns, (row for columns in chunks for row in zip(*columns))
-
-
 def _grid_chunks(line: np.ndarray, n_axes: int) -> Iterator[tuple[np.ndarray, ...]]:
     """Points of the n_axes-fold grid over ``line`` in row-major order, at most
     CHUNK_POINTS at a time, as one coordinate array per axis."""
@@ -138,12 +108,20 @@ def _format_chunk(columns: tuple) -> str:
 
 
 def write_figure_csv(n: int, resolution: int, path: str) -> int:
-    """Write the figure grid as UTF-8 CSV with LF line endings; returns the row count."""
-    spec, chunks = _evaluated_chunks(n, resolution)
+    """Write the figure grid as UTF-8 CSV with LF line endings; returns the row count.
+
+    Both axes run over [0, 1] in ``resolution`` equal steps, i / (resolution - 1).
+    """
+    if n not in FIGURES:
+        raise ValueError(f"figure number must be 1..7, got {n}")
+    if not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
+        raise ValueError(f"resolution must lie in [{MIN_RESOLUTION}, {MAX_RESOLUTION}], got {resolution}")
+    spec = FIGURES[n]
     count = 0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(spec.columns) + "\n")
-        for columns in chunks:
+        for coords in _grid_chunks(np.arange(resolution) / (resolution - 1), 2):
+            columns = spec.evaluate(*coords)
             fh.write(_format_chunk(columns))
             count += len(columns[0])
     return count

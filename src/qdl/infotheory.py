@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _float_or_array, _libm_pow, hermitian_eigenvalues, partial_trace, partial_transpose
+from .linalg import _float_or_array, hermitian_eigenvalues, partial_trace, partial_transpose
 from .states import Scenario, ScenarioParams, _check_unit_interval, scenario_density
 
 SEPARABILITY_TOL = 1e-10
@@ -68,8 +68,7 @@ def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
 def _xlogx(x: float | np.ndarray) -> np.ndarray:
     """x ln x element-wise, with 0 ln 0 = 0, for x in [0, 1]."""
     x = np.asarray(x, dtype=float)
-    # math.log, not np.log: the SIMD np.log differs from libm in the last bit for some inputs.
-    return np.array([v * math.log(v) if v > 0.0 else 0.0 for v in x.ravel().tolist()]).reshape(x.shape)
+    return x * np.log(np.where(x > 0.0, x, 1.0))  # log(1) = 0 stands in at x = 0, so log(0) is never taken
 
 
 def mutual_information(rho: np.ndarray) -> InformationReport:
@@ -117,7 +116,7 @@ def printed_meter_entropies(params: ScenarioParams) -> InformationReport:
     r2 = params.r_m * params.r_m
     s_ab = binary_entropy(0.5 + 0.5 * np.sqrt(1.0 - d2 * (2.0 - d2) * (1.0 - r2)))
     s_a = binary_entropy(0.5 + 0.5 * np.sqrt(1.0 - d2))
-    s_b = binary_entropy(0.5 + 0.5 * np.sqrt(_libm_pow(1.0 - d2, 2.0) * (1.0 - r2)))
+    s_b = binary_entropy(0.5 + 0.5 * np.sqrt((1.0 - d2) * (1.0 - d2) * (1.0 - r2)))
     return InformationReport(s_a=s_a, s_b=s_b, s_ab=s_ab, i_ab=s_a + s_b - s_ab)
 
 
@@ -151,6 +150,4 @@ def printed_meter_info_threshold(robustness: float) -> float:
     """
     r2 = robustness * robustness
     arg = 0.5 + 0.5 * math.sqrt(2.0) * r2 / math.sqrt(1.0 - r2)
-    hi = arg * math.log(arg) if arg > 0.0 else 0.0
-    lo = (1.0 - arg) * math.log(1.0 - arg) if arg < 1.0 else 0.0
-    return hi - lo
+    return float(_xlogx(arg) - _xlogx(1.0 - arg))

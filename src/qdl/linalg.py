@@ -42,11 +42,6 @@ def _float_or_array(x) -> float | np.ndarray:
     return float(x) if np.ndim(x) == 0 else x
 
 
-def _libm_pow(x: float | np.ndarray, y: float) -> float | np.ndarray:
-    """x ** y element-wise through the C library's pow, which numpy's SIMD pow can differ from in the last bit."""
-    return _float_or_array(np.array([v**y for v in np.ravel(x).tolist()], dtype=float).reshape(np.shape(x)))
-
-
 def hermitian_eigensystem(
     m,
     offdiag_tol: float = JACOBI_OFFDIAG_TOL,

@@ -18,7 +18,6 @@ from .bell import violation_boundary
 from .figures import _grid_chunks
 from .infotheory import binary_entropy, entropy_closed_form, info_threshold, mutual_information, ppt_check
 from .infotheory import printed_meter_entropies, printed_meter_info_threshold
-from .linalg import _libm_pow
 from .states import Scenario, ScenarioParams, scenario_densities
 from .visibility import _identity_residual, _ratio_residual, predictability, visibility_analytic, visibility_sweep
 
@@ -78,20 +77,11 @@ def _reduce(name: str, tolerance: float, chunks) -> SuiteResult:
     return SuiteResult(name, worst, tolerance, worst < tolerance, [], point, points)
 
 
-def _system_boundary(steps: int):
-    """Coords and states of the system scenario on the violation boundary d^2 + r_s^2 = 1, one per r_s of the axis."""
-    r = np.linspace(0.0, 1.0, steps)
-    coords = ScenarioParams(d=np.sqrt(np.maximum(0.0, 1.0 - r * r)), r_s=r)
-    return coords, scenario_densities(Scenario.SYSTEM, d=coords.d, r_s=r)
-
-
-def _threshold_surface(steps: int):
-    """Chunks (coords, b_max) of the combined scenario's B_max at the printed
-    threshold d = d_threshold(r_s, r_m), over the (r_s, r_m) grid."""
-    for r_s, r_m in _grid_chunks(np.linspace(0.0, 1.0, steps), 2):
-        d = violation_boundary(Scenario.COMBINED, ScenarioParams(r_s=r_s, r_m=r_m)).d_threshold
-        rho = scenario_densities(Scenario.COMBINED, d=d, r_s=r_s, r_m=r_m)
-        yield ScenarioParams(d=d, r_s=r_s, r_m=r_m), horodecki_bmax(rho)
+def _boundary(scenario: Scenario, **robustness):
+    """Coords and states of the scenario on its violation boundary, one per point of the robustness
+    knobs (arrays): d is the package's own threshold, violation_boundary(...).d_threshold."""
+    d = violation_boundary(scenario, ScenarioParams(**robustness)).d_threshold
+    return ScenarioParams(d=d, **robustness), scenario_densities(scenario, d=d, **robustness)
 
 
 def _residuals(scenarios, steps: int, residual):
@@ -145,17 +135,16 @@ def suite_brute(resolution: int = BRUTE_RESOLUTION, restarts: int = 32, seed: in
 
 
 def suite_boundaries(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
-    """|B_max - 2| on each printed violation boundary."""
-    r_m = np.linspace(0.0, 1.0 / math.sqrt(2.0), resolution)
-    r2 = r_m * r_m
-    meter = ScenarioParams(d=np.where(r2 < 0.5, np.sqrt(np.maximum(0.0, 1.0 - r2 / (1.0 - r2))), 0.0), r_m=r_m)
-    system, rho_system = _system_boundary(resolution)
-    chunks = [
-        (Scenario.SYSTEM, system, np.abs(horodecki_bmax(rho_system) - 2.0)),
-        (Scenario.METER, meter, np.abs(horodecki_bmax(scenario_densities(Scenario.METER, d=meter.d, r_m=r_m)) - 2.0)),
-        *((Scenario.COMBINED, coords, np.abs(b_max - 2.0)) for coords, b_max in _threshold_surface(resolution)),
+    """|B_max - 2| at violation_boundary's threshold of the system, meter and combined scenarios."""
+    line = np.linspace(0.0, 1.0, resolution)
+    knobs = [
+        (Scenario.SYSTEM, {"r_s": line}),
+        (Scenario.METER, {"r_m": np.linspace(0.0, 1.0 / math.sqrt(2.0), resolution)}),
+        *((Scenario.COMBINED, {"r_s": r_s, "r_m": r_m}) for r_s, r_m in _grid_chunks(line, 2)),
     ]
-    return _reduce("boundary_exactness", BOUNDARY_TOL, chunks)
+    boundaries = ((scenario, *_boundary(scenario, **robustness)) for scenario, robustness in knobs)
+    gaps = ((scenario, coords, np.abs(horodecki_bmax(rho) - 2.0)) for scenario, coords, rho in boundaries)
+    return _reduce("boundary_exactness", BOUNDARY_TOL, gaps)
 
 
 def suite_ppt_region(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
@@ -196,7 +185,7 @@ def suite_entropy_forms(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
         m, c = mutual_information(rho), entropy_closed_form(scenario, coords)
         return np.max(np.abs([c.s_a - m.s_a, c.s_b - m.s_b, c.s_ab - m.s_ab, c.i_ab - m.i_ab]), axis=0)
 
-    boundary, rho = _system_boundary(resolution)
+    boundary, rho = _boundary(Scenario.SYSTEM, r_s=np.linspace(0.0, 1.0, resolution))
     threshold_gap = np.abs(info_threshold(Scenario.SYSTEM, boundary.r_s) - mutual_information(rho).i_ab)
     grids = _residuals((Scenario.SYSTEM, Scenario.METER), resolution, gap)
     return _reduce("entropy_closed_forms", ENTROPY_TOL, [*grids, (Scenario.SYSTEM, boundary, threshold_gap)])
@@ -318,14 +307,15 @@ def probe_threshold_sign(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     or misses the boundary.
     """
     chunks, flipped_valid, flipped_total, worst_flipped = [], 0, 0, 0.0
-    for coords, b_max in _threshold_surface(resolution):
-        chunks.append((Scenario.COMBINED, coords, np.abs(b_max - 2.0)))
+    for r_s, r_m in _grid_chunks(np.linspace(0.0, 1.0, resolution), 2):
+        coords, rho = _boundary(Scenario.COMBINED, r_s=r_s, r_m=r_m)
+        chunks.append((Scenario.COMBINED, coords, np.abs(horodecki_bmax(rho) - 2.0)))
         a, b = coords.r_s, coords.r_m
         inside = b < 1.0
         flipped_total += int(np.sum(inside))
         denom = np.where(inside, 1.0 - b * b, 1.0)
         alpha = a * a - b * b / denom
-        disc = _libm_pow(alpha / 2.0, 2.0) - (1.0 - a * a) / denom
+        disc = (alpha / 2.0) * (alpha / 2.0) - (1.0 - a * a) / denom
         x = alpha / 2.0 + np.sqrt(np.maximum(0.0, disc))
         valid = inside & (disc >= 0.0) & (x >= 0.0) & (x <= 1.0)  # the flipped threshold lies in [0, 1]
         if valid.any():

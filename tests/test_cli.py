@@ -11,7 +11,7 @@ import pytest
 from qdl.bell import MAX_RESTARTS, horodecki_bmax, violates_chsh, violation_boundary
 from qdl.cli import main
 from qdl import figures
-from qdl.figures import FIGURES, _fmt, _format_chunk, figure_rows, write_figure_csv
+from qdl.figures import FIGURES, _fmt, _format_chunk, write_figure_csv
 from qdl.infotheory import mutual_information
 from qdl.states import Scenario, ScenarioParams, scenario_density
 from qdl.verify import MAX_RESOLUTION as VERIFY_MAX_RESOLUTION
@@ -94,11 +94,13 @@ def test_figure_lrt_column_flips_at_published_boundary(tmp_path, capsys):
             assert flag == ("1" if lhs <= rhs else "0")
 
 
-def test_figure_rows_fig7_corner():
-    columns, rows = figure_rows(7, 11)
-    assert columns == ("r_s", "r_m", "d_threshold")
-    corner = [row for row in rows if row[0] == 1.0 and row[1] == 1.0]
-    assert corner and abs(corner[0][2]) < 1e-12
+def test_figure_rows_fig7_corner(tmp_path):
+    path = tmp_path / "fig7.csv"
+    assert write_figure_csv(7, 11, str(path)) == 11 * 11
+    header, *rows = (line.split(",") for line in path.read_text().splitlines())
+    assert header == ["r_s", "r_m", "d_threshold"]
+    corner = [row for row in rows if float(row[0]) == 1.0 and float(row[1]) == 1.0]
+    assert corner and abs(float(corner[0][2])) < 1e-12
 
 
 def test_figure_determinism(tmp_path, capsys):

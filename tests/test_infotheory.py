@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from qdl.infotheory import (
+    _xlogx,
     binary_entropy,
     entropy_closed_form,
     info_threshold,
@@ -67,6 +69,17 @@ def test_entropy_rejects_negative_spectrum():
 def test_entropy_tolerates_rounding_dips():
     rho = np.diag([1.0 + 5e-10, -5e-10, 0.0, 0.0]).astype(complex)
     assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("p", [0.0, 5e-324, 1.0 - 2.0**-53, 1.0])
+def test_xlogx_and_binary_entropy_at_the_edges_of_the_unit_interval(p):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # log(0) warns even where its product is masked out
+        values = [float(_xlogx(p)), float(_xlogx(1.0 - p)), binary_entropy(p)]
+        values += [*_xlogx(np.array([p, 1.0 - p])), *binary_entropy(np.array([p, 1.0 - p]))]
+    assert all(math.isfinite(v) for v in values)
+    if p in (0.0, 1.0):
+        assert values == [0.0] * len(values)
 
 
 def test_mutual_information_range_endpoints():

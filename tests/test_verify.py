@@ -6,10 +6,9 @@ import pytest
 
 from qdl import figures
 from qdl.bell import _combined_threshold_sq, _meter_threshold_sq, bell_closed_form, horodecki_bmax, violation_boundary
-from qdl.infotheory import METER_THRESHOLD_MAX_ROBUSTNESS, _xlogx, binary_entropy, entropy_closed_form, info_threshold
+from qdl.infotheory import METER_THRESHOLD_MAX_ROBUSTNESS, binary_entropy, entropy_closed_form, info_threshold
 from qdl.infotheory import mutual_information
 from qdl.infotheory import printed_meter_entropies
-from qdl.linalg import _libm_pow
 from qdl.states import Scenario, ScenarioParams, scenario_densities
 from qdl.verify import _AXES, BOUNDARY_TOL, CLOSED_FORM_TOL, ENTROPY_TOL, IDENTITY_TOL, _reduce, run_suites
 from qdl.verify import suite_identities
@@ -91,14 +90,22 @@ def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64).tolist()
 
 
-def test_array_powers_and_logs_round_like_python_floats():
-    # numpy's x**y and SIMD log differ from the C library in the last bit for
-    # about 1 in 1 000 of these inputs; the array closed forms must not.
-    x = np.random.default_rng(7).random(20_000)
-    values = x.tolist()
-    assert _bits(_libm_pow(x, 2.0)) == _bits([v**2 for v in values])
-    assert _bits(_libm_pow(x, 0.5)) == _bits([v**0.5 for v in values])
-    assert _bits(_xlogx(x)) == _bits([v * math.log(v) for v in values])
+def test_array_closed_forms_equal_their_scalar_calls_on_uniform_draws():
+    # The closed forms square, take roots and logs through numpy ufuncs; an
+    # array call must give each point the bits of its one-point call.
+    x, y = (np.random.default_rng(seed).random(20_000).tolist() for seed in (7, 8))
+    draws = list(zip(x, y))
+    meter = [ScenarioParams(d=a, r_m=b) for a, b in draws]
+    combined = [ScenarioParams(r_s=a, r_m=b) for a, b in draws]
+    checks = [
+        (meter, lambda q: binary_entropy(q.d)),
+        (meter, lambda q: bell_closed_form(Scenario.METER, q)),
+        (meter, lambda q: violation_boundary(Scenario.METER, q).d_threshold),
+        (combined, lambda q: violation_boundary(Scenario.COMBINED, q).d_threshold),
+        (meter, lambda q: printed_meter_entropies(q).s_b),
+    ]
+    for params, closed_form in checks:
+        assert _bits(closed_form(_array_knobs(params))) == _bits([closed_form(p) for p in params])
 
 
 # All four knobs of a point, then a visibility and a decoherence-free visibility for it.

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .bell import BellResult, bell_closed_form, chsh_brute_force, violation_boundary
+from .bell import BellResult, _violation_threshold, bell_closed_form, chsh_brute_force
 from .infotheory import InformationReport, SeparabilityReport, info_threshold, mutual_information, ppt_check
 from .states import Scenario, ScenarioParams, scenario_density
 from .visibility import predictability, visibility_analytic
@@ -44,7 +44,6 @@ def analyze(
     brute = chsh_brute_force(rho, restarts=restarts, seed=seed)
     bell = replace(brute, b_closed_form=bell_closed_form(scenario, params))
     sep = ppt_check(rho)
-    boundary = violation_boundary(scenario, params)
     if scenario in (Scenario.SYSTEM, Scenario.METER):
         robustness = params.r_s if scenario is Scenario.SYSTEM else params.r_m
         threshold = info_threshold(scenario, robustness)
@@ -66,6 +65,6 @@ def analyze(
         bell=bell,
         sep=sep,
         info=info,
-        d_threshold=boundary.d_threshold,
+        d_threshold=_violation_threshold(scenario, params),
         classifications=cls,
     )

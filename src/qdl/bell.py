@@ -25,13 +25,18 @@ TSIRELSON = 2.0 * math.sqrt(2.0)
 
 _PAULI_KRON = np.array([[np.kron(PAULIS[i], PAULIS[j]) for j in range(3)] for i in range(3)])  # (3, 3, 4, 4)
 
-# Default sweep budget of the CHSH see-saw; it converges slowly where the two
-# smaller singular values of T nearly coincide.
+# Default sweep budget of the CHSH see-saw.  Plain sweeps converge linearly,
+# and slowly where the two smaller singular values of T nearly coincide; from
+# sweep _PLAIN_SWEEPS on, each sweep also tries a safeguarded extrapolation
+# step (`_extrapolate`), which stops such states within a few hundred sweeps.
 SEESAW_SWEEPS = 3000
 MAX_RESTARTS = 1024  # each state carries (2, restarts, 3) settings per party
 
 _HALTON_BASES = (2, 3, 5, 7, 11, 13, 17, 19)
-_VALUE_STALL_TOL = 1e-13
+_VALUE_STALL_TOL = 1e-13  # plain phase: stop on the first sweep that gains less
+_PLAIN_SWEEPS = 20
+_STEP_START, _STEP_CAP = 0.5, 1e6  # extrapolation factor beta: first value and bound
+_STEP_STALL_TOL, _STEP_STALLS = 1e-14, 2  # extrapolated phase: stop after 2 sweeps in a row that gain less
 
 
 @dataclass(frozen=True)
@@ -213,13 +218,47 @@ def _check_seesaw_args(restarts: int, seed: int, iterations: int = SEESAW_SWEEPS
         raise ValueError(f"iterations must be at least 1, got {iterations}")
 
 
+def _extrapolate(t_t, alice, bob, values, old_bob, step, pair, raw, norm) -> None:
+    """Try one extrapolation step per restart and keep it where it raises the value.
+
+    Bob's pair moves along its change since `old_bob`, two sweeps back, to the
+    unit rows of bob + step (bob - old_bob), and Alice answers it with her best
+    pair.  Where that value is strictly higher, (alice, bob, values) take the
+    trial and `step` doubles (up to _STEP_CAP); elsewhere they stay and `step`
+    halves.  So (alice, bob) always reach `values`, and no value decreases.
+    `pair`, `raw` and `norm` are the scratch buffers of `_seesaw_half`.
+    """
+    trial = bob - old_bob
+    trial *= step[:, None, :, None]
+    trial += bob
+    np.einsum("...pmi,...pmi->...pm", trial, trial, out=norm)
+    np.sqrt(norm, out=norm)  # |(1 + step) b - step b_old| >= 1 for unit rows, so never 0
+    trial /= norm[..., None]
+    trial_alice = alice.copy()  # a zero row keeps Alice's vector, as in a plain sweep
+    _seesaw_half(trial, t_t, trial_alice, pair, raw, norm)
+    trial_values = norm[:, 0] + norm[:, 1]
+    kept = trial_values > values
+    np.copyto(alice, trial_alice, where=kept[:, None, :, None])
+    np.copyto(bob, trial, where=kept[:, None, :, None])
+    np.maximum(values, trial_values, out=values)
+    step *= np.where(kept, 2.0, 0.5)
+    np.minimum(step, _STEP_CAP, out=step)
+
+
 def _seesaw(rho: np.ndarray, restarts: int, seed: int, iterations: int = SEESAW_SWEEPS):
     """Multi-start see-saw over a stack of states (N, 4, 4).
 
     Returns the best settings (N, 4, 3) as unit rows (a, a', b, b') and the
-    per-state convergence flags (N,).  Every state runs exactly the sweeps it
-    would run alone: a state leaves the active set on the sweep where its best
-    value stalls, and the active set is compacted only on such sweeps.
+    per-state convergence flags (N,).  The first _PLAIN_SWEEPS sweeps are
+    plain alternating maximization, and a state stops on the first of them
+    whose best value gains less than _VALUE_STALL_TOL.  Each later sweep is a
+    plain sweep followed by the safeguarded extrapolation of `_extrapolate`,
+    and a state stops after _STEP_STALLS sweeps in a row whose best value
+    gains less than _STEP_STALL_TOL.  Both phases use only T, mat-vec products
+    and norms, never an eigenvalue.  Every sweep counts against `iterations`.
+    Every state runs exactly the sweeps it would run alone: a state leaves the
+    active set on the sweep where it stops, and the active set is compacted
+    only on such sweeps.
     """
     _check_seesaw_args(restarts, seed, iterations)
     t = correlation_tensor(rho)[:, None]  # (N, 1, 3, 3): one tensor for both vectors of a pair
@@ -233,18 +272,33 @@ def _seesaw(rho: np.ndarray, restarts: int, seed: int, iterations: int = SEESAW_
     final_alice, final_bob, final_values = np.empty_like(alice), np.empty_like(bob), np.empty((n, restarts))
     active = np.arange(n)
     prev_best = np.full(n, -np.inf)
+    # extrapolation state, made for the states still active two sweeps before it starts:
+    # Bob's pairs at the end of the last two sweeps, the step factors, the slow sweeps in a row
+    old_bob = step = slow = None
 
     def buffers(m: int):  # scratch of the sweeps over m active states: pair, raw, norm, values
         shape = (m, 2, restarts)
         return np.empty(shape + (3,)), np.empty(shape + (3,)), np.empty(shape), np.empty((m, restarts))
 
     pair, raw, norm, values = buffers(n)
-    for _ in range(iterations):
+    for sweep in range(iterations):
         _seesaw_half(bob, t_t, alice, pair, raw, norm)
         _seesaw_half(alice, t, bob, pair, raw, norm)
         np.add(norm[:, 0], norm[:, 1], out=values)
+        if sweep >= _PLAIN_SWEEPS:
+            _extrapolate(t_t, alice, bob, values, old_bob[sweep % 2], step, pair, raw, norm)
         best_now = values.max(axis=1)
-        stalled = best_now - prev_best < _VALUE_STALL_TOL
+        gain = best_now - prev_best
+        if sweep < _PLAIN_SWEEPS:
+            stalled = gain < _VALUE_STALL_TOL
+        else:
+            slow = np.where(gain < _STEP_STALL_TOL, slow + 1, 0)
+            stalled = slow >= _STEP_STALLS
+        if sweep == _PLAIN_SWEEPS - 2:
+            old_bob = np.empty((2,) + bob.shape)
+            step, slow = np.full(values.shape, _STEP_START), np.zeros(len(active), dtype=int)
+        if old_bob is not None:
+            old_bob[sweep % 2] = bob
         if stalled.any():
             done = active[stalled]
             final_alice[done], final_bob[done], final_values[done] = alice[stalled], bob[stalled], values[stalled]
@@ -253,6 +307,8 @@ def _seesaw(rho: np.ndarray, restarts: int, seed: int, iterations: int = SEESAW_
             if not keep.any():
                 break
             active, alice, bob, t = (a[keep] for a in (active, alice, bob, t))
+            if old_bob is not None:
+                old_bob, step, slow = old_bob[:, keep], step[keep], slow[keep]
             t_t = np.swapaxes(t, -1, -2)
             best_now = best_now[keep]
             pair, raw, norm, values = buffers(len(active))
@@ -277,11 +333,18 @@ def chsh_brute_force(
     For fixed b, b' the best a is T(b+b')/|T(b+b')| and the best a' is
     T(b-b')/|T(b-b')|; likewise b and b' from T^T(a+a') and T^T(a-a').  Each
     sweep applies both updates to every restart at once, so the value of every
-    restart never decreases.  The search uses only the correlation tensor and
+    restart never decreases.  Plain sweeps converge linearly, and slowly where
+    the two smaller singular values of T nearly coincide, so from sweep 20 on
+    each sweep also extrapolates Bob's pair along its change over the last two
+    sweeps and lets Alice answer it; a restart keeps that step only if its
+    value rises, so the value still never decreases and b_brute stays a lower
+    bound.  The search uses only the correlation tensor, mat-vec products and
     vector norms, never an eigenvalue, which keeps it independent of the
     Horodecki route.  Restarts are Halton points, so the whole search is
-    deterministic.  Sweeps stop once the best value stalls; exhausting the
-    sweep budget flags the result unconverged but returns it.
+    deterministic.  Plain sweeps stop on the first sweep whose best value
+    gains less than 1e-13, extrapolated ones after two sweeps in a row that
+    gain less than 1e-14; exhausting the sweep budget flags the result
+    unconverged but returns it.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
@@ -304,6 +367,11 @@ def violation_boundary(scenario: Scenario, params: ScenarioParams) -> BoundaryRe
     the given robustness values; 1.0 means no admissible d violates.  Array knobs give arrays.
     """
     violates = violates_chsh(bell_closed_form(scenario, params))
+    return BoundaryResult(violates=violates, d_threshold=_violation_threshold(scenario, params))
+
+
+def _violation_threshold(scenario: Scenario, params: ScenarioParams) -> float | np.ndarray:
+    """The d_threshold of `violation_boundary`, for callers that need no classification."""
     if scenario is Scenario.FREE:
         d_thr = np.where(unpredictability(params.r) > 0.0, 0.0, 1.0)
     elif scenario is Scenario.SYSTEM:
@@ -312,7 +380,7 @@ def violation_boundary(scenario: Scenario, params: ScenarioParams) -> BoundaryRe
         d_thr = np.sqrt(_meter_threshold_sq(params.r_m))
     else:
         d_thr = np.sqrt(_combined_threshold_sq(params.r_s, params.r_m))
-    return BoundaryResult(violates=violates, d_threshold=_float_or_array(d_thr))
+    return _float_or_array(d_thr)
 
 
 def _meter_threshold_sq(r_m: float | np.ndarray) -> float | np.ndarray:

@@ -15,7 +15,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .bell import horodecki_bmax, violates_chsh, violation_boundary
+from .bell import _violation_threshold, horodecki_bmax, violates_chsh
 from .infotheory import mutual_information
 from .states import Scenario, ScenarioParams, scenario_densities
 from .visibility import visibility_analytic
@@ -75,7 +75,7 @@ def _fig6(d: np.ndarray, r: np.ndarray) -> tuple:
 
 
 def _fig7(r_s: np.ndarray, r_m: np.ndarray) -> tuple:
-    return r_s, r_m, violation_boundary(Scenario.COMBINED, ScenarioParams(r_s=r_s, r_m=r_m)).d_threshold
+    return r_s, r_m, _violation_threshold(Scenario.COMBINED, ScenarioParams(r_s=r_s, r_m=r_m))
 
 
 FIGURES: dict[int, SweepSpec] = {

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bell import _check_seesaw_args, _seesaw, bell_closed_form, chsh_value, horodecki_bmax, violates_chsh
-from .bell import violation_boundary
+from .bell import _check_seesaw_args, _seesaw, _violation_threshold, bell_closed_form, chsh_value, horodecki_bmax
+from .bell import violates_chsh
 from .figures import _grid_chunks
 from .infotheory import binary_entropy, entropy_closed_form, info_threshold, mutual_information, ppt_check
 from .infotheory import printed_meter_entropies, printed_meter_info_threshold
@@ -80,7 +80,7 @@ def _reduce(name: str, tolerance: float, chunks) -> SuiteResult:
 def _boundary(scenario: Scenario, **robustness):
     """Coords and states of the scenario on its violation boundary, one per point of the robustness
     knobs (arrays): d is the package's own threshold, violation_boundary(...).d_threshold."""
-    d = violation_boundary(scenario, ScenarioParams(**robustness)).d_threshold
+    d = _violation_threshold(scenario, ScenarioParams(**robustness))
     return ScenarioParams(d=d, **robustness), scenario_densities(scenario, d=d, **robustness)
 
 

@@ -272,16 +272,21 @@ def _seesaw(rho: np.ndarray, restarts: int, seed: int, iterations: int = SEESAW_
     final_alice, final_bob, final_values = np.empty_like(alice), np.empty_like(bob), np.empty((n, restarts))
     active = np.arange(n)
     prev_best = np.full(n, -np.inf)
-    # extrapolation state, made for the states still active two sweeps before it starts:
-    # Bob's pairs at the end of the last two sweeps, the step factors, the slow sweeps in a row
-    old_bob = step = slow = None
 
-    def buffers(m: int):  # scratch of the sweeps over m active states: pair, raw, norm, values
+    def buffers(m: int):  # scratch of the sweeps over m active states: pair, raw, norm
         shape = (m, 2, restarts)
-        return np.empty(shape + (3,)), np.empty(shape + (3,)), np.empty(shape), np.empty((m, restarts))
+        return np.empty(shape + (3,)), np.empty(shape + (3,)), np.empty(shape)
 
-    pair, raw, norm, values = buffers(n)
+    pair, raw, norm = buffers(n)
+    values = np.empty((n, restarts))
     for sweep in range(iterations):
+        # the extrapolation state exists from two sweeps before the phase starts, for the
+        # states still active then: Bob's pairs at the end of the last two sweeps, the step
+        # factors and the slow sweeps in a row
+        tracked = sweep >= _PLAIN_SWEEPS - 2
+        if sweep == _PLAIN_SWEEPS - 2:
+            old_bob = np.empty((2,) + bob.shape)
+            step, slow = np.full(values.shape, _STEP_START), np.zeros(len(active), dtype=int)
         _seesaw_half(bob, t_t, alice, pair, raw, norm)
         _seesaw_half(alice, t, bob, pair, raw, norm)
         np.add(norm[:, 0], norm[:, 1], out=values)
@@ -294,10 +299,7 @@ def _seesaw(rho: np.ndarray, restarts: int, seed: int, iterations: int = SEESAW_
         else:
             slow = np.where(gain < _STEP_STALL_TOL, slow + 1, 0)
             stalled = slow >= _STEP_STALLS
-        if sweep == _PLAIN_SWEEPS - 2:
-            old_bob = np.empty((2,) + bob.shape)
-            step, slow = np.full(values.shape, _STEP_START), np.zeros(len(active), dtype=int)
-        if old_bob is not None:
+        if tracked:
             old_bob[sweep % 2] = bob
         if stalled.any():
             done = active[stalled]
@@ -306,12 +308,13 @@ def _seesaw(rho: np.ndarray, restarts: int, seed: int, iterations: int = SEESAW_
             keep = ~stalled
             if not keep.any():
                 break
-            active, alice, bob, t = (a[keep] for a in (active, alice, bob, t))
-            if old_bob is not None:
+            # `values` is compacted, not reallocated: a budget that ends on this sweep returns it
+            active, alice, bob, values, t = (a[keep] for a in (active, alice, bob, values, t))
+            if tracked:
                 old_bob, step, slow = old_bob[:, keep], step[keep], slow[keep]
             t_t = np.swapaxes(t, -1, -2)
             best_now = best_now[keep]
-            pair, raw, norm, values = buffers(len(active))
+            pair, raw, norm = buffers(len(active))
         prev_best = best_now
     else:
         final_alice[active], final_bob[active], final_values[active] = alice, bob, values

@@ -1,15 +1,16 @@
 """Parameter sweeps behind the seven figure data sets, emitted as CSV grids.
 
-Each figure is a SweepSpec: two axes, a column function and a fixed column
-order.  The column function maps the flattened grid coordinates of a chunk
-of points to its value columns, evaluating every point of the chunk through
-the stacked (N, 4, 4) layers at once.  Rows are written in row-major axis
-order, one chunk of at most CHUNK_POINTS points at a time; each chunk is one
-float table, formatted by a single '%' over a per-row line template and written at once.
+Each figure is a SweepSpec: a fixed column order, the two grid axes first,
+and a column function.  The column function maps the flattened grid
+coordinates of a chunk of points to its value columns, evaluating every
+point of the chunk through the stacked (N, 4, 4) layers at once.  Rows are written in row-major
+axis order, one chunk of at most CHUNK_POINTS points at a time; each chunk is one float table,
+formatted by a single '%' over a per-row line template and written at once.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -28,9 +29,8 @@ CHUNK_POINTS = 1024
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Axes and outputs of one figure grid."""
+    """Columns of one figure grid, the outer and inner axis first, and their function."""
 
-    axes: tuple[str, str]  # parameter names, outer axis first
     columns: tuple[str, ...]
     evaluate: Callable[[np.ndarray, np.ndarray], tuple]  # (outer, inner) coordinates -> columns
 
@@ -79,13 +79,13 @@ def _fig7(r_s: np.ndarray, r_m: np.ndarray) -> tuple:
 
 
 FIGURES: dict[int, SweepSpec] = {
-    1: SweepSpec(("d", "u"), ("d", "u", "b_max"), _fig1),
-    2: SweepSpec(("o", "r"), ("o", "r", "b_max"), _fig2),
-    3: SweepSpec(("d", "r"), ("d", "r", "v", "lrt_explainable"), _fig3),
-    4: SweepSpec(("d", "r"), ("d", "r", "i_ab", "chsh_violating"), _fig4),
-    5: SweepSpec(("r", "d"), ("r", "d", "b_max"), _fig5),
-    6: SweepSpec(("d", "r"), ("d", "r", "i_ab", "chsh_violating"), _fig6),
-    7: SweepSpec(("r_s", "r_m"), ("r_s", "r_m", "d_threshold"), _fig7),
+    1: SweepSpec(("d", "u", "b_max"), _fig1),
+    2: SweepSpec(("o", "r", "b_max"), _fig2),
+    3: SweepSpec(("d", "r", "v", "lrt_explainable"), _fig3),
+    4: SweepSpec(("d", "r", "i_ab", "chsh_violating"), _fig4),
+    5: SweepSpec(("r", "d", "b_max"), _fig5),
+    6: SweepSpec(("d", "r", "i_ab", "chsh_violating"), _fig6),
+    7: SweepSpec(("r_s", "r_m", "d_threshold"), _fig7),
 }
 
 
@@ -112,10 +112,10 @@ def write_figure_csv(n: int, resolution: int, path: str) -> int:
 
     Both axes run over [0, 1] in ``resolution`` equal steps, i / (resolution - 1).
     """
-    if n not in FIGURES:
-        raise ValueError(f"figure number must be 1..7, got {n}")
-    if not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
-        raise ValueError(f"resolution must lie in [{MIN_RESOLUTION}, {MAX_RESOLUTION}], got {resolution}")
+    if not isinstance(n, numbers.Integral) or n not in FIGURES:
+        raise ValueError(f"figure number must be an integer in 1..7, got {n!r}")
+    if not isinstance(resolution, numbers.Integral) or not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
+        raise ValueError(f"resolution must be an integer in [{MIN_RESOLUTION}, {MAX_RESOLUTION}], got {resolution!r}")
     spec = FIGURES[n]
     count = 0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

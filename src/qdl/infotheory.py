@@ -15,13 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bell import _violation_threshold
 from .linalg import _float_or_array, hermitian_eigenvalues, partial_trace, partial_transpose
 from .states import Scenario, ScenarioParams, _check_unit_interval, scenario_density
 
 SEPARABILITY_TOL = 1e-10
 ENTROPY_EIGENVALUE_FLOOR = -1e-8
-
-METER_THRESHOLD_MAX_ROBUSTNESS = 1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -73,8 +72,8 @@ def _xlogx(x: float | np.ndarray) -> np.ndarray:
 
 def mutual_information(rho: np.ndarray) -> InformationReport:
     """I_AB = S_A + S_B - S_AB from the eigenvalue route; array fields over a stack of states."""
-    s_a = von_neumann_entropy(partial_trace(rho, ("A",)))
-    s_b = von_neumann_entropy(partial_trace(rho, ("B",)))
+    s_a = von_neumann_entropy(partial_trace(rho, "A"))
+    s_b = von_neumann_entropy(partial_trace(rho, "B"))
     s_ab = von_neumann_entropy(rho)
     return InformationReport(s_a=s_a, s_b=s_b, s_ab=s_ab, i_ab=s_a + s_b - s_ab)
 
@@ -125,17 +124,17 @@ def info_threshold(scenario: Scenario, robustness: float | np.ndarray) -> float 
 
     System case: the closed form h((1+r^2)/2), which equals I_AB on the violation
     boundary d^2 = 1 - r^2, and an array over an array of robustness values.  Meter
-    case: computed numerically as I_AB at the boundary distinguishability; returns
-    None for robustness >= 1/sqrt(2), where every d > 0 already violates.
+    case: computed numerically as I_AB at the boundary distinguishability d of
+    ``violation_boundary``; returns None where that d is 0 (robustness^2 >= 1/2),
+    as every d > 0 already violates there.
     """
     robustness = _check_unit_interval("robustness", robustness)
     if scenario is Scenario.SYSTEM:
         return binary_entropy((1.0 + robustness * robustness) / 2.0)
     if scenario is Scenario.METER:
-        if robustness >= METER_THRESHOLD_MAX_ROBUSTNESS:
+        d_boundary = _violation_threshold(Scenario.METER, ScenarioParams(r_m=robustness))
+        if d_boundary == 0.0:
             return None
-        r2 = robustness * robustness
-        d_boundary = math.sqrt(1.0 - r2 / (1.0 - r2))
         rho = scenario_density(ScenarioParams(d=d_boundary, r_m=robustness), Scenario.METER)
         return mutual_information(rho).i_ab
     raise ValueError(f"no information threshold defined for scenario {scenario.value}")

@@ -26,12 +26,11 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
-def _as_square(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
-    """Complex square matrix with finite entries; ``stack`` also admits (..., n, n)."""
+def _as_square(m, name: str = "matrix") -> np.ndarray:
+    """Complex square matrix, or stack (..., n, n) of them, with finite entries."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim < 2 or (m.ndim > 2 and not stack) or m.shape[-1] != m.shape[-2]:
-        what = "a square matrix or a stack (..., n, n)" if stack else "square"
-        raise ValueError(f"{name} must be {what}, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"{name} must be a square matrix or a stack (..., n, n), got shape {m.shape}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError(f"{name} contains NaN/Inf entries")
     return m
@@ -42,31 +41,27 @@ def _float_or_array(x) -> float | np.ndarray:
     return float(x) if np.ndim(x) == 0 else x
 
 
-def hermitian_eigensystem(
-    m,
-    offdiag_tol: float = JACOBI_OFFDIAG_TOL,
-    max_sweeps: int = JACOBI_MAX_SWEEPS,
-    *,
-    vectors: bool = True,
-) -> tuple[np.ndarray, np.ndarray | None]:
+def hermitian_eigensystem(m, *, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Eigenvalues (descending) and eigenvectors of a Hermitian matrix.
 
     Cyclic Jacobi with complex plane rotations; a sweep visits every
     off-diagonal pivot once and iteration stops when the off-diagonal
-    Frobenius norm drops below ``offdiag_tol``.  Column k of the returned
-    vector matrix is the eigenvector for the k-th eigenvalue.  With
-    ``vectors=False`` no rotation is accumulated, the vectors come back as
-    None and the values are the same bit for bit; ``hermitian_eigenvalues``
-    takes that route, so it never builds a vector matrix.
+    Frobenius norm drops below JACOBI_OFFDIAG_TOL (ArithmeticError after
+    JACOBI_MAX_SWEEPS sweeps).  Column k of the returned vector matrix is the
+    eigenvector for the k-th eigenvalue.  With ``vectors=False`` no rotation
+    is accumulated, the vectors come back as None and the values are the same
+    bit for bit; ``hermitian_eigenvalues`` takes that route, so it never
+    builds a vector matrix.
 
     A stack of shape (..., n, n) returns values (..., n) and vectors
     (..., n, n), solved together by ``_stacked_jacobi``.  A single matrix
     keeps this scalar loop, which is faster for one matrix and is the
     reference the stacked loop is tested against.
     """
-    if np.ndim(m) > 2:
-        return _stacked_jacobi(_as_square(m, "m", stack=True), offdiag_tol, max_sweeps, vectors)
-    a = _as_square(m, "m").copy()
+    m = _as_square(m, "m")
+    if m.ndim > 2:
+        return _stacked_jacobi(m, vectors)
+    a = m.copy()
     n = a.shape[0]
     dev = np.max(np.abs(a - a.conj().T))
     if dev >= HERMITICITY_TOL:
@@ -79,11 +74,9 @@ def hermitian_eigensystem(
         return float(np.linalg.norm(off))
 
     sweeps = 0
-    while offdiag_norm() >= offdiag_tol:
-        if sweeps >= max_sweeps:
-            raise ArithmeticError(
-                f"Jacobi iteration failed to converge in {max_sweeps} sweeps"
-            )
+    while offdiag_norm() >= JACOBI_OFFDIAG_TOL:
+        if sweeps >= JACOBI_MAX_SWEEPS:
+            raise ArithmeticError(f"Jacobi iteration failed to converge in {JACOBI_MAX_SWEEPS} sweeps")
         for p in range(n - 1):
             for q in range(p + 1, n):
                 z = a[p, q]
@@ -125,9 +118,7 @@ def hermitian_eigensystem(
     return values[order], (vecs[:, order] if vectors else None)
 
 
-def _stacked_jacobi(
-    m: np.ndarray, offdiag_tol: float, max_sweeps: int, vectors: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
+def _stacked_jacobi(m: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """The cyclic Jacobi of ``hermitian_eigensystem`` run over a stack of matrices at once.
 
     Every matrix visits the same pivots in the same order and gets the same
@@ -136,10 +127,10 @@ def _stacked_jacobi(
     columns.  A matrix skips a pivot whose |a[p, q]| is below the smallest
     normal float, so each result equals that of a separate call.  At each
     sweep boundary the matrices whose off-diagonal norm has dropped below
-    ``offdiag_tol`` are copied out to the result and the stack is compacted
+    JACOBI_OFFDIAG_TOL are copied out to the result and the stack is compacted
     to the rest, so a converged matrix is not rotated again.  Only that norm
     is summed in another order than in the scalar loop; that can change the
-    sweep count only for a norm within rounding of ``offdiag_tol``.
+    sweep count only for a norm within rounding of JACOBI_OFFDIAG_TOL.
     """
     batch, n = m.shape[:-2], m.shape[-1]
     a = m.reshape((-1, n, n))
@@ -160,7 +151,7 @@ def _stacked_jacobi(
     while True:
         off = a.real**2 + a.imag**2
         off[:, diag, diag] = 0.0
-        done = np.sqrt(np.sum(off, axis=(-2, -1))) < offdiag_tol
+        done = np.sqrt(np.sum(off, axis=(-2, -1))) < JACOBI_OFFDIAG_TOL
         if done.any():
             values[slot[done]] = a[done][:, diag, diag].real
             if vectors:
@@ -169,8 +160,8 @@ def _stacked_jacobi(
             a, slot = a[~done], slot[~done]
         if slot.size == 0:
             break
-        if sweeps >= max_sweeps:
-            raise ArithmeticError(f"Jacobi iteration failed to converge in {max_sweeps} sweeps")
+        if sweeps >= JACOBI_MAX_SWEEPS:
+            raise ArithmeticError(f"Jacobi iteration failed to converge in {JACOBI_MAX_SWEEPS} sweeps")
         for p in range(n - 1):
             for q in range(p + 1, n):
                 z = a[:, p, q]
@@ -223,48 +214,26 @@ def _stacked_jacobi(
     return values, vecs.reshape(batch + (n, n))
 
 
-def hermitian_eigenvalues(m, **kwargs) -> np.ndarray:
+def hermitian_eigenvalues(m) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix (or of each in a stack), sorted descending."""
-    values, _ = hermitian_eigensystem(m, vectors=False, **kwargs)
+    values, _ = hermitian_eigensystem(m, vectors=False)
     return values
 
 
-def _axes_of(keep) -> list[int]:
-    """Tensor positions of the A(x)B factors in ``keep`` (labels "A"/"B" or axis indices 0/1)."""
-    axes = []
-    for label in keep:
-        if label not in ("A", "B", 0, 1):
-            raise ValueError(f"no subsystem {label!r} in A(x)B: keep names 'A'/'B' or 0/1")
-        axes.append(("A", "B").index(label) if isinstance(label, str) else int(label))
-    if not axes or len(set(axes)) != len(axes):
-        raise ValueError(f"keep must name one or both of A and B once each, got {tuple(keep)!r}")
-    return axes
-
-
-def partial_trace(rho, keep) -> np.ndarray:
-    """Reduced density matrix on the kept factors of a 4x4 A(x)B density matrix, or of each in a stack (..., 4, 4).
-
-    ``keep`` is a sequence of labels or axis indices, in the order the kept
-    factors should appear in the result.
-    """
-    rho = _as_square(rho, "rho", stack=True)
+def partial_trace(rho, keep: str) -> np.ndarray:
+    """Reduced density matrix on factor ``keep`` ("A" or "B") of a 4x4 A(x)B density matrix or of each in a stack."""
+    rho = _as_square(rho, "rho")
     if rho.shape[-1] != 4:
         raise ValueError("density-matrix partial trace expects a 4x4 A(x)B operator")
-    axes = _axes_of(keep)
-    batch = rho.shape[:-2]
-    r = rho.reshape(batch + (2, 2, 2, 2))
-    if axes == [0, 1]:
-        return rho.copy()
-    if axes == [1, 0]:
-        return np.einsum("...abcd->...badc", r).reshape(batch + (4, 4))
-    if axes == [0]:
-        return np.einsum("...ikjk->...ij", r)
-    return np.einsum("...kikj->...ij", r)
+    if keep not in ("A", "B"):
+        raise ValueError(f"no subsystem {keep!r} in A(x)B: keep names 'A' or 'B'")
+    r = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
+    return np.einsum("...ikjk->...ij" if keep == "A" else "...kikj->...ij", r)
 
 
 def partial_transpose(rho) -> np.ndarray:
     """Transpose the second (B) factor in the computational product basis, of each matrix in a stack."""
-    rho = _as_square(rho, "rho", stack=True)
+    rho = _as_square(rho, "rho")
     if rho.shape[-1] != 4:
         raise ValueError("partial transpose expects a 4x4 A(x)B operator")
     batch = rho.shape[:-2]

@@ -9,6 +9,7 @@ that no adjudicated formula is patched silently.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,7 @@ DEFAULT_RESOLUTION = 13
 BRUTE_RESOLUTION = 5
 SWEEP_RESOLUTION = 5
 MAX_RESOLUTION = 201  # the combined-scenario suites evaluate resolution^3 points
+METER_THRESHOLD_ROBUSTNESS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)  # r_m rows of the meter threshold table
 
 # The live knobs of each scenario, outer grid axis first.
 _AXES = {
@@ -103,11 +105,11 @@ def suite_identities(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     return _reduce("identities", IDENTITY_TOL, _residuals(_AXES, resolution, residual))
 
 
-def suite_sweep_agreement(resolution: int = SWEEP_RESOLUTION, n_phases: int = 1024) -> SuiteResult:
+def suite_sweep_agreement(resolution: int = SWEEP_RESOLUTION) -> SuiteResult:
     """Fringe-definition visibility (phase sweep) against the analytic shortcut."""
 
     def gap(scenario, coords, rho):
-        return np.abs(visibility_sweep(rho, n_phases).visibility - visibility_analytic(rho))
+        return np.abs(visibility_sweep(rho).visibility - visibility_analytic(rho))
 
     return _reduce("visibility_sweep", 1e-5, _residuals(_AXES, resolution, gap))
 
@@ -281,15 +283,15 @@ def probe_meter_entropy_form(resolution: int = DEFAULT_RESOLUTION) -> SuiteResul
     return res
 
 
-def probe_meter_threshold_form(robustness_values=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)) -> SuiteResult:
+def probe_meter_threshold_form() -> SuiteResult:
     """Meter information threshold: numeric boundary value vs the published expression."""
     lines = ["meter information threshold (numeric boundary I_AB vs published form):",
              "  r_m      numeric          published        |difference|"]
     worst_closed = 0.0
-    for r in robustness_values:
-        if r >= 1.0 / math.sqrt(2.0):
-            continue
+    for r in METER_THRESHOLD_ROBUSTNESS:
         numeric = info_threshold(Scenario.METER, r)
+        if numeric is None:  # no threshold: every d > 0 violates
+            continue
         printed = printed_meter_info_threshold(r)
         arg = 0.5 + 0.5 * math.sqrt(2.0) * r * r / math.sqrt(1.0 - r * r)
         worst_closed = max(worst_closed, abs(numeric - binary_entropy(arg)))
@@ -363,8 +365,8 @@ def run_suites(
     names=None,
 ) -> list[SuiteResult]:
     """Check every argument, then run the requested suites (all by default) and apply any tolerance override."""
-    if not 2 <= resolution <= MAX_RESOLUTION:
-        raise ValueError(f"resolution must lie in [2, {MAX_RESOLUTION}], got {resolution}")
+    if not isinstance(resolution, numbers.Integral) or not 2 <= resolution <= MAX_RESOLUTION:
+        raise ValueError(f"resolution must be an integer in [2, {MAX_RESOLUTION}], got {resolution!r}")
     if tolerance_override is not None and not (math.isfinite(tolerance_override) and tolerance_override >= 0.0):
         raise ValueError("tolerance must be a finite non-negative number")
     _check_seesaw_args(restarts, seed)

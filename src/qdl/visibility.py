@@ -68,7 +68,7 @@ def visibility_sweep(rho: np.ndarray, n: int = DEFAULT_SWEEP_POINTS) -> FringeSc
 
 def visibility_analytic(rho: np.ndarray) -> float | np.ndarray:
     """Fringe contrast from the A coherence: V = 2 |<up| rho_A |down>|; an array over a stack of states."""
-    c = partial_trace(rho, ("A",))[..., 0, 1]
+    c = partial_trace(rho, "A")[..., 0, 1]
     return _float_or_array(2.0 * np.hypot(c.real, c.imag))  # hypot rounds like abs() of one complex scalar
 
 

@@ -78,7 +78,7 @@ def test_criterion_2_brute_force_oracle():
 
 def test_criterion_3_complementarity_identities():
     identities = suite_identities(21)
-    sweep = suite_sweep_agreement(5, n_phases=1024)
+    sweep = suite_sweep_agreement(5)
     report(
         3,
         identities.passed and sweep.passed,

@@ -214,6 +214,27 @@ def test_figure_rejects_resolution_above_the_cap(tmp_path, capsys):
     assert err.count("\n") == 1 and "resolution" in err
 
 
+@pytest.mark.parametrize(
+    "n, resolution",
+    [(1, 11.5), (1, 11.0), (1.0, 11), (np.float64(7.0), 11), (1, "11")],
+    ids=["resolution-11.5", "resolution-11.0", "n-1.0", "n-float64", "resolution-str"],
+)
+def test_figure_rejects_non_integral_arguments_before_opening_the_file(n, resolution, tmp_path):
+    out_path = tmp_path / "x.csv"
+    with pytest.raises(ValueError, match="must be an integer"):
+        write_figure_csv(n, resolution, str(out_path))
+    assert not out_path.exists()
+
+
+def test_analyze_meter_threshold_at_one_over_sqrt2_rounded_down(capsys):
+    # r_m^2 < 1/2 here, so the boundary d is 2.1e-8 and the information threshold exists
+    args = ["analyze", "--scenario", "meter", "--d", "1e-8", "--r-m", "0.7071067811865475", "--restarts", "4"]
+    code, out, _ = run_cli(args, capsys)
+    fields = dict(line.split("=", 1) for line in out.strip().splitlines())
+    assert code == 0 and fields["d_threshold"] == "0.000000021"
+    assert fields["info_threshold"] != "n/a" and fields["above_info_threshold"] != "n/a"
+
+
 def test_analyze_rejects_restarts_above_the_cap(capsys):
     args = ["analyze", "--scenario", "free", "--d", "0.5", "--restarts", str(MAX_RESTARTS + 1)]
     code, out, err = run_cli(args, capsys)

@@ -197,8 +197,10 @@ def test_info_threshold_meter_numeric():
 
 
 def test_info_threshold_meter_none_above_sqrt_half():
-    assert info_threshold(Scenario.METER, 1 / math.sqrt(2)) is None
+    # 1 / math.sqrt(2) rounds below 1/sqrt2 and squares to below 1/2: its boundary d is 2.1e-8, not 0
+    assert info_threshold(Scenario.METER, math.nextafter(1 / math.sqrt(2), 1.0)) is None
     assert info_threshold(Scenario.METER, 0.9) is None
+    assert info_threshold(Scenario.METER, 1.0) is None
 
 
 def test_info_threshold_unsupported_scenario():

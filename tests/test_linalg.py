@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qdl import linalg
 from qdl.linalg import (
     _TAU_HUGE,
     _TINY,
@@ -96,27 +97,19 @@ def test_eigenvalues_reject_non_hermitian():
 
 def test_partial_trace_maximally_entangled():
     rho = np.outer(PHI_PLUS, PHI_PLUS.conj())
-    assert np.allclose(partial_trace(rho, ("A",)), np.eye(2) / 2, atol=1e-12)
+    assert np.allclose(partial_trace(rho, "A"), np.eye(2) / 2, atol=1e-12)
 
 
 def test_partial_trace_product_state():
     rho = np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex)  # |up>_A |down>_B
-    assert np.allclose(partial_trace(rho, ("A",)), np.diag([1.0, 0.0]), atol=1e-14)
-    assert np.allclose(partial_trace(rho, (1,)), np.diag([0.0, 1.0]), atol=1e-14)
-
-
-def test_partial_trace_keeps_everything():
-    rho = np.outer(PHI_PLUS, PHI_PLUS.conj())
-    assert np.array_equal(partial_trace(rho, ("A", "B")), rho)
-    rng = np.random.default_rng(6)
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    swapped = partial_trace(g, ("B", "A")).reshape(2, 2, 2, 2)
-    assert np.array_equal(swapped, g.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2))
+    assert np.allclose(partial_trace(rho, "A"), np.diag([1.0, 0.0]), atol=1e-14)
+    assert np.allclose(partial_trace(rho, "B"), np.diag([0.0, 1.0]), atol=1e-14)
 
 
 def test_partial_trace_bad_label():
     rho = np.outer(PHI_PLUS, PHI_PLUS.conj())
-    for keep in (("A", "E"), ("A", "A"), (0, "A"), (2,), ()):
+    # one factor, named "A" or "B": no tuple of labels, no axis index, no keep-both
+    for keep in (("A", "E"), ("A", "A"), (0, "A"), (2,), (), ("A",), ("A", "B"), 0, "C"):
         with pytest.raises(ValueError):
             partial_trace(rho, keep)
 
@@ -128,7 +121,7 @@ def test_partial_trace_of_pure_state_is_density_matrix():
         amps /= np.linalg.norm(amps)
         rho = np.outer(amps, amps.conj())
         spectra = []
-        for keep in (("A",), ("B",)):
+        for keep in ("A", "B"):
             reduced = partial_trace(rho, keep)
             assert np.max(np.abs(reduced - reduced.conj().T)) < 1e-15
             assert abs(np.trace(reduced) - 1.0) < 1e-12
@@ -226,11 +219,13 @@ def test_stacked_eigensystem_rejects_one_bad_member(m, data):
         hermitian_eigensystem(bad)
 
 
-def test_stacked_eigensystem_reports_non_convergence():
+def test_stacked_eigensystem_reports_non_convergence(monkeypatch):
     m = np.stack([np.diag([1.0, 2.0]), SIGMA_X]).astype(complex)
+    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)
     with pytest.raises(ArithmeticError):
-        hermitian_eigensystem(m, max_sweeps=0)
-    values, _ = hermitian_eigensystem(m, max_sweeps=1)
+        hermitian_eigensystem(m)
+    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
+    values, _ = hermitian_eigensystem(m)
     assert np.array_equal(values, [[2.0, 1.0], [1.0, -1.0]])
 
 
@@ -328,17 +323,17 @@ def reference_jacobi(m, offdiag_tol=JACOBI_OFFDIAG_TOL, max_sweeps=JACOBI_MAX_SW
     return (values[0], vecs[0]) if single else (values, vecs)
 
 
-def assert_same_as_reference(m, **kwargs):
+def assert_same_as_reference(m):
     """The eigensystem and the values-only route against ``reference_jacobi``, bit for bit.
 
     ``np.array_equal`` lets a zero vector entry differ in sign only.
     """
-    ref_values, ref_vectors = reference_jacobi(m, **kwargs)
-    values, vectors = hermitian_eigensystem(m, **kwargs)
+    ref_values, ref_vectors = reference_jacobi(m)
+    values, vectors = hermitian_eigensystem(m)
     assert values.tobytes() == ref_values.tobytes()
     assert np.array_equal(vectors, ref_vectors)
-    assert hermitian_eigenvalues(m, **kwargs).tobytes() == ref_values.tobytes()
-    assert hermitian_eigensystem(m, vectors=False, **kwargs)[1] is None
+    assert hermitian_eigenvalues(m).tobytes() == ref_values.tobytes()
+    assert hermitian_eigensystem(m, vectors=False)[1] is None
 
 
 @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -348,7 +343,7 @@ def test_eigensystem_and_eigenvalues_equal_the_reference_loop_bit_for_bit(m):
     assert_same_as_reference(m[0])
 
 
-def test_stack_converging_at_different_sweeps_with_skipped_pivots():
+def test_stack_converging_at_different_sweeps_with_skipped_pivots(monkeypatch):
     rng = np.random.default_rng(8)
     dense = random_hermitian(rng, 4)
     blocks = np.zeros((4, 4), dtype=complex)  # pivots (0,2), (0,3), (1,2) and (1,3) stay exactly 0
@@ -357,12 +352,15 @@ def test_stack_converging_at_different_sweeps_with_skipped_pivots():
     diagonal = np.diag([0.5, -1.0, 2.0, 0.0]).astype(complex)
     stack = np.stack([dense, blocks, diagonal, dense.conj()])
     # diagonal needs no sweep, blocks one, the dense members several
-    hermitian_eigensystem(stack[2:3], max_sweeps=0)
-    hermitian_eigensystem(stack[1:3], max_sweeps=1)
-    with pytest.raises(ArithmeticError):
-        hermitian_eigensystem(stack[1:3], max_sweeps=0)
-    with pytest.raises(ArithmeticError):
-        hermitian_eigensystem(stack, max_sweeps=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)
+        hermitian_eigensystem(stack[2:3])
+        with pytest.raises(ArithmeticError):
+            hermitian_eigensystem(stack[1:3])
+        patch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
+        hermitian_eigensystem(stack[1:3])
+        with pytest.raises(ArithmeticError):
+            hermitian_eigensystem(stack)
     assert_same_as_reference(stack)
     values, vectors = hermitian_eigensystem(stack)
     for k in range(stack.shape[0]):

@@ -6,13 +6,16 @@ import pytest
 
 from qdl import figures
 from qdl.bell import _combined_threshold_sq, _meter_threshold_sq, bell_closed_form, horodecki_bmax, violation_boundary
-from qdl.infotheory import METER_THRESHOLD_MAX_ROBUSTNESS, binary_entropy, entropy_closed_form, info_threshold
+from qdl.infotheory import binary_entropy, entropy_closed_form, info_threshold
 from qdl.infotheory import mutual_information
 from qdl.infotheory import printed_meter_entropies
 from qdl.states import Scenario, ScenarioParams, scenario_densities
-from qdl.verify import _AXES, BOUNDARY_TOL, CLOSED_FORM_TOL, ENTROPY_TOL, IDENTITY_TOL, _reduce, run_suites
+from qdl.verify import _AXES, BOUNDARY_TOL, CLOSED_FORM_TOL, ENTROPY_TOL, IDENTITY_TOL, SUITES, _reduce, run_suites
 from qdl.verify import suite_identities
 from qdl.visibility import _identity_residual, check_identity, predictability, unpredictability, visibility_analytic
+
+
+METER_THRESHOLD_MAX_ROBUSTNESS = 1.0 / math.sqrt(2.0)  # 0.7071067811865475, 1/sqrt2 rounded down
 
 
 def test_suite_results_do_not_depend_on_the_chunk_size(monkeypatch):
@@ -50,6 +53,15 @@ def test_ppt_region_passes_on_the_coarsest_grid():
 def test_run_suites_rejects_non_integral_optimizer_arguments_before_any_suite(kwargs, name):
     with pytest.raises(ValueError, match=name):
         run_suites(resolution=2, names=["identities"], **kwargs)
+
+
+@pytest.mark.parametrize("resolution", [5.0, np.float64(5.0), "5"], ids=["float", "float64", "str"])
+def test_run_suites_rejects_a_non_integral_resolution_before_any_suite(resolution, monkeypatch):
+    ran = []
+    monkeypatch.setitem(SUITES, "identities", lambda *args: ran.append(args))
+    with pytest.raises(ValueError, match="resolution must be an integer"):
+        run_suites(resolution=resolution, names=["identities"])
+    assert ran == []
 
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -182,3 +194,14 @@ def test_meter_info_threshold_is_the_information_at_the_boundary_at_edge_biased_
     d_boundary = math.sqrt(1.0 - r2 / (1.0 - r2))
     closed = entropy_closed_form(Scenario.METER, ScenarioParams(d=d_boundary, r_m=r)).i_ab
     assert abs(info_threshold(Scenario.METER, r) - closed) < ENTROPY_TOL
+
+
+@pytest.mark.parametrize("r", [METER_THRESHOLD_MAX_ROBUSTNESS, math.nextafter(METER_THRESHOLD_MAX_ROBUSTNESS, 1.0)])
+def test_meter_info_threshold_is_none_exactly_where_the_violation_boundary_is_zero(r):
+    # 1/sqrt2 rounded down squares to below 1/2, so its boundary d is 2.1e-8, not 0; the next float up squares past 1/2.
+    d = violation_boundary(Scenario.METER, ScenarioParams(r_m=r)).d_threshold
+    threshold = info_threshold(Scenario.METER, r)
+    assert (threshold is None) == (d == 0.0)
+    if threshold is not None:
+        closed = entropy_closed_form(Scenario.METER, ScenarioParams(d=d, r_m=r)).i_ab
+        assert abs(threshold - closed) < ENTROPY_TOL

@@ -58,7 +58,7 @@ def test_sweep_probabilities_follow_the_fringe_formula():
     ]
     for rho in states:
         scan = visibility_sweep(rho, 64)
-        c = partial_trace(rho, ("A",))[0, 1]
+        c = partial_trace(rho, "A")[0, 1]
         expected = (1.0 - 2.0 * np.real(np.exp(-1j * scan.phases) * c)) / 2.0
         assert np.max(np.abs(scan.probabilities - expected)) < 1e-14
     assert np.max(np.abs(ROTATION_A.conj().T @ ROTATION_A - np.eye(2))) < 1e-15

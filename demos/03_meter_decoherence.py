@@ -18,7 +18,7 @@ from qdl import (
     horodecki_bmax,
     ppt_check,
     scenario_density,
-    violation_boundary,
+    violation_threshold,
     visibility_analytic,
 )
 
@@ -42,6 +42,5 @@ print()
 print("minimal distinguishability for violation, per robustness")
 print(f"{'r_m':>6} {'d_threshold':>12}")
 for r in (0.0, 0.3, 0.5, 0.6, 1 / math.sqrt(2), 0.8, 1.0):
-    boundary = violation_boundary(Scenario.METER, ScenarioParams(r_m=r))
-    print(f"{r:6.3f} {boundary.d_threshold:12.6f}")
+    print(f"{r:6.3f} {violation_threshold(Scenario.METER, ScenarioParams(r_m=r)):12.6f}")
 print("(1.0 means no admissible distinguishability violates; 0.0 means every d > 0 does)")

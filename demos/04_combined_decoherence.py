@@ -16,7 +16,7 @@ from qdl import (
     horodecki_bmax,
     scenario_amplitudes,
     scenario_density,
-    violation_boundary,
+    violation_threshold,
     visibility_analytic,
 )
 
@@ -38,13 +38,12 @@ print(header)
 for r_s in line:
     cells = []
     for r_m in line:
-        boundary = violation_boundary(Scenario.COMBINED, ScenarioParams(r_s=r_s, r_m=r_m))
-        cells.append(f"{boundary.d_threshold:9.4f}")
+        cells.append(f"{violation_threshold(Scenario.COMBINED, ScenarioParams(r_s=r_s, r_m=r_m)):9.4f}")
     print(f"{r_s:9.2f}" + "".join(cells))
 
 print()
 print("the threshold lands exactly on B_max = 2:")
 for r_s, r_m in ((0.9, 0.4), (0.6, 0.8), (1.0, 0.5)):
-    d = violation_boundary(Scenario.COMBINED, ScenarioParams(r_s=r_s, r_m=r_m)).d_threshold
+    d = violation_threshold(Scenario.COMBINED, ScenarioParams(r_s=r_s, r_m=r_m))
     b = horodecki_bmax(scenario_density(ScenarioParams(d=d, r_s=r_s, r_m=r_m), Scenario.COMBINED))
     print(f"  r_s={r_s:.1f} r_m={r_m:.1f}: d_threshold={d:.6f}  B_max(d_threshold)={b:.12f}")

@@ -9,14 +9,13 @@ information against independent matrix-level and brute-force routes.
 from .analysis import AnalysisReport, Classifications, analyze
 from .bell import (
     BellResult,
-    BoundaryResult,
     bell_closed_form,
     chsh_brute_force,
     chsh_value,
     correlation_tensor,
     horodecki_bmax,
     horodecki_m,
-    violation_boundary,
+    violation_threshold,
 )
 from .infotheory import (
     InformationReport,

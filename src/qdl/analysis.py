@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .bell import BellResult, _violation_threshold, bell_closed_form, chsh_brute_force
+from .bell import BellResult, bell_closed_form, chsh_brute_force, violation_threshold
 from .infotheory import InformationReport, SeparabilityReport, info_threshold, mutual_information, ppt_check
 from .states import Scenario, ScenarioParams, scenario_density
 from .visibility import predictability, visibility_analytic
@@ -65,6 +65,6 @@ def analyze(
         bell=bell,
         sep=sep,
         info=info,
-        d_threshold=_violation_threshold(scenario, params),
+        d_threshold=violation_threshold(scenario, params),
         classifications=cls,
     )

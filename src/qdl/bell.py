@@ -1,5 +1,5 @@
 """Bell-CHSH analysis: correlation tensor, Horodecki criterion, closed forms,
-a brute-force optimizer over measurement settings, and violation boundaries.
+a brute-force optimizer over measurement settings, and the violation threshold.
 
 The optimizer exists as an independent check on the analytic route: it knows
 nothing about eigenvalues, it runs the alternating (see-saw) maximization of
@@ -21,7 +21,6 @@ from .states import Scenario, ScenarioParams
 from .visibility import unpredictability
 
 VIOLATION_TOL = 1e-9
-TSIRELSON = 2.0 * math.sqrt(2.0)
 
 _PAULI_KRON = np.array([[np.kron(PAULIS[i], PAULIS[j]) for j in range(3)] for i in range(3)])  # (3, 3, 4, 4)
 
@@ -51,14 +50,6 @@ class BellResult:
     brute_converged: bool = True
 
 
-@dataclass(frozen=True)
-class BoundaryResult:
-    """Violation classification plus the minimal distinguishability for violation."""
-
-    violates: bool | np.ndarray
-    d_threshold: float | np.ndarray
-
-
 def correlation_tensor(rho: np.ndarray) -> np.ndarray:
     """3x3 matrix of spin correlators T_ij = Tr[rho (sigma_i x sigma_j)].
 
@@ -69,7 +60,7 @@ def correlation_tensor(rho: np.ndarray) -> np.ndarray:
     worst = residue.max(initial=0.0)
     if worst > 1e-9:
         i, j = np.unravel_index(np.argmax(residue), residue.shape)[-2:]
-        raise ValueError(f"correlator T[{i},{j}] has imaginary residue {worst:.3e}")
+        raise ValueError(f"correlation T[{i},{j}] has imaginary residue {worst:.3e}")
     return vals.real.copy()
 
 
@@ -118,27 +109,23 @@ def _spin_operator(v: np.ndarray) -> np.ndarray:
     return sum(v[..., i, None, None] * PAULIS[i] for i in range(3))
 
 
-def correlator(rho: np.ndarray, a, b) -> float | np.ndarray:
-    """C(a, b) = Tr[rho (a.sigma x b.sigma)].
+def chsh_value(rho: np.ndarray, a, a2, b, b2) -> float | np.ndarray:
+    """CHSH combination C(a,b) + C(a,b') + C(a',b) - C(a',b'), with C(x, y) = Tr[rho (x.sigma x y.sigma)].
 
     A stack of states (..., 4, 4) with settings (..., 3) gives one value per
     state; a single state uses the same arithmetic.
     """
-    op_a = _spin_operator(_unit_vectors(a, "a"))
-    op_b = _spin_operator(_unit_vectors(b, "b"))
-    # Kronecker product: block (i, j) is op_a[i, j] * op_b
-    op = (op_a[..., :, None, :, None] * op_b[..., None, :, None, :]).reshape(op_a.shape[:-2] + (4, 4))
-    return _float_or_array(np.einsum("...kl,...lk->...", np.asarray(rho, dtype=complex), op).real)
-
-
-def chsh_value(rho: np.ndarray, a, a2, b, b2) -> float | np.ndarray:
-    """CHSH combination C(a,b) + C(a,b') + C(a',b) - C(a',b'); an array over a stack."""
-    return (
-        correlator(rho, a, b)
-        + correlator(rho, a, b2)
-        + correlator(rho, a2, b)
-        - correlator(rho, a2, b2)
+    rho = np.asarray(rho, dtype=complex)
+    op_a, op_a2, op_b, op_b2 = (
+        _spin_operator(_unit_vectors(v, name)) for v, name in ((a, "a"), (a2, "a'"), (b, "b"), (b2, "b'"))
     )
+
+    def c(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # Kronecker product: block (i, j) is x[i, j] * y
+        op = (x[..., :, None, :, None] * y[..., None, :, None, :]).reshape(x.shape[:-2] + (4, 4))
+        return np.einsum("...kl,...lk->...", rho, op).real
+
+    return _float_or_array(c(op_a, op_b) + c(op_a, op_b2) + c(op_a2, op_b) - c(op_a2, op_b2))
 
 
 def _halton(index: int, base: int) -> float:
@@ -208,7 +195,7 @@ def _seesaw_half(
 
 def _check_seesaw_args(restarts: int, seed: int, iterations: int = SEESAW_SWEEPS) -> None:
     for name, value in (("restarts", restarts), ("seed", seed), ("iterations", iterations)):
-        if not isinstance(value, numbers.Integral):
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if not 1 <= restarts <= MAX_RESTARTS:
         raise ValueError(f"restarts must lie in [1, {MAX_RESTARTS}], got {restarts}")
@@ -363,18 +350,13 @@ def chsh_brute_force(
     )
 
 
-def violation_boundary(scenario: Scenario, params: ScenarioParams) -> BoundaryResult:
-    """Whether the point violates CHSH, and the minimal d for violation.
+def violation_threshold(scenario: Scenario, params: ScenarioParams) -> float | np.ndarray:
+    """The minimal distinguishability d for a CHSH violation at the given robustness values.
 
-    The threshold is the infimum of distinguishabilities giving B_max > 2 at
-    the given robustness values; 1.0 means no admissible d violates.  Array knobs give arrays.
+    The threshold is the infimum of distinguishabilities giving B_max > 2; 1.0 means
+    no admissible d violates.  Array knobs give arrays.  Whether a point violates is
+    ``violates_chsh(bell_closed_form(scenario, params))``.
     """
-    violates = violates_chsh(bell_closed_form(scenario, params))
-    return BoundaryResult(violates=violates, d_threshold=_violation_threshold(scenario, params))
-
-
-def _violation_threshold(scenario: Scenario, params: ScenarioParams) -> float | np.ndarray:
-    """The d_threshold of `violation_boundary`, for callers that need no classification."""
     if scenario is Scenario.FREE:
         d_thr = np.where(unpredictability(params.r) > 0.0, 0.0, 1.0)
     elif scenario is Scenario.SYSTEM:

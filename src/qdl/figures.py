@@ -16,7 +16,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .bell import _violation_threshold, horodecki_bmax, violates_chsh
+from .bell import horodecki_bmax, violates_chsh, violation_threshold
 from .infotheory import mutual_information
 from .states import Scenario, ScenarioParams, scenario_densities
 from .visibility import visibility_analytic
@@ -75,7 +75,7 @@ def _fig6(d: np.ndarray, r: np.ndarray) -> tuple:
 
 
 def _fig7(r_s: np.ndarray, r_m: np.ndarray) -> tuple:
-    return r_s, r_m, _violation_threshold(Scenario.COMBINED, ScenarioParams(r_s=r_s, r_m=r_m))
+    return r_s, r_m, violation_threshold(Scenario.COMBINED, ScenarioParams(r_s=r_s, r_m=r_m))
 
 
 FIGURES: dict[int, SweepSpec] = {
@@ -112,7 +112,7 @@ def write_figure_csv(n: int, resolution: int, path: str) -> int:
 
     Both axes run over [0, 1] in ``resolution`` equal steps, i / (resolution - 1).
     """
-    if not isinstance(n, numbers.Integral) or n not in FIGURES:
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n not in FIGURES:
         raise ValueError(f"figure number must be an integer in 1..7, got {n!r}")
     if not isinstance(resolution, numbers.Integral) or not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
         raise ValueError(f"resolution must be an integer in [{MIN_RESOLUTION}, {MAX_RESOLUTION}], got {resolution!r}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import _violation_threshold
+from .bell import violation_threshold
 from .linalg import _float_or_array, hermitian_eigenvalues, partial_trace, partial_transpose
 from .states import Scenario, ScenarioParams, _check_unit_interval, scenario_density
 
@@ -125,14 +125,16 @@ def info_threshold(scenario: Scenario, robustness: float | np.ndarray) -> float 
     System case: the closed form h((1+r^2)/2), which equals I_AB on the violation
     boundary d^2 = 1 - r^2, and an array over an array of robustness values.  Meter
     case: computed numerically as I_AB at the boundary distinguishability d of
-    ``violation_boundary``; returns None where that d is 0 (robustness^2 >= 1/2),
-    as every d > 0 already violates there.
+    ``violation_threshold`` for one robustness value; returns None where that d
+    is 0 (robustness^2 >= 1/2), as every d > 0 already violates there.
     """
     robustness = _check_unit_interval("robustness", robustness)
     if scenario is Scenario.SYSTEM:
         return binary_entropy((1.0 + robustness * robustness) / 2.0)
     if scenario is Scenario.METER:
-        d_boundary = _violation_threshold(Scenario.METER, ScenarioParams(r_m=robustness))
+        if not isinstance(robustness, float):
+            raise ValueError(f"the meter threshold takes one robustness value, got shape {robustness.shape}")
+        d_boundary = violation_threshold(Scenario.METER, ScenarioParams(r_m=robustness))
         if d_boundary == 0.0:
             return None
         rho = scenario_density(ScenarioParams(d=d_boundary, r_m=robustness), Scenario.METER)

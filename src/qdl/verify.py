@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bell import _check_seesaw_args, _seesaw, _violation_threshold, bell_closed_form, chsh_value, horodecki_bmax
-from .bell import violates_chsh
+from .bell import _check_seesaw_args, _seesaw, bell_closed_form, chsh_value, horodecki_bmax, violates_chsh
+from .bell import violation_threshold
 from .figures import _grid_chunks
 from .infotheory import binary_entropy, entropy_closed_form, info_threshold, mutual_information, ppt_check
 from .infotheory import printed_meter_entropies, printed_meter_info_threshold
@@ -81,8 +81,8 @@ def _reduce(name: str, tolerance: float, chunks) -> SuiteResult:
 
 def _boundary(scenario: Scenario, **robustness):
     """Coords and states of the scenario on its violation boundary, one per point of the robustness
-    knobs (arrays): d is the package's own threshold, violation_boundary(...).d_threshold."""
-    d = _violation_threshold(scenario, ScenarioParams(**robustness))
+    knobs (arrays): d is the package's own threshold, violation_threshold(...)."""
+    d = violation_threshold(scenario, ScenarioParams(**robustness))
     return ScenarioParams(d=d, **robustness), scenario_densities(scenario, d=d, **robustness)
 
 
@@ -137,7 +137,7 @@ def suite_brute(resolution: int = BRUTE_RESOLUTION, restarts: int = 32, seed: in
 
 
 def suite_boundaries(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
-    """|B_max - 2| at violation_boundary's threshold of the system, meter and combined scenarios."""
+    """|B_max - 2| at violation_threshold's d of the system, meter and combined scenarios."""
     line = np.linspace(0.0, 1.0, resolution)
     knobs = [
         (Scenario.SYSTEM, {"r_s": line}),

@@ -89,12 +89,6 @@ def overlap(d: float | np.ndarray) -> float | np.ndarray:
     return _float_or_array(np.sqrt(1.0 - d * d))
 
 
-def decoherence_free_visibility(d: float) -> float:
-    """Visibility of the balanced, decoherence-free interferometer at the same d."""
-    params = ScenarioParams(r=0.5, d=d)
-    return visibility_analytic(scenario_density(params, Scenario.FREE))
-
-
 def _ratio_residual(v, denom, d) -> float | np.ndarray:
     """|v^2/denom + d^2 - 1|, falling back to the product form where denom = 0."""
     small = denom < 1e-15
@@ -128,5 +122,7 @@ def check_identity(scenario: Scenario, params: ScenarioParams) -> float:
     combined:  v^2/r_s^2 + d^2 = 1    (visibility independent of r_m)
     """
     v = visibility_analytic(scenario_density(params, scenario))
-    v_free = decoherence_free_visibility(params.d) if scenario is Scenario.SYSTEM and params.d < 1.0 else None
+    v_free = None  # the balanced, decoherence-free interferometer at the same d
+    if scenario is Scenario.SYSTEM and params.d < 1.0:
+        v_free = visibility_analytic(scenario_density(ScenarioParams(r=0.5, d=params.d), Scenario.FREE))
     return _identity_residual(scenario, params, v, v_free)

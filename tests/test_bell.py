@@ -17,8 +17,9 @@ from qdl.bell import (
     correlation_tensor,
     horodecki_bmax,
     violates_chsh,
-    violation_boundary,
+    violation_threshold,
 )
+from qdl.linalg import PAULIS
 from qdl.states import Scenario, ScenarioParams, scenario_densities, scenario_density
 from qdl.verify import _AXES, BRUTE_RESOLUTION, BRUTE_TOL, _grid
 
@@ -263,6 +264,31 @@ def test_stacked_chsh_value_equals_per_state_calls():
         assert chsh_value(rho[k], *vs[:, k]) == stacked[k]
 
 
+def _four_correlator_chsh_value(rho, a, a2, b, b2):
+    """The CHSH value as four separate correlator calls, each building its own spin operators."""
+
+    def correlator(rho, a, b):
+        op_a = sum(np.asarray(a, dtype=float)[..., i, None, None] * PAULIS[i] for i in range(3))
+        op_b = sum(np.asarray(b, dtype=float)[..., i, None, None] * PAULIS[i] for i in range(3))
+        op = (op_a[..., :, None, :, None] * op_b[..., None, :, None, :]).reshape(op_a.shape[:-2] + (4, 4))
+        value = np.einsum("...kl,...lk->...", np.asarray(rho, dtype=complex), op).real
+        return float(value) if np.ndim(value) == 0 else value
+
+    return correlator(rho, a, b) + correlator(rho, a, b2) + correlator(rho, a2, b) - correlator(rho, a2, b2)
+
+
+def test_chsh_value_equals_the_four_correlator_form_bit_for_bit():
+    rho = _mixed_optimizer_stack()
+    settings, _ = _seesaw(rho, 32, 0)
+    vs = np.moveaxis(settings, 1, 0)
+    stacked = chsh_value(rho, *vs)
+    assert stacked.tobytes() == _four_correlator_chsh_value(rho, *vs).tobytes()
+    for k, state in enumerate(rho):
+        single = chsh_value(state, *vs[:, k])
+        reference = _four_correlator_chsh_value(state, *vs[:, k])
+        assert type(single) is float and np.float64(single).tobytes() == np.float64(reference).tobytes()
+
+
 def test_initial_angles_are_cached_read_only():
     x = _initial_angles(8, 3)
     assert x is _initial_angles(8, 3)
@@ -422,6 +448,7 @@ def test_stacked_seesaw_budget_ending_on_a_stop_sweep():
         ({"iterations": 40.0}, "iterations"),
         ({"restarts": 2.0}, "restarts"),
         ({"seed": 1.5}, "seed"),
+        ({"restarts": True}, "restarts"),
     ],
 )
 def test_brute_force_rejects_bad_counts(kwargs, name):
@@ -454,34 +481,34 @@ def test_violation_predicate_uses_strict_boundary():
 
 def test_boundary_system_full_robustness():
     for d in (0.01, 0.2, 0.9):
-        res = violation_boundary(Scenario.SYSTEM, ScenarioParams(d=d, r_s=1.0))
-        assert res.d_threshold == pytest.approx(0.0)
-        assert res.violates
+        params = ScenarioParams(d=d, r_s=1.0)
+        assert violation_threshold(Scenario.SYSTEM, params) == pytest.approx(0.0)
+        assert violates_chsh(bell_closed_form(Scenario.SYSTEM, params))
 
 
 def test_boundary_meter_regimes():
-    res = violation_boundary(Scenario.METER, ScenarioParams(d=0.01, r_m=0.8))
-    assert res.d_threshold == 0.0 and res.violates
-    res = violation_boundary(Scenario.METER, ScenarioParams(d=0.9, r_m=0.0))
-    assert res.d_threshold == pytest.approx(1.0)
-    assert not res.violates
+    params = ScenarioParams(d=0.01, r_m=0.8)
+    assert violation_threshold(Scenario.METER, params) == 0.0
+    assert violates_chsh(bell_closed_form(Scenario.METER, params))
+    params = ScenarioParams(d=0.9, r_m=0.0)
+    assert violation_threshold(Scenario.METER, params) == pytest.approx(1.0)
+    assert not violates_chsh(bell_closed_form(Scenario.METER, params))
 
 
 def test_boundary_combined_example():
-    res = violation_boundary(Scenario.COMBINED, ScenarioParams(r_s=1.0, r_m=0.5))
-    assert res.d_threshold**2 == pytest.approx(2.0 / 3.0, abs=1e-12)
+    d = violation_threshold(Scenario.COMBINED, ScenarioParams(r_s=1.0, r_m=0.5))
+    assert d**2 == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 def test_boundary_combined_meter_limit():
     # r_m = 1 falls back to the system-decoherence boundary
-    res = violation_boundary(Scenario.COMBINED, ScenarioParams(r_s=0.6, r_m=1.0))
-    assert res.d_threshold == pytest.approx(0.8, abs=1e-12)
+    assert violation_threshold(Scenario.COMBINED, ScenarioParams(r_s=0.6, r_m=1.0)) == pytest.approx(0.8, abs=1e-12)
 
 
 def test_boundary_thresholds_sit_on_b_equals_2():
     for r_s in np.linspace(0.1, 1, 5):
         for r_m in np.linspace(0.1, 1, 5):
             params = ScenarioParams(r_s=r_s, r_m=r_m)
-            d = violation_boundary(Scenario.COMBINED, params).d_threshold
+            d = violation_threshold(Scenario.COMBINED, params)
             rho = scenario_density(ScenarioParams(d=d, r_s=r_s, r_m=r_m), Scenario.COMBINED)
             assert abs(horodecki_bmax(rho) - 2.0) < 1e-9

@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 
-from qdl.bell import MAX_RESTARTS, horodecki_bmax, violates_chsh, violation_boundary
+from qdl.bell import MAX_RESTARTS, horodecki_bmax, violates_chsh, violation_threshold
 from qdl.cli import main
 from qdl import figures
 from qdl.figures import FIGURES, _fmt, _format_chunk, write_figure_csv
@@ -144,8 +144,7 @@ def _ref_fig6(d, r):
 
 
 def _ref_fig7(r_s, r_m):
-    boundary = violation_boundary(Scenario.COMBINED, ScenarioParams(r_s=r_s, r_m=r_m))
-    return r_s, r_m, boundary.d_threshold
+    return r_s, r_m, violation_threshold(Scenario.COMBINED, ScenarioParams(r_s=r_s, r_m=r_m))
 
 
 PER_POINT_REFERENCE = {1: _ref_fig1, 2: _ref_fig2, 3: _ref_fig3, 4: _ref_fig4, 5: _ref_fig5, 6: _ref_fig6, 7: _ref_fig7}
@@ -216,8 +215,8 @@ def test_figure_rejects_resolution_above_the_cap(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "n, resolution",
-    [(1, 11.5), (1, 11.0), (1.0, 11), (np.float64(7.0), 11), (1, "11")],
-    ids=["resolution-11.5", "resolution-11.0", "n-1.0", "n-float64", "resolution-str"],
+    [(1, 11.5), (1, 11.0), (1.0, 11), (np.float64(7.0), 11), (1, "11"), (True, 11)],
+    ids=["resolution-11.5", "resolution-11.0", "n-1.0", "n-float64", "resolution-str", "n-bool"],
 )
 def test_figure_rejects_non_integral_arguments_before_opening_the_file(n, resolution, tmp_path):
     out_path = tmp_path / "x.csv"

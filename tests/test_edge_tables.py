@@ -1,0 +1,60 @@
+"""Violation thresholds on an enumerated table of robustness values at the edges of [0, 1].
+
+The table is fixed, so every checkout and every run evaluates the same points:
+0 and 1, 10^-k and 1 - 10^-k for k = 1..15, and 1/sqrt2 with the 8 floats on
+each side of it, where the meter threshold switches to d = 0.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from qdl.bell import horodecki_bmax, violation_threshold
+from qdl.states import Scenario, ScenarioParams, scenario_densities, scenario_density
+from qdl.verify import BOUNDARY_TOL
+
+
+def _ulps_from(x: float, k: int) -> float:
+    """The float k steps above x (below for k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+EDGE_TABLE = sorted(
+    {0.0, 1.0}
+    | {10.0**-k for k in range(1, 16)}
+    | {1.0 - 10.0**-k for k in range(1, 16)}
+    | {_ulps_from(1.0 / math.sqrt(2.0), k) for k in range(-8, 9)}
+)
+ROBUSTNESS_KNOB = {Scenario.SYSTEM: "r_s", Scenario.METER: "r_m"}
+
+
+@pytest.mark.parametrize("r", EDGE_TABLE)
+@pytest.mark.parametrize("scenario", list(ROBUSTNESS_KNOB), ids=lambda s: s.value)
+def test_b_max_is_two_at_the_violation_threshold_on_the_edge_table(scenario, r):
+    knob = ROBUSTNESS_KNOB[scenario]
+    d = violation_threshold(scenario, ScenarioParams(**{knob: r}))
+    b_max = horodecki_bmax(scenario_density(ScenarioParams(d=d, **{knob: r}), scenario))
+    assert abs(b_max - 2.0) < BOUNDARY_TOL
+
+
+@pytest.mark.parametrize("scenario", list(ROBUSTNESS_KNOB), ids=lambda s: s.value)
+def test_array_violation_threshold_equals_its_one_point_calls_on_the_edge_table(scenario):
+    knob = ROBUSTNESS_KNOB[scenario]
+    stacked = violation_threshold(scenario, ScenarioParams(**{knob: np.array(EDGE_TABLE)}))
+    single = np.array([violation_threshold(scenario, ScenarioParams(**{knob: r})) for r in EDGE_TABLE])
+    assert stacked.tobytes() == single.tobytes()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="_combined_threshold_sq cancels as r_m -> 1: |B_max - 2| reaches 3.05e-5 at r_s = 0.5, r_m = 1 - 1e-12",
+)
+def test_combined_b_max_is_two_at_the_violation_threshold_on_the_edge_table():
+    r_s, r_m = (a.ravel() for a in np.meshgrid([0.0, 0.5, 1.0], EDGE_TABLE, indexing="ij"))
+    d = violation_threshold(Scenario.COMBINED, ScenarioParams(r_s=r_s, r_m=r_m))
+    b_max = horodecki_bmax(scenario_densities(Scenario.COMBINED, d=d, r_s=r_s, r_m=r_m))
+    assert np.max(np.abs(b_max - 2.0)) < BOUNDARY_TOL

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from qdl import figures
-from qdl.bell import _combined_threshold_sq, _meter_threshold_sq, bell_closed_form, horodecki_bmax, violation_boundary
+from qdl.bell import _combined_threshold_sq, _meter_threshold_sq, bell_closed_form, horodecki_bmax, violates_chsh
+from qdl.bell import violation_threshold
 from qdl.infotheory import binary_entropy, entropy_closed_form, info_threshold
 from qdl.infotheory import mutual_information
 from qdl.infotheory import printed_meter_entropies
@@ -55,12 +56,17 @@ def test_run_suites_rejects_non_integral_optimizer_arguments_before_any_suite(kw
         run_suites(resolution=2, names=["identities"], **kwargs)
 
 
-@pytest.mark.parametrize("resolution", [5.0, np.float64(5.0), "5"], ids=["float", "float64", "str"])
-def test_run_suites_rejects_a_non_integral_resolution_before_any_suite(resolution, monkeypatch):
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [({"resolution": 5.0}, "resolution"), ({"resolution": np.float64(5.0)}, "resolution"),
+     ({"resolution": "5"}, "resolution"), ({"resolution": 2, "restarts": True}, "restarts")],
+    ids=["float", "float64", "str", "restarts-bool"],
+)
+def test_run_suites_rejects_a_non_integral_resolution_before_any_suite(kwargs, name, monkeypatch):
     ran = []
     monkeypatch.setitem(SUITES, "identities", lambda *args: ran.append(args))
-    with pytest.raises(ValueError, match="resolution must be an integer"):
-        run_suites(resolution=resolution, names=["identities"])
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        run_suites(names=["identities"], **kwargs)
     assert ran == []
 
 
@@ -112,8 +118,8 @@ def test_array_closed_forms_equal_their_scalar_calls_on_uniform_draws():
     checks = [
         (meter, lambda q: binary_entropy(q.d)),
         (meter, lambda q: bell_closed_form(Scenario.METER, q)),
-        (meter, lambda q: violation_boundary(Scenario.METER, q).d_threshold),
-        (combined, lambda q: violation_boundary(Scenario.COMBINED, q).d_threshold),
+        (meter, lambda q: violation_threshold(Scenario.METER, q)),
+        (combined, lambda q: violation_threshold(Scenario.COMBINED, q)),
         (meter, lambda q: printed_meter_entropies(q).s_b),
     ]
     for params, closed_form in checks:
@@ -136,7 +142,7 @@ def test_array_closed_forms_equal_their_scalar_calls_bit_for_bit(scenario, rows)
         assert _bits(closed_form(knobs)) == _bits(scalars)
 
     same_bits(lambda q: bell_closed_form(scenario, q))
-    same_bits(lambda q: violation_boundary(scenario, q).d_threshold)
+    same_bits(lambda q: violation_threshold(scenario, q))
     same_bits(lambda q: _meter_threshold_sq(q.r_m))
     same_bits(lambda q: _combined_threshold_sq(q.r_s, q.r_m))
     same_bits(lambda q: unpredictability(q.r))
@@ -147,8 +153,8 @@ def test_array_closed_forms_equal_their_scalar_calls_bit_for_bit(scenario, rows)
         same_bits(lambda q: getattr(entropy_closed_form(Scenario.SYSTEM, q), field))
         same_bits(lambda q: getattr(entropy_closed_form(Scenario.METER, q), field))
         same_bits(lambda q: getattr(printed_meter_entropies(q), field))
-    violates = violation_boundary(scenario, knobs).violates.tolist()
-    assert violates == [violation_boundary(scenario, p).violates for p in params]
+    violates = violates_chsh(bell_closed_form(scenario, knobs)).tolist()
+    assert violates == [violates_chsh(bell_closed_form(scenario, p)) for p in params]
     v, v_free = ([row[k] for row in rows] for k in (4, 5))
     residuals = [_identity_residual(scenario, p, a, b if p.d < 1.0 else None) for p, a, b in zip(params, v, v_free)]
     assert _bits(_identity_residual(scenario, knobs, np.array(v), np.array(v_free))) == _bits(residuals)
@@ -171,7 +177,7 @@ def test_entropy_closed_forms_match_the_stacked_route_at_edge_biased_points(case
 @hypothesis.given(st.sampled_from((Scenario.SYSTEM, Scenario.METER)), st.lists(EDGE_BIASED, min_size=1, max_size=8))
 def test_b_max_is_two_at_the_violation_threshold_at_edge_biased_points(scenario, robustness):
     knob = _AXES[scenario][1]
-    d = violation_boundary(scenario, ScenarioParams(**{knob: np.array(robustness)})).d_threshold
+    d = violation_threshold(scenario, ScenarioParams(**{knob: np.array(robustness)}))
     b_max = horodecki_bmax(scenario_densities(scenario, d=d, **{knob: robustness}))
     assert np.max(np.abs(b_max - 2.0)) < BOUNDARY_TOL
 
@@ -199,7 +205,7 @@ def test_meter_info_threshold_is_the_information_at_the_boundary_at_edge_biased_
 @pytest.mark.parametrize("r", [METER_THRESHOLD_MAX_ROBUSTNESS, math.nextafter(METER_THRESHOLD_MAX_ROBUSTNESS, 1.0)])
 def test_meter_info_threshold_is_none_exactly_where_the_violation_boundary_is_zero(r):
     # 1/sqrt2 rounded down squares to below 1/2, so its boundary d is 2.1e-8, not 0; the next float up squares past 1/2.
-    d = violation_boundary(Scenario.METER, ScenarioParams(r_m=r)).d_threshold
+    d = violation_threshold(Scenario.METER, ScenarioParams(r_m=r))
     threshold = info_threshold(Scenario.METER, r)
     assert (threshold is None) == (d == 0.0)
     if threshold is not None:

@@ -6,7 +6,6 @@ from qdl.states import Scenario, ScenarioParams, scenario_densities, scenario_de
 from qdl.visibility import (
     ROTATION_A,
     check_identity,
-    decoherence_free_visibility,
     overlap,
     predictability,
     unpredictability,
@@ -151,7 +150,7 @@ def test_visibility_monotone_in_d_and_p():
 
 def test_visibility_ratio_recovers_robustness():
     for d in (0.0, 0.3, 0.9):
-        v0 = decoherence_free_visibility(d)
+        v0 = visibility_analytic(scenario_density(ScenarioParams(r=0.5, d=d), Scenario.FREE))  # decoherence-free
         for r in (0.1, 0.5, 0.9):
             v = visibility_analytic(scenario_density(ScenarioParams(d=d, r_s=r), Scenario.SYSTEM))
             assert abs(v / v0 - r) < 1e-10

@@ -24,10 +24,10 @@ VIOLATION_TOL = 1e-9
 
 _PAULI_KRON = np.array([[np.kron(PAULIS[i], PAULIS[j]) for j in range(3)] for i in range(3)])  # (3, 3, 4, 4)
 
-# Default sweep budget of the CHSH see-saw.  Plain sweeps converge linearly,
-# and slowly where the two smaller singular values of T nearly coincide; from
-# sweep _PLAIN_SWEEPS on, each sweep also tries a safeguarded extrapolation
-# step (`_extrapolate`), which stops such states within a few hundred sweeps.
+# Sweep budget of the CHSH see-saw, read at each call.  Plain sweeps converge
+# linearly, and slowly where the two smaller singular values of T nearly
+# coincide; from sweep _PLAIN_SWEEPS on, a safeguarded extrapolation step
+# (`_extrapolate`) stops such states within a few hundred sweeps.
 SEESAW_SWEEPS = 3000
 MAX_RESTARTS = 1024  # each state carries (2, restarts, 3) settings per party
 
@@ -138,22 +138,14 @@ def _halton(index: int, base: int) -> float:
 
 
 @functools.lru_cache(maxsize=16)
-def _initial_angles(restarts: int, seed: int) -> np.ndarray:
-    """Low-discrepancy starting angles, deterministic for a given seed (read-only, cached)."""
-    offset = 1 + 61 * int(seed)
-    x = np.empty((restarts, 8))
-    for i in range(restarts):
-        for k, base in enumerate(_HALTON_BASES):
-            u = _halton(offset + i, base)
-            x[i, k] = u * (math.pi if k % 2 == 0 else 2.0 * math.pi)
-    x.flags.writeable = False
-    return x
-
-
-@functools.lru_cache(maxsize=16)
 def _start_vectors(restarts: int, seed: int) -> np.ndarray:
-    """Starting settings (a, a', b, b') of every restart as Bloch vectors, shape (4, R, 3) (read-only, cached)."""
-    x = _initial_angles(restarts, seed)
+    """Starting settings (a, a', b, b') of every restart as Bloch vectors, shape (4, R, 3) (read-only, cached).
+
+    The angles (theta, phi) of each vector are Halton points, deterministic for a given seed.
+    """
+    offset = 1 + 61 * int(seed)
+    x = np.array([[_halton(offset + i, base) for base in _HALTON_BASES] for i in range(restarts)])
+    x *= (math.pi, 2.0 * math.pi) * 4
     start = np.stack([_bloch_vectors(x[:, 2 * k], x[:, 2 * k + 1]) for k in range(4)])
     start.flags.writeable = False
     return start
@@ -193,16 +185,14 @@ def _seesaw_half(
         vectors[...] = np.where(live[..., None], raw / np.where(live, norm, 1.0)[..., None], vectors)
 
 
-def _check_seesaw_args(restarts: int, seed: int, iterations: int = SEESAW_SWEEPS) -> None:
-    for name, value in (("restarts", restarts), ("seed", seed), ("iterations", iterations)):
+def _check_seesaw_args(restarts: int, seed: int) -> None:
+    for name, value in (("restarts", restarts), ("seed", seed)):
         if not isinstance(value, numbers.Integral) or isinstance(value, bool):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if not 1 <= restarts <= MAX_RESTARTS:
         raise ValueError(f"restarts must lie in [1, {MAX_RESTARTS}], got {restarts}")
     if seed < 0:
         raise ValueError("seed must be non-negative")
-    if iterations < 1:
-        raise ValueError(f"iterations must be at least 1, got {iterations}")
 
 
 def _extrapolate(t_t, alice, bob, values, old_bob, step, pair, raw, norm) -> None:
@@ -232,7 +222,16 @@ def _extrapolate(t_t, alice, bob, values, old_bob, step, pair, raw, norm) -> Non
     np.minimum(step, _STEP_CAP, out=step)
 
 
-def _seesaw(rho: np.ndarray, restarts: int, seed: int, iterations: int = SEESAW_SWEEPS):
+def _best_settings(alice: np.ndarray, bob: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each state's settings (a, a', b, b') at its best restart, ties to the lowest, as unit rows (M, 4, 3)."""
+    best = np.argmax(values, axis=1)
+    rows = np.arange(len(values))
+    settings = np.concatenate((alice[rows, :, best], bob[rows, :, best]), axis=1)
+    settings /= np.linalg.norm(settings, axis=-1, keepdims=True)
+    return settings
+
+
+def _seesaw(rho: np.ndarray, restarts: int, seed: int):
     """Multi-start see-saw over a stack of states (N, 4, 4).
 
     Returns the best settings (N, 4, 3) as unit rows (a, a', b, b') and the
@@ -242,80 +241,55 @@ def _seesaw(rho: np.ndarray, restarts: int, seed: int, iterations: int = SEESAW_
     plain sweep followed by the safeguarded extrapolation of `_extrapolate`,
     and a state stops after _STEP_STALLS sweeps in a row whose best value
     gains less than _STEP_STALL_TOL.  Both phases use only T, mat-vec products
-    and norms, never an eigenvalue.  Every sweep counts against `iterations`.
-    Every state runs exactly the sweeps it would run alone: a state leaves the
-    active set on the sweep where it stops, and the active set is compacted
-    only on such sweeps.
+    and norms, never an eigenvalue.  The budget is SEESAW_SWEEPS sweeps, read
+    at each call.  Every state runs exactly the sweeps it would run alone: a
+    state leaves the active set on the sweep where it stops, and the active
+    set is compacted only on such sweeps.
     """
-    _check_seesaw_args(restarts, seed, iterations)
+    _check_seesaw_args(restarts, seed)
     t = correlation_tensor(rho)[:, None]  # (N, 1, 3, 3): one tensor for both vectors of a pair
     t_t = np.swapaxes(t, -1, -2)
     n = t.shape[0]
     start = _start_vectors(restarts, seed)
     alice = np.repeat(start[None, :2], n, axis=0)
     bob = np.repeat(start[None, 2:], n, axis=0)
-    converged = np.zeros(n, dtype=bool)
-    # sweeps run on the active states only; final_* take each state's last sweep
-    final_alice, final_bob, final_values = np.empty_like(alice), np.empty_like(bob), np.empty((n, restarts))
-    active = np.arange(n)
-    prev_best = np.full(n, -np.inf)
-
-    def buffers(m: int):  # scratch of the sweeps over m active states: pair, raw, norm
-        shape = (m, 2, restarts)
-        return np.empty(shape + (3,)), np.empty(shape + (3,)), np.empty(shape)
-
-    pair, raw, norm = buffers(n)
-    values = np.empty((n, restarts))
-    for sweep in range(iterations):
-        # the extrapolation state exists from two sweeps before the phase starts, for the
-        # states still active then: Bob's pairs at the end of the last two sweeps, the step
-        # factors and the slow sweeps in a row
-        tracked = sweep >= _PLAIN_SWEEPS - 2
-        if sweep == _PLAIN_SWEEPS - 2:
-            old_bob = np.empty((2,) + bob.shape)
-            step, slow = np.full(values.shape, _STEP_START), np.zeros(len(active), dtype=int)
+    values, norm = np.zeros((n, restarts)), np.empty((n, 2, restarts))  # a budget of 0 returns restart 0's start
+    pair, raw = np.empty_like(bob), np.empty_like(bob)
+    # per active state: Bob's pairs at the end of the last two sweeps, the extrapolation
+    # factors, and the sweeps in a row whose gain is below the phase's tolerance
+    old_bob, step, slow = np.empty((2,) + bob.shape), np.full((n, restarts), _STEP_START), np.zeros(n, dtype=int)
+    settings, converged = np.empty((n, 4, 3)), np.zeros(n, dtype=bool)
+    active, prev_best = np.arange(n), np.full(n, -np.inf)
+    for sweep in range(SEESAW_SWEEPS):
         _seesaw_half(bob, t_t, alice, pair, raw, norm)
         _seesaw_half(alice, t, bob, pair, raw, norm)
         np.add(norm[:, 0], norm[:, 1], out=values)
         if sweep >= _PLAIN_SWEEPS:
             _extrapolate(t_t, alice, bob, values, old_bob[sweep % 2], step, pair, raw, norm)
+        old_bob[sweep % 2] = bob
         best_now = values.max(axis=1)
-        gain = best_now - prev_best
-        if sweep < _PLAIN_SWEEPS:
-            stalled = gain < _VALUE_STALL_TOL
-        else:
-            slow = np.where(gain < _STEP_STALL_TOL, slow + 1, 0)
-            stalled = slow >= _STEP_STALLS
-        if tracked:
-            old_bob[sweep % 2] = bob
+        tol, stalls = (_VALUE_STALL_TOL, 1) if sweep < _PLAIN_SWEEPS else (_STEP_STALL_TOL, _STEP_STALLS)
+        slow = (slow + 1) * (best_now - prev_best < tol)  # a sweep that gains tol or more resets it
+        stalled = slow >= stalls
         if stalled.any():
             done = active[stalled]
-            final_alice[done], final_bob[done], final_values[done] = alice[stalled], bob[stalled], values[stalled]
-            converged[done] = True
+            settings[done], converged[done] = _best_settings(alice[stalled], bob[stalled], values[stalled]), True
+            if stalled.all():
+                return settings, converged
             keep = ~stalled
-            if not keep.any():
-                break
-            # `values` is compacted, not reallocated: a budget that ends on this sweep returns it
-            active, alice, bob, values, t = (a[keep] for a in (active, alice, bob, values, t))
-            if tracked:
-                old_bob, step, slow = old_bob[:, keep], step[keep], slow[keep]
-            t_t = np.swapaxes(t, -1, -2)
-            best_now = best_now[keep]
-            pair, raw, norm = buffers(len(active))
+            active, alice, bob, values, t, step, slow, best_now = (
+                a[keep] for a in (active, alice, bob, values, t, step, slow, best_now)
+            )
+            old_bob, t_t = old_bob[:, keep], np.swapaxes(t, -1, -2)
+            pair, raw, norm = pair[: len(active)], raw[: len(active)], norm[: len(active)]
         prev_best = best_now
-    else:
-        final_alice[active], final_bob[active], final_values[active] = alice, bob, values
-    best = np.argmax(final_values, axis=1)  # ties resolve to the lowest restart index
-    rows = np.arange(n)
-    settings = np.concatenate((final_alice[rows, :, best], final_bob[rows, :, best]), axis=1)
-    settings /= np.linalg.norm(settings, axis=-1, keepdims=True)
+    settings[active] = _best_settings(alice, bob, values)  # the states the budget ran out on
     return settings, converged
 
 
 def chsh_brute_force(
     rho: np.ndarray,
     restarts: int = 32,
-    iterations: int = SEESAW_SWEEPS,
     seed: int = 0,
 ) -> BellResult:
     """Maximize the CHSH value by a multi-start see-saw over measurement settings.
@@ -333,13 +307,13 @@ def chsh_brute_force(
     Horodecki route.  Restarts are Halton points, so the whole search is
     deterministic.  Plain sweeps stop on the first sweep whose best value
     gains less than 1e-13, extrapolated ones after two sweeps in a row that
-    gain less than 1e-14; exhausting the sweep budget flags the result
-    unconverged but returns it.
+    gain less than 1e-14; exhausting the budget of SEESAW_SWEEPS sweeps flags
+    the result unconverged but returns it.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError("the CHSH optimizer expects a 4x4 A(x)B density matrix")
-    settings, converged = _seesaw(rho[None], restarts, seed, iterations)
+    settings, converged = _seesaw(rho[None], restarts, seed)
     b_h = horodecki_bmax(rho)
     return BellResult(
         b_horodecki=b_h,

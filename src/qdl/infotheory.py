@@ -88,7 +88,7 @@ def entropy_closed_form(scenario: Scenario, params: ScenarioParams) -> Informati
     """Closed-form S_A, S_B, S_AB for the two single-environment scenarios.
 
     The meter-case S_B uses the corrected radical (1-d^2)(1 - d^2(1-r^2));
-    see ``printed_meter_entropies`` for the published version, which is
+    see ``printed_meter_s_b`` for the published version, which is
     inconsistent with the constructed state (it already fails the purity
     requirement S_A = S_B at r = 1).  Array knobs give array fields.
     """
@@ -109,14 +109,13 @@ def entropy_closed_form(scenario: Scenario, params: ScenarioParams) -> Informati
     return InformationReport(s_a=s_a, s_b=s_b, s_ab=s_ab, i_ab=s_a + s_b - s_ab)
 
 
-def printed_meter_entropies(params: ScenarioParams) -> InformationReport:
-    """Meter-case entropies exactly as published (S_B radical (1-d^2)^2 (1-r^2))."""
+def printed_meter_s_b(params: ScenarioParams) -> float | np.ndarray:
+    """Meter-case S_B exactly as published, with the radical (1-d^2)^2 (1-r^2); an array over array knobs.
+
+    The published S_A and S_AB are the ones ``entropy_closed_form`` adopts.
+    """
     d2 = params.d * params.d
-    r2 = params.r_m * params.r_m
-    s_ab = binary_entropy(0.5 + 0.5 * np.sqrt(1.0 - d2 * (2.0 - d2) * (1.0 - r2)))
-    s_a = binary_entropy(0.5 + 0.5 * np.sqrt(1.0 - d2))
-    s_b = binary_entropy(0.5 + 0.5 * np.sqrt((1.0 - d2) * (1.0 - d2) * (1.0 - r2)))
-    return InformationReport(s_a=s_a, s_b=s_b, s_ab=s_ab, i_ab=s_a + s_b - s_ab)
+    return binary_entropy(0.5 + 0.5 * np.sqrt((1.0 - d2) * (1.0 - d2) * (1.0 - params.r_m * params.r_m)))
 
 
 def info_threshold(scenario: Scenario, robustness: float | np.ndarray) -> float | np.ndarray | None:

@@ -18,7 +18,7 @@ from .bell import _check_seesaw_args, _seesaw, bell_closed_form, chsh_value, hor
 from .bell import violation_threshold
 from .figures import _grid_chunks
 from .infotheory import binary_entropy, entropy_closed_form, info_threshold, mutual_information, ppt_check
-from .infotheory import printed_meter_entropies, printed_meter_info_threshold
+from .infotheory import printed_meter_info_threshold, printed_meter_s_b
 from .states import Scenario, ScenarioParams, scenario_densities
 from .visibility import _identity_residual, _ratio_residual, predictability, visibility_analytic, visibility_sweep
 
@@ -263,7 +263,7 @@ def probe_meter_entropy_form(resolution: int = DEFAULT_RESOLUTION) -> SuiteResul
     for coords, rho in _grid(Scenario.METER, resolution):
         s_b = mutual_information(rho).s_b
         adopted = entropy_closed_form(Scenario.METER, coords).s_b
-        printed = printed_meter_entropies(coords).s_b
+        printed = printed_meter_s_b(coords)
         chunks.append((Scenario.METER, coords, np.abs(adopted - s_b)))
         dev = np.abs(printed - s_b)
         k = int(np.argmax(dev))
@@ -367,7 +367,12 @@ def run_suites(
     """Check every argument, then run the requested suites (all by default) and apply any tolerance override."""
     if not isinstance(resolution, numbers.Integral) or not 2 <= resolution <= MAX_RESOLUTION:
         raise ValueError(f"resolution must be an integer in [2, {MAX_RESOLUTION}], got {resolution!r}")
-    if tolerance_override is not None and not (math.isfinite(tolerance_override) and tolerance_override >= 0.0):
+    if tolerance_override is not None and not (
+        isinstance(tolerance_override, numbers.Real)
+        and not isinstance(tolerance_override, bool)
+        and math.isfinite(tolerance_override)
+        and tolerance_override >= 0.0
+    ):
         raise ValueError("tolerance must be a finite non-negative number")
     _check_seesaw_args(restarts, seed)
     selected = list(SUITES) if names is None else list(names)

@@ -11,6 +11,7 @@ collapses to 2|c|; both routes are kept because the sweep is the oracle.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +45,8 @@ def visibility_sweep(rho: np.ndarray, n: int = DEFAULT_SWEEP_POINTS) -> FringeSc
     readout fold into one measurement operator, so a stack of states is read
     out by one contraction with all of them, the same as a single state.
     """
-    if n < 8:
-        raise ValueError(f"phase count must be at least 8, got {n}")
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 8:
+        raise ValueError(f"phase count must be an integer of at least 8, got {n!r}")
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError("visibility sweep expects a 4x4 A(x)B density matrix or a stack of them")

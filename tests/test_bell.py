@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from qdl import bell
 from qdl.bell import (
     _PLAIN_SWEEPS,
     _VALUE_STALL_TOL,
     SEESAW_SWEEPS,
-    _bloch_vectors,
-    _initial_angles,
     _seesaw,
     _start_vectors,
     bell_closed_form,
@@ -200,9 +199,19 @@ def test_brute_force_settings_reproduce_value():
     assert chsh_value(rho, *res.settings) == pytest.approx(res.b_brute, abs=1e-12)
 
 
-def test_brute_force_sweep_budget_flags_unconverged():
+def test_brute_force_sweep_budget_flags_unconverged(monkeypatch):
     rho = scenario_density(ScenarioParams(d=0.7, r_s=0.5, r_m=0.4), Scenario.COMBINED)
-    assert not chsh_brute_force(rho, iterations=1).brute_converged
+    assert chsh_brute_force(rho).brute_converged
+    monkeypatch.setattr(bell, "SEESAW_SWEEPS", 1)
+    assert not chsh_brute_force(rho).brute_converged
+
+
+def test_seesaw_with_no_sweeps_returns_the_first_start_unconverged(monkeypatch):
+    monkeypatch.setattr(bell, "SEESAW_SWEEPS", 0)
+    settings, converged = _seesaw(_mixed_optimizer_stack(), 8, 3)
+    start = _start_vectors(8, 3)[:, 0]
+    assert all(np.array_equal(row, start / np.linalg.norm(start, axis=-1, keepdims=True)) for row in settings)
+    assert not converged.any()
 
 
 def test_brute_force_rank_one_tensor():
@@ -237,19 +246,20 @@ def _mixed_optimizer_stack():
     )
 
 
-@pytest.mark.parametrize("iterations", [SEESAW_SWEEPS, 40, 1])
-def test_stacked_seesaw_equals_per_point_calls(iterations):
+@pytest.mark.parametrize("sweeps", [SEESAW_SWEEPS, 40, 1])
+def test_stacked_seesaw_equals_per_point_calls(sweeps, monkeypatch):
+    monkeypatch.setattr(bell, "SEESAW_SWEEPS", sweeps)
     rho = _mixed_optimizer_stack()
-    settings, converged = _seesaw(rho, 32, 0, iterations)
+    settings, converged = _seesaw(rho, 32, 0)
     b_brute = chsh_value(rho, *np.moveaxis(settings, 1, 0))
     for k, state in enumerate(rho):
-        single = chsh_brute_force(state, iterations=iterations)
+        single = chsh_brute_force(state)
         assert single.b_brute == b_brute[k]
         assert np.array_equal(single.settings, settings[k])
         assert single.brute_converged == converged[k]
-    if iterations == SEESAW_SWEEPS:
+    if sweeps == SEESAW_SWEEPS:
         assert converged.all()
-    if iterations == 1:
+    if sweeps == 1:
         assert not converged.any()
 
 
@@ -289,12 +299,6 @@ def test_chsh_value_equals_the_four_correlator_form_bit_for_bit():
         assert type(single) is float and np.float64(single).tobytes() == np.float64(reference).tobytes()
 
 
-def test_initial_angles_are_cached_read_only():
-    x = _initial_angles(8, 3)
-    assert x is _initial_angles(8, 3)
-    assert not x.flags.writeable
-
-
 def test_start_vectors_are_cached_read_only():
     start = _start_vectors(8, 3)
     assert start is _start_vectors(8, 3)
@@ -320,7 +324,7 @@ def _reference_seesaw_half(fixed, matrix, prev):
     return np.where(live[..., None], unit, prev), norm
 
 
-def _reference_seesaw(rho, restarts, seed, iterations=SEESAW_SWEEPS):
+def _reference_seesaw(rho, restarts, seed, iterations):
     """The plain see-saw, with no extrapolation, written with a fresh array per step.
 
     Returns the settings, the convergence flags and the number of sweeps each state ran.
@@ -328,11 +332,9 @@ def _reference_seesaw(rho, restarts, seed, iterations=SEESAW_SWEEPS):
     t = correlation_tensor(rho)[:, None]
     t_t = np.swapaxes(t, -1, -2)
     n = t.shape[0]
-    x = _initial_angles(restarts, seed)
-    start_a = np.stack([_bloch_vectors(x[:, 0], x[:, 1]), _bloch_vectors(x[:, 2], x[:, 3])])
-    start_b = np.stack([_bloch_vectors(x[:, 4], x[:, 5]), _bloch_vectors(x[:, 6], x[:, 7])])
-    alice = np.repeat(start_a[None], n, axis=0)
-    bob = np.repeat(start_b[None], n, axis=0)
+    start = _start_vectors(restarts, seed)
+    alice = np.repeat(start[None, :2], n, axis=0)
+    bob = np.repeat(start[None, 2:], n, axis=0)
     values = np.zeros((n, restarts))
     converged = np.zeros(n, dtype=bool)
     final_alice, final_bob, final_values = np.empty_like(alice), np.empty_like(bob), np.empty_like(values)
@@ -366,11 +368,12 @@ def _reference_seesaw(rho, restarts, seed, iterations=SEESAW_SWEEPS):
     return settings, converged, sweeps
 
 
-def _assert_plain_phase_bits_and_no_loss(rho, restarts, seed, iterations=SEESAW_SWEEPS):
+def _assert_plain_phase_bits_and_no_loss(rho, restarts, seed):
     """States the plain loop finishes within _PLAIN_SWEEPS sweeps return its settings and flag
-    bit for bit; every state reaches at least the plain loop's CHSH value, less 1e-15."""
-    settings, converged = _seesaw(rho, restarts, seed, iterations)
-    ref_settings, ref_converged, ref_sweeps = _reference_seesaw(rho, restarts, seed, iterations)
+    bit for bit; every state reaches at least the plain loop's CHSH value, less 1e-15.
+    Both loops run the budget bell.SEESAW_SWEEPS holds at the call."""
+    settings, converged = _seesaw(rho, restarts, seed)
+    ref_settings, ref_converged, ref_sweeps = _reference_seesaw(rho, restarts, seed, bell.SEESAW_SWEEPS)
     plain = ref_sweeps <= _PLAIN_SWEEPS
     assert np.array_equal(settings[plain], ref_settings[plain])
     assert np.array_equal(converged[plain], ref_converged[plain])
@@ -380,16 +383,17 @@ def _assert_plain_phase_bits_and_no_loss(rho, restarts, seed, iterations=SEESAW_
     return plain, converged
 
 
-@pytest.mark.parametrize("iterations", [SEESAW_SWEEPS, 40, 1])
+@pytest.mark.parametrize("sweeps", [SEESAW_SWEEPS, 40, 1])
 @pytest.mark.parametrize("restarts", [1, 8, 32])
 @pytest.mark.parametrize("seed", [0, 3])
-def test_seesaw_equals_reference_bit_for_bit(iterations, restarts, seed):
+def test_seesaw_equals_reference_bit_for_bit(sweeps, restarts, seed, monkeypatch):
     """Bit identity with the plain loop holds for the states that stop in the plain phase;
     the others, which extrapolate, must end no lower than the plain loop."""
     # the stack holds zero-norm rows (zero and rank-one tensors), all-live sweeps and compaction;
     # past _PLAIN_SWEEPS the near-degenerate state runs the extrapolated phase
-    plain, _ = _assert_plain_phase_bits_and_no_loss(_mixed_optimizer_stack(), restarts, seed, iterations)
-    assert plain.all() == (iterations <= _PLAIN_SWEEPS)
+    monkeypatch.setattr(bell, "SEESAW_SWEEPS", sweeps)
+    plain, _ = _assert_plain_phase_bits_and_no_loss(_mixed_optimizer_stack(), restarts, seed)
+    assert plain.all() == (sweeps <= _PLAIN_SWEEPS)
 
 
 def test_seesaw_equals_reference_on_the_brute_grid():
@@ -428,14 +432,15 @@ def test_extrapolated_phase_stops_after_two_slow_sweeps(scenario, params):
     assert abs(res.b_horodecki - res.b_brute) <= 1e-13
 
 
-def test_stacked_seesaw_budget_ending_on_a_stop_sweep():
+def test_stacked_seesaw_budget_ending_on_a_stop_sweep(monkeypatch):
     # with 8 restarts and seed 3 the last mixed-stack state stops on sweep 40 while the
     # near-degenerate one runs on, so the stack is compacted on the budget's last sweep
     rho = _mixed_optimizer_stack()
-    for iterations in (39, 40, 41):
-        settings, converged = _seesaw(rho, 8, 3, iterations)
+    for sweeps in (39, 40, 41):
+        monkeypatch.setattr(bell, "SEESAW_SWEEPS", sweeps)
+        settings, converged = _seesaw(rho, 8, 3)
         for k, state in enumerate(rho):
-            single, single_converged = _seesaw(state[None], 8, 3, iterations)
+            single, single_converged = _seesaw(state[None], 8, 3)
             assert np.array_equal(single[0], settings[k])
             assert single_converged[0] == converged[k]
 
@@ -443,9 +448,6 @@ def test_stacked_seesaw_budget_ending_on_a_stop_sweep():
 @pytest.mark.parametrize(
     "kwargs, name",
     [
-        ({"iterations": 0}, "iterations"),
-        ({"iterations": -3}, "iterations"),
-        ({"iterations": 40.0}, "iterations"),
         ({"restarts": 2.0}, "restarts"),
         ({"seed": 1.5}, "seed"),
         ({"restarts": True}, "restarts"),

@@ -1,4 +1,4 @@
-"""Violation thresholds on an enumerated table of robustness values at the edges of [0, 1].
+"""Violation thresholds and closed forms on an enumerated table of knob values at the edges of [0, 1].
 
 The table is fixed, so every checkout and every run evaluates the same points:
 0 and 1, 10^-k and 1 - 10^-k for k = 1..15, and 1/sqrt2 with the 8 floats on
@@ -10,9 +10,10 @@ import math
 import numpy as np
 import pytest
 
-from qdl.bell import horodecki_bmax, violation_threshold
+from qdl.bell import bell_closed_form, horodecki_bmax, violation_threshold
+from qdl.infotheory import entropy_closed_form, mutual_information
 from qdl.states import Scenario, ScenarioParams, scenario_densities, scenario_density
-from qdl.verify import BOUNDARY_TOL
+from qdl.verify import BOUNDARY_TOL, CLOSED_FORM_TOL, ENTROPY_TOL
 
 
 def _ulps_from(x: float, k: int) -> float:
@@ -58,3 +59,34 @@ def test_combined_b_max_is_two_at_the_violation_threshold_on_the_edge_table():
     d = violation_threshold(Scenario.COMBINED, ScenarioParams(r_s=r_s, r_m=r_m))
     b_max = horodecki_bmax(scenario_densities(Scenario.COMBINED, d=d, r_s=r_s, r_m=r_m))
     assert np.max(np.abs(b_max - 2.0)) < BOUNDARY_TOL
+
+
+def _edge_grid(axes, *lines):
+    """The knobs `axes` over the product of `lines`, in row-major order."""
+    return dict(zip(axes, (a.ravel() for a in np.meshgrid(*lines, indexing="ij"))))
+
+
+# The live knobs of each scenario over EDGE_TABLE x EDGE_TABLE; combined also takes r_s in {0, 0.5, 1}.
+EDGE_GRIDS = {
+    Scenario.FREE: _edge_grid(("r", "d"), EDGE_TABLE, EDGE_TABLE),
+    Scenario.SYSTEM: _edge_grid(("d", "r_s"), EDGE_TABLE, EDGE_TABLE),
+    Scenario.METER: _edge_grid(("d", "r_m"), EDGE_TABLE, EDGE_TABLE),
+    Scenario.COMBINED: _edge_grid(("r_s", "d", "r_m"), [0.0, 0.5, 1.0], EDGE_TABLE, EDGE_TABLE),
+}
+
+
+@pytest.mark.parametrize("scenario", list(EDGE_GRIDS), ids=lambda s: s.value)
+def test_bell_closed_form_matches_horodecki_on_the_edge_table(scenario):
+    knobs = EDGE_GRIDS[scenario]
+    closed = bell_closed_form(scenario, ScenarioParams(**knobs))
+    b_max = horodecki_bmax(scenario_densities(scenario, **knobs))
+    assert np.max(np.abs(closed - b_max)) < CLOSED_FORM_TOL
+
+
+@pytest.mark.parametrize("scenario", [Scenario.SYSTEM, Scenario.METER], ids=lambda s: s.value)
+def test_entropy_closed_form_matches_the_eigenvalue_route_on_the_edge_table(scenario):
+    knobs = EDGE_GRIDS[scenario]
+    closed = entropy_closed_form(scenario, ScenarioParams(**knobs))
+    matrix = mutual_information(scenario_densities(scenario, **knobs))
+    for field in ("s_a", "s_b", "s_ab", "i_ab"):
+        assert np.max(np.abs(getattr(closed, field) - getattr(matrix, field))) < ENTROPY_TOL, field

@@ -12,8 +12,8 @@ from qdl.infotheory import (
     info_threshold,
     mutual_information,
     ppt_check,
-    printed_meter_entropies,
     printed_meter_info_threshold,
+    printed_meter_s_b,
     von_neumann_entropy,
 )
 from qdl.bell import horodecki_bmax
@@ -170,11 +170,12 @@ def test_printed_meter_s_b_disagrees_with_state():
     # the published meter-case S_B is inconsistent with the constructed state;
     # at full robustness the state is pure, so S_B must equal S_A
     params = ScenarioParams(d=0.6, r_m=1.0)
-    printed = printed_meter_entropies(params)
     matrix = mutual_information(scenario_density(params, Scenario.METER))
-    assert abs(printed.s_b - matrix.s_b) > 0.3
-    assert abs(printed.s_a - matrix.s_a) < 1e-12
-    assert abs(printed.s_ab - matrix.s_ab) < 1e-12
+    assert abs(printed_meter_s_b(params) - matrix.s_b) > 0.3
+    # the published S_A and S_AB, which the closed form adopts, agree with the state
+    adopted = entropy_closed_form(Scenario.METER, params)
+    assert abs(adopted.s_a - matrix.s_a) < 1e-12
+    assert abs(adopted.s_ab - matrix.s_ab) < 1e-12
 
 
 def test_info_threshold_system_endpoints():

@@ -9,7 +9,7 @@ from qdl.bell import _combined_threshold_sq, _meter_threshold_sq, bell_closed_fo
 from qdl.bell import violation_threshold
 from qdl.infotheory import binary_entropy, entropy_closed_form, info_threshold
 from qdl.infotheory import mutual_information
-from qdl.infotheory import printed_meter_entropies
+from qdl.infotheory import printed_meter_s_b
 from qdl.states import Scenario, ScenarioParams, scenario_densities
 from qdl.verify import _AXES, BOUNDARY_TOL, CLOSED_FORM_TOL, ENTROPY_TOL, IDENTITY_TOL, SUITES, _reduce, run_suites
 from qdl.verify import suite_identities
@@ -23,6 +23,18 @@ def test_suite_results_do_not_depend_on_the_chunk_size(monkeypatch):
     default = run_suites(resolution=5)
     monkeypatch.setattr(figures, "CHUNK_POINTS", 7)  # ragged chunks on every grid
     assert run_suites(resolution=5) == default
+
+
+@pytest.mark.parametrize("tolerance", ["1e-3", True, False, math.nan, math.inf, -0.5], ids=repr)
+def test_run_suites_rejects_a_tolerance_that_is_not_a_finite_non_negative_number(tolerance):
+    with pytest.raises(ValueError, match="tolerance must be a finite non-negative number"):
+        run_suites(names=["identities"], tolerance_override=tolerance)
+
+
+def test_run_suites_takes_an_integer_or_numpy_tolerance():
+    for tolerance in (1, np.float64(1.0)):
+        (res,) = run_suites(resolution=2, names=["identities"], tolerance_override=tolerance)
+        assert res.tolerance == tolerance and res.passed
 
 
 def test_identities_suite_is_the_worst_single_point_check():
@@ -120,7 +132,7 @@ def test_array_closed_forms_equal_their_scalar_calls_on_uniform_draws():
         (meter, lambda q: bell_closed_form(Scenario.METER, q)),
         (meter, lambda q: violation_threshold(Scenario.METER, q)),
         (combined, lambda q: violation_threshold(Scenario.COMBINED, q)),
-        (meter, lambda q: printed_meter_entropies(q).s_b),
+        (meter, printed_meter_s_b),
     ]
     for params, closed_form in checks:
         assert _bits(closed_form(_array_knobs(params))) == _bits([closed_form(p) for p in params])
@@ -152,7 +164,7 @@ def test_array_closed_forms_equal_their_scalar_calls_bit_for_bit(scenario, rows)
     for field in ("s_a", "s_b", "s_ab", "i_ab"):
         same_bits(lambda q: getattr(entropy_closed_form(Scenario.SYSTEM, q), field))
         same_bits(lambda q: getattr(entropy_closed_form(Scenario.METER, q), field))
-        same_bits(lambda q: getattr(printed_meter_entropies(q), field))
+    same_bits(printed_meter_s_b)
     violates = violates_chsh(bell_closed_form(scenario, knobs)).tolist()
     assert violates == [violates_chsh(bell_closed_form(scenario, p)) for p in params]
     v, v_free = ([row[k] for row in rows] for k in (4, 5))

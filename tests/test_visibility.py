@@ -37,6 +37,18 @@ def test_sweep_rejects_tiny_phase_count():
         visibility_sweep(rho, 7)
 
 
+@pytest.mark.parametrize("n", [8.0, np.float64(16), True, "16"], ids=repr)
+def test_sweep_rejects_a_phase_count_that_is_not_an_integer(n):
+    rho = scenario_density(ScenarioParams(d=0.3), Scenario.FREE)
+    with pytest.raises(ValueError, match="phase count"):
+        visibility_sweep(rho, n)
+
+
+def test_sweep_takes_a_numpy_integer_phase_count():
+    rho = scenario_density(ScenarioParams(d=0.3), Scenario.FREE)
+    assert visibility_sweep(rho, np.int64(16)).visibility == visibility_sweep(rho, 16).visibility
+
+
 def test_sweep_records_requested_grid():
     rho = scenario_density(ScenarioParams(d=0.3), Scenario.FREE)
     scan = visibility_sweep(rho, 16)

@@ -255,8 +255,8 @@ def _seesaw(rho: np.ndarray, restarts: int, seed: int):
     bob = np.repeat(start[None, 2:], n, axis=0)
     values, norm = np.zeros((n, restarts)), np.empty((n, 2, restarts))  # a budget of 0 returns restart 0's start
     pair, raw = np.empty_like(bob), np.empty_like(bob)
-    # per active state: Bob's pairs at the end of the last two sweeps, the extrapolation
-    # factors, and the sweeps in a row whose gain is below the phase's tolerance
+    # per active state: Bob's pairs at the end of the last two sweeps (written from sweep _PLAIN_SWEEPS - 2),
+    # the extrapolation factors, and the sweeps in a row whose gain is below the phase's tolerance
     old_bob, step, slow = np.empty((2,) + bob.shape), np.full((n, restarts), _STEP_START), np.zeros(n, dtype=int)
     settings, converged = np.empty((n, 4, 3)), np.zeros(n, dtype=bool)
     active, prev_best = np.arange(n), np.full(n, -np.inf)
@@ -266,7 +266,8 @@ def _seesaw(rho: np.ndarray, restarts: int, seed: int):
         np.add(norm[:, 0], norm[:, 1], out=values)
         if sweep >= _PLAIN_SWEEPS:
             _extrapolate(t_t, alice, bob, values, old_bob[sweep % 2], step, pair, raw, norm)
-        old_bob[sweep % 2] = bob
+        if sweep >= _PLAIN_SWEEPS - 2:
+            old_bob[sweep % 2] = bob
         best_now = values.max(axis=1)
         tol, stalls = (_VALUE_STALL_TOL, 1) if sweep < _PLAIN_SWEEPS else (_STEP_STALL_TOL, _STEP_STALLS)
         slow = (slow + 1) * (best_now - prev_best < tol)  # a sweep that gains tol or more resets it
@@ -280,7 +281,9 @@ def _seesaw(rho: np.ndarray, restarts: int, seed: int):
             active, alice, bob, values, t, step, slow, best_now = (
                 a[keep] for a in (active, alice, bob, values, t, step, slow, best_now)
             )
-            old_bob, t_t = old_bob[:, keep], np.swapaxes(t, -1, -2)
+            if sweep >= _PLAIN_SWEEPS - 2:
+                old_bob[:, : len(active)] = old_bob[:, keep]
+            t_t, old_bob = np.swapaxes(t, -1, -2), old_bob[:, : len(active)]
             pair, raw, norm = pair[: len(active)], raw[: len(active)], norm[: len(active)]
         prev_best = best_now
     settings[active] = _best_settings(alice, bob, values)  # the states the budget ran out on

@@ -10,6 +10,8 @@ points per call.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -31,7 +33,7 @@ def _as_square(m, name: str = "matrix") -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{name} must be a square matrix or a stack (..., n, n), got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains NaN/Inf entries")
     return m
 
@@ -39,6 +41,17 @@ def _as_square(m, name: str = "matrix") -> np.ndarray:
 def _float_or_array(x) -> float | np.ndarray:
     """A float for a scalar or 0-d result, the array otherwise."""
     return float(x) if np.ndim(x) == 0 else x
+
+
+@functools.cache
+def _pivots(n: int) -> list[tuple[int, int, slice]]:
+    """A sweep's pivots (p, q) in order, with the rows k != p, q (every row where not evenly spaced) as a slice."""
+    table = []
+    for p, q in itertools.combinations(range(n), 2):
+        rows = [k for k in range(n) if k != p and k != q]
+        cut = slice(rows[0], rows[-1] + 1, rows[1] - rows[0] if len(rows) > 1 else 1) if rows else slice(0)
+        table.append((p, q, cut if list(range(n)[cut]) == rows else slice(None)))
+    return table
 
 
 def hermitian_eigensystem(m, *, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
@@ -50,87 +63,75 @@ def hermitian_eigensystem(m, *, vectors: bool = True) -> tuple[np.ndarray, np.nd
     JACOBI_MAX_SWEEPS sweeps).  Column k of the returned vector matrix is the
     eigenvector for the k-th eigenvalue.  With ``vectors=False`` no rotation
     is accumulated, the vectors come back as None and the values are the same
-    bit for bit; ``hermitian_eigenvalues`` takes that route, so it never
-    builds a vector matrix.
+    bit for bit; ``hermitian_eigenvalues`` takes that route.
 
-    A stack of shape (..., n, n) returns values (..., n) and vectors
-    (..., n, n), solved together by ``_stacked_jacobi``.  A single matrix
-    keeps this scalar loop, which is faster for one matrix and is the
-    reference the stacked loop is tested against.
+    A single matrix runs this loop on Python floats; a stack (..., n, n) gets
+    values (..., n) and vectors (..., n, n) from ``_stacked_jacobi``.  Both write
+    the rotation's complex product out in real arithmetic (numpy fuses its
+    multiply-add on some CPUs, CPython never), so they agree bit for bit anywhere.
     """
     m = _as_square(m, "m")
     if m.ndim > 2:
         return _stacked_jacobi(m, vectors)
-    a = m.copy()
-    n = a.shape[0]
-    dev = np.max(np.abs(a - a.conj().T))
+    n = m.shape[0]
+    mh = m.conj().T
+    dev = np.max(np.abs(m - mh))
     if dev >= HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (max |m - m^dag| = {dev:.3e})")
-    a = (a + a.conj().T) / 2.0
-    vecs = np.eye(n, dtype=complex) if vectors else None
-
-    def offdiag_norm():
-        off = a - np.diag(np.diag(a))
-        return float(np.linalg.norm(off))
+    a = (m + mh) / 2.0
+    ar, ai = a.real.tolist(), a.imag.tolist()  # the rows of a
+    ur, ui = (np.eye(n).tolist(), np.zeros((n, n)).tolist()) if vectors else (None, None)  # the columns of U
+    pivots = _pivots(n)
 
     sweeps = 0
-    while offdiag_norm() >= JACOBI_OFFDIAG_TOL:
+    while math.sqrt(2.0 * sum(ar[p][q] * ar[p][q] + ai[p][q] * ai[p][q] for p, q, _ in pivots)) >= JACOBI_OFFDIAG_TOL:
         if sweeps >= JACOBI_MAX_SWEEPS:
             raise ArithmeticError(f"Jacobi iteration failed to converge in {JACOBI_MAX_SWEEPS} sweeps")
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                z = a[p, q]
-                h = float(abs(z))
-                if h < _TINY:  # conj(z)/|z| overflows for a subnormal pivot
-                    continue
-                # Absorb the phase of a[p,q] so the 2x2 pivot block is real,
-                # then apply the standard symmetric Jacobi rotation.
-                phase = z.conjugate() / h
-                app, aqq = float(a[p, p].real), float(a[q, q].real)
-                # tau, and |tau| + root, pass the largest double once the gap is
-                # about 1e308 x |a[p,q]|.  As Python floats they are then inf with
-                # no overflow warning, and inf is their limit: t = 0.
-                tau = (aqq - app) / (2.0 * h)
-                root = abs(tau) if abs(tau) > _TAU_HUGE else math.sqrt(1.0 + tau * tau)
-                t = math.copysign(1.0, tau) / (abs(tau) + root) if tau != 0.0 else 1.0
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # Unitary columns: U[:,p] = (c, -s*phase), U[:,q] = (s, c*phase).
-                # a is exactly Hermitian, so rotating its rows gives the conjugates
-                # of the rotated columns; at most the sign of a zero could differ,
-                # and nothing reads that sign.
-                col_p = c * a[:, p] - s * phase * a[:, q]
-                col_q = s * a[:, p] + c * phase * a[:, q]
-                a[:, p], a[:, q] = col_p, col_q
-                a[p, :], a[q, :] = col_p.conj(), col_q.conj()
-                a[p, p] = app - t * h
-                a[q, q] = aqq + t * h
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                if vectors:
-                    vcol_p = c * vecs[:, p] - s * phase * vecs[:, q]
-                    vcol_q = s * vecs[:, p] + c * phase * vecs[:, q]
-                    vecs[:, p], vecs[:, q] = vcol_p, vcol_q
+        for p, q, rows in pivots:
+            rp, ip, rq, iq = ar[p], ai[p], ar[q], ai[q]
+            h = abs(complex(rp[q], ip[q]))  # C hypot, as np.hypot in the stacked loop
+            if h < _TINY:  # conj(z)/|z| overflows for a subnormal pivot
+                continue
+            # Absorb the phase of a[p,q] so the 2x2 pivot block is real, then rotate.  Past a gap
+            # of about 1e308 x |a[p,q]|, tau is inf as a Python float, with no warning, and t = 0.
+            app, aqq = rp[p], rq[q]
+            tau = (aqq - app) / (2.0 * h)
+            root = abs(tau) if abs(tau) > _TAU_HUGE else math.sqrt(1.0 + tau * tau)
+            t = math.copysign(1.0, tau) / (abs(tau) + root) if tau != 0.0 else 1.0
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            s = t * c
+            pr, pi = rp[q] / h, -ip[q] / h  # phase = conj(a[p,q]) / |a[p,q]|
+            # U[:,p] = (c, -s*phase), U[:,q] = (s, c*phase); rows p, q become the conjugates of columns p, q
+            for k in range(n)[rows]:
+                rk, ik = ar[k], ai[k]
+                rk[p], ik[p], rk[q], ik[q] = _turn(c, s, pr, pi, rk[p], ik[p], rk[q], ik[q])
+                rp[k], ip[k], rq[k], iq[k] = rk[p], -ik[p], rk[q], -ik[q]
+            rp[p], rq[q] = app - t * h, aqq + t * h
+            ip[p] = iq[q] = rp[q] = ip[q] = rq[p] = iq[p] = 0.0
+            if vectors:
+                xr, xi, yr, yi = ur[p], ui[p], ur[q], ui[q]
+                for k in range(n):
+                    xr[k], xi[k], yr[k], yi[k] = _turn(c, s, pr, pi, xr[k], xi[k], yr[k], yi[k])
         sweeps += 1
 
-    values = np.real(np.diag(a))
+    values = np.array([ar[k][k] for k in range(n)])
     order = np.argsort(values)[::-1]
-    return values[order], (vecs[:, order] if vectors else None)
+    return values[order], (np.stack((ur, ui), axis=-1).view(complex)[..., 0].T[:, order] if vectors else None)
+
+
+def _turn(c: float, s: float, pr: float, pi: float, xr: float, xi: float, yr: float, yi: float) -> tuple:
+    """Entries x, y of columns p, q rotated to c x - s w, s x + c w, w = (pr + i pi) y, as (re, im, re, im)."""
+    wr, wi = pr * yr - pi * yi, pr * yi + pi * yr
+    return c * xr - s * wr, c * xi - s * wi, s * xr + c * wr, s * xi + c * wi
 
 
 def _stacked_jacobi(m: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """The cyclic Jacobi of ``hermitian_eigensystem`` run over a stack of matrices at once.
 
-    Every matrix visits the same pivots in the same order and gets the same
-    rotation arithmetic as in the scalar loop, element-wise over the stack;
-    as there, the rotated rows are written as the conjugates of the rotated
-    columns.  A matrix skips a pivot whose |a[p, q]| is below the smallest
-    normal float, so each result equals that of a separate call.  At each
-    sweep boundary the matrices whose off-diagonal norm has dropped below
-    JACOBI_OFFDIAG_TOL are copied out to the result and the stack is compacted
-    to the rest, so a converged matrix is not rotated again.  Only that norm
-    is summed in another order than in the scalar loop; that can change the
-    sweep count only for a norm within rounding of JACOBI_OFFDIAG_TOL.
+    Every matrix visits the same pivots, skips the same subnormal ones and gets
+    the same arithmetic as in the scalar loop, the stop test's sum included, so
+    each result equals that of a separate call, bit for bit.  At each sweep end
+    the converged matrices are copied out and the stack is compacted to the rest.
     """
     batch, n = m.shape[:-2], m.shape[-1]
     a = m.reshape((-1, n, n))
@@ -141,7 +142,7 @@ def _stacked_jacobi(m: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarra
         raise ValueError(f"matrix {k} of the stack is not Hermitian (max |m - m^dag| = {dev[k]:.3e})")
     a = (a + ah) / 2.0
     del ah
-    diag = np.arange(n)
+    diag, pivots = np.arange(n), _pivots(n)
     values = np.empty(a.shape[:-1])
     vecs = np.broadcast_to(np.eye(n, dtype=complex), a.shape).copy() if vectors else None
     vecs_out = np.empty_like(a) if vectors else None
@@ -149,9 +150,8 @@ def _stacked_jacobi(m: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarra
 
     sweeps = 0
     while True:
-        off = a.real**2 + a.imag**2
-        off[:, diag, diag] = 0.0
-        done = np.sqrt(np.sum(off, axis=(-2, -1))) < JACOBI_OFFDIAG_TOL
+        off = sum(a[:, p, q].real ** 2 + a[:, p, q].imag ** 2 for p, q, _ in pivots)  # in the scalar loop's order
+        done = np.sqrt(2.0 * off) < JACOBI_OFFDIAG_TOL
         if done.any():
             values[slot[done]] = a[done][:, diag, diag].real
             if vectors:
@@ -162,56 +162,51 @@ def _stacked_jacobi(m: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarra
             break
         if sweeps >= JACOBI_MAX_SWEEPS:
             raise ArithmeticError(f"Jacobi iteration failed to converge in {JACOBI_MAX_SWEEPS} sweeps")
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                z = a[:, p, q]
-                # abs() of one complex scalar is C hypot; np.abs on a complex
-                # array may round differently in the last bit, np.hypot does not.
-                h = np.hypot(z.real, z.imag)
-                skip = h < _TINY
-                if skip.any():  # gather the matrices that rotate this pivot
-                    idx = np.flatnonzero(~skip)
-                    if idx.size == 0:
-                        continue
-                    z, h = z[idx], h[idx]
-                else:
-                    idx = slice(None)
-                # With idx a slice, z, app, aqq and the columns are views of a:
-                # everything is read before the first write.
-                phase = z.conj() / h
-                app, aqq = a[idx, p, p].real, a[idx, q, q].real
-                with np.errstate(over="ignore"):  # inf is the limit, as in the scalar loop
-                    tau = (aqq - app) / (2.0 * h)
-                    abs_tau = np.abs(tau)
-                    tame = np.minimum(abs_tau, _TAU_HUGE)  # |tau| wherever tau * tau is finite
-                    root = np.where(abs_tau > _TAU_HUGE, abs_tau, np.sqrt(1.0 + tame * tame))
-                    t = np.where(tau != 0.0, np.sign(tau) / (abs_tau + root), 1.0)
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                new_pp, new_qq = app - t * h, aqq + t * h
-                cc, sc = c[:, None], s[:, None]
-                sp, cp = (s * phase)[:, None], (c * phase)[:, None]
-                col_p, col_q = a[idx, :, p], a[idx, :, q]
-                new_p = cc * col_p - sp * col_q
-                new_q = sc * col_p + cp * col_q
-                a[idx, :, p], a[idx, :, q] = new_p, new_q
-                a[idx, p, :], a[idx, q, :] = new_p.conj(), new_q.conj()
-                a[idx, p, p], a[idx, q, q] = new_pp, new_qq
-                a[idx, p, q] = 0.0
-                a[idx, q, p] = 0.0
-                if vectors:
-                    vcol_p, vcol_q = vecs[idx, :, p], vecs[idx, :, q]
-                    new_p = cc * vcol_p - sp * vcol_q
-                    new_q = sc * vcol_p + cp * vcol_q
-                    vecs[idx, :, p], vecs[idx, :, q] = new_p, new_q
+        for p, q, rows in pivots:
+            z = a[:, p, q]
+            h = np.hypot(z.real, z.imag)  # C hypot, as abs() of one complex; np.abs of an array may differ
+            skip = h < _TINY
+            if skip.any():  # gather the matrices that rotate this pivot
+                idx = np.flatnonzero(~skip)
+                if idx.size == 0:
+                    continue
+                z, h = z[idx], h[idx]
+            else:
+                idx = slice(None)
+            # With idx a slice, z, app, aqq and the columns are views of a, all read before the first write.
+            app, aqq = a[idx, p, p].real, a[idx, q, q].real
+            with np.errstate(over="ignore"):  # inf is the limit, as in the scalar loop
+                tau = (aqq - app) / (2.0 * h)
+                abs_tau = np.abs(tau)
+                tame = np.minimum(abs_tau, _TAU_HUGE)  # |tau| wherever tau * tau is finite
+                root = np.where(abs_tau > _TAU_HUGE, abs_tau, np.sqrt(1.0 + tame * tame))
+                t = np.where(tau != 0.0, np.sign(tau) / (abs_tau + root), 1.0)
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            new_pp, new_qq = app - t * h, aqq + t * h
+            # The scalar loop's float arithmetic as complex products with one real or imaginary
+            # factor: each part is one rounded product plus an exact zero, fused or not.
+            pr, ipi = (z.real / h).astype(complex)[:, None], (1j * (-z.imag / h))[:, None]  # phase = pr + ipi
+            c, s = c.astype(complex)[:, None], s.astype(complex)[:, None]
+            if vectors:
+                vecs[idx, :, p], vecs[idx, :, q] = _rotate(c, s, pr, ipi, vecs[idx, :, p], vecs[idx, :, q])
+            new_p, new_q = _rotate(c, s, pr, ipi, a[idx, rows, p], a[idx, rows, q])
+            a[idx, rows, p], a[idx, rows, q] = new_p, new_q
+            a[idx, p, rows], a[idx, q, rows] = new_p.conj(), new_q.conj()
+            a[idx, p, p], a[idx, q, q] = new_pp, new_qq
+            a[idx, p, q] = a[idx, q, p] = 0.0
         sweeps += 1
 
     order = np.argsort(values, axis=-1)[:, ::-1]
     values = np.take_along_axis(values, order, axis=-1).reshape(batch + (n,))
-    if not vectors:
-        return values, None
-    vecs = np.take_along_axis(vecs_out, order[:, None, :], axis=-1)
-    return values, vecs.reshape(batch + (n, n))
+    vecs = np.take_along_axis(vecs_out, order[:, None, :], axis=-1).reshape(batch + (n, n)) if vectors else None
+    return values, vecs
+
+
+def _rotate(c, s, pr, ipi, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c x - s w, s x + c w) with w = pr y + ipi y, the columns' rotation in ``_stacked_jacobi``."""
+    w = pr * y + ipi * y
+    return c * x - s * w, s * x + c * w
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:

@@ -1,9 +1,14 @@
+import importlib.util
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qdl import linalg
+from qdl import linalg, states
 from qdl.linalg import (
     _TAU_HUGE,
     _TINY,
@@ -18,7 +23,7 @@ from qdl.linalg import (
     partial_trace,
     partial_transpose,
 )
-from qdl.bell import _PAULI_KRON
+from qdl.bell import _PAULI_KRON, correlation_tensor
 from qdl.states import _checked_norms
 
 PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
@@ -172,6 +177,76 @@ def test_pure_state_norm_guard():
         _checked_norms(np.array([[1.0, 0.0], [1.0, 1.0]]))
 
 
+def load_pool_points():
+    """The recorded analyze pool of the benchmark harness, as (scenario, params) pairs."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_pool_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    import qdl
+
+    return [workloads.point_params(qdl, point) for point in workloads.make_pool()]
+
+
+def test_stacked_equals_single_on_the_matrices_analyze_solves():
+    # Physical states at knobs of exactly 0 and 1 have structural zeros (skipped
+    # pivots, already diagonal blocks) that random stacks seldom reproduce.
+    kinds = {"rho": [], "rho^T_B": [], "T^T T": [], "rho_A": [], "rho_B": []}
+    for scenario, params in load_pool_points():
+        rho = states.scenario_density(params, scenario)
+        t = correlation_tensor(rho)
+        solved = (rho, partial_transpose(rho), t.T @ t, partial_trace(rho, "A"), partial_trace(rho, "B"))
+        for kind, m in zip(kinds, solved):
+            kinds[kind].append(m)
+    for kind, matrices in kinds.items():
+        values, vectors = hermitian_eigensystem(np.stack(matrices))
+        assert hermitian_eigenvalues(np.stack(matrices)).tobytes() == values.tobytes(), kind
+        for k, m in enumerate(matrices):
+            v1, w1 = hermitian_eigensystem(m)
+            assert values[k].tobytes() == v1.tobytes(), (kind, k)
+            assert hermitian_eigenvalues(m).tobytes() == v1.tobytes(), (kind, k)
+            assert np.array_equal(vectors[k], w1), (kind, k)
+
+
+# Prints a digest of one numpy complex product, then the eigenvalue and
+# eigenvector bytes of a fixed stack and of each of its members alone.
+_DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+from qdl.linalg import hermitian_eigensystem, partial_transpose
+rng = np.random.default_rng(17)
+g = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))
+print(hashlib.sha256((g[0] * g[1]).tobytes()).hexdigest())
+psi = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+bell = 0.7 * np.outer(psi, psi) + 0.3 * np.eye(4) / 4
+stack = np.concatenate([(g + g.conj().swapaxes(-1, -2)) / 2, partial_transpose(bell)[None]])
+for m in (stack, *stack):
+    values, vectors = hermitian_eigensystem(m)
+    print(hashlib.sha256(values.tobytes() + vectors.tobytes()).hexdigest())
+"""
+
+
+def eigen_digests(disabled_features):
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    if disabled_features:
+        env["NPY_DISABLE_CPU_FEATURES"] = disabled_features
+    src = str(Path(linalg.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    run = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.split()
+
+
+def test_eigensystem_bits_do_not_depend_on_numpy_simd_dispatch():
+    # numpy fuses the multiply-add of a complex product under AVX2 (X86_V3)
+    # dispatch and not without it; the Jacobi rotations must not notice.
+    default, reduced = eigen_digests(None), eigen_digests("X86_V4 X86_V3")
+    if default[0] == reduced[0]:
+        pytest.skip("NPY_DISABLE_CPU_FEATURES does not change numpy's complex product on this host")
+    assert len(default) == 9
+    assert reduced[1:] == default[1:]
+
+
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 hnp = pytest.importorskip("hypothesis.extra.numpy")
@@ -260,11 +335,23 @@ def test_huge_tau_rotates_without_overflow(pivot, a11):
     assert np.array_equal(stacked[1], [3.0, 2.0, 1.0])
 
 
+def rotated(c, s, pr, pi, x, y):
+    """(c x - s w, s x + c w) with w = (pr + i pi) y, in float arithmetic only, part by part."""
+    wr, wi = pr * y.real - pi * y.imag, pr * y.imag + pi * y.real
+    parts = (c * x.real - s * wr, c * x.imag - s * wi), (s * x.real + c * wr, s * x.imag + c * wi)
+    out = np.empty((2,) + x.shape, dtype=complex)
+    for k, (re, im) in enumerate(parts):
+        out[k].real, out[k].imag = re, im
+    return out
+
+
 def reference_jacobi(m, offdiag_tol=JACOBI_OFFDIAG_TOL, max_sweeps=JACOBI_MAX_SWEEPS):
     """The stacked Jacobi as first written, for one matrix or a stack.
 
-    It rotates the rows on their own after the columns, keeps converged
-    matrices in the stack behind a mask and always builds the vectors.
+    It rotates the rows on their own after the columns, with the conjugate
+    phase, keeps converged matrices in the stack behind a mask, always builds
+    the vectors and updates whole columns.  Its products are float ones on
+    the real and imaginary parts, never numpy complex products.
     """
     single = np.ndim(m) == 2
     a = np.array(m, dtype=complex).reshape((-1,) + np.shape(m)[-2:])
@@ -290,7 +377,7 @@ def reference_jacobi(m, offdiag_tol=JACOBI_OFFDIAG_TOL, max_sweeps=JACOBI_MAX_SW
                 if idx.size == 0:
                     continue
                 h = h[idx]
-                phase = a[idx, p, q].conj() / h
+                pr, pi = a[idx, p, q].real / h, -a[idx, p, q].imag / h
                 app, aqq = a[idx, p, p].real, a[idx, q, q].real
                 with np.errstate(over="ignore"):  # tau and |tau| + root may reach inf
                     tau = (aqq - app) / (2.0 * h)
@@ -299,22 +386,14 @@ def reference_jacobi(m, offdiag_tol=JACOBI_OFFDIAG_TOL, max_sweeps=JACOBI_MAX_SW
                     t = np.where(tau != 0.0, np.sign(tau) / (np.abs(tau) + root), 1.0)
                 c = 1.0 / np.sqrt(1.0 + t * t)
                 s = t * c
-                cc, sc = c[:, None], s[:, None]
-                sp, cp = (s * phase)[:, None], (c * phase)[:, None]
-                spc, cpc = (s * phase.conj())[:, None], (c * phase.conj())[:, None]
-                col_p, col_q = a[idx, :, p], a[idx, :, q]
-                a[idx, :, p] = cc * col_p - sp * col_q
-                a[idx, :, q] = sc * col_p + cp * col_q
-                row_p, row_q = a[idx, p, :], a[idx, q, :]
-                a[idx, p, :] = cc * row_p - spc * row_q
-                a[idx, q, :] = sc * row_p + cpc * row_q
+                cc, sc, pr, pi = c[:, None], s[:, None], pr[:, None], pi[:, None]
+                a[idx, :, p], a[idx, :, q] = rotated(cc, sc, pr, pi, a[idx, :, p], a[idx, :, q])
+                a[idx, p, :], a[idx, q, :] = rotated(cc, sc, pr, -pi, a[idx, p, :], a[idx, q, :])
                 a[idx, p, p] = app - t * h
                 a[idx, q, q] = aqq + t * h
                 a[idx, p, q] = 0.0
                 a[idx, q, p] = 0.0
-                vcol_p, vcol_q = vecs[idx, :, p], vecs[idx, :, q]
-                vecs[idx, :, p] = cc * vcol_p - sp * vcol_q
-                vecs[idx, :, q] = sc * vcol_p + cp * vcol_q
+                vecs[idx, :, p], vecs[idx, :, q] = rotated(cc, sc, pr, pi, vecs[idx, :, p], vecs[idx, :, q])
         sweeps += 1
     values = np.real(a[:, diag, diag])
     order = np.argsort(values, axis=-1)[:, ::-1]

@@ -150,7 +150,7 @@ def _stacked_jacobi(m: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarra
 
     sweeps = 0
     while True:
-        off = sum(a[:, p, q].real ** 2 + a[:, p, q].imag ** 2 for p, q, _ in pivots)  # in the scalar loop's order
+        off = sum((a[:, p, q].real ** 2 + a[:, p, q].imag ** 2 for p, q, _ in pivots), np.zeros(len(a)))
         done = np.sqrt(2.0 * off) < JACOBI_OFFDIAG_TOL
         if done.any():
             values[slot[done]] = a[done][:, diag, diag].real

@@ -294,6 +294,13 @@ def test_stacked_eigensystem_rejects_one_bad_member(m, data):
         hermitian_eigensystem(bad)
 
 
+def test_stack_of_one_by_one_matrices():
+    # no pivot at all: the stop test's sum must still be one value per matrix
+    values, vectors = hermitian_eigensystem(np.arange(3.0).reshape(3, 1, 1))
+    assert np.array_equal(values, [[0.0], [1.0], [2.0]])
+    assert np.array_equal(vectors, np.ones((3, 1, 1)))
+
+
 def test_stacked_eigensystem_reports_non_convergence(monkeypatch):
     m = np.stack([np.diag([1.0, 2.0]), SIGMA_X]).astype(complex)
     monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)

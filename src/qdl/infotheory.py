@@ -17,7 +17,7 @@ import numpy as np
 
 from .bell import violation_threshold
 from .linalg import _float_or_array, hermitian_eigenvalues, partial_trace, partial_transpose
-from .states import Scenario, ScenarioParams, _check_unit_interval, scenario_density
+from .states import Scenario, ScenarioParams, _check_unit_interval, scenario_densities
 
 SEPARABILITY_TOL = 1e-10
 ENTROPY_EIGENVALUE_FLOOR = -1e-8
@@ -122,22 +122,23 @@ def info_threshold(scenario: Scenario, robustness: float | np.ndarray) -> float 
     """Mutual information needed for a CHSH violation at the given robustness.
 
     System case: the closed form h((1+r^2)/2), which equals I_AB on the violation
-    boundary d^2 = 1 - r^2, and an array over an array of robustness values.  Meter
-    case: computed numerically as I_AB at the boundary distinguishability d of
-    ``violation_threshold`` for one robustness value; returns None where that d
-    is 0 (robustness^2 >= 1/2), as every d > 0 already violates there.
+    boundary d^2 = 1 - r^2.  Meter case: computed numerically as I_AB at the
+    boundary distinguishability d of ``violation_threshold``; returns None where
+    that d is 0 (robustness^2 >= 1/2), as every d > 0 already violates there.
+    An array of robustness values gives an array, NaN where the meter case gives None;
+    its states are solved as one stack, which gives the bits of the one-value calls.
     """
     robustness = _check_unit_interval("robustness", robustness)
     if scenario is Scenario.SYSTEM:
         return binary_entropy((1.0 + robustness * robustness) / 2.0)
     if scenario is Scenario.METER:
-        if not isinstance(robustness, float):
-            raise ValueError(f"the meter threshold takes one robustness value, got shape {robustness.shape}")
         d_boundary = violation_threshold(Scenario.METER, ScenarioParams(r_m=robustness))
-        if d_boundary == 0.0:
+        if isinstance(robustness, float) and d_boundary == 0.0:
             return None
-        rho = scenario_density(ScenarioParams(d=d_boundary, r_m=robustness), Scenario.METER)
-        return mutual_information(rho).i_ab
+        rho = scenario_densities(Scenario.METER, d=d_boundary, r_m=robustness)
+        if isinstance(robustness, float):  # one matrix, through the one-matrix eigensolver
+            return mutual_information(rho[0]).i_ab
+        return np.where(d_boundary == 0.0, np.nan, mutual_information(rho).i_ab.reshape(robustness.shape))
     raise ValueError(f"no information threshold defined for scenario {scenario.value}")
 
 

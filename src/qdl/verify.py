@@ -288,9 +288,9 @@ def probe_meter_threshold_form() -> SuiteResult:
     lines = ["meter information threshold (numeric boundary I_AB vs published form):",
              "  r_m      numeric          published        |difference|"]
     worst_closed = 0.0
-    for r in METER_THRESHOLD_ROBUSTNESS:
-        numeric = info_threshold(Scenario.METER, r)
-        if numeric is None:  # no threshold: every d > 0 violates
+    numerics = info_threshold(Scenario.METER, np.array(METER_THRESHOLD_ROBUSTNESS))
+    for r, numeric in zip(METER_THRESHOLD_ROBUSTNESS, numerics.tolist()):
+        if math.isnan(numeric):  # no threshold: every d > 0 violates
             continue
         printed = printed_meter_info_threshold(r)
         arg = 0.5 + 0.5 * math.sqrt(2.0) * r * r / math.sqrt(1.0 - r * r)

@@ -10,6 +10,7 @@ collapses to 2|c|; both routes are kept because the sweep is the oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -37,29 +38,41 @@ class FringeScan:
     visibility: float | np.ndarray
 
 
-def visibility_sweep(rho: np.ndarray, n: int = DEFAULT_SWEEP_POINTS) -> FringeScan:
-    """Measure the fringe at n equally spaced phases over [0, 2pi).
+@functools.lru_cache(maxsize=8)
+def _readout(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n phases over [0, 2pi) and their measurement operators as one real (32, n) matrix (read-only, cached).
 
-    For each phase: shift the |up>_A branch, apply the recombination rotation,
-    reduce to A and record the |up> probability.  Each phase's gate product and
-    readout fold into one measurement operator, so a stack of states is read
-    out by one contraction with all of them, the same as a single state.
+    Column k is conj(G_k^T), G_k = U_k^dag Pi_up U_k, flattened with real and imaginary parts side by side:
+    p_k = Tr[rho G_k] (Heisenberg picture) is its dot product with the same view of rho.
     """
-    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 8:
-        raise ValueError(f"phase count must be an integer of at least 8, got {n!r}")
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (4, 4):
-        raise ValueError("visibility sweep expects a 4x4 A(x)B density matrix or a stack of them")
     phases = 2.0 * math.pi * np.arange(n) / n
     shift = np.zeros((n, 2, 2), dtype=complex)
     shift[:, 0, 0] = np.exp(-1j * phases)
     shift[:, 1, 1] = 1.0
     gate = np.einsum("ab,kbc->kac", ROTATION_A, shift)  # rotation after phase shift
-    gate_ab = np.einsum("kab,cd->kacbd", gate, np.eye(2)).reshape(n, 4, 4)
-    # Heisenberg picture: p_k = Tr[rho G_k], G_k = U_k^dag Pi_up U_k; readout[k] is G_k transposed
-    block = gate_ab[:, :2, :]
-    readout = np.einsum("kab,kac->kbc", block, block.conj())
-    probs = np.einsum("nbc,kbc->nk", rho.reshape(-1, 4, 4), readout).real
+    block = np.einsum("kab,cd->kacbd", gate, np.eye(2)).reshape(n, 4, 4)[:, :2, :]
+    readout = np.einsum("kab,kac->kbc", block.conj(), block).reshape(n, 16)  # conj(G_k^T)
+    readout = np.ascontiguousarray(readout.view(float).T)
+    phases.flags.writeable = readout.flags.writeable = False
+    return phases, readout
+
+
+def visibility_sweep(rho: np.ndarray, n: int = DEFAULT_SWEEP_POINTS) -> FringeScan:
+    """Measure the fringe at n equally spaced phases over [0, 2pi).
+
+    For each phase: shift the |up>_A branch, apply the recombination rotation,
+    reduce to A and record the |up> probability.  Each phase count's measurement
+    operators are built once (``phases`` is shared and read-only), and a stack of
+    states is read out by one real contraction with them, the same as a single state.
+    """
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 8:
+        raise ValueError(f"phase count must be an integer of at least 8, got {n!r}")
+    rho = np.ascontiguousarray(rho, dtype=complex)
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError("visibility sweep expects a 4x4 A(x)B density matrix or a stack of them")
+    phases, readout = _readout(int(n))
+    # einsum's own loop, not BLAS: gemv for one state and gemm for a stack would round differently
+    probs = np.einsum("nj,jk->nk", rho.reshape(-1, 16).view(float), readout)
     probs = probs.reshape(rho.shape[:-2] + (n,))
     p_max = probs.max(axis=-1)
     p_min = probs.min(axis=-1)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qdl.bell import bell_closed_form, horodecki_bmax, violation_threshold
-from qdl.infotheory import entropy_closed_form, mutual_information
+from qdl.infotheory import entropy_closed_form, info_threshold, mutual_information
 from qdl.states import Scenario, ScenarioParams, scenario_densities, scenario_density
 from qdl.verify import BOUNDARY_TOL, CLOSED_FORM_TOL, ENTROPY_TOL
 
@@ -47,6 +47,18 @@ def test_array_violation_threshold_equals_its_one_point_calls_on_the_edge_table(
     stacked = violation_threshold(scenario, ScenarioParams(**{knob: np.array(EDGE_TABLE)}))
     single = np.array([violation_threshold(scenario, ScenarioParams(**{knob: r})) for r in EDGE_TABLE])
     assert stacked.tobytes() == single.tobytes()
+
+
+def test_array_meter_info_threshold_equals_its_one_value_calls_on_the_edge_table():
+    # None <-> NaN; the table straddles r^2 = 1/2, where the one-value call switches to None
+    single = [info_threshold(Scenario.METER, r) for r in EDGE_TABLE]
+    assert None in single and any(value is not None and value > 0.0 for value in single)
+    expected = np.array([math.nan if value is None else value for value in single])
+    stacked = info_threshold(Scenario.METER, np.array(EDGE_TABLE))
+    assert stacked.tobytes() == expected.tobytes()
+    grid = info_threshold(Scenario.METER, np.array(EDGE_TABLE[:48]).reshape(6, 8))
+    assert grid.tobytes() == expected[:48].reshape(6, 8).tobytes()
+    assert info_threshold(Scenario.METER, list(EDGE_TABLE)).tobytes() == expected.tobytes()
 
 
 @pytest.mark.xfail(

@@ -4,7 +4,6 @@ import warnings
 import numpy as np
 import pytest
 
-from qdl import infotheory
 from qdl.infotheory import (
     _xlogx,
     binary_entropy,
@@ -203,15 +202,6 @@ def test_info_threshold_meter_none_above_sqrt_half():
     assert info_threshold(Scenario.METER, math.nextafter(1 / math.sqrt(2), 1.0)) is None
     assert info_threshold(Scenario.METER, 0.9) is None
     assert info_threshold(Scenario.METER, 1.0) is None
-
-
-@pytest.mark.parametrize("robustness", [np.array([0.1, 0.2]), np.array([0.3]), [0.1, 0.9]], ids=["pair", "one", "list"])
-def test_info_threshold_meter_rejects_an_array_before_building_a_state(robustness, monkeypatch):
-    built = []
-    monkeypatch.setattr(infotheory, "scenario_density", lambda *args: built.append(args))
-    with pytest.raises(ValueError, match="meter threshold takes one robustness value"):
-        info_threshold(Scenario.METER, robustness)
-    assert built == []
 
 
 def test_info_threshold_unsupported_scenario():

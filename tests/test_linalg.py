@@ -177,6 +177,19 @@ def test_pure_state_norm_guard():
         _checked_norms(np.array([[1.0, 0.0], [1.0, 1.0]]))
 
 
+def test_norm_guard_counts_the_real_and_imaginary_parts():
+    unit = np.array([[0.6, 0.8j], [0.6j, -0.8], [0.36 + 0.48j, 0.48 - 0.64j]])
+    assert _checked_norms(unit) is unit
+    strided = unit.T.copy().T  # a stack that is not C-contiguous
+    assert _checked_norms(strided) is strided
+    with pytest.raises(ValueError, match="not 1 within 1e-12"):
+        _checked_norms(unit * (1.0 + 2e-12))
+    with pytest.raises(ValueError, match="not 1 within 1e-12"):
+        _checked_norms(np.array([[0.6 + 1e-5j, 0.8]]))  # unit norm in the real parts alone
+    with pytest.raises(ValueError, match="not 1 within 1e-12"):
+        _checked_norms(np.array([[0.6, 0.0]]))  # 0.8j would make it a unit vector
+
+
 def load_pool_points():
     """The recorded analyze pool of the benchmark harness, as (scenario, params) pairs."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from qdl import visibility
 from qdl.linalg import partial_trace
 from qdl.states import Scenario, ScenarioParams, scenario_densities, scenario_density
+from qdl.verify import _AXES, SWEEP_RESOLUTION, _grid
 from qdl.visibility import (
     ROTATION_A,
     check_identity,
@@ -78,13 +85,83 @@ def test_sweep_probabilities_follow_the_fringe_formula():
 def test_stacked_sweep_equals_per_state_scans():
     rng = np.random.default_rng(23)
     rho = scenario_densities(Scenario.COMBINED, d=rng.uniform(0, 1, 9), r_s=rng.uniform(0, 1, 9), r_m=0.6)
-    scan = visibility_sweep(rho, 256)
-    assert scan.probabilities.shape == (9, 256)
-    assert scan.visibility.shape == (9,)
-    for k in range(9):
-        single = visibility_sweep(rho[k], 256)
-        assert np.array_equal(single.probabilities, scan.probabilities[k])
-        assert single.visibility == scan.visibility[k]
+    for n in (9, 256, 1023, 1024):
+        scan = visibility_sweep(rho, n)
+        assert scan.probabilities.shape == (9, n)
+        assert scan.visibility.shape == (9,)
+        for k in range(9):
+            single = visibility_sweep(rho[k], n)
+            assert np.array_equal(single.probabilities, scan.probabilities[k]), (n, k)
+            assert single.visibility == scan.visibility[k]
+
+
+def test_stacked_sweep_equals_per_state_scans_on_the_verify_sweep_grid():
+    rho = np.concatenate([rho for scenario in _AXES for _, rho in _grid(scenario, SWEEP_RESOLUTION)])
+    assert rho.shape == (200, 4, 4)
+    probabilities = visibility_sweep(rho).probabilities
+    for k in range(len(rho)):
+        assert visibility_sweep(rho[k]).probabilities.tobytes() == probabilities[k].tobytes(), k
+
+
+def test_stacked_sweep_of_complex_states_equals_per_state_scans():
+    # the scenario states are real; these have imaginary parts in every off-diagonal entry
+    rng = np.random.default_rng(24)
+    g = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+    rho = g @ g.conj().swapaxes(-1, -2)
+    rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+    scan = visibility_sweep(rho, 64)
+    for k in range(len(rho)):
+        assert np.array_equal(visibility_sweep(rho[k], 64).probabilities, scan.probabilities[k])
+
+
+def test_sweep_phases_are_read_only_and_shared():
+    rho = scenario_density(ScenarioParams(d=0.3), Scenario.FREE)
+    scan = visibility_sweep(rho, 16)
+    with pytest.raises(ValueError, match="read-only"):
+        scan.phases[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        visibility._readout(16)[1][0, 0] = 1.0
+    again = visibility_sweep(rho, 16)
+    assert again.phases is scan.phases
+    assert np.array_equal(again.phases, 2.0 * np.pi * np.arange(16) / 16)
+    assert again.probabilities.tobytes() == scan.probabilities.tobytes()
+
+
+# Prints a digest of one numpy complex product, then the probability bytes of the
+# verify sweep grid as one stack and of each of its states alone.
+_SWEEP_DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+from qdl.verify import _AXES, SWEEP_RESOLUTION, _grid
+from qdl.visibility import visibility_sweep
+rng = np.random.default_rng(17)
+g = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+print(hashlib.sha256((g[0] * g[1]).tobytes()).hexdigest())
+rho = np.concatenate([rho for scenario in _AXES for _, rho in _grid(scenario, SWEEP_RESOLUTION)])
+digest = hashlib.sha256(visibility_sweep(rho).probabilities.tobytes())
+for state in rho:
+    digest.update(visibility_sweep(state).probabilities.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def sweep_digests(disabled_features):
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    if disabled_features:
+        env["NPY_DISABLE_CPU_FEATURES"] = disabled_features
+    src = str(Path(visibility.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    run = subprocess.run([sys.executable, "-c", _SWEEP_DIGEST_SCRIPT], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.split()
+
+
+def test_sweep_bits_do_not_depend_on_numpy_simd_dispatch():
+    default, reduced = sweep_digests(None), sweep_digests("X86_V4 X86_V3")
+    if default[0] == reduced[0]:
+        pytest.skip("NPY_DISABLE_CPU_FEATURES does not change numpy's complex product on this host")
+    assert len(default) == 2
+    assert reduced[1] == default[1]
 
 
 def test_analytic_zero_for_maximally_mixed():

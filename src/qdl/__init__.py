@@ -26,7 +26,7 @@ from .infotheory import (
     ppt_check,
     von_neumann_entropy,
 )
-from .linalg import hermitian_eigenvalues, hermitian_eigensystem, partial_trace, partial_transpose
+from .linalg import hermitian_eigenvalues, partial_trace, partial_transpose
 from .states import Scenario, ScenarioParams, scenario_amplitudes, scenario_densities, scenario_density
 from .visibility import (
     FringeScan,

@@ -8,6 +8,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .analysis import analyze
@@ -148,11 +149,16 @@ def _cmd_verify(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "analyze":
-        return _cmd_analyze(args)
-    if args.command == "figure":
-        return _cmd_figure(args)
-    return _cmd_verify(args)
+    command = {"analyze": _cmd_analyze, "figure": _cmd_figure}.get(args.command, _cmd_verify)
+    try:
+        status = command(args)
+        sys.stdout.flush()  # a reader that closed early shows here, not in the flush at exit
+        return status
+    except BrokenPipeError:  # stdout closed, as by `| head -1`: an I/O error; the flush at exit goes to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
 
 
 if __name__ == "__main__":

@@ -56,7 +56,7 @@ def ppt_check(rho: np.ndarray) -> SeparabilityReport:
 def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
     """-sum lambda ln lambda over the spectrum, with 0 ln 0 = 0; an array over a stack of states."""
     evals = hermitian_eigenvalues(rho)
-    lowest = evals[..., -1].min()
+    lowest = evals[..., -1].min(initial=np.inf)
     if lowest < ENTROPY_EIGENVALUE_FLOOR:
         raise ValueError(f"state has eigenvalue {lowest:.3e}; not positive semidefinite")
     lam = np.minimum(1.0, np.maximum(0.0, evals))

@@ -31,8 +31,8 @@ PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 def _as_square(m, name: str = "matrix") -> np.ndarray:
     """Complex square matrix, or stack (..., n, n) of them, with finite entries."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"{name} must be a square matrix or a stack (..., n, n), got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
+        raise ValueError(f"{name} must be a square matrix or a stack (..., n, n) with n >= 1, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError(f"{name} contains NaN/Inf entries")
     return m
@@ -54,25 +54,23 @@ def _pivots(n: int) -> list[tuple[int, int, slice]]:
     return table
 
 
-def hermitian_eigensystem(m, *, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """Eigenvalues (descending) and eigenvectors of a Hermitian matrix.
+def hermitian_eigensystem(m) -> np.ndarray:
+    """Eigenvalues, descending, of a Hermitian matrix or of each in a stack (..., n, n).
 
     Cyclic Jacobi with complex plane rotations; a sweep visits every
     off-diagonal pivot once and iteration stops when the off-diagonal
     Frobenius norm drops below JACOBI_OFFDIAG_TOL (ArithmeticError after
-    JACOBI_MAX_SWEEPS sweeps).  Column k of the returned vector matrix is the
-    eigenvector for the k-th eigenvalue.  With ``vectors=False`` no rotation
-    is accumulated, the vectors come back as None and the values are the same
-    bit for bit; ``hermitian_eigenvalues`` takes that route.
+    JACOBI_MAX_SWEEPS sweeps).  No eigenvector is built.  Callers use
+    ``hermitian_eigenvalues``; the loop keeps this name, matrix first, because
+    the benchmark harness traces and counts the solves under it.
 
-    A single matrix runs this loop on Python floats; a stack (..., n, n) gets
-    values (..., n) and vectors (..., n, n) from ``_stacked_jacobi``.  Both write
-    the rotation's complex product out in real arithmetic (numpy fuses its
+    A single matrix runs on Python floats, a stack in ``_stacked_jacobi``.  Both
+    write the rotation's complex product out in real arithmetic (numpy fuses its
     multiply-add on some CPUs, CPython never), so they agree bit for bit anywhere.
     """
     m = _as_square(m, "m")
     if m.ndim > 2:
-        return _stacked_jacobi(m, vectors)
+        return _stacked_jacobi(m)
     n = m.shape[0]
     mh = m.conj().T
     dev = np.max(np.abs(m - mh))
@@ -80,7 +78,6 @@ def hermitian_eigensystem(m, *, vectors: bool = True) -> tuple[np.ndarray, np.nd
         raise ValueError(f"matrix is not Hermitian (max |m - m^dag| = {dev:.3e})")
     a = (m + mh) / 2.0
     ar, ai = a.real.tolist(), a.imag.tolist()  # the rows of a
-    ur, ui = (np.eye(n).tolist(), np.zeros((n, n)).tolist()) if vectors else (None, None)  # the columns of U
     pivots = _pivots(n)
 
     sweeps = 0
@@ -108,15 +105,10 @@ def hermitian_eigensystem(m, *, vectors: bool = True) -> tuple[np.ndarray, np.nd
                 rp[k], ip[k], rq[k], iq[k] = rk[p], -ik[p], rk[q], -ik[q]
             rp[p], rq[q] = app - t * h, aqq + t * h
             ip[p] = iq[q] = rp[q] = ip[q] = rq[p] = iq[p] = 0.0
-            if vectors:
-                xr, xi, yr, yi = ur[p], ui[p], ur[q], ui[q]
-                for k in range(n):
-                    xr[k], xi[k], yr[k], yi[k] = _turn(c, s, pr, pi, xr[k], xi[k], yr[k], yi[k])
         sweeps += 1
 
     values = np.array([ar[k][k] for k in range(n)])
-    order = np.argsort(values)[::-1]
-    return values[order], (np.stack((ur, ui), axis=-1).view(complex)[..., 0].T[:, order] if vectors else None)
+    return values[np.argsort(values)[::-1]]
 
 
 def _turn(c: float, s: float, pr: float, pi: float, xr: float, xi: float, yr: float, yi: float) -> tuple:
@@ -125,13 +117,13 @@ def _turn(c: float, s: float, pr: float, pi: float, xr: float, xi: float, yr: fl
     return c * xr - s * wr, c * xi - s * wi, s * xr + c * wr, s * xi + c * wi
 
 
-def _stacked_jacobi(m: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+def _stacked_jacobi(m: np.ndarray) -> np.ndarray:
     """The cyclic Jacobi of ``hermitian_eigensystem`` run over a stack of matrices at once.
 
     Every matrix visits the same pivots, skips the same subnormal ones and gets
     the same arithmetic as in the scalar loop, the stop test's sum included, so
     each result equals that of a separate call, bit for bit.  At each sweep end
-    the converged matrices are copied out and the stack is compacted to the rest.
+    the converged values are copied out and the stack is compacted to the rest.
     """
     batch, n = m.shape[:-2], m.shape[-1]
     a = m.reshape((-1, n, n))
@@ -144,8 +136,6 @@ def _stacked_jacobi(m: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarra
     del ah
     diag, pivots = np.arange(n), _pivots(n)
     values = np.empty(a.shape[:-1])
-    vecs = np.broadcast_to(np.eye(n, dtype=complex), a.shape).copy() if vectors else None
-    vecs_out = np.empty_like(a) if vectors else None
     slot = np.arange(a.shape[0])  # the result row of each matrix left in the stack
 
     sweeps = 0
@@ -154,9 +144,6 @@ def _stacked_jacobi(m: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarra
         done = np.sqrt(2.0 * off) < JACOBI_OFFDIAG_TOL
         if done.any():
             values[slot[done]] = a[done][:, diag, diag].real
-            if vectors:
-                vecs_out[slot[done]] = vecs[done]
-                vecs = vecs[~done]
             a, slot = a[~done], slot[~done]
         if slot.size == 0:
             break
@@ -188,8 +175,6 @@ def _stacked_jacobi(m: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarra
             # factor: each part is one rounded product plus an exact zero, fused or not.
             pr, ipi = (z.real / h).astype(complex)[:, None], (1j * (-z.imag / h))[:, None]  # phase = pr + ipi
             c, s = c.astype(complex)[:, None], s.astype(complex)[:, None]
-            if vectors:
-                vecs[idx, :, p], vecs[idx, :, q] = _rotate(c, s, pr, ipi, vecs[idx, :, p], vecs[idx, :, q])
             new_p, new_q = _rotate(c, s, pr, ipi, a[idx, rows, p], a[idx, rows, q])
             a[idx, rows, p], a[idx, rows, q] = new_p, new_q
             a[idx, p, rows], a[idx, q, rows] = new_p.conj(), new_q.conj()
@@ -198,9 +183,7 @@ def _stacked_jacobi(m: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarra
         sweeps += 1
 
     order = np.argsort(values, axis=-1)[:, ::-1]
-    values = np.take_along_axis(values, order, axis=-1).reshape(batch + (n,))
-    vecs = np.take_along_axis(vecs_out, order[:, None, :], axis=-1).reshape(batch + (n, n)) if vectors else None
-    return values, vecs
+    return np.take_along_axis(values, order, axis=-1).reshape(batch + (n,))
 
 
 def _rotate(c, s, pr, ipi, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -211,8 +194,7 @@ def _rotate(c, s, pr, ipi, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np
 
 def hermitian_eigenvalues(m) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix (or of each in a stack), sorted descending."""
-    values, _ = hermitian_eigensystem(m, vectors=False)
-    return values
+    return hermitian_eigensystem(m)
 
 
 def partial_trace(rho, keep: str) -> np.ndarray:

@@ -13,6 +13,7 @@ appends a fresh qubit entangled with one branch.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,7 +88,7 @@ def _environment_weights(control: str, r) -> np.ndarray:
 
 def _checked_norms(psi: np.ndarray) -> np.ndarray:
     """Stacked amplitudes (N, ...) whose every state has unit norm within 1e-12."""
-    parts = np.ascontiguousarray(psi).reshape(len(psi), -1).view(float)  # real and imaginary parts side by side
+    parts = np.ascontiguousarray(psi).reshape(len(psi), math.prod(psi.shape[1:])).view(float)  # re, im side by side
     norms = np.sqrt(np.einsum("ij,ij->i", parts, parts))  # re^2 + im^2, without a complex hypot per amplitude
     if np.any(np.abs(norms - 1.0) > 1e-12):
         raise ValueError(f"state norm {norms[np.argmax(np.abs(norms - 1.0))]} is not 1 within 1e-12")
@@ -123,7 +124,7 @@ def scenario_densities(scenario: Scenario, *, r=0.5, d=0.0, r_s=1.0, r_m=1.0) ->
     Point k is the k-th state of ``scenario_amplitudes`` with its environments traced out.
     """
     psi = scenario_amplitudes(scenario, r=r, d=d, r_s=r_s, r_m=r_m)
-    psi = psi.reshape(psi.shape[0], 4, -1)
+    psi = psi.reshape(len(psi), 4, math.prod(psi.shape[3:]))
     return psi @ psi.conj().swapaxes(-1, -2)
 
 

@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 
@@ -307,6 +308,17 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "b_max_horodecki=" in proc.stdout
+
+
+@pytest.mark.parametrize("args", [["verify", "--resolution", "2"], ["analyze", "--scenario", "meter", "--d", "0.3"]])
+def test_closed_stdout_exits_2_without_a_traceback(args):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        proc = subprocess.run([sys.executable, "-m", "qdl.cli", *args], stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, "")
 
 
 def test_analyze_stdout_deterministic(capsys):

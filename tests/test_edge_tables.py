@@ -6,6 +6,7 @@ each side of it, where the meter threshold switches to d = 0.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from qdl.bell import bell_closed_form, horodecki_bmax, violation_threshold
 from qdl.infotheory import entropy_closed_form, info_threshold, mutual_information
 from qdl.states import Scenario, ScenarioParams, scenario_densities, scenario_density
 from qdl.verify import BOUNDARY_TOL, CLOSED_FORM_TOL, ENTROPY_TOL
+from qdl.visibility import overlap, predictability, unpredictability
 
 
 def _ulps_from(x: float, k: int) -> float:
@@ -39,14 +41,6 @@ def test_b_max_is_two_at_the_violation_threshold_on_the_edge_table(scenario, r):
     d = violation_threshold(scenario, ScenarioParams(**{knob: r}))
     b_max = horodecki_bmax(scenario_density(ScenarioParams(d=d, **{knob: r}), scenario))
     assert abs(b_max - 2.0) < BOUNDARY_TOL
-
-
-@pytest.mark.parametrize("scenario", list(ROBUSTNESS_KNOB), ids=lambda s: s.value)
-def test_array_violation_threshold_equals_its_one_point_calls_on_the_edge_table(scenario):
-    knob = ROBUSTNESS_KNOB[scenario]
-    stacked = violation_threshold(scenario, ScenarioParams(**{knob: np.array(EDGE_TABLE)}))
-    single = np.array([violation_threshold(scenario, ScenarioParams(**{knob: r})) for r in EDGE_TABLE])
-    assert stacked.tobytes() == single.tobytes()
 
 
 def test_array_meter_info_threshold_equals_its_one_value_calls_on_the_edge_table():
@@ -102,3 +96,28 @@ def test_entropy_closed_form_matches_the_eigenvalue_route_on_the_edge_table(scen
     matrix = mutual_information(scenario_densities(scenario, **knobs))
     for field in ("s_a", "s_b", "s_ab", "i_ab"):
         assert np.max(np.abs(getattr(closed, field) - getattr(matrix, field))) < ENTROPY_TOL, field
+
+
+@pytest.mark.parametrize("scenario", list(EDGE_GRIDS), ids=lambda s: s.value)
+def test_array_closed_forms_equal_their_one_point_calls_on_the_edge_grids(scenario):
+    # numpy's SIMD sqrt and log loops must give the bits of the one-value calls
+    forms = {"bell_closed_form": bell_closed_form, "violation_threshold": violation_threshold}
+    forms = {name: partial(form, scenario) for name, form in forms.items()}
+    if scenario in ROBUSTNESS_KNOB:
+        for field in ("s_a", "s_b", "s_ab", "i_ab"):
+            forms[field] = lambda params, field=field: getattr(entropy_closed_form(scenario, params), field)
+    knobs = EDGE_GRIDS[scenario]
+    points = [ScenarioParams(**{name: float(values[k]) for name, values in knobs.items()}) for k in range(len(knobs["d"]))]
+    for name, form in forms.items():
+        single = np.array([form(params) for params in points])
+        assert form(ScenarioParams(**knobs)).tobytes() == single.tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "form",
+    [predictability, unpredictability, overlap, partial(info_threshold, Scenario.SYSTEM)],
+    ids=["predictability", "unpredictability", "overlap", "info_threshold-system"],
+)
+def test_array_knob_forms_equal_their_one_value_calls_on_the_edge_table(form):
+    single = np.array([form(x) for x in EDGE_TABLE])
+    assert form(np.array(EDGE_TABLE)).tobytes() == single.tobytes()

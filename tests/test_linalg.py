@@ -18,7 +18,6 @@ from qdl.linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    hermitian_eigensystem,
     hermitian_eigenvalues,
     partial_trace,
     partial_transpose,
@@ -86,18 +85,15 @@ def test_eigenvalue_sum_equals_trace():
         assert abs(np.sum(hermitian_eigenvalues(m)) - np.trace(m).real) < 1e-10
 
 
-def test_eigenpairs_reconstruct():
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        m = random_hermitian(rng, 6)
-        vals, vecs = hermitian_eigensystem(m)
-        for lam, v in zip(vals, vecs.T):
-            assert np.linalg.norm(m @ v - lam * v) < 1e-8
-
-
 def test_eigenvalues_reject_non_hermitian():
     with pytest.raises(ValueError):
         hermitian_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)])
+def test_eigenvalues_reject_empty_matrices(shape):
+    with pytest.raises(ValueError, match="n >= 1"):
+        hermitian_eigenvalues(np.zeros(shape))
 
 
 def test_partial_trace_maximally_entangled():
@@ -212,21 +208,17 @@ def test_stacked_equals_single_on_the_matrices_analyze_solves():
         for kind, m in zip(kinds, solved):
             kinds[kind].append(m)
     for kind, matrices in kinds.items():
-        values, vectors = hermitian_eigensystem(np.stack(matrices))
-        assert hermitian_eigenvalues(np.stack(matrices)).tobytes() == values.tobytes(), kind
+        values = hermitian_eigenvalues(np.stack(matrices))
         for k, m in enumerate(matrices):
-            v1, w1 = hermitian_eigensystem(m)
-            assert values[k].tobytes() == v1.tobytes(), (kind, k)
-            assert hermitian_eigenvalues(m).tobytes() == v1.tobytes(), (kind, k)
-            assert np.array_equal(vectors[k], w1), (kind, k)
+            assert values[k].tobytes() == hermitian_eigenvalues(m).tobytes(), (kind, k)
 
 
-# Prints a digest of one numpy complex product, then the eigenvalue and
-# eigenvector bytes of a fixed stack and of each of its members alone.
+# Prints a digest of one numpy complex product, then the eigenvalue bytes
+# of a fixed stack and of each of its members alone.
 _DIGEST_SCRIPT = """
 import hashlib
 import numpy as np
-from qdl.linalg import hermitian_eigensystem, partial_transpose
+from qdl.linalg import hermitian_eigenvalues, partial_transpose
 rng = np.random.default_rng(17)
 g = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))
 print(hashlib.sha256((g[0] * g[1]).tobytes()).hexdigest())
@@ -234,8 +226,7 @@ psi = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
 bell = 0.7 * np.outer(psi, psi) + 0.3 * np.eye(4) / 4
 stack = np.concatenate([(g + g.conj().swapaxes(-1, -2)) / 2, partial_transpose(bell)[None]])
 for m in (stack, *stack):
-    values, vectors = hermitian_eigensystem(m)
-    print(hashlib.sha256(values.tobytes() + vectors.tobytes()).hexdigest())
+    print(hashlib.sha256(hermitian_eigenvalues(m).tobytes()).hexdigest())
 """
 
 
@@ -282,16 +273,17 @@ def hermitian_stacks(draw):
 @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @hypothesis.given(hermitian_stacks())
 def test_stacked_eigensystem_equals_per_matrix_calls(m):
-    values, vectors = hermitian_eigensystem(m)
+    values = hermitian_eigenvalues(m)
     scale = max(1.0, float(np.max(np.abs(m))))
     for k in range(m.shape[0]):
-        v1, w1 = hermitian_eigensystem(m[k])
-        assert np.array_equal(values[k], v1)
-        assert np.array_equal(vectors[k], w1)
+        assert np.array_equal(values[k], hermitian_eigenvalues(m[k]))
         # LAPACK loses accuracy on subnormal entries (one eigenvalue of 2.5 came
         # back as 2.49999999); scaling by 2**600 is exact here and makes them normal.
-        ref = np.sort(np.linalg.eigvalsh(m[k] * 2.0**600))[::-1] / 2.0**600
-        assert np.max(np.abs(values[k] - ref)) < 1e-10 * scale
+        # Scaled, it strays elsewhere: 0.5 came back as 0.499999 from a zero-diagonal
+        # matrix with a 2.4e-160 pivot next to 0.5j, which it solves unscaled.  Both
+        # solve the same spectrum, so the nearer of the two is the reference.
+        refs = [np.sort(np.linalg.eigvalsh(m[k] * s))[::-1] / s for s in (1.0, 2.0**600)]
+        assert min(np.max(np.abs(values[k] - ref)) for ref in refs) < 1e-10 * scale
 
 
 @hypothesis.settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -304,24 +296,22 @@ def test_stacked_eigensystem_rejects_one_bad_member(m, data):
     else:
         bad[k, -1, 0] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
     with pytest.raises(ValueError):
-        hermitian_eigensystem(bad)
+        hermitian_eigenvalues(bad)
 
 
 def test_stack_of_one_by_one_matrices():
     # no pivot at all: the stop test's sum must still be one value per matrix
-    values, vectors = hermitian_eigensystem(np.arange(3.0).reshape(3, 1, 1))
+    values = hermitian_eigenvalues(np.arange(3.0).reshape(3, 1, 1))
     assert np.array_equal(values, [[0.0], [1.0], [2.0]])
-    assert np.array_equal(vectors, np.ones((3, 1, 1)))
 
 
 def test_stacked_eigensystem_reports_non_convergence(monkeypatch):
     m = np.stack([np.diag([1.0, 2.0]), SIGMA_X]).astype(complex)
     monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)
     with pytest.raises(ArithmeticError):
-        hermitian_eigensystem(m)
+        hermitian_eigenvalues(m)
     monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
-    values, _ = hermitian_eigensystem(m)
-    assert np.array_equal(values, [[2.0, 1.0], [1.0, -1.0]])
+    assert np.array_equal(hermitian_eigenvalues(m), [[2.0, 1.0], [1.0, -1.0]])
 
 
 @pytest.mark.parametrize("pivot", [1e-309, -4e-309, 5e-324, 1e-309j])
@@ -369,16 +359,15 @@ def reference_jacobi(m, offdiag_tol=JACOBI_OFFDIAG_TOL, max_sweeps=JACOBI_MAX_SW
     """The stacked Jacobi as first written, for one matrix or a stack.
 
     It rotates the rows on their own after the columns, with the conjugate
-    phase, keeps converged matrices in the stack behind a mask, always builds
-    the vectors and updates whole columns.  Its products are float ones on
-    the real and imaginary parts, never numpy complex products.
+    phase, keeps converged matrices in the stack behind a mask and updates
+    whole columns.  Its products are float ones on the real and imaginary
+    parts, never numpy complex products.
     """
     single = np.ndim(m) == 2
     a = np.array(m, dtype=complex).reshape((-1,) + np.shape(m)[-2:])
     n = a.shape[-1]
     assert np.max(np.abs(a - a.conj().swapaxes(-1, -2))) < HERMITICITY_TOL
     a = (a + a.conj().swapaxes(-1, -2)) / 2.0
-    vecs = np.broadcast_to(np.eye(n, dtype=complex), a.shape).copy()
     diag = np.arange(n)
     live = np.ones(a.shape[0], dtype=bool)
     sweeps = 0
@@ -413,26 +402,16 @@ def reference_jacobi(m, offdiag_tol=JACOBI_OFFDIAG_TOL, max_sweeps=JACOBI_MAX_SW
                 a[idx, q, q] = aqq + t * h
                 a[idx, p, q] = 0.0
                 a[idx, q, p] = 0.0
-                vecs[idx, :, p], vecs[idx, :, q] = rotated(cc, sc, pr, pi, vecs[idx, :, p], vecs[idx, :, q])
         sweeps += 1
     values = np.real(a[:, diag, diag])
     order = np.argsort(values, axis=-1)[:, ::-1]
     values = np.take_along_axis(values, order, axis=-1)
-    vecs = np.take_along_axis(vecs, order[:, None, :], axis=-1)
-    return (values[0], vecs[0]) if single else (values, vecs)
+    return values[0] if single else values
 
 
 def assert_same_as_reference(m):
-    """The eigensystem and the values-only route against ``reference_jacobi``, bit for bit.
-
-    ``np.array_equal`` lets a zero vector entry differ in sign only.
-    """
-    ref_values, ref_vectors = reference_jacobi(m)
-    values, vectors = hermitian_eigensystem(m)
-    assert values.tobytes() == ref_values.tobytes()
-    assert np.array_equal(vectors, ref_vectors)
-    assert hermitian_eigenvalues(m).tobytes() == ref_values.tobytes()
-    assert hermitian_eigensystem(m, vectors=False)[1] is None
+    """The eigenvalues against ``reference_jacobi``, bit for bit."""
+    assert hermitian_eigenvalues(m).tobytes() == reference_jacobi(m).tobytes()
 
 
 @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -453,15 +432,14 @@ def test_stack_converging_at_different_sweeps_with_skipped_pivots(monkeypatch):
     # diagonal needs no sweep, blocks one, the dense members several
     with monkeypatch.context() as patch:
         patch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)
-        hermitian_eigensystem(stack[2:3])
+        hermitian_eigenvalues(stack[2:3])
         with pytest.raises(ArithmeticError):
-            hermitian_eigensystem(stack[1:3])
+            hermitian_eigenvalues(stack[1:3])
         patch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
-        hermitian_eigensystem(stack[1:3])
+        hermitian_eigenvalues(stack[1:3])
         with pytest.raises(ArithmeticError):
-            hermitian_eigensystem(stack)
+            hermitian_eigenvalues(stack)
     assert_same_as_reference(stack)
-    values, vectors = hermitian_eigensystem(stack)
+    values = hermitian_eigenvalues(stack)
     for k in range(stack.shape[0]):
-        v1, w1 = hermitian_eigensystem(stack[k])
-        assert np.array_equal(values[k], v1) and np.array_equal(vectors[k], w1)
+        assert np.array_equal(values[k], hermitian_eigenvalues(stack[k]))

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from qdl.analysis import analyze
+from qdl.bell import horodecki_bmax
+from qdl.infotheory import info_threshold, mutual_information, ppt_check, von_neumann_entropy
 from qdl.linalg import hermitian_eigenvalues
 from qdl.states import (
     Scenario,
@@ -14,7 +16,7 @@ from qdl.states import (
     scenario_densities,
     scenario_density,
 )
-from qdl.visibility import ROTATION_A, check_identity
+from qdl.visibility import ROTATION_A, check_identity, visibility_analytic, visibility_sweep
 
 SQ2 = math.sqrt(2.0)
 EDGE_KNOBS = np.array([0.0, 1e-15, 1e-8, 0.3, 0.5, 1 / SQ2, 1.0 - 1e-15, 1.0])
@@ -310,3 +312,29 @@ def test_scenario_densities_are_density_matrices_on_the_edge_line(scenario, knob
 def test_scenario_densities_reject_bad_knobs(scenario, knobs):
     with pytest.raises(ValueError):
         scenario_densities(scenario, **knobs)
+
+
+NO_STATES = np.zeros((0, 4, 4), dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "call, shape",
+    [
+        *((lambda s=s: scenario_amplitudes(s, d=np.array([])), (0,) + (2,) * n) for s, n in zip(Scenario, (2, 3, 3, 4))),
+        *((lambda s=s: scenario_densities(s, r_m=np.array([])), (0, 4, 4)) for s in Scenario),
+        (lambda: info_threshold(Scenario.METER, np.array([])), (0,)),
+        (lambda: info_threshold(Scenario.SYSTEM, np.array([])), (0,)),
+        (lambda: hermitian_eigenvalues(NO_STATES), (0, 4)),
+        (lambda: von_neumann_entropy(NO_STATES), (0,)),
+        (lambda: mutual_information(NO_STATES).i_ab, (0,)),
+        (lambda: ppt_check(NO_STATES).ppt_spectrum, (0, 4)),
+        (lambda: horodecki_bmax(NO_STATES), (0,)),
+        (lambda: visibility_analytic(NO_STATES), (0,)),
+        (lambda: visibility_sweep(NO_STATES).visibility, (0,)),
+    ],
+    ids=[f"amplitudes-{s.value}" for s in Scenario] + [f"densities-{s.value}" for s in Scenario]
+    + ["info_threshold-meter", "info_threshold-system", "eigenvalues", "entropy", "mutual_information", "ppt",
+       "bmax", "visibility_analytic", "visibility_sweep"],
+)
+def test_no_points_give_empty_results(call, shape):
+    assert np.shape(call()) == shape

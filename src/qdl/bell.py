@@ -331,8 +331,8 @@ def violation_threshold(scenario: Scenario, params: ScenarioParams) -> float | n
     """The minimal distinguishability d for a CHSH violation at the given robustness values.
 
     The threshold is the infimum of distinguishabilities giving B_max > 2; 1.0 means
-    no admissible d violates.  Array knobs give arrays.  Whether a point violates is
-    ``violates_chsh(bell_closed_form(scenario, params))``.
+    no admissible d violates.  If any knob is an array, the threshold is an array of the
+    knobs' shape.  Whether a point violates is ``violates_chsh(bell_closed_form(scenario, params))``.
     """
     if scenario is Scenario.FREE:
         d_thr = np.where(unpredictability(params.r) > 0.0, 0.0, 1.0)
@@ -342,7 +342,7 @@ def violation_threshold(scenario: Scenario, params: ScenarioParams) -> float | n
         d_thr = np.sqrt(_meter_threshold_sq(params.r_m))
     else:
         d_thr = np.sqrt(_combined_threshold_sq(params.r_s, params.r_m))
-    return _float_or_array(d_thr)
+    return _float_or_array(*params.broadcast(d_thr))
 
 
 def _meter_threshold_sq(r_m: float | np.ndarray) -> float | np.ndarray:

@@ -90,7 +90,7 @@ def entropy_closed_form(scenario: Scenario, params: ScenarioParams) -> Informati
     The meter-case S_B uses the corrected radical (1-d^2)(1 - d^2(1-r^2));
     see ``printed_meter_s_b`` for the published version, which is
     inconsistent with the constructed state (it already fails the purity
-    requirement S_A = S_B at r = 1).  Array knobs give array fields.
+    requirement S_A = S_B at r = 1).  If any knob is an array, every field is an array of the knobs' shape.
     """
     d2 = params.d * params.d
     o = np.sqrt(1.0 - d2)
@@ -106,6 +106,7 @@ def entropy_closed_form(scenario: Scenario, params: ScenarioParams) -> Informati
         s_b = binary_entropy(0.5 + 0.5 * np.sqrt((1.0 - d2) * (1.0 - d2 * (1.0 - r2))))
     else:
         raise ValueError(f"no closed-form entropies for scenario {scenario.value}")
+    s_a, s_b, s_ab = params.broadcast(s_a, s_b, s_ab)
     return InformationReport(s_a=s_a, s_b=s_b, s_ab=s_ab, i_ab=s_a + s_b - s_ab)
 
 

@@ -60,6 +60,14 @@ class ScenarioParams:
         for name in ("r", "d", "r_s", "r_m"):
             object.__setattr__(self, name, _check_unit_interval(name, getattr(self, name)))
 
+    def broadcast(self, *values) -> tuple:
+        """The values as new arrays of the knobs' broadcast shape if any knob is an array, else as they are."""
+        knobs = (self.r, self.d, self.r_s, self.r_m)
+        if any(isinstance(knob, np.ndarray) for knob in knobs):
+            shape = np.broadcast_shapes(*map(np.shape, knobs))
+            values = tuple(np.array(np.broadcast_to(value, shape)) for value in values)
+        return values
+
 
 def _matrix_2x2(shape: tuple, a, b, c, d) -> np.ndarray:
     """Complex [[a, b], [c, d]] at every point of a knob array of the given shape: (*shape, 2, 2)."""

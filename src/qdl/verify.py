@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import math
 import numbers
+from contextvars import ContextVar
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from . import figures
 from .bell import _check_seesaw_args, _seesaw, bell_closed_form, chsh_value, horodecki_bmax, violates_chsh
 from .bell import violation_threshold
 from .figures import _grid_chunks
@@ -56,13 +59,48 @@ class SuiteResult:
     points: int = 0  # number of residuals the maximum was taken over
 
 
+class _Chunk:
+    """Points of one scenario (coords, at 1-D knob arrays), their states (rho) and matrix-route values,
+    each value solved on first use."""
+
+    def __init__(self, scenario: Scenario, knobs: dict):
+        self.scenario, self.coords = scenario, ScenarioParams(**knobs)
+        # Built now, while a grid's consumer still holds the previous chunk: freed first, its
+        # states would let malloc trim the heap and page the next stack in afresh.
+        self.rho = scenario_densities(scenario, **knobs)
+        self.rho.flags.writeable = False  # shared by the suites of a run
+        self.points = len(self.rho)
+
+    bmax = cached_property(lambda self: horodecki_bmax(self.rho))
+    info = cached_property(lambda self: mutual_information(self.rho))
+    ppt = cached_property(lambda self: ppt_check(self.rho))
+    visibility = cached_property(lambda self: visibility_analytic(self.rho))
+
+
+# The chunks of the running run_suites call, by scenario and knob bytes, for its later suites to read; else None.
+_TABLE: ContextVar[dict | None] = ContextVar("qdl_verify_table", default=None)
+
+
+def _chunk(scenario: Scenario, **knobs) -> _Chunk:
+    """The chunk of the scenario at the knobs: within run_suites, the table's own, kept there while
+    the kept chunks hold at most 4 * figures.CHUNK_POINTS points (past that, a new chunk each call)."""
+    table = _TABLE.get()
+    if table is None:
+        return _Chunk(scenario, knobs)
+    key = (scenario, *((name, values.tobytes()) for name, values in knobs.items()))
+    chunk = table.get(key)
+    if chunk is None:
+        chunk = _Chunk(scenario, knobs)
+        if sum(kept.points for kept in table.values()) + chunk.points <= 4 * figures.CHUNK_POINTS:
+            table[key] = chunk
+    return chunk
+
+
 def _grid(scenario: Scenario, steps: int):
-    """The scenario's grid over its live knobs in row-major order, as chunks
-    (coords, rho): the ScenarioParams of the chunk's points, as arrays, and their (N, 4, 4) stack of states."""
+    """The scenario's grid over its live knobs in row-major order, as chunks (`_chunk`)."""
     axes = _AXES[scenario]
     for line in _grid_chunks(np.linspace(0.0, 1.0, steps), len(axes)):
-        coords = dict(zip(axes, line))
-        yield ScenarioParams(**coords), scenario_densities(scenario, **coords)
+        yield _chunk(scenario, **dict(zip(axes, line)))
 
 
 def _reduce(name: str, tolerance: float, chunks) -> SuiteResult:
@@ -79,28 +117,28 @@ def _reduce(name: str, tolerance: float, chunks) -> SuiteResult:
     return SuiteResult(name, worst, tolerance, worst < tolerance, [], point, points)
 
 
-def _boundary(scenario: Scenario, **robustness):
-    """Coords and states of the scenario on its violation boundary, one per point of the robustness
+def _boundary(scenario: Scenario, **robustness) -> _Chunk:
+    """The chunk of the scenario on its violation boundary, one point per point of the robustness
     knobs (arrays): d is the package's own threshold, violation_threshold(...)."""
     d = violation_threshold(scenario, ScenarioParams(**robustness))
-    return ScenarioParams(d=d, **robustness), scenario_densities(scenario, d=d, **robustness)
+    return _chunk(scenario, d=d, **robustness)
 
 
 def _residuals(scenarios, steps: int, residual):
-    """Chunks (scenario, coords, residual(scenario, coords, rho)) over the grid of each scenario."""
+    """Chunks (scenario, coords, residual(chunk)) over the grid of each scenario."""
     for scenario in scenarios:
-        for coords, rho in _grid(scenario, steps):
-            yield scenario, coords, residual(scenario, coords, rho)
+        for chunk in _grid(scenario, steps):
+            yield scenario, chunk.coords, residual(chunk)
 
 
 def suite_identities(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     """Complementarity identities of all four scenarios, analytic visibility."""
 
-    def residual(scenario, coords, rho):
+    def residual(chunk):
         v_free = None
-        if scenario is Scenario.SYSTEM:
-            v_free = visibility_analytic(scenario_densities(Scenario.FREE, d=coords.d))
-        return _identity_residual(scenario, coords, visibility_analytic(rho), v_free)
+        if chunk.scenario is Scenario.SYSTEM:
+            v_free = visibility_analytic(scenario_densities(Scenario.FREE, d=chunk.coords.d))
+        return _identity_residual(chunk.scenario, chunk.coords, chunk.visibility, v_free)
 
     return _reduce("identities", IDENTITY_TOL, _residuals(_AXES, resolution, residual))
 
@@ -108,15 +146,15 @@ def suite_identities(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
 def suite_sweep_agreement(resolution: int = SWEEP_RESOLUTION) -> SuiteResult:
     """Fringe-definition visibility (phase sweep) against the analytic shortcut."""
 
-    def gap(scenario, coords, rho):
-        return np.abs(visibility_sweep(rho).visibility - visibility_analytic(rho))
+    def gap(chunk):
+        return np.abs(visibility_sweep(chunk.rho).visibility - chunk.visibility)
 
     return _reduce("visibility_sweep", 1e-5, _residuals(_AXES, resolution, gap))
 
 
 def suite_closed_form(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     """Analytic B_max of each scenario against the matrix-route Horodecki value."""
-    gaps = _residuals(_AXES, resolution, lambda s, c, rho: np.abs(bell_closed_form(s, c) - horodecki_bmax(rho)))
+    gaps = _residuals(_AXES, resolution, lambda c: np.abs(bell_closed_form(c.scenario, c.coords) - c.bmax))
     return _reduce("bell_closed_form", CLOSED_FORM_TOL, gaps)
 
 
@@ -127,13 +165,13 @@ def suite_brute(resolution: int = BRUTE_RESOLUTION, restarts: int = 32, seed: in
     max(b_horodecki - b_brute, b_brute - b_horodecki - 1e-6, 0).  The states
     of every scenario share one see-saw, in which each runs the sweeps it would run alone.
     """
-    chunks = [(scenario, coords, rho) for scenario in _AXES for coords, rho in _grid(scenario, resolution)]
-    rho = np.concatenate([states for *_, states in chunks])
+    chunks = [chunk for scenario in _AXES for chunk in _grid(scenario, resolution)]
+    rho = np.concatenate([chunk.rho for chunk in chunks])
     settings, _ = _seesaw(rho, restarts, seed)
     b_brute = chsh_value(rho, *np.moveaxis(settings, 1, 0))
     b_h = horodecki_bmax(rho)
-    gaps = np.split(np.maximum(b_h - b_brute, b_brute - b_h - 1e-6), np.cumsum([len(c[2]) for c in chunks[:-1]]))
-    return _reduce("chsh_brute_force", BRUTE_TOL, [(s, c, g) for (s, c, _), g in zip(chunks, gaps)])
+    gaps = np.split(np.maximum(b_h - b_brute, b_brute - b_h - 1e-6), np.cumsum([c.points for c in chunks[:-1]]))
+    return _reduce("chsh_brute_force", BRUTE_TOL, [(c.scenario, c.coords, g) for c, g in zip(chunks, gaps)])
 
 
 def suite_boundaries(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
@@ -144,8 +182,8 @@ def suite_boundaries(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
         (Scenario.METER, {"r_m": np.linspace(0.0, 1.0 / math.sqrt(2.0), resolution)}),
         *((Scenario.COMBINED, {"r_s": r_s, "r_m": r_m}) for r_s, r_m in _grid_chunks(line, 2)),
     ]
-    boundaries = ((scenario, *_boundary(scenario, **robustness)) for scenario, robustness in knobs)
-    gaps = ((scenario, coords, np.abs(horodecki_bmax(rho) - 2.0)) for scenario, coords, rho in boundaries)
+    boundaries = (_boundary(scenario, **robustness) for scenario, robustness in knobs)
+    gaps = ((chunk.scenario, chunk.coords, np.abs(chunk.bmax - 2.0)) for chunk in boundaries)
     return _reduce("boundary_exactness", BOUNDARY_TOL, gaps)
 
 
@@ -165,15 +203,15 @@ def suite_ppt_region(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
         grids.append((Scenario.METER, gap_steps))
     for scenario, steps in grids:
         robustness = _AXES[scenario][1]
-        for coords, rho in _grid(scenario, steps):
-            rep = ppt_check(rho)
+        for chunk in _grid(scenario, steps):
+            coords, rep = chunk.coords, chunk.ppt
             expected = (coords.d > REGION_MARGIN) & (getattr(coords, robustness) > REGION_MARGIN)
             entangled = rep.negativity > NEGATIVITY_TOL
             if steps == resolution:
                 single_negative = np.sum(rep.ppt_spectrum < -NEGATIVITY_TOL, axis=-1) == 1
                 mismatches += int(np.sum(entangled != expected)) + int(np.sum(entangled & expected & ~single_negative))
             if scenario is Scenario.METER and steps == gap_steps:
-                gap_found |= bool(np.any(entangled & expected & ~violates_chsh(horodecki_bmax(rho))))
+                gap_found |= bool(np.any(entangled & expected & ~violates_chsh(chunk.bmax)))
     if not gap_found:
         mismatches += 1
     return SuiteResult("ppt_region", float(mismatches), 0.5, mismatches == 0)
@@ -183,14 +221,14 @@ def suite_entropy_forms(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     """Closed-form entropies against the eigenvalue route, both scenarios,
     plus the system information threshold against boundary mutual information."""
 
-    def gap(scenario, coords, rho):
-        m, c = mutual_information(rho), entropy_closed_form(scenario, coords)
+    def gap(chunk):
+        m, c = chunk.info, entropy_closed_form(chunk.scenario, chunk.coords)
         return np.max(np.abs([c.s_a - m.s_a, c.s_b - m.s_b, c.s_ab - m.s_ab, c.i_ab - m.i_ab]), axis=0)
 
-    boundary, rho = _boundary(Scenario.SYSTEM, r_s=np.linspace(0.0, 1.0, resolution))
-    threshold_gap = np.abs(info_threshold(Scenario.SYSTEM, boundary.r_s) - mutual_information(rho).i_ab)
+    boundary = _boundary(Scenario.SYSTEM, r_s=np.linspace(0.0, 1.0, resolution))
+    threshold_gap = np.abs(info_threshold(Scenario.SYSTEM, boundary.coords.r_s) - boundary.info.i_ab)
     grids = _residuals((Scenario.SYSTEM, Scenario.METER), resolution, gap)
-    return _reduce("entropy_closed_forms", ENTROPY_TOL, [*grids, (Scenario.SYSTEM, boundary, threshold_gap)])
+    return _reduce("entropy_closed_forms", ENTROPY_TOL, [*grids, (Scenario.SYSTEM, boundary.coords, threshold_gap)])
 
 
 def suite_threshold_consistency(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
@@ -202,14 +240,14 @@ def suite_threshold_consistency(resolution: int = DEFAULT_RESOLUTION) -> SuiteRe
     wherever the visibility itself degenerates).
     """
     mismatches = 0
-    for coords, rho in _grid(Scenario.SYSTEM, resolution):
-        d, r = coords.d, coords.r_s
-        bell = horodecki_bmax(rho) > 2.0
-        info = mutual_information(rho).i_ab > info_threshold(Scenario.SYSTEM, r)
+    for chunk in _grid(Scenario.SYSTEM, resolution):
+        d, r = chunk.coords.d, chunk.coords.r_s
+        bell = chunk.bmax > 2.0
+        info = chunk.info.i_ab > info_threshold(Scenario.SYSTEM, r)
         geometric = d * d + r * r > 1.0
         off_boundary = np.abs(d * d + r * r - 1.0) > REGION_MARGIN
         mismatches += int(np.sum(off_boundary & ((geometric != bell) | (bell != info))))
-        v, lrt = visibility_analytic(rho), 1.0 - d * d
+        v, lrt = chunk.visibility, 1.0 - d * d
         mismatches += int(np.sum((np.abs(v - lrt) > REGION_MARGIN) & ((v > lrt) != bell)))
     return SuiteResult("info_threshold_consistency", float(mismatches), 0.5, mismatches == 0)
 
@@ -217,8 +255,8 @@ def suite_threshold_consistency(resolution: int = DEFAULT_RESOLUTION) -> SuiteRe
 def probe_predictability(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     """Adjudicate P = |1-2r| against the published P = sqrt|1-2r| via identity (V^2/(1-P^2) + D^2 = 1)."""
     chunks, worst_printed = [], 0.0
-    for coords, rho in _grid(Scenario.FREE, resolution):
-        v = visibility_analytic(rho)
+    for chunk in _grid(Scenario.FREE, resolution):
+        coords, v = chunk.coords, chunk.visibility
         adopted = predictability(coords.r)
         printed = np.sqrt(adopted)
         chunks.append((Scenario.FREE, coords, _ratio_residual(v, 1.0 - adopted * adopted, coords.d)))
@@ -242,8 +280,8 @@ def probe_ppt_polarity(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     """
     entangled_points = 0
     with_negative_eig = 0
-    for coords, rho in _grid(Scenario.SYSTEM, resolution):
-        rep = ppt_check(rho)
+    for chunk in _grid(Scenario.SYSTEM, resolution):
+        coords, rep = chunk.coords, chunk.ppt
         entangled = (coords.d > 0.0) & (coords.r_s > 0.0) & (rep.negativity > NEGATIVITY_TOL)
         entangled_points += int(np.sum(entangled))
         with_negative_eig += int(np.sum(entangled & (rep.ppt_spectrum[:, -1] < -NEGATIVITY_TOL)))
@@ -260,8 +298,8 @@ def probe_ppt_polarity(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
 def probe_meter_entropy_form(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     """Quantify the published meter-scenario S_B against the matrix route."""
     chunks, samples, worst_printed = [], [], 0.0
-    for coords, rho in _grid(Scenario.METER, resolution):
-        s_b = mutual_information(rho).s_b
+    for chunk in _grid(Scenario.METER, resolution):
+        coords, s_b = chunk.coords, chunk.info.s_b
         adopted = entropy_closed_form(Scenario.METER, coords).s_b
         printed = printed_meter_s_b(coords)
         chunks.append((Scenario.METER, coords, np.abs(adopted - s_b)))
@@ -310,9 +348,9 @@ def probe_threshold_sign(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     """
     chunks, flipped_valid, flipped_total, worst_flipped = [], 0, 0, 0.0
     for r_s, r_m in _grid_chunks(np.linspace(0.0, 1.0, resolution), 2):
-        coords, rho = _boundary(Scenario.COMBINED, r_s=r_s, r_m=r_m)
-        chunks.append((Scenario.COMBINED, coords, np.abs(horodecki_bmax(rho) - 2.0)))
-        a, b = coords.r_s, coords.r_m
+        boundary = _boundary(Scenario.COMBINED, r_s=r_s, r_m=r_m)
+        chunks.append((Scenario.COMBINED, boundary.coords, np.abs(boundary.bmax - 2.0)))
+        a, b = boundary.coords.r_s, boundary.coords.r_m
         inside = b < 1.0
         flipped_total += int(np.sum(inside))
         denom = np.where(inside, 1.0 - b * b, 1.0)
@@ -379,15 +417,18 @@ def run_suites(
     for name in selected:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
-    results = []
-    for name in selected:
-        cap = RESOLUTION_CAPS.get(name, resolution)
-        args = () if cap is None else (min(resolution, cap),)
-        if name == "brute":
-            args += (restarts, seed)
-        res = SUITES[name](*args)
-        if tolerance_override is not None:
-            res.tolerance = tolerance_override
-            res.passed = res.max_residual < tolerance_override
-        results.append(res)
+    results, table = [], _TABLE.set({})
+    try:
+        for name in selected:
+            cap = RESOLUTION_CAPS.get(name, resolution)
+            args = () if cap is None else (min(resolution, cap),)
+            if name == "brute":
+                args += (restarts, seed)
+            res = SUITES[name](*args)
+            if tolerance_override is not None:
+                res.tolerance = tolerance_override
+                res.passed = res.max_residual < tolerance_override
+            results.append(res)
+    finally:
+        _TABLE.reset(table)
     return results

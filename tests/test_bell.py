@@ -398,7 +398,7 @@ def test_seesaw_equals_reference_bit_for_bit(sweeps, restarts, seed, monkeypatch
 
 def test_seesaw_equals_reference_on_the_brute_grid():
     """As above, over the whole brute-suite grid at the default budget."""
-    rho = np.concatenate([states for scenario in _AXES for _, states in _grid(scenario, BRUTE_RESOLUTION)])
+    rho = np.concatenate([chunk.rho for scenario in _AXES for chunk in _grid(scenario, BRUTE_RESOLUTION)])
     plain, converged = _assert_plain_phase_bits_and_no_loss(rho, 32, 0)
     assert plain.any() and not plain.all()
     assert converged.all()
@@ -514,3 +514,25 @@ def test_boundary_thresholds_sit_on_b_equals_2():
             d = violation_threshold(Scenario.COMBINED, params)
             rho = scenario_density(ScenarioParams(d=d, r_s=r_s, r_m=r_m), Scenario.COMBINED)
             assert abs(horodecki_bmax(rho) - 2.0) < 1e-9
+
+
+@pytest.mark.parametrize("scenario", list(Scenario), ids=lambda s: s.value)
+@pytest.mark.parametrize(
+    "knobs",
+    [
+        {"d": np.array([0.1, 0.2])},  # no threshold reads d
+        {"d": np.array([])},
+        {"r": np.array([0.5, 0.5]), "r_s": np.array([0.3, 0.9]), "r_m": np.array([0.4, 0.8])},
+        {"d": np.array([[0.3], [0.6]]), "r_s": np.array([0.2, 0.5, 1.0]), "r_m": np.array([0.2, 0.71, 1.0])},
+    ],
+    ids=lambda k: ",".join(f"{n}{np.shape(v)}" for n, v in k.items()),
+)
+def test_violation_threshold_takes_the_knobs_shape_when_any_knob_is_an_array(scenario, knobs):
+    shape = np.broadcast_shapes(*(np.shape(v) for v in knobs.values()))
+    d = violation_threshold(scenario, ScenarioParams(**knobs))
+    assert isinstance(d, np.ndarray) and d.shape == shape
+    for index in np.ndindex(shape):  # each point is its one-point call, a float of the same bits
+        single = violation_threshold(
+            scenario, ScenarioParams(**{k: float(np.broadcast_to(v, shape)[index]) for k, v in knobs.items()})
+        )
+        assert type(single) is float and single == d[index], index

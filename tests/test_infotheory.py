@@ -258,3 +258,27 @@ def test_stacked_ppt_check_equals_single_point_calls():
             single = ppt_check(rho)
             assert np.array_equal(rep.ppt_spectrum[k], single.ppt_spectrum)
             assert (rep.negativity[k], rep.separable[k]) == (single.negativity, single.separable)
+
+
+# Array knobs of each kind: a live one, an empty one, robustness only, a 2-D broadcast, one no entropy reads.
+ARRAY_KNOBS = [
+    {"d": np.array([0.1, 0.2])},
+    {"d": np.array([])},
+    {"r_s": np.array([0.3, 0.9]), "r_m": np.array([0.4, 0.8])},
+    {"d": np.array([[0.3], [0.6]]), "r_s": np.array([0.2, 0.5, 1.0]), "r_m": np.array([0.2, 0.5, 1.0])},
+    {"r": np.array([0.5, 0.5, 0.5])},
+]
+
+
+@pytest.mark.parametrize("scenario", [Scenario.SYSTEM, Scenario.METER], ids=lambda s: s.value)
+@pytest.mark.parametrize("knobs", ARRAY_KNOBS, ids=lambda k: ",".join(f"{n}{np.shape(v)}" for n, v in k.items()))
+def test_closed_form_entropies_take_the_knobs_shape_when_any_knob_is_an_array(scenario, knobs):
+    shape = np.broadcast_shapes(*(np.shape(v) for v in knobs.values()))
+    rep = entropy_closed_form(scenario, ScenarioParams(**knobs))
+    for field in ("s_a", "s_b", "s_ab", "i_ab"):
+        value = getattr(rep, field)
+        assert isinstance(value, np.ndarray) and value.shape == shape, field
+        for index in np.ndindex(shape):  # each point is its one-point call, a float of the same bits
+            point = ScenarioParams(**{k: float(np.broadcast_to(v, shape)[index]) for k, v in knobs.items()})
+            single = getattr(entropy_closed_form(scenario, point), field)
+            assert type(single) is float and single == value[index], (field, index)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qdl import figures
+from qdl import figures, verify
 from qdl.bell import _combined_threshold_sq, _meter_threshold_sq, bell_closed_form, horodecki_bmax, violates_chsh
 from qdl.bell import violation_threshold
 from qdl.infotheory import binary_entropy, entropy_closed_form, info_threshold
@@ -23,6 +23,76 @@ def test_suite_results_do_not_depend_on_the_chunk_size(monkeypatch):
     default = run_suites(resolution=5)
     monkeypatch.setattr(figures, "CHUNK_POINTS", 7)  # ragged chunks on every grid
     assert run_suites(resolution=5) == default
+
+
+@pytest.mark.parametrize("resolution", [2, 3, 13])
+def test_each_suite_alone_equals_its_entry_of_the_full_run(resolution):
+    full = run_suites(resolution=resolution)
+    for name, entry in zip(SUITES, full):
+        (alone,) = run_suites(resolution=resolution, names=[name])
+        assert repr(alone) == repr(entry)  # every field, floats to the last bit
+
+
+def _record_calls(monkeypatch) -> list:
+    """Record (name, arguments) of every state build and matrix-route solve that qdl.verify makes."""
+    calls = []
+
+    def recorded(name, fn, key):
+        def wrapper(*args, **kwargs):
+            calls.append((name, key(*args, **kwargs)))
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, wrapper)
+
+    stack = lambda rho: (rho.shape, rho.tobytes())  # noqa: E731
+    recorded("scenario_densities", verify.scenario_densities,
+             lambda scenario, **knobs: (scenario, *((k, np.shape(v), np.asarray(v).tobytes()) for k, v in knobs.items())))
+    for name in ("horodecki_bmax", "mutual_information", "ppt_check"):
+        recorded(name, getattr(verify, name), stack)
+    return calls
+
+
+@pytest.mark.parametrize("resolution", [2, 3, 13])
+def test_one_run_builds_each_state_stack_and_solves_each_spectrum_once(resolution, monkeypatch):
+    calls = _record_calls(monkeypatch)
+    run_suites(resolution=resolution)
+    assert {name for name, _ in calls} == {"scenario_densities", "horodecki_bmax", "mutual_information", "ppt_check"}
+    assert len(set(calls)) == len(calls)
+
+
+def test_a_second_run_makes_the_same_calls_as_the_first(monkeypatch):
+    calls = _record_calls(monkeypatch)
+    run_suites()
+    first = list(calls)
+    assert first
+    calls.clear()
+    run_suites()
+    assert calls == first
+
+
+def test_the_run_table_is_dropped_when_a_suite_raises(monkeypatch):
+    def broken(resolution):
+        assert verify._TABLE.get()  # the suites before this one left chunks
+        raise RuntimeError("broken suite")
+
+    monkeypatch.setitem(SUITES, "ppt", broken)
+    with pytest.raises(RuntimeError, match="broken suite"):
+        run_suites()
+    assert verify._TABLE.get() is None
+
+
+def test_the_run_table_keeps_at_most_four_chunks_of_points(monkeypatch):
+    monkeypatch.setattr(figures, "CHUNK_POINTS", 7)
+    kept, chunk = [], verify._chunk
+
+    def counted(*args, **kwargs):
+        found = chunk(*args, **kwargs)
+        kept.append(sum(c.points for c in verify._TABLE.get().values()))
+        return found
+
+    monkeypatch.setattr(verify, "_chunk", counted)
+    run_suites(resolution=5)
+    assert 0 < max(kept) <= 4 * 7
 
 
 @pytest.mark.parametrize("tolerance", ["1e-3", True, False, math.nan, math.inf, -0.5], ids=repr)

@@ -1,6 +1,6 @@
 """Command-line front end: analyze | figure | verify.
 
-Exit codes: 0 success, 1 verification failure, 2 argument or I/O error.
+Exit codes: 0 success, 1 verification failure, 2 argument or I/O error (stdout closed or full included).
 All numeric output is fixed-point with 9 decimals so repeated runs are
 byte-identical.
 """
@@ -43,6 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_params(p_an)
     p_an.add_argument("--restarts", type=int, default=32, help="CHSH optimizer restarts")
     p_an.add_argument("--seed", type=int, default=0, help="optimizer start-point seed")
+    p_an.set_defaults(usage=p_an.format_usage)
 
     p_fig = sub.add_parser("figure", help="emit the data grid behind figure N as CSV")
     p_fig.add_argument("n", type=int, help="figure number, 1..7")
@@ -71,8 +72,7 @@ def _cmd_analyze(args) -> int:
         report = analyze(scenario, params, restarts=args.restarts, seed=args.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print("usage: qdl analyze --scenario {free|system|meter|combined} "
-              "[--d D] [--r R] [--r-s RS] [--r-m RM]", file=sys.stderr)
+        print(args.usage(), end="", file=sys.stderr)
         return 2
     out = [
         f"scenario={scenario.value}",
@@ -154,10 +154,12 @@ def main(argv=None) -> int:
         status = command(args)
         sys.stdout.flush()  # a reader that closed early shows here, not in the flush at exit
         return status
-    except BrokenPipeError:  # stdout closed, as by `| head -1`: an I/O error; the flush at exit goes to devnull
+    except OSError as exc:  # stdout closed (as by `| head -1`) or full; the flush at exit goes to devnull
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):  # a reader that left early needs no message
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
 
 

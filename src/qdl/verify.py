@@ -103,16 +103,16 @@ def _grid(scenario: Scenario, steps: int):
         yield _chunk(scenario, **dict(zip(axes, line)))
 
 
-def _reduce(name: str, tolerance: float, chunks) -> SuiteResult:
-    """SuiteResult of the largest residual (at least 0) over chunks (scenario, coords, residuals) and
-    the first point holding it.  A NaN residual is the largest of all, so it fails the suite."""
+def _reduce(name: str, tolerance: float, pairs) -> SuiteResult:
+    """SuiteResult of the largest residual (at least 0) over (chunk, residuals) pairs and the first
+    point holding it.  A NaN residual is the largest of all, so it fails the suite."""
     worst, point, points = -math.inf, None, 0
-    for scenario, coords, residual in chunks:
+    for c, residual in pairs:
         points += residual.size
         k = int(np.argmax(residual))  # the first NaN, else the first maximum
         if residual[k] > worst or (np.isnan(residual[k]) and not np.isnan(worst)):
             worst = float(residual[k])
-            point = {"scenario": scenario.value, **{a: float(getattr(coords, a)[k]) for a in _AXES[scenario]}}
+            point = {"scenario": c.scenario.value, **{a: float(getattr(c.coords, a)[k]) for a in _AXES[c.scenario]}}
     worst = float(np.maximum(0.0, worst))  # np.maximum keeps a NaN
     return SuiteResult(name, worst, tolerance, worst < tolerance, [], point, points)
 
@@ -125,31 +125,22 @@ def _boundary(scenario: Scenario, **robustness) -> _Chunk:
 
 
 def _residuals(scenarios, steps: int, residual):
-    """Chunks (scenario, coords, residual(chunk)) over the grid of each scenario."""
+    """Pairs (chunk, residual(chunk)) over the grid of each scenario."""
     for scenario in scenarios:
         for chunk in _grid(scenario, steps):
-            yield scenario, chunk.coords, residual(chunk)
+            yield chunk, residual(chunk)
 
 
 def suite_identities(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     """Complementarity identities of all four scenarios, analytic visibility."""
-
-    def residual(chunk):
-        v_free = None
-        if chunk.scenario is Scenario.SYSTEM:
-            v_free = visibility_analytic(scenario_densities(Scenario.FREE, d=chunk.coords.d))
-        return _identity_residual(chunk.scenario, chunk.coords, chunk.visibility, v_free)
-
-    return _reduce("identities", IDENTITY_TOL, _residuals(_AXES, resolution, residual))
+    residuals = _residuals(_AXES, resolution, lambda c: _identity_residual(c.scenario, c.coords, c.visibility))
+    return _reduce("identities", IDENTITY_TOL, residuals)
 
 
 def suite_sweep_agreement(resolution: int = SWEEP_RESOLUTION) -> SuiteResult:
     """Fringe-definition visibility (phase sweep) against the analytic shortcut."""
-
-    def gap(chunk):
-        return np.abs(visibility_sweep(chunk.rho).visibility - chunk.visibility)
-
-    return _reduce("visibility_sweep", 1e-5, _residuals(_AXES, resolution, gap))
+    gaps = _residuals(_AXES, resolution, lambda c: np.abs(visibility_sweep(c.rho).visibility - c.visibility))
+    return _reduce("visibility_sweep", 1e-5, gaps)
 
 
 def suite_closed_form(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
@@ -171,7 +162,7 @@ def suite_brute(resolution: int = BRUTE_RESOLUTION, restarts: int = 32, seed: in
     b_brute = chsh_value(rho, *np.moveaxis(settings, 1, 0))
     b_h = horodecki_bmax(rho)
     gaps = np.split(np.maximum(b_h - b_brute, b_brute - b_h - 1e-6), np.cumsum([c.points for c in chunks[:-1]]))
-    return _reduce("chsh_brute_force", BRUTE_TOL, [(c.scenario, c.coords, g) for c, g in zip(chunks, gaps)])
+    return _reduce("chsh_brute_force", BRUTE_TOL, zip(chunks, gaps))
 
 
 def suite_boundaries(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
@@ -183,8 +174,7 @@ def suite_boundaries(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
         *((Scenario.COMBINED, {"r_s": r_s, "r_m": r_m}) for r_s, r_m in _grid_chunks(line, 2)),
     ]
     boundaries = (_boundary(scenario, **robustness) for scenario, robustness in knobs)
-    gaps = ((chunk.scenario, chunk.coords, np.abs(chunk.bmax - 2.0)) for chunk in boundaries)
-    return _reduce("boundary_exactness", BOUNDARY_TOL, gaps)
+    return _reduce("boundary_exactness", BOUNDARY_TOL, ((c, np.abs(c.bmax - 2.0)) for c in boundaries))
 
 
 def suite_ppt_region(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
@@ -228,7 +218,7 @@ def suite_entropy_forms(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     boundary = _boundary(Scenario.SYSTEM, r_s=np.linspace(0.0, 1.0, resolution))
     threshold_gap = np.abs(info_threshold(Scenario.SYSTEM, boundary.coords.r_s) - boundary.info.i_ab)
     grids = _residuals((Scenario.SYSTEM, Scenario.METER), resolution, gap)
-    return _reduce("entropy_closed_forms", ENTROPY_TOL, [*grids, (Scenario.SYSTEM, boundary.coords, threshold_gap)])
+    return _reduce("entropy_closed_forms", ENTROPY_TOL, [*grids, (boundary, threshold_gap)])
 
 
 def suite_threshold_consistency(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
@@ -242,7 +232,7 @@ def suite_threshold_consistency(resolution: int = DEFAULT_RESOLUTION) -> SuiteRe
     mismatches = 0
     for chunk in _grid(Scenario.SYSTEM, resolution):
         d, r = chunk.coords.d, chunk.coords.r_s
-        bell = chunk.bmax > 2.0
+        bell = violates_chsh(chunk.bmax)
         info = chunk.info.i_ab > info_threshold(Scenario.SYSTEM, r)
         geometric = d * d + r * r > 1.0
         off_boundary = np.abs(d * d + r * r - 1.0) > REGION_MARGIN
@@ -254,18 +244,19 @@ def suite_threshold_consistency(resolution: int = DEFAULT_RESOLUTION) -> SuiteRe
 
 def probe_predictability(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     """Adjudicate P = |1-2r| against the published P = sqrt|1-2r| via identity (V^2/(1-P^2) + D^2 = 1)."""
-    chunks, worst_printed = [], 0.0
-    for chunk in _grid(Scenario.FREE, resolution):
-        coords, v = chunk.coords, chunk.visibility
-        adopted = predictability(coords.r)
-        printed = np.sqrt(adopted)
-        chunks.append((Scenario.FREE, coords, _ratio_residual(v, 1.0 - adopted * adopted, coords.d)))
-        worst_printed = max(worst_printed, float(np.max(_ratio_residual(v, 1.0 - printed * printed, coords.d))))
-    res = _reduce("discrepancy_p_definition", IDENTITY_TOL, chunks)
+
+    def identity(p_of):  # the SuiteResult of the identity with P = p_of(r)
+        def residual(chunk):
+            p = p_of(chunk.coords.r)
+            return _ratio_residual(chunk.visibility, 1.0 - p * p, chunk.coords.d)
+
+        return _reduce("discrepancy_p_definition", IDENTITY_TOL, _residuals([Scenario.FREE], resolution, residual))
+
+    res, printed = identity(predictability), identity(lambda r: np.sqrt(predictability(r)))
     res.lines = [
         "predictability definition vs the visibility identity:",
         f"  P = |1-2r|       max identity residual = {res.max_residual:.3e}   (adopted)",
-        f"  P = sqrt|1-2r|   max identity residual = {worst_printed:.3e}   (published; rejected)",
+        f"  P = sqrt|1-2r|   max identity residual = {printed.max_residual:.3e}   (published; rejected)",
     ]
     return res
 
@@ -302,7 +293,7 @@ def probe_meter_entropy_form(resolution: int = DEFAULT_RESOLUTION) -> SuiteResul
         coords, s_b = chunk.coords, chunk.info.s_b
         adopted = entropy_closed_form(Scenario.METER, coords).s_b
         printed = printed_meter_s_b(coords)
-        chunks.append((Scenario.METER, coords, np.abs(adopted - s_b)))
+        chunks.append((chunk, np.abs(adopted - s_b)))
         dev = np.abs(printed - s_b)
         k = int(np.argmax(dev))
         if dev[k] > worst_printed:
@@ -349,7 +340,7 @@ def probe_threshold_sign(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     chunks, flipped_valid, flipped_total, worst_flipped = [], 0, 0, 0.0
     for r_s, r_m in _grid_chunks(np.linspace(0.0, 1.0, resolution), 2):
         boundary = _boundary(Scenario.COMBINED, r_s=r_s, r_m=r_m)
-        chunks.append((Scenario.COMBINED, boundary.coords, np.abs(boundary.bmax - 2.0)))
+        chunks.append((boundary, np.abs(boundary.bmax - 2.0)))
         a, b = boundary.coords.r_s, boundary.coords.r_m
         inside = b < 1.0
         flipped_total += int(np.sum(inside))

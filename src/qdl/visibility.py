@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _float_or_array, partial_trace
-from .states import Scenario, ScenarioParams, _check_unit_interval, scenario_density
+from .states import Scenario, ScenarioParams, _check_unit_interval, scenario_densities, scenario_density
 
 DEFAULT_SWEEP_POINTS = 1024
 # Recombination rotation on A: |up> -> (|up>+|down>)/sqrt2, |down> -> (-|up>+|down>)/sqrt2.
@@ -110,10 +110,8 @@ def _ratio_residual(v, denom, d) -> float | np.ndarray:
     return _float_or_array(np.where(small, np.abs(v * v - denom * (1.0 - d * d)), ratio))
 
 
-def _identity_residual(scenario: Scenario, params: ScenarioParams, v, v_free) -> float | np.ndarray:
-    """Residual of `check_identity` given the visibility v of the point and, for a system point, the
-    decoherence-free visibility v_free(d), read only where d < 1 (None if no point has d < 1).
-    Array knobs with arrays v and v_free give one residual per point."""
+def _identity_residual(scenario: Scenario, params: ScenarioParams, v) -> float | np.ndarray:
+    """Residual of `check_identity` given the visibility v of the point; one per point for array knobs."""
     d = params.d
     if scenario is Scenario.FREE:
         u = unpredictability(params.r)
@@ -121,7 +119,8 @@ def _identity_residual(scenario: Scenario, params: ScenarioParams, v, v_free) ->
     if scenario is Scenario.METER:
         return _float_or_array(np.abs(v * v + d * d - 1.0))
     res = _ratio_residual(v, params.r_s * params.r_s, d)
-    if scenario is Scenario.SYSTEM and v_free is not None:
+    if scenario is Scenario.SYSTEM:  # against the balanced, decoherence-free interferometer at the same d
+        v_free = visibility_analytic(scenario_densities(Scenario.FREE, d=d)).reshape(np.shape(d))
         below = d < 1.0
         res = np.where(below, np.maximum(res, np.abs(v / np.where(below, v_free, 1.0) - params.r_s)), res)
     return _float_or_array(res)
@@ -135,8 +134,4 @@ def check_identity(scenario: Scenario, params: ScenarioParams) -> float:
     meter:     v^2 + d^2 = 1
     combined:  v^2/r_s^2 + d^2 = 1    (visibility independent of r_m)
     """
-    v = visibility_analytic(scenario_density(params, scenario))
-    v_free = None  # the balanced, decoherence-free interferometer at the same d
-    if scenario is Scenario.SYSTEM and params.d < 1.0:
-        v_free = visibility_analytic(scenario_density(ScenarioParams(r=0.5, d=params.d), Scenario.FREE))
-    return _identity_residual(scenario, params, v, v_free)
+    return _identity_residual(scenario, params, visibility_analytic(scenario_density(params, scenario)))

@@ -61,7 +61,8 @@ def test_analyze_meter_classical_monitoring(capsys):
 def test_analyze_rejects_bad_params(capsys):
     code, out, err = run_cli(["analyze", "--scenario", "system", "--d", "1.5"], capsys)
     assert code == 2
-    assert "usage" in err
+    assert err.startswith("error: d must lie in [0, 1]") and "usage: qdl analyze" in err
+    assert "--restarts" in err and "--seed" in err
 
 
 def test_analyze_rejects_biased_r_in_decoherence_scenario(capsys):
@@ -319,6 +320,17 @@ def test_closed_stdout_exits_2_without_a_traceback(args):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (2, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+@pytest.mark.parametrize("args", [["verify", "--resolution", "2"], ["analyze", "--scenario", "meter", "--d", "0.3"]])
+def test_full_stdout_exits_2_with_one_error_line(args):
+    # every write to /dev/full fails with ENOSPC: an I/O error, not a failed verification
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "qdl.cli", *args], stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write output: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_analyze_stdout_deterministic(capsys):

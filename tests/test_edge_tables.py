@@ -5,6 +5,7 @@ The table is fixed, so every checkout and every run evaluates the same points:
 each side of it, where the meter threshold switches to d = 0.
 """
 
+import itertools
 import math
 from functools import partial
 
@@ -15,7 +16,8 @@ from qdl.bell import bell_closed_form, horodecki_bmax, violation_threshold
 from qdl.infotheory import entropy_closed_form, info_threshold, mutual_information
 from qdl.states import Scenario, ScenarioParams, scenario_densities, scenario_density
 from qdl.verify import BOUNDARY_TOL, CLOSED_FORM_TOL, ENTROPY_TOL
-from qdl.visibility import overlap, predictability, unpredictability
+from qdl.visibility import _ratio_residual, check_identity, overlap, predictability, unpredictability
+from qdl.visibility import visibility_analytic
 
 
 def _ulps_from(x: float, k: int) -> float:
@@ -121,3 +123,17 @@ def test_array_closed_forms_equal_their_one_point_calls_on_the_edge_grids(scenar
 def test_array_knob_forms_equal_their_one_value_calls_on_the_edge_table(form):
     single = np.array([form(x) for x in EDGE_TABLE])
     assert form(np.array(EDGE_TABLE)).tobytes() == single.tobytes()
+
+
+def test_system_identity_equals_its_two_step_value_on_the_edge_grid():
+    # the decoherence-free visibility taken from the one-point free state at the same d,
+    # and the ratio V / V_free = r_s skipped at d = 1, where V_free = 0
+    for d, r_s in itertools.product(EDGE_TABLE, EDGE_TABLE):
+        params = ScenarioParams(d=d, r_s=r_s)
+        v = visibility_analytic(scenario_density(params, Scenario.SYSTEM))
+        expected = _ratio_residual(v, r_s * r_s, d)
+        if d < 1.0:
+            v_free = visibility_analytic(scenario_density(ScenarioParams(r=0.5, d=d), Scenario.FREE))
+            expected = float(np.maximum(expected, np.abs(v / v_free - r_s)))
+        residual = check_identity(Scenario.SYSTEM, params)
+        assert type(residual) is float and np.float64(residual).tobytes() == np.float64(expected).tobytes(), (d, r_s)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qdl import figures, verify
+from qdl import figures, verify, visibility
 from qdl.bell import _combined_threshold_sq, _meter_threshold_sq, bell_closed_form, horodecki_bmax, violates_chsh
 from qdl.bell import violation_threshold
 from qdl.infotheory import binary_entropy, entropy_closed_form, info_threshold
@@ -12,7 +12,7 @@ from qdl.infotheory import mutual_information
 from qdl.infotheory import printed_meter_s_b
 from qdl.states import Scenario, ScenarioParams, scenario_densities
 from qdl.verify import _AXES, BOUNDARY_TOL, CLOSED_FORM_TOL, ENTROPY_TOL, IDENTITY_TOL, SUITES, _reduce, run_suites
-from qdl.verify import suite_identities
+from qdl.verify import _Chunk, suite_identities
 from qdl.visibility import _identity_residual, check_identity, predictability, unpredictability, visibility_analytic
 
 
@@ -34,7 +34,8 @@ def test_each_suite_alone_equals_its_entry_of_the_full_run(resolution):
 
 
 def _record_calls(monkeypatch) -> list:
-    """Record (name, arguments) of every state build and matrix-route solve that qdl.verify makes."""
+    """Record (name, arguments) of every state build and matrix-route solve that qdl.verify makes,
+    the decoherence-free states its identity residuals build in qdl.visibility included."""
     calls = []
 
     def recorded(name, fn, key):
@@ -47,6 +48,7 @@ def _record_calls(monkeypatch) -> list:
     stack = lambda rho: (rho.shape, rho.tobytes())  # noqa: E731
     recorded("scenario_densities", verify.scenario_densities,
              lambda scenario, **knobs: (scenario, *((k, np.shape(v), np.asarray(v).tobytes()) for k, v in knobs.items())))
+    monkeypatch.setattr(visibility, "scenario_densities", verify.scenario_densities)
     for name in ("horodecki_bmax", "mutual_information", "ppt_check"):
         recorded(name, getattr(verify, name), stack)
     return calls
@@ -117,14 +119,16 @@ def test_identities_suite_is_the_worst_single_point_check():
 
 
 def test_reducer_reports_the_first_worst_point_and_fails_on_nan():
-    free = ScenarioParams(r=np.array([0.1, 0.2, 0.3]), d=np.array([0.4, 0.5, 0.6]))
-    chunks = [(Scenario.FREE, free, np.array([0.25, 0.5, 0.5])), (Scenario.FREE, free, np.array([0.5, 0.0, 0.1]))]
-    res = _reduce("s", 1.0, chunks)
-    assert (res.max_residual, res.passed, res.points) == (0.5, True, 6)
+    # the scenario and the knobs of the worst point are read off its own chunk
+    free = _Chunk(Scenario.FREE, {"r": np.array([0.1, 0.2, 0.3]), "d": np.array([0.4, 0.5, 0.6])})
+    meter = _Chunk(Scenario.METER, {"d": np.array([0.7, 0.8]), "r_m": np.array([0.9, 1.0])})
+    pairs = [(free, np.array([0.25, 0.5, 0.5])), (meter, np.array([0.5, 0.1])), (free, np.array([0.5, 0.0, 0.1]))]
+    res = _reduce("s", 1.0, pairs)
+    assert (res.max_residual, res.passed, res.points) == (0.5, True, 8)
     assert res.worst_point == {"scenario": "free", "r": 0.2, "d": 0.5}
-    nan = _reduce("s", 1.0, [chunks[0], (Scenario.FREE, free, np.array([0.1, 0.2, np.nan])), chunks[1]])
+    nan = _reduce("s", 1.0, [pairs[0], (meter, np.array([0.1, np.nan])), (free, np.array([np.nan, 0.9, 0.9]))])
     assert math.isnan(nan.max_residual) and not nan.passed
-    assert nan.worst_point == {"scenario": "free", "r": 0.3, "d": 0.6}
+    assert nan.worst_point == {"scenario": "meter", "d": 0.8, "r_m": 1.0}
 
 
 def test_ppt_region_passes_on_the_coarsest_grid():
@@ -174,10 +178,9 @@ def test_closed_forms_match_the_stacked_route_at_edge_biased_points(case):
     scenario, params = case
     knobs = {axis: [getattr(p, axis) for p in params] for axis in _AXES[scenario]}
     rho = scenario_densities(scenario, **knobs)
-    v_free = visibility_analytic(scenario_densities(Scenario.FREE, r=0.5, d=[p.d for p in params]))
-    for p, b_max, v, v0 in zip(params, horodecki_bmax(rho), visibility_analytic(rho), v_free):
+    for p, b_max, v in zip(params, horodecki_bmax(rho), visibility_analytic(rho)):
         assert abs(bell_closed_form(scenario, p) - b_max) < CLOSED_FORM_TOL
-        assert _identity_residual(scenario, p, v, v0) < IDENTITY_TOL
+        assert _identity_residual(scenario, p, v) < IDENTITY_TOL
 
 
 def _array_knobs(params):
@@ -208,14 +211,14 @@ def test_array_closed_forms_equal_their_scalar_calls_on_uniform_draws():
         assert _bits(closed_form(_array_knobs(params))) == _bits([closed_form(p) for p in params])
 
 
-# All four knobs of a point, then a visibility and a decoherence-free visibility for it.
-KNOB_ROWS = st.tuples(*[EDGE_BIASED] * 4, st.floats(0.01, 1.0), st.floats(0.01, 1.0))
+# All four knobs of a point, then a visibility for it.
+KNOB_ROWS = st.tuples(*[EDGE_BIASED] * 4, st.floats(0.01, 1.0))
 
 
 @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @hypothesis.given(st.sampled_from(list(_AXES)), st.lists(KNOB_ROWS, min_size=1, max_size=8))
 def test_array_closed_forms_equal_their_scalar_calls_bit_for_bit(scenario, rows):
-    params = [ScenarioParams(r=r, d=d, r_s=r_s, r_m=r_m) for r, d, r_s, r_m, _, _ in rows]
+    params = [ScenarioParams(r=r, d=d, r_s=r_s, r_m=r_m) for r, d, r_s, r_m, _ in rows]
     knobs = _array_knobs(params)
 
     def same_bits(closed_form):
@@ -237,9 +240,10 @@ def test_array_closed_forms_equal_their_scalar_calls_bit_for_bit(scenario, rows)
     same_bits(printed_meter_s_b)
     violates = violates_chsh(bell_closed_form(scenario, knobs)).tolist()
     assert violates == [violates_chsh(bell_closed_form(scenario, p)) for p in params]
-    v, v_free = ([row[k] for row in rows] for k in (4, 5))
-    residuals = [_identity_residual(scenario, p, a, b if p.d < 1.0 else None) for p, a, b in zip(params, v, v_free)]
-    assert _bits(_identity_residual(scenario, knobs, np.array(v), np.array(v_free))) == _bits(residuals)
+    v = [row[4] for row in rows]  # a system point's decoherence-free visibility is the free state's at its d
+    residuals = [_identity_residual(scenario, p, a) for p, a in zip(params, v)]
+    assert all(type(x) is float for x in residuals)
+    assert _bits(_identity_residual(scenario, knobs, np.array(v))) == _bits(residuals)
 
 
 @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -152,6 +152,8 @@ def main(argv=None) -> int:
     command = {"analyze": _cmd_analyze, "figure": _cmd_figure}.get(args.command, _cmd_verify)
     try:
         status = command(args)
+        if sys.stdout is None:  # closed at start (`>&-`): print wrote nothing, as to a reader that left
+            return 2
         sys.stdout.flush()  # a reader that closed early shows here, not in the flush at exit
         return status
     except OSError as exc:  # stdout closed (as by `| head -1`) or full; the flush at exit goes to devnull

@@ -1,8 +1,9 @@
-"""Dense complex linear algebra for small Hermitian matrices and A(x)B operators.
+"""Dense linear algebra for small Hermitian matrices and A(x)B operators.
 
 Everything here is a pure function of immutable inputs.  The eigensolver is a
-cyclic complex Jacobi iteration, deliberately self-contained so the rest of
-the package does not depend on LAPACK behaviour for its contractual results.
+cyclic real-symmetric Jacobi iteration, deliberately self-contained so the
+rest of the package does not depend on LAPACK behaviour for its contractual
+results; a complex Hermitian matrix goes through its real symmetric embedding.
 It, the partial trace and the partial transpose of 4x4 A(x)B operators also
 take stacks (..., n, n) of matrices, which grid sweeps use to evaluate many
 points per call.
@@ -28,9 +29,10 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
-def _as_square(m, name: str = "matrix") -> np.ndarray:
-    """Complex square matrix, or stack (..., n, n) of them, with finite entries."""
-    m = np.asarray(m, dtype=complex)
+def _as_square(m, name: str = "matrix", dtype=complex) -> np.ndarray:
+    """Complex square matrix, or stack (..., n, n) of them, with finite entries; dtype=float keeps real input real."""
+    m = np.asarray(m)
+    m = m.astype(np.result_type(m, dtype), copy=False)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
         raise ValueError(f"{name} must be a square matrix or a stack (..., n, n) with n >= 1, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -57,93 +59,97 @@ def _pivots(n: int) -> list[tuple[int, int, slice]]:
 def hermitian_eigensystem(m) -> np.ndarray:
     """Eigenvalues, descending, of a Hermitian matrix or of each in a stack (..., n, n).
 
-    Cyclic Jacobi with complex plane rotations; a sweep visits every
+    Cyclic Jacobi with real plane rotations; a sweep visits every
     off-diagonal pivot once and iteration stops when the off-diagonal
     Frobenius norm drops below JACOBI_OFFDIAG_TOL (ArithmeticError after
     JACOBI_MAX_SWEEPS sweeps).  No eigenvector is built.  Callers use
     ``hermitian_eigenvalues``; the loop keeps this name, matrix first, because
     the benchmark harness traces and counts the solves under it.
 
-    A single matrix runs on Python floats, a stack in ``_stacked_jacobi``.  Both
-    write the rotation's complex product out in real arithmetic (numpy fuses its
-    multiply-add on some CPUs, CPython never), so they agree bit for bit anywhere.
+    Each matrix with an all-zero imaginary part is solved as it is, any other
+    through ``_embedding``.  One matrix runs on Python floats, a stack in
+    ``_stacked_jacobi``; both do the same float products, none that numpy could
+    fuse, so each member of a stack gets its one-matrix bits on any CPU.
     """
-    m = _as_square(m, "m")
-    if m.ndim > 2:
-        return _stacked_jacobi(m)
-    n = m.shape[0]
-    mh = m.conj().T
-    dev = np.max(np.abs(m - mh))
-    if dev >= HERMITICITY_TOL:
-        raise ValueError(f"matrix is not Hermitian (max |m - m^dag| = {dev:.3e})")
-    a = (m + mh) / 2.0
-    ar, ai = a.real.tolist(), a.imag.tolist()  # the rows of a
-    pivots = _pivots(n)
+    m = _as_square(m, "m", float)
+    batch, n = m.shape[:-2], m.shape[-1]
+    a = m.reshape((-1, n, n))
+    ah = a.conj().swapaxes(-1, -2)
+    dev = np.abs(a - ah)
+    if dev.max(initial=0.0) >= HERMITICITY_TOL:
+        k = int(np.argmax(dev.max(axis=(-2, -1)) >= HERMITICITY_TOL))
+        which = "matrix" if m.ndim == 2 else f"matrix {k} of the stack"
+        raise ValueError(f"{which} is not Hermitian (max |m - m^dag| = {dev[k].max():.3e})")
+    a = (a + ah) / 2.0
+    solve = _jacobi if m.ndim == 2 else _stacked_jacobi
+    if not a.imag.any():
+        return solve(a.real).reshape(batch + (n,))
+    embed = a.imag.any(axis=(-2, -1))
+    values = np.empty(a.shape[:-1])
+    values[embed] = solve(_embedding(a[embed]))[:, ::2]
+    values[~embed] = _stacked_jacobi(a.real[~embed])  # none for one matrix
+    return values.reshape(batch + (n,))
+
+
+def _embedding(a: np.ndarray) -> np.ndarray:
+    """The real symmetric [[A, -B], [B, A]] of each H = A + iB in a stack: H's spectrum with each value twice."""
+    return np.block([[a.real, -a.imag], [a.imag, a.real]])
+
+
+def _jacobi(a: np.ndarray) -> np.ndarray:
+    """The cyclic Jacobi on Python floats, for the one real symmetric matrix of a stack (1, n, n)."""
+    n = a.shape[-1]
+    rows, pivots = a[0].tolist(), _pivots(n)
 
     sweeps = 0
-    while math.sqrt(2.0 * sum(ar[p][q] * ar[p][q] + ai[p][q] * ai[p][q] for p, q, _ in pivots)) >= JACOBI_OFFDIAG_TOL:
+    while math.sqrt(2.0 * sum(rows[p][q] * rows[p][q] for p, q, _ in pivots)) >= JACOBI_OFFDIAG_TOL:
         if sweeps >= JACOBI_MAX_SWEEPS:
             raise ArithmeticError(f"Jacobi iteration failed to converge in {JACOBI_MAX_SWEEPS} sweeps")
-        for p, q, rows in pivots:
-            rp, ip, rq, iq = ar[p], ai[p], ar[q], ai[q]
-            h = abs(complex(rp[q], ip[q]))  # C hypot, as np.hypot in the stacked loop
-            if h < _TINY:  # conj(z)/|z| overflows for a subnormal pivot
+        for p, q, others in pivots:
+            rp, rq = rows[p], rows[q]
+            h = abs(rp[q])
+            if h < _TINY:  # its square is 0 in the stop test: left as it is
                 continue
-            # Absorb the phase of a[p,q] so the 2x2 pivot block is real, then rotate.  Past a gap
-            # of about 1e308 x |a[p,q]|, tau is inf as a Python float, with no warning, and t = 0.
+            # Past a gap of about 1e308 x |a[p,q]|, tau is inf as a Python float, with no warning, and t = 0.
             app, aqq = rp[p], rq[q]
             tau = (aqq - app) / (2.0 * h)
             root = abs(tau) if abs(tau) > _TAU_HUGE else math.sqrt(1.0 + tau * tau)
             t = math.copysign(1.0, tau) / (abs(tau) + root) if tau != 0.0 else 1.0
             c = 1.0 / math.sqrt(1.0 + t * t)
             s = t * c
-            pr, pi = rp[q] / h, -ip[q] / h  # phase = conj(a[p,q]) / |a[p,q]|
-            # U[:,p] = (c, -s*phase), U[:,q] = (s, c*phase); rows p, q become the conjugates of columns p, q
-            for k in range(n)[rows]:
-                rk, ik = ar[k], ai[k]
-                rk[p], ik[p], rk[q], ik[q] = _turn(c, s, pr, pi, rk[p], ik[p], rk[q], ik[q])
-                rp[k], ip[k], rq[k], iq[k] = rk[p], -ik[p], rk[q], -ik[q]
+            sign = rp[q] / h
+            for k in range(n)[others]:  # columns p, q become c x - s w and s x + c w, w = sign y; rows p, q alike
+                rk = rows[k]
+                x, w = rk[p], sign * rk[q]
+                rk[p] = rp[k] = c * x - s * w
+                rk[q] = rq[k] = s * x + c * w
             rp[p], rq[q] = app - t * h, aqq + t * h
-            ip[p] = iq[q] = rp[q] = ip[q] = rq[p] = iq[p] = 0.0
+            rp[q] = rq[p] = 0.0
         sweeps += 1
 
-    values = np.array([ar[k][k] for k in range(n)])
-    return values[np.argsort(values)[::-1]]
+    values = np.array([rows[k][k] for k in range(n)])
+    return values[np.argsort(values)[::-1]][None]
 
 
-def _turn(c: float, s: float, pr: float, pi: float, xr: float, xi: float, yr: float, yi: float) -> tuple:
-    """Entries x, y of columns p, q rotated to c x - s w, s x + c w, w = (pr + i pi) y, as (re, im, re, im)."""
-    wr, wi = pr * yr - pi * yi, pr * yi + pi * yr
-    return c * xr - s * wr, c * xi - s * wi, s * xr + c * wr, s * xi + c * wi
-
-
-def _stacked_jacobi(m: np.ndarray) -> np.ndarray:
-    """The cyclic Jacobi of ``hermitian_eigensystem`` run over a stack of matrices at once.
+def _stacked_jacobi(a: np.ndarray) -> np.ndarray:
+    """The cyclic Jacobi of ``_jacobi`` run over a stack (N, n, n) of real symmetric matrices at once.
 
     Every matrix visits the same pivots, skips the same subnormal ones and gets
     the same arithmetic as in the scalar loop, the stop test's sum included, so
     each result equals that of a separate call, bit for bit.  At each sweep end
     the converged values are copied out and the stack is compacted to the rest.
     """
-    batch, n = m.shape[:-2], m.shape[-1]
-    a = m.reshape((-1, n, n))
-    ah = a.conj().swapaxes(-1, -2)
-    dev = np.max(np.abs(a - ah), axis=(-2, -1))
-    if np.any(dev >= HERMITICITY_TOL):
-        k = int(np.argmax(dev >= HERMITICITY_TOL))
-        raise ValueError(f"matrix {k} of the stack is not Hermitian (max |m - m^dag| = {dev[k]:.3e})")
-    a = (a + ah) / 2.0
-    del ah
+    n = a.shape[-1]
     diag, pivots = np.arange(n), _pivots(n)
     values = np.empty(a.shape[:-1])
     slot = np.arange(a.shape[0])  # the result row of each matrix left in the stack
 
     sweeps = 0
     while True:
-        off = sum((a[:, p, q].real ** 2 + a[:, p, q].imag ** 2 for p, q, _ in pivots), np.zeros(len(a)))
+        off = sum((a[:, p, q] ** 2 for p, q, _ in pivots), np.zeros(len(a)))
         done = np.sqrt(2.0 * off) < JACOBI_OFFDIAG_TOL
         if done.any():
-            values[slot[done]] = a[done][:, diag, diag].real
+            values[slot[done]] = a[done][:, diag, diag]
             a, slot = a[~done], slot[~done]
         if slot.size == 0:
             break
@@ -151,7 +157,7 @@ def _stacked_jacobi(m: np.ndarray) -> np.ndarray:
             raise ArithmeticError(f"Jacobi iteration failed to converge in {JACOBI_MAX_SWEEPS} sweeps")
         for p, q, rows in pivots:
             z = a[:, p, q]
-            h = np.hypot(z.real, z.imag)  # C hypot, as abs() of one complex; np.abs of an array may differ
+            h = np.abs(z)
             skip = h < _TINY
             if skip.any():  # gather the matrices that rotate this pivot
                 idx = np.flatnonzero(~skip)
@@ -161,7 +167,7 @@ def _stacked_jacobi(m: np.ndarray) -> np.ndarray:
             else:
                 idx = slice(None)
             # With idx a slice, z, app, aqq and the columns are views of a, all read before the first write.
-            app, aqq = a[idx, p, p].real, a[idx, q, q].real
+            app, aqq = a[idx, p, p], a[idx, q, q]
             with np.errstate(over="ignore"):  # inf is the limit, as in the scalar loop
                 tau = (aqq - app) / (2.0 * h)
                 abs_tau = np.abs(tau)
@@ -171,25 +177,17 @@ def _stacked_jacobi(m: np.ndarray) -> np.ndarray:
             c = 1.0 / np.sqrt(1.0 + t * t)
             s = t * c
             new_pp, new_qq = app - t * h, aqq + t * h
-            # The scalar loop's float arithmetic as complex products with one real or imaginary
-            # factor: each part is one rounded product plus an exact zero, fused or not.
-            pr, ipi = (z.real / h).astype(complex)[:, None], (1j * (-z.imag / h))[:, None]  # phase = pr + ipi
-            c, s = c.astype(complex)[:, None], s.astype(complex)[:, None]
-            new_p, new_q = _rotate(c, s, pr, ipi, a[idx, rows, p], a[idx, rows, q])
+            sign, c, s = (z / h)[:, None], c[:, None], s[:, None]
+            x, w = a[idx, rows, p], sign * a[idx, rows, q]
+            new_p, new_q = c * x - s * w, s * x + c * w
             a[idx, rows, p], a[idx, rows, q] = new_p, new_q
-            a[idx, p, rows], a[idx, q, rows] = new_p.conj(), new_q.conj()
+            a[idx, p, rows], a[idx, q, rows] = new_p, new_q
             a[idx, p, p], a[idx, q, q] = new_pp, new_qq
             a[idx, p, q] = a[idx, q, p] = 0.0
         sweeps += 1
 
     order = np.argsort(values, axis=-1)[:, ::-1]
-    return np.take_along_axis(values, order, axis=-1).reshape(batch + (n,))
-
-
-def _rotate(c, s, pr, ipi, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(c x - s w, s x + c w) with w = pr y + ipi y, the columns' rotation in ``_stacked_jacobi``."""
-    w = pr * y + ipi * y
-    return c * x - s * w, s * x + c * w
+    return np.take_along_axis(values, order, axis=-1)
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:

@@ -322,6 +322,15 @@ def test_closed_stdout_exits_2_without_a_traceback(args):
     assert (proc.returncode, proc.stderr) == (2, "")
 
 
+@pytest.mark.parametrize("args", [["verify", "--resolution", "2"], ["analyze", "--scenario", "meter", "--d", "0.3"]])
+def test_stdout_closed_at_start_exits_2_without_a_traceback(args):
+    # as `qdl ... >&-`: with no fd 1, Python sets sys.stdout to None and print writes nothing
+    proc = subprocess.run(
+        [sys.executable, "-m", "qdl.cli", *args], preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE, text=True
+    )
+    assert (proc.returncode, proc.stderr) == (2, "")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
 @pytest.mark.parametrize("args", [["verify", "--resolution", "2"], ["analyze", "--scenario", "meter", "--d", "0.3"]])
 def test_full_stdout_exits_2_with_one_error_line(args):

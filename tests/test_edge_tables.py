@@ -2,7 +2,9 @@
 
 The table is fixed, so every checkout and every run evaluates the same points:
 0 and 1, 10^-k and 1 - 10^-k for k = 1..15, and 1/sqrt2 with the 8 floats on
-each side of it, where the meter threshold switches to d = 0.
+each side of it, where the meter threshold switches to d = 0.  At each table
+value of a robustness, the system and meter thresholds in d are also probed
+8 floats to either side.
 """
 
 import itertools
@@ -43,6 +45,22 @@ def test_b_max_is_two_at_the_violation_threshold_on_the_edge_table(scenario, r):
     d = violation_threshold(scenario, ScenarioParams(**{knob: r}))
     b_max = horodecki_bmax(scenario_density(ScenarioParams(d=d, **{knob: r}), scenario))
     assert abs(b_max - 2.0) < BOUNDARY_TOL
+
+
+@pytest.mark.parametrize("scenario", list(ROBUSTNESS_KNOB), ids=lambda s: s.value)
+def test_b_max_is_two_within_8_ulps_of_the_violation_threshold_on_the_edge_table(scenario):
+    # d = threshold +- 1..8 floats at every table value of the robustness; a d past
+    # [0, 1] (next to a threshold of 0 or 1) is no state and is left out
+    knob = ROBUSTNESS_KNOB[scenario]
+    steps = [k for k in range(-8, 9) if k != 0]
+    thresholds = [(violation_threshold(scenario, ScenarioParams(**{knob: r})), r) for r in EDGE_TABLE]
+    points = [(_ulps_from(d, k), r) for d, r in thresholds for k in steps]
+    d, r = np.array([(d, r) for d, r in points if 0.0 <= d <= 1.0]).T
+    closed = bell_closed_form(scenario, ScenarioParams(d=d, **{knob: r}))
+    horodecki = horodecki_bmax(scenario_densities(scenario, d=d, **{knob: r}))
+    assert len(d) >= 8 * len(EDGE_TABLE)  # one side of each threshold at least
+    assert np.max(np.abs(closed - 2.0)) < BOUNDARY_TOL
+    assert np.max(np.abs(horodecki - 2.0)) < BOUNDARY_TOL
 
 
 def test_array_meter_info_threshold_equals_its_one_value_calls_on_the_edge_table():

@@ -12,7 +12,6 @@ from qdl import linalg, states
 from qdl.linalg import (
     _TAU_HUGE,
     _TINY,
-    HERMITICITY_TOL,
     JACOBI_MAX_SWEEPS,
     JACOBI_OFFDIAG_TOL,
     SIGMA_X,
@@ -22,8 +21,11 @@ from qdl.linalg import (
     partial_trace,
     partial_transpose,
 )
+from qdl.analysis import analyze
 from qdl.bell import _PAULI_KRON, correlation_tensor
-from qdl.states import _checked_norms
+from qdl.figures import FIGURES, write_figure_csv
+from qdl.states import Scenario, ScenarioParams, _checked_norms
+from qdl.verify import _AXES, run_suites
 
 PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
@@ -213,6 +215,39 @@ def test_stacked_equals_single_on_the_matrices_analyze_solves():
             assert values[k].tobytes() == hermitian_eigenvalues(m).tobytes(), (kind, k)
 
 
+GRID_41 = np.linspace(0.0, 1.0, 41)
+
+
+@pytest.mark.parametrize("scenario", list(_AXES), ids=lambda s: s.value)
+def test_every_state_marginal_and_partial_transpose_the_package_builds_is_real(scenario):
+    # the premise that keeps every solve in the package on the real loop, over 41^2 grids (41^3 for combined)
+    axes = _AXES[scenario]
+    knobs = dict(zip(axes, (a.ravel() for a in np.meshgrid(*[GRID_41] * len(axes), indexing="ij"))))
+    rho = states.scenario_densities(scenario, **knobs)
+    for kind, m in {"rho": rho, "rho^T_B": partial_transpose(rho), "rho_A": partial_trace(rho, "A"),
+                    "rho_B": partial_trace(rho, "B")}.items():
+        assert not m.imag.any(), kind
+
+
+def test_no_caller_in_the_package_takes_the_embedding(monkeypatch, tmp_path):
+    # an embedded solve is 2n x 2n, several times the cost of the n x n real one
+    def refuse(a):
+        raise AssertionError(f"{len(a)} complex matrices sent through the embedding")
+
+    monkeypatch.setattr(linalg, "_embedding", refuse)
+    assert all(result.passed for result in run_suites(resolution=3))
+    for n in FIGURES:
+        write_figure_csv(n, 11, str(tmp_path / f"fig{n}.csv"))
+    edges = {
+        Scenario.FREE: ScenarioParams(r=1.0, d=1.0),
+        Scenario.SYSTEM: ScenarioParams(d=1.0, r_s=0.0),
+        Scenario.METER: ScenarioParams(d=0.0, r_m=1.0),
+        Scenario.COMBINED: ScenarioParams(d=1.0, r_s=1.0, r_m=0.0),
+    }
+    for scenario, params in edges.items():
+        analyze(scenario, params)
+
+
 # Prints a digest of one numpy complex product, then the eigenvalue bytes
 # of a fixed stack and of each of its members alone.
 _DIGEST_SCRIPT = """
@@ -257,33 +292,45 @@ hnp = pytest.importorskip("hypothesis.extra.numpy")
 
 
 @st.composite
-def hermitian_stacks(draw):
-    n = draw(st.integers(2, 16))
+def hermitian_stacks(draw, parts=2, max_n=16):
+    n = draw(st.integers(2, max_n))
     batch = draw(st.integers(1, 8))
     # Half the entries straddle the smallest normal float, so that pivots below
     # it (skipped) and just above it (rotated, with tau past 1e154 or overflowing)
     # meet ordinary ones in the same stack.
     entries = st.floats(-1e3, 1e3) | st.floats(-2 * _TINY, 2 * _TINY)
-    parts = hnp.arrays(np.float64, (2, batch, n, n), elements=entries)
-    re, im = draw(parts)
-    g = re + 1j * im
+    re, *im = draw(hnp.arrays(np.float64, (parts, batch, n, n), elements=entries))
+    g = re + 1j * im[0] if im else re
     return (g + g.conj().swapaxes(-1, -2)) / 2
+
+
+@st.composite
+def mixed_stacks(draw):
+    """Hermitian stacks in which some members have an all-zero imaginary part, n <= 8 (embedded, 16)."""
+    m = draw(hermitian_stacks(max_n=8))
+    real = draw(hnp.arrays(bool, m.shape[0]))
+    return np.where(real[:, None, None], m.real, m)
+
+
+def assert_matches_lapack(values, m):
+    """Eigenvalues of one Hermitian matrix against LAPACK's, within the solver's tolerance."""
+    # LAPACK loses accuracy on subnormal entries (one eigenvalue of 2.5 came
+    # back as 2.49999999); scaling by 2**600 is exact here and makes them normal.
+    # Scaled, it strays elsewhere: 0.5 came back as 0.499999 from a zero-diagonal
+    # matrix with a 2.4e-160 pivot next to 0.5j, which it solves unscaled.  Both
+    # solve the same spectrum, so the nearer of the two is the reference.
+    scale = max(1.0, float(np.max(np.abs(m))))
+    refs = [np.sort(np.linalg.eigvalsh(m * s))[::-1] / s for s in (1.0, 2.0**600)]
+    assert min(np.max(np.abs(values - ref)) for ref in refs) < 1e-10 * scale
 
 
 @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @hypothesis.given(hermitian_stacks())
 def test_stacked_eigensystem_equals_per_matrix_calls(m):
     values = hermitian_eigenvalues(m)
-    scale = max(1.0, float(np.max(np.abs(m))))
     for k in range(m.shape[0]):
         assert np.array_equal(values[k], hermitian_eigenvalues(m[k]))
-        # LAPACK loses accuracy on subnormal entries (one eigenvalue of 2.5 came
-        # back as 2.49999999); scaling by 2**600 is exact here and makes them normal.
-        # Scaled, it strays elsewhere: 0.5 came back as 0.499999 from a zero-diagonal
-        # matrix with a 2.4e-160 pivot next to 0.5j, which it solves unscaled.  Both
-        # solve the same spectrum, so the nearer of the two is the reference.
-        refs = [np.sort(np.linalg.eigvalsh(m[k] * s))[::-1] / s for s in (1.0, 2.0**600)]
-        assert min(np.max(np.abs(values[k] - ref)) for ref in refs) < 1e-10 * scale
+        assert_matches_lapack(values[k], m[k])
 
 
 @hypothesis.settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -316,7 +363,7 @@ def test_stacked_eigensystem_reports_non_convergence(monkeypatch):
 
 @pytest.mark.parametrize("pivot", [1e-309, -4e-309, 5e-324, 1e-309j])
 def test_subnormal_pivot_gives_finite_eigenvalues(pivot):
-    # 1/|z| overflows below about 5.6e-309: both loops must skip such a pivot, not rotate it.
+    # a pivot below the smallest normal float is skipped by both loops, in the real part or, embedded, the imaginary
     m = np.array([[1.0, pivot, 0.5], [np.conj(pivot), 2.0, 0.3], [0.5, 0.3, 3.0]], dtype=complex)
     ref = np.sort(np.linalg.eigvalsh(m))[::-1]
     single = hermitian_eigenvalues(m)
@@ -345,90 +392,96 @@ def test_huge_tau_rotates_without_overflow(pivot, a11):
     assert np.array_equal(stacked[1], [3.0, 2.0, 1.0])
 
 
-def rotated(c, s, pr, pi, x, y):
-    """(c x - s w, s x + c w) with w = (pr + i pi) y, in float arithmetic only, part by part."""
-    wr, wi = pr * y.real - pi * y.imag, pr * y.imag + pi * y.real
-    parts = (c * x.real - s * wr, c * x.imag - s * wi), (s * x.real + c * wr, s * x.imag + c * wi)
-    out = np.empty((2,) + x.shape, dtype=complex)
-    for k, (re, im) in enumerate(parts):
-        out[k].real, out[k].imag = re, im
-    return out
+def reference_jacobi(a):
+    """The real symmetric cyclic Jacobi over a stack (N, n, n) of exactly symmetric matrices, written plainly.
 
-
-def reference_jacobi(m, offdiag_tol=JACOBI_OFFDIAG_TOL, max_sweeps=JACOBI_MAX_SWEEPS):
-    """The stacked Jacobi as first written, for one matrix or a stack.
-
-    It rotates the rows on their own after the columns, with the conjugate
-    phase, keeps converged matrices in the stack behind a mask and updates
-    whole columns.  Its products are float ones on the real and imaginary
-    parts, never numpy complex products.
+    It keeps converged matrices in the stack behind a mask, rotates whole
+    columns and then whole rows, and sums the stop test's squares pivot by
+    pivot in the order a sweep visits them.
     """
-    single = np.ndim(m) == 2
-    a = np.array(m, dtype=complex).reshape((-1,) + np.shape(m)[-2:])
+    a = np.array(a, dtype=float)
+    assert np.array_equal(a, a.swapaxes(-1, -2))
     n = a.shape[-1]
-    assert np.max(np.abs(a - a.conj().swapaxes(-1, -2))) < HERMITICITY_TOL
-    a = (a + a.conj().swapaxes(-1, -2)) / 2.0
-    diag = np.arange(n)
+    diag, pivots = np.arange(n), [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
     live = np.ones(a.shape[0], dtype=bool)
     sweeps = 0
     while True:
-        off = a.copy()
-        off[:, diag, diag] = 0.0
-        live &= np.sqrt(np.sum(off.real**2 + off.imag**2, axis=(-2, -1))) >= offdiag_tol
+        off = np.zeros(a.shape[0])
+        for p, q in pivots:
+            off = off + a[:, p, q] * a[:, p, q]
+        live &= np.sqrt(2.0 * off) >= JACOBI_OFFDIAG_TOL
         if not live.any():
             break
-        if sweeps >= max_sweeps:
+        if sweeps >= JACOBI_MAX_SWEEPS:
             raise ArithmeticError("no convergence")
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                h = np.hypot(a[:, p, q].real, a[:, p, q].imag)
-                idx = np.flatnonzero(live & (h >= _TINY))
-                if idx.size == 0:
-                    continue
-                h = h[idx]
-                pr, pi = a[idx, p, q].real / h, -a[idx, p, q].imag / h
-                app, aqq = a[idx, p, p].real, a[idx, q, q].real
-                with np.errstate(over="ignore"):  # tau and |tau| + root may reach inf
-                    tau = (aqq - app) / (2.0 * h)
-                    tame = np.minimum(np.abs(tau), _TAU_HUGE)
-                    root = np.where(np.abs(tau) > _TAU_HUGE, np.abs(tau), np.sqrt(1.0 + tame * tame))
-                    t = np.where(tau != 0.0, np.sign(tau) / (np.abs(tau) + root), 1.0)
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                cc, sc, pr, pi = c[:, None], s[:, None], pr[:, None], pi[:, None]
-                a[idx, :, p], a[idx, :, q] = rotated(cc, sc, pr, pi, a[idx, :, p], a[idx, :, q])
-                a[idx, p, :], a[idx, q, :] = rotated(cc, sc, pr, -pi, a[idx, p, :], a[idx, q, :])
-                a[idx, p, p] = app - t * h
-                a[idx, q, q] = aqq + t * h
-                a[idx, p, q] = 0.0
-                a[idx, q, p] = 0.0
+        for p, q in pivots:
+            h = np.abs(a[:, p, q])
+            idx = np.flatnonzero(live & (h >= _TINY))
+            if idx.size == 0:
+                continue
+            h, sign = h[idx], a[idx, p, q] / h[idx]
+            app, aqq = a[idx, p, p], a[idx, q, q]
+            with np.errstate(over="ignore"):  # tau and |tau| + root may reach inf
+                tau = (aqq - app) / (2.0 * h)
+                tame = np.minimum(np.abs(tau), _TAU_HUGE)
+                root = np.where(np.abs(tau) > _TAU_HUGE, np.abs(tau), np.sqrt(1.0 + tame * tame))
+                t = np.where(tau != 0.0, np.sign(tau) / (np.abs(tau) + root), 1.0)
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            cc, sc, sign = c[:, None], (t * c)[:, None], sign[:, None]
+            x, w = a[idx, :, p], sign * a[idx, :, q]
+            a[idx, :, p], a[idx, :, q] = cc * x - sc * w, sc * x + cc * w
+            x, w = a[idx, p, :], sign * a[idx, q, :]
+            a[idx, p, :], a[idx, q, :] = cc * x - sc * w, sc * x + cc * w
+            a[idx, p, p], a[idx, q, q] = app - t * h, aqq + t * h
+            a[idx, p, q] = a[idx, q, p] = 0.0
         sweeps += 1
-    values = np.real(a[:, diag, diag])
-    order = np.argsort(values, axis=-1)[:, ::-1]
-    values = np.take_along_axis(values, order, axis=-1)
-    return values[0] if single else values
+    values = a[:, diag, diag]
+    return np.take_along_axis(values, np.argsort(values, axis=-1)[:, ::-1], axis=-1)
 
 
-def assert_same_as_reference(m):
-    """The eigenvalues against ``reference_jacobi``, bit for bit."""
-    assert hermitian_eigenvalues(m).tobytes() == reference_jacobi(m).tobytes()
+def reference_values(m):
+    """``reference_jacobi`` on each member of a Hermitian stack as the solver routes it.
+
+    The members are symmetrised as the solver does it, signed zeros included;
+    a member whose imaginary part is then all zero is solved as it is, any
+    other through its real embedding [[A, -B], [B, A]], taking every second
+    value of the doubled spectrum.
+    """
+    h = ((m + m.conj().swapaxes(-1, -2)) / 2.0).reshape((-1,) + m.shape[-2:])
+    embed = h.imag.any(axis=(-2, -1))
+    values = np.empty(h.shape[:-1])
+    values[~embed] = reference_jacobi(h.real[~embed])
+    b = h[embed]
+    values[embed] = reference_jacobi(np.block([[b.real, -b.imag], [b.imag, b.real]]))[:, ::2]
+    return values.reshape(m.shape[:-1])
 
 
 @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@hypothesis.given(hermitian_stacks())
-def test_eigensystem_and_eigenvalues_equal_the_reference_loop_bit_for_bit(m):
-    assert_same_as_reference(m)
-    assert_same_as_reference(m[0])
+@hypothesis.given(hermitian_stacks(parts=1))  # real symmetric
+def test_real_stacks_and_their_members_equal_the_reference_loop_bit_for_bit(m):
+    expected = reference_jacobi(m).tobytes()
+    assert hermitian_eigenvalues(m).tobytes() == expected
+    assert b"".join(hermitian_eigenvalues(member).tobytes() for member in m) == expected
 
 
-def test_stack_converging_at_different_sweeps_with_skipped_pivots(monkeypatch):
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@hypothesis.given(mixed_stacks())
+def test_complex_and_mixed_stacks_equal_the_embedded_reference_and_their_members(m):
+    values = hermitian_eigenvalues(m)
+    assert values.tobytes() == reference_values(m).tobytes()
+    for k in range(m.shape[0]):
+        assert values[k].tobytes() == hermitian_eigenvalues(m[k]).tobytes()
+        assert_matches_lapack(values[k], m[k])
+
+
+def test_real_stack_converging_at_different_sweeps_with_skipped_pivots(monkeypatch):
     rng = np.random.default_rng(8)
-    dense = random_hermitian(rng, 4)
-    blocks = np.zeros((4, 4), dtype=complex)  # pivots (0,2), (0,3), (1,2) and (1,3) stay exactly 0
-    blocks[:2, :2] = random_hermitian(rng, 2)
-    blocks[2:, 2:] = random_hermitian(rng, 2)
-    diagonal = np.diag([0.5, -1.0, 2.0, 0.0]).astype(complex)
-    stack = np.stack([dense, blocks, diagonal, dense.conj()])
+    dense = random_hermitian(rng, 4).real
+    blocks = np.zeros((4, 4))  # pivots (0,2), (0,3), (1,2) and (1,3) stay exactly 0
+    blocks[:2, :2] = random_hermitian(rng, 2).real
+    blocks[2:, 2:] = random_hermitian(rng, 2).real
+    diagonal = np.diag([0.5, -1.0, 2.0, 0.0])
+    stack = np.stack([dense, blocks, diagonal, dense[::-1, ::-1]])
     # diagonal needs no sweep, blocks one, the dense members several
     with monkeypatch.context() as patch:
         patch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)
@@ -439,7 +492,7 @@ def test_stack_converging_at_different_sweeps_with_skipped_pivots(monkeypatch):
         hermitian_eigenvalues(stack[1:3])
         with pytest.raises(ArithmeticError):
             hermitian_eigenvalues(stack)
-    assert_same_as_reference(stack)
     values = hermitian_eigenvalues(stack)
+    assert values.tobytes() == reference_jacobi(stack).tobytes()
     for k in range(stack.shape[0]):
-        assert np.array_equal(values[k], hermitian_eigenvalues(stack[k]))
+        assert values[k].tobytes() == hermitian_eigenvalues(stack[k]).tobytes()

@@ -55,7 +55,7 @@ def correlation_tensor(rho: np.ndarray) -> np.ndarray:
 
     A stack of states (..., 4, 4) gives a stack of tensors (..., 3, 3).
     """
-    vals = np.einsum("...kl,ijlk->...ij", np.asarray(rho, dtype=complex), _PAULI_KRON)
+    vals = np.einsum("...kl,ijlk->...ij", rho, _PAULI_KRON)
     residue = np.abs(vals.imag)
     worst = residue.max(initial=0.0)
     if worst > 1e-9:
@@ -115,7 +115,7 @@ def chsh_value(rho: np.ndarray, a, a2, b, b2) -> float | np.ndarray:
     A stack of states (..., 4, 4) with settings (..., 3) gives one value per
     state; a single state uses the same arithmetic.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = np.asarray(rho, dtype=complex)  # real rho too: einsum's loop for real x complex operands rounds otherwise
     op_a, op_a2, op_b, op_b2 = (
         _spin_operator(_unit_vectors(v, name)) for v, name in ((a, "a"), (a2, "a'"), (b, "b"), (b2, "b'"))
     )
@@ -313,10 +313,9 @@ def chsh_brute_force(
     gain less than 1e-14; exhausting the budget of SEESAW_SWEEPS sweeps flags
     the result unconverged but returns it.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if np.shape(rho) != (4, 4):
         raise ValueError("the CHSH optimizer expects a 4x4 A(x)B density matrix")
-    settings, converged = _seesaw(rho[None], restarts, seed)
+    settings, converged = _seesaw(np.asarray(rho)[None], restarts, seed)
     b_h = horodecki_bmax(rho)
     return BellResult(
         b_horodecki=b_h,

@@ -6,7 +6,9 @@ rest of the package does not depend on LAPACK behaviour for its contractual
 results; a complex Hermitian matrix goes through its real symmetric embedding.
 It, the partial trace and the partial transpose of 4x4 A(x)B operators also
 take stacks (..., n, n) of matrices, which grid sweeps use to evaluate many
-points per call.
+points per call.  The partial trace and transpose keep the input's kind, so
+the package's float64 states give float64 marginals and partial transposes,
+and complex input stays complex.
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
-def _as_square(m, name: str = "matrix", dtype=complex) -> np.ndarray:
-    """Complex square matrix, or stack (..., n, n) of them, with finite entries; dtype=float keeps real input real."""
+def _as_square(m, name: str = "matrix") -> np.ndarray:
+    """Square matrix, or stack (..., n, n) of them, with finite entries; real input stays real, complex complex."""
     m = np.asarray(m)
-    m = m.astype(np.result_type(m, dtype), copy=False)
+    m = m.astype(np.result_type(m, float), copy=False)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
         raise ValueError(f"{name} must be a square matrix or a stack (..., n, n) with n >= 1, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -66,12 +68,12 @@ def hermitian_eigensystem(m) -> np.ndarray:
     ``hermitian_eigenvalues``; the loop keeps this name, matrix first, because
     the benchmark harness traces and counts the solves under it.
 
-    Each matrix with an all-zero imaginary part is solved as it is, any other
-    through ``_embedding``.  One matrix runs on Python floats, a stack in
-    ``_stacked_jacobi``; both do the same float products, none that numpy could
-    fuse, so each member of a stack gets its one-matrix bits on any CPU.
+    A matrix whose imaginary part is all zero is solved as it is, any other
+    through its real symmetric embedding.  One matrix runs on Python floats, a
+    stack in ``_stacked_jacobi``; both do the same float products, none that
+    numpy could fuse, so each member of a stack gets its one-matrix bits on any CPU.
     """
-    m = _as_square(m, "m", float)
+    m = _as_square(m, "m")
     batch, n = m.shape[:-2], m.shape[-1]
     a = m.reshape((-1, n, n))
     ah = a.conj().swapaxes(-1, -2)
@@ -86,14 +88,10 @@ def hermitian_eigensystem(m) -> np.ndarray:
         return solve(a.real).reshape(batch + (n,))
     embed = a.imag.any(axis=(-2, -1))
     values = np.empty(a.shape[:-1])
-    values[embed] = solve(_embedding(a[embed]))[:, ::2]
+    h = a[embed]  # each H = A + iB as the real symmetric [[A, -B], [B, A]]: H's spectrum with each value twice
+    values[embed] = solve(np.block([[h.real, -h.imag], [h.imag, h.real]]))[:, ::2]
     values[~embed] = _stacked_jacobi(a.real[~embed])  # none for one matrix
     return values.reshape(batch + (n,))
-
-
-def _embedding(a: np.ndarray) -> np.ndarray:
-    """The real symmetric [[A, -B], [B, A]] of each H = A + iB in a stack: H's spectrum with each value twice."""
-    return np.block([[a.real, -a.imag], [a.imag, a.real]])
 
 
 def _jacobi(a: np.ndarray) -> np.ndarray:
@@ -101,8 +99,12 @@ def _jacobi(a: np.ndarray) -> np.ndarray:
     n = a.shape[-1]
     rows, pivots = a[0].tolist(), _pivots(n)
 
-    sweeps = 0
-    while math.sqrt(2.0 * sum(rows[p][q] * rows[p][q] for p, q, _ in pivots)) >= JACOBI_OFFDIAG_TOL:
+    for sweeps in itertools.count():
+        off = 0.0
+        for p, q, _ in pivots:  # left to right, as numpy adds; sum() of floats is compensated from Python 3.12 on
+            off += rows[p][q] * rows[p][q]
+        if math.sqrt(2.0 * off) < JACOBI_OFFDIAG_TOL:
+            break
         if sweeps >= JACOBI_MAX_SWEEPS:
             raise ArithmeticError(f"Jacobi iteration failed to converge in {JACOBI_MAX_SWEEPS} sweeps")
         for p, q, others in pivots:
@@ -125,7 +127,6 @@ def _jacobi(a: np.ndarray) -> np.ndarray:
                 rk[q] = rq[k] = s * x + c * w
             rp[p], rq[q] = app - t * h, aqq + t * h
             rp[q] = rq[p] = 0.0
-        sweeps += 1
 
     values = np.array([rows[k][k] for k in range(n)])
     return values[np.argsort(values)[::-1]][None]
@@ -144,8 +145,7 @@ def _stacked_jacobi(a: np.ndarray) -> np.ndarray:
     values = np.empty(a.shape[:-1])
     slot = np.arange(a.shape[0])  # the result row of each matrix left in the stack
 
-    sweeps = 0
-    while True:
+    for sweeps in itertools.count():
         off = sum((a[:, p, q] ** 2 for p, q, _ in pivots), np.zeros(len(a)))
         done = np.sqrt(2.0 * off) < JACOBI_OFFDIAG_TOL
         if done.any():
@@ -184,7 +184,6 @@ def _stacked_jacobi(a: np.ndarray) -> np.ndarray:
             a[idx, p, rows], a[idx, q, rows] = new_p, new_q
             a[idx, p, p], a[idx, q, q] = new_pp, new_qq
             a[idx, p, q] = a[idx, q, p] = 0.0
-        sweeps += 1
 
     order = np.argsort(values, axis=-1)[:, ::-1]
     return np.take_along_axis(values, order, axis=-1)

@@ -7,7 +7,8 @@ Conventions (fixed globally):
 
 The monitoring and decoherence couplings are one-shot isometries: the meter
 coupling is a rotation of B controlled on A, and each environment coupling
-appends a fresh qubit entangled with one branch.
+appends a fresh qubit entangled with one branch.  All of them are real, so
+every amplitude and density matrix built here is float64.
 """
 
 from __future__ import annotations
@@ -70,8 +71,8 @@ class ScenarioParams:
 
 
 def _matrix_2x2(shape: tuple, a, b, c, d) -> np.ndarray:
-    """Complex [[a, b], [c, d]] at every point of a knob array of the given shape: (*shape, 2, 2)."""
-    m = np.empty(shape + (2, 2), dtype=complex)
+    """Real [[a, b], [c, d]] (float64) at every point of a knob array of the given shape: (*shape, 2, 2)."""
+    m = np.empty(shape + (2, 2))
     m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1] = a, b, c, d
     return m
 
@@ -96,8 +97,8 @@ def _environment_weights(control: str, r) -> np.ndarray:
 
 def _checked_norms(psi: np.ndarray) -> np.ndarray:
     """Stacked amplitudes (N, ...) whose every state has unit norm within 1e-12."""
-    parts = np.ascontiguousarray(psi).reshape(len(psi), math.prod(psi.shape[1:])).view(float)  # re, im side by side
-    norms = np.sqrt(np.einsum("ij,ij->i", parts, parts))  # re^2 + im^2, without a complex hypot per amplitude
+    flat = psi.reshape(len(psi), math.prod(psi.shape[1:]))
+    norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
     if np.any(np.abs(norms - 1.0) > 1e-12):
         raise ValueError(f"state norm {norms[np.argmax(np.abs(norms - 1.0))]} is not 1 within 1e-12")
     return psi
@@ -115,7 +116,7 @@ def scenario_amplitudes(scenario: Scenario, *, r=0.5, d=0.0, r_s=1.0, r_m=1.0) -
     if scenario is not Scenario.FREE and np.any(r != 0.5):
         raise ValueError(f"scenario {scenario.value} requires the balanced path weight r = 1/2")
     # psi[n, a, b, environments...]: source on A, then B in |down> rotated on the A=down branch.
-    psi = np.zeros((r.size, 2, 2), dtype=complex)
+    psi = np.zeros((r.size, 2, 2))
     psi[..., 1] = _checked_norms(np.stack((np.sqrt(r), -np.sqrt(1.0 - r)), axis=-1))
     psi[:, 1] = np.einsum("nij,nj->ni", _meter_rotation(d), psi[:, 1])
     psi = _checked_norms(psi)
@@ -133,7 +134,7 @@ def scenario_densities(scenario: Scenario, *, r=0.5, d=0.0, r_s=1.0, r_m=1.0) ->
     """
     psi = scenario_amplitudes(scenario, r=r, d=d, r_s=r_s, r_m=r_m)
     psi = psi.reshape(len(psi), 4, math.prod(psi.shape[3:]))
-    return psi @ psi.conj().swapaxes(-1, -2)
+    return psi @ psi.swapaxes(-1, -2)
 
 
 def scenario_density(params: ScenarioParams, scenario: Scenario) -> np.ndarray:

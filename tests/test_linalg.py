@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -169,23 +170,37 @@ def test_partial_transpose_of_a_stack_equals_per_matrix_calls():
 
 
 def test_pure_state_norm_guard():
-    states = np.array([[1.0, 0.0], [0.6, 0.8j]])
+    states = np.array([[1.0, 0.0], [0.6, -0.8]])
     assert _checked_norms(states) is states
     with pytest.raises(ValueError):
         _checked_norms(np.array([[1.0, 0.0], [1.0, 1.0]]))
 
 
-def test_norm_guard_counts_the_real_and_imaginary_parts():
-    unit = np.array([[0.6, 0.8j], [0.6j, -0.8], [0.36 + 0.48j, 0.48 - 0.64j]])
-    assert _checked_norms(unit) is unit
-    strided = unit.T.copy().T  # a stack that is not C-contiguous
+def test_norm_guard_on_strided_scaled_and_zero_states():
+    unit = np.array([[0.6, 0.8], [-0.8, 0.6], [0.0, -1.0]])
+    strided = unit.T.copy().T
+    assert not strided.flags.c_contiguous
     assert _checked_norms(strided) is strided
+    grown = np.full((3, 2, 2, 2), np.sqrt(0.125))[:, ::-1]  # stacked states of several factors, as a view
+    assert _checked_norms(grown) is grown
     with pytest.raises(ValueError, match="not 1 within 1e-12"):
         _checked_norms(unit * (1.0 + 2e-12))
-    with pytest.raises(ValueError, match="not 1 within 1e-12"):
-        _checked_norms(np.array([[0.6 + 1e-5j, 0.8]]))  # unit norm in the real parts alone
-    with pytest.raises(ValueError, match="not 1 within 1e-12"):
-        _checked_norms(np.array([[0.6, 0.0]]))  # 0.8j would make it a unit vector
+    with pytest.raises(ValueError, match="state norm 0.0 is not 1 within 1e-12"):
+        _checked_norms(np.array([[0.6, 0.8], [0.0, 0.0]]))
+
+
+def test_partial_trace_and_transpose_keep_the_input_kind():
+    rng = np.random.default_rng(6)
+    rho = random_hermitian(rng, 4)
+    assert rho.imag.any()
+    for m, kind in ((rho, np.complex128), (rho.real, np.float64), (np.eye(4, dtype=int), np.float64)):
+        pt = partial_transpose(m)
+        assert pt.dtype == kind
+        assert np.array_equal(pt, m.reshape(2, 2, 2, 2).swapaxes(1, 3).reshape(4, 4))
+        for keep, subscripts in (("A", "ikjk->ij"), ("B", "kikj->ij")):
+            reduced = partial_trace(m, keep)
+            assert reduced.dtype == kind
+            assert np.array_equal(reduced, np.einsum(subscripts, m.reshape(2, 2, 2, 2)))
 
 
 def load_pool_points():
@@ -220,21 +235,26 @@ GRID_41 = np.linspace(0.0, 1.0, 41)
 
 @pytest.mark.parametrize("scenario", list(_AXES), ids=lambda s: s.value)
 def test_every_state_marginal_and_partial_transpose_the_package_builds_is_real(scenario):
-    # the premise that keeps every solve in the package on the real loop, over 41^2 grids (41^3 for combined)
+    # the isometries are real, so the package solves every one of these on the real loop as it is
     axes = _AXES[scenario]
     knobs = dict(zip(axes, (a.ravel() for a in np.meshgrid(*[GRID_41] * len(axes), indexing="ij"))))
     rho = states.scenario_densities(scenario, **knobs)
-    for kind, m in {"rho": rho, "rho^T_B": partial_transpose(rho), "rho_A": partial_trace(rho, "A"),
-                    "rho_B": partial_trace(rho, "B")}.items():
-        assert not m.imag.any(), kind
+    built = {"psi": states.scenario_amplitudes(scenario, **knobs), "rho": rho, "rho^T_B": partial_transpose(rho),
+             "rho_A": partial_trace(rho, "A"), "rho_B": partial_trace(rho, "B")}
+    for kind, m in built.items():
+        assert m.dtype == np.float64, kind
 
 
-def test_no_caller_in_the_package_takes_the_embedding(monkeypatch, tmp_path):
-    # an embedded solve is 2n x 2n, several times the cost of the n x n real one
-    def refuse(a):
-        raise AssertionError(f"{len(a)} complex matrices sent through the embedding")
+def test_no_complex_matrix_reaches_the_eigensolver(monkeypatch, tmp_path):
+    # the package's own matrices are float64: none takes the complex route, let alone the 2n x 2n embedding
+    solve, shapes = linalg.hermitian_eigensystem, []
 
-    monkeypatch.setattr(linalg, "_embedding", refuse)
+    def real_only(m):
+        assert not np.iscomplexobj(m), f"a complex {np.shape(m)} matrix sent to the eigensolver"
+        shapes.append(np.shape(m))
+        return solve(m)
+
+    monkeypatch.setattr(linalg, "hermitian_eigensystem", real_only)
     assert all(result.passed for result in run_suites(resolution=3))
     for n in FIGURES:
         write_figure_csv(n, 11, str(tmp_path / f"fig{n}.csv"))
@@ -246,6 +266,7 @@ def test_no_caller_in_the_package_takes_the_embedding(monkeypatch, tmp_path):
     }
     for scenario, params in edges.items():
         analyze(scenario, params)
+    assert (4, 4) in shapes and (2, 2) in shapes and (3, 3) in shapes  # rho and rho^T_B, marginals, T^T T
 
 
 # Prints a digest of one numpy complex product, then the eigenvalue bytes
@@ -350,6 +371,25 @@ def test_stack_of_one_by_one_matrices():
     # no pivot at all: the stop test's sum must still be one value per matrix
     values = hermitian_eigenvalues(np.arange(3.0).reshape(3, 1, 1))
     assert np.array_equal(values, [[0.0], [1.0], [2.0]])
+
+
+def test_stop_test_adds_left_to_right_in_the_one_matrix_loop_too():
+    # From Python 3.12 on, sum() of floats is compensated, while the stacked loop adds
+    # plainly.  This matrix's off-diagonal norm reaches the tolerance after plain adds
+    # and stays below it after exact ones, so a compensated stop test would return the
+    # diagonal at once where the stack rotates.
+    m = np.diag([4e-15, 3e-15, 2e-15, 1e-15])
+    upper = np.triu_indices(4, 1)  # the pivots, in the order a sweep visits them
+    m[upper] = [2.6018749501803057e-15, 2.061367386746972e-15, 3.4925632294998443e-15,
+                3.4543659706797114e-15, 2.7655309005433244e-15, 2.683692960674869e-15]
+    m += np.triu(m, 1).T
+    plain = 0.0
+    for x in m[upper]:
+        plain += x * x
+    assert math.sqrt(2.0 * plain) >= JACOBI_OFFDIAG_TOL > math.sqrt(2.0 * math.fsum(m[upper] ** 2))
+    single = hermitian_eigenvalues(m)
+    assert not np.array_equal(single, np.sort(np.diag(m))[::-1])  # a sweep ran
+    assert single.tobytes() == hermitian_eigenvalues(np.stack([m, np.eye(4)]))[0].tobytes()
 
 
 def test_stacked_eigensystem_reports_non_convergence(monkeypatch):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from qdl.analysis import analyze
-from qdl.bell import horodecki_bmax
+from qdl.bell import chsh_brute_force, chsh_value, correlation_tensor, horodecki_bmax
 from qdl.infotheory import info_threshold, mutual_information, ppt_check, von_neumann_entropy
-from qdl.linalg import hermitian_eigenvalues
+from qdl.linalg import hermitian_eigenvalues, partial_trace, partial_transpose
 from qdl.states import (
     Scenario,
     ScenarioParams,
@@ -284,12 +284,13 @@ STACKED_CASES = [
 @pytest.mark.parametrize("scenario, knobs", STACKED_CASES)
 def test_scenario_densities_equal_single_point_states(scenario, knobs):
     stack = scenario_densities(scenario, **knobs)
-    assert stack.shape == (OUTER.size, 4, 4)
+    assert stack.shape == (OUTER.size, 4, 4) and stack.dtype == np.float64
     for k in range(OUTER.size):
         point = {name: float(values[k]) for name, values in knobs.items()}
         rho = reference_density(scenario, **point)
-        assert np.array_equal(stack[k], rho)
-        assert np.array_equal(scenario_density(ScenarioParams(**point), scenario), rho)
+        assert rho.imag.tobytes() == bytes(rho.imag.nbytes)  # all +0.0
+        assert stack[k].tobytes() == rho.real.tobytes()
+        assert scenario_density(ScenarioParams(**point), scenario).tobytes() == rho.real.tobytes()
 
 
 @pytest.mark.parametrize("scenario, knobs", STACKED_CASES)
@@ -298,6 +299,32 @@ def test_scenario_densities_are_density_matrices_on_the_edge_line(scenario, knob
     assert np.max(np.abs(stack - stack.conj().swapaxes(-1, -2))) < 1e-12
     assert np.max(np.abs(np.trace(stack, axis1=-2, axis2=-1) - 1.0)) < 1e-12
     assert np.min(hermitian_eigenvalues(stack)) >= -1e-10
+
+
+CHSH_SETTINGS = ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.6, 0.0, 0.8], [0.0, 0.8, 0.6])  # a, a', b, b'
+COMPLEX_INPUT_ROUTES = {
+    "correlation_tensor": correlation_tensor,
+    "horodecki_bmax": horodecki_bmax,
+    "ppt_spectrum": lambda rho: ppt_check(rho).ppt_spectrum,
+    "i_ab": lambda rho: mutual_information(rho).i_ab,
+    "visibility_analytic": visibility_analytic,
+    "visibility_sweep": lambda rho: visibility_sweep(rho).probabilities,
+    "chsh_value": lambda rho: chsh_value(rho, *(np.broadcast_to(v, rho.shape[:-2] + (3,)) for v in CHSH_SETTINGS)),
+}
+
+
+@pytest.mark.parametrize("scenario, knobs", STACKED_CASES)
+def test_complex_copies_of_the_states_give_the_same_bits(scenario, knobs):
+    # the states are float64; a caller's complex128 copy still goes through every route, to the same result
+    rho = scenario_densities(scenario, **knobs)
+    twin = rho.astype(complex)
+    for name, route in COMPLEX_INPUT_ROUTES.items():
+        assert route(twin).tobytes() == route(rho).tobytes(), name
+    for keep in ("A", "B"):
+        assert partial_trace(twin, keep).tobytes() == partial_trace(rho, keep).astype(complex).tobytes()
+    assert partial_transpose(twin).tobytes() == partial_transpose(rho).astype(complex).tobytes()
+    for k in range(0, len(rho), 10):
+        assert repr(chsh_brute_force(twin[k], restarts=4)) == repr(chsh_brute_force(rho[k], restarts=4))
 
 
 @pytest.mark.parametrize(

@@ -341,7 +341,7 @@ def violation_threshold(scenario: Scenario, params: ScenarioParams) -> float | n
         d_thr = np.sqrt(_meter_threshold_sq(params.r_m))
     else:
         d_thr = np.sqrt(_combined_threshold_sq(params.r_s, params.r_m))
-    return _float_or_array(*params.broadcast(d_thr))
+    return _float_or_array(d_thr)
 
 
 def _meter_threshold_sq(r_m: float | np.ndarray) -> float | np.ndarray:

@@ -67,13 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_analyze(args) -> int:
     scenario = Scenario(args.scenario)
-    try:
-        params = ScenarioParams(r=args.r, d=args.d, r_s=args.r_s, r_m=args.r_m)
-        report = analyze(scenario, params, restarts=args.restarts, seed=args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(args.usage(), end="", file=sys.stderr)
-        return 2
+    params = ScenarioParams(r=args.r, d=args.d, r_s=args.r_s, r_m=args.r_m)
+    report = analyze(scenario, params, restarts=args.restarts, seed=args.seed)
     out = [
         f"scenario={scenario.value}",
         f"r={_fmt(params.r)}",
@@ -106,9 +101,6 @@ def _cmd_analyze(args) -> int:
 def _cmd_figure(args) -> int:
     try:
         rows = write_figure_csv(args.n, args.resolution, args.out)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 2
@@ -118,17 +110,13 @@ def _cmd_figure(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = args.suite if args.suite else None
-    try:
-        results = run_suites(
-            resolution=args.resolution,
-            restarts=args.restarts,
-            seed=args.seed,
-            tolerance_override=args.tolerance,
-            names=names,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    results = run_suites(
+        resolution=args.resolution,
+        restarts=args.restarts,
+        seed=args.seed,
+        tolerance_override=args.tolerance,
+        names=names,
+    )
     width = max(len(r.name) for r in results)
     print(f"{'suite':<{width}}  {'max residual':>13}  {'tolerance':>10}  status")
     for res in results:
@@ -156,6 +144,11 @@ def main(argv=None) -> int:
             return 2
         sys.stdout.flush()  # a reader that closed early shows here, not in the flush at exit
         return status
+    except ValueError as exc:  # a bad argument value; analyze also repeats its usage line
+        print(f"error: {exc}", file=sys.stderr)
+        if "usage" in args:
+            print(args.usage(), end="", file=sys.stderr)
+        return 2
     except OSError as exc:  # stdout closed (as by `| head -1`) or full; the flush at exit goes to devnull
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())

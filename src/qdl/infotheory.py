@@ -106,7 +106,6 @@ def entropy_closed_form(scenario: Scenario, params: ScenarioParams) -> Informati
         s_b = binary_entropy(0.5 + 0.5 * np.sqrt((1.0 - d2) * (1.0 - d2 * (1.0 - r2))))
     else:
         raise ValueError(f"no closed-form entropies for scenario {scenario.value}")
-    s_a, s_b, s_ab = params.broadcast(s_a, s_b, s_ab)
     return InformationReport(s_a=s_a, s_b=s_b, s_ab=s_ab, i_ab=s_a + s_b - s_ab)
 
 
@@ -136,10 +135,8 @@ def info_threshold(scenario: Scenario, robustness: float | np.ndarray) -> float 
         d_boundary = violation_threshold(Scenario.METER, ScenarioParams(r_m=robustness))
         if isinstance(robustness, float) and d_boundary == 0.0:
             return None
-        rho = scenario_densities(Scenario.METER, d=d_boundary, r_m=robustness)
-        if isinstance(robustness, float):  # one matrix, through the one-matrix eigensolver
-            return mutual_information(rho[0]).i_ab
-        return np.where(d_boundary == 0.0, np.nan, mutual_information(rho).i_ab.reshape(robustness.shape))
+        i_ab = mutual_information(scenario_densities(Scenario.METER, d=d_boundary, r_m=robustness)).i_ab
+        return _float_or_array(np.where(d_boundary == 0.0, np.nan, i_ab.reshape(np.shape(robustness))))
     raise ValueError(f"no information threshold defined for scenario {scenario.value}")
 
 

@@ -69,8 +69,9 @@ def hermitian_eigensystem(m) -> np.ndarray:
     the benchmark harness traces and counts the solves under it.
 
     A matrix whose imaginary part is all zero is solved as it is, any other
-    through its real symmetric embedding.  One matrix runs on Python floats, a
-    stack in ``_stacked_jacobi``; both do the same float products, none that
+    through its real symmetric embedding.  One matrix, 2-D or the only one of a
+    stack of any shape, runs on Python floats in ``_jacobi``, more than one in
+    ``_stacked_jacobi``; both do the same float products, none that
     numpy could fuse, so each member of a stack gets its one-matrix bits on any CPU.
     """
     m = _as_square(m, "m")
@@ -83,7 +84,7 @@ def hermitian_eigensystem(m) -> np.ndarray:
         which = "matrix" if m.ndim == 2 else f"matrix {k} of the stack"
         raise ValueError(f"{which} is not Hermitian (max |m - m^dag| = {dev[k].max():.3e})")
     a = (a + ah) / 2.0
-    solve = _jacobi if m.ndim == 2 else _stacked_jacobi
+    solve = _jacobi if len(a) == 1 else _stacked_jacobi
     if not a.imag.any():
         return solve(a.real).reshape(batch + (n,))
     embed = a.imag.any(axis=(-2, -1))

@@ -48,8 +48,10 @@ class ScenarioParams:
     r_s   robustness of the system qubit against its environment
     r_m   robustness of the meter qubit against its environment
 
-    A knob may also be an array over many points, checked once as a whole; the
-    closed forms then return one value per point.  ``scenario_density`` takes one point.
+    A knob may also be an array over many points, checked once as a whole.  If any
+    knob is an array, all four become new arrays of their broadcast shape (knob
+    shapes that do not broadcast raise ValueError), so every closed form returns
+    one value per point in that shape.  ``scenario_density`` takes one point.
     """
 
     r: float | np.ndarray = 0.5
@@ -58,16 +60,20 @@ class ScenarioParams:
     r_m: float | np.ndarray = 1.0
 
     def __post_init__(self):
-        for name in ("r", "d", "r_s", "r_m"):
-            object.__setattr__(self, name, _check_unit_interval(name, getattr(self, name)))
-
-    def broadcast(self, *values) -> tuple:
-        """The values as new arrays of the knobs' broadcast shape if any knob is an array, else as they are."""
-        knobs = (self.r, self.d, self.r_s, self.r_m)
-        if any(isinstance(knob, np.ndarray) for knob in knobs):
-            shape = np.broadcast_shapes(*map(np.shape, knobs))
-            values = tuple(np.array(np.broadcast_to(value, shape)) for value in values)
-        return values
+        names, arrays = ("r", "d", "r_s", "r_m"), False
+        for name in names:
+            value = _check_unit_interval(name, getattr(self, name))
+            object.__setattr__(self, name, value)
+            if type(value) is not float:  # an array: cheaper to test than isinstance on the all-float path
+                arrays = True
+        if arrays:
+            try:
+                shape = np.broadcast(self.r, self.d, self.r_s, self.r_m).shape
+            except ValueError:
+                shapes = {name: np.shape(getattr(self, name)) for name in names}
+                raise ValueError(f"knob shapes {shapes} do not broadcast together") from None
+            for name in names:
+                object.__setattr__(self, name, np.full(shape, getattr(self, name)))
 
 
 def _matrix_2x2(shape: tuple, a, b, c, d) -> np.ndarray:
@@ -112,7 +118,7 @@ def scenario_amplitudes(scenario: Scenario, *, r=0.5, d=0.0, r_s=1.0, r_m=1.0) -
     and EM if the meter does.
     """
     knobs = ScenarioParams(r=r, d=d, r_s=r_s, r_m=r_m)
-    r, d, r_s, r_m = (values.reshape(-1) for values in np.broadcast_arrays(knobs.r, knobs.d, knobs.r_s, knobs.r_m))
+    r, d, r_s, r_m = (np.reshape(knob, -1) for knob in (knobs.r, knobs.d, knobs.r_s, knobs.r_m))
     if scenario is not Scenario.FREE and np.any(r != 0.5):
         raise ValueError(f"scenario {scenario.value} requires the balanced path weight r = 1/2")
     # psi[n, a, b, environments...]: source on A, then B in |down> rotated on the A=down branch.
@@ -139,7 +145,7 @@ def scenario_densities(scenario: Scenario, *, r=0.5, d=0.0, r_s=1.0, r_m=1.0) ->
 
 def scenario_density(params: ScenarioParams, scenario: Scenario) -> np.ndarray:
     """The 4x4 A(x)B density matrix of one point: the one-point ``scenario_densities`` stack."""
-    if any(isinstance(knob, np.ndarray) for knob in (params.r, params.d, params.r_s, params.r_m)):
+    if isinstance(params.d, np.ndarray):  # if any knob is an array, all are
         raise ValueError("scenario_density takes one point; use scenario_densities for arrays of knobs")
     return scenario_densities(scenario, r=params.r, d=params.d, r_s=params.r_s, r_m=params.r_m)[0]
 

@@ -516,23 +516,25 @@ def test_boundary_thresholds_sit_on_b_equals_2():
             assert abs(horodecki_bmax(rho) - 2.0) < 1e-9
 
 
+@pytest.mark.parametrize("closed_form", [violation_threshold, bell_closed_form], ids=lambda f: f.__name__)
 @pytest.mark.parametrize("scenario", list(Scenario), ids=lambda s: s.value)
 @pytest.mark.parametrize(
     "knobs",
     [
-        {"d": np.array([0.1, 0.2])},  # no threshold reads d
+        {"d": np.array([0.1, 0.2])},  # no threshold reads d, every B_max does
+        {"r_s": np.array([0.4, 0.9])},  # nothing of the free or meter scenario reads r_s
         {"d": np.array([])},
         {"r": np.array([0.5, 0.5]), "r_s": np.array([0.3, 0.9]), "r_m": np.array([0.4, 0.8])},
         {"d": np.array([[0.3], [0.6]]), "r_s": np.array([0.2, 0.5, 1.0]), "r_m": np.array([0.2, 0.71, 1.0])},
     ],
     ids=lambda k: ",".join(f"{n}{np.shape(v)}" for n, v in k.items()),
 )
-def test_violation_threshold_takes_the_knobs_shape_when_any_knob_is_an_array(scenario, knobs):
+def test_closed_forms_take_the_knobs_shape_when_any_knob_is_an_array(closed_form, scenario, knobs):
     shape = np.broadcast_shapes(*(np.shape(v) for v in knobs.values()))
-    d = violation_threshold(scenario, ScenarioParams(**knobs))
-    assert isinstance(d, np.ndarray) and d.shape == shape
+    values = closed_form(scenario, ScenarioParams(**knobs))
+    assert isinstance(values, np.ndarray) and values.shape == shape
     for index in np.ndindex(shape):  # each point is its one-point call, a float of the same bits
-        single = violation_threshold(
+        single = closed_form(
             scenario, ScenarioParams(**{k: float(np.broadcast_to(v, shape)[index]) for k, v in knobs.items()})
         )
-        assert type(single) is float and single == d[index], index
+        assert type(single) is float and single == values[index], index

@@ -17,7 +17,7 @@ from qdl.infotheory import (
 )
 from qdl.bell import horodecki_bmax
 from qdl.states import Scenario, ScenarioParams, scenario_densities, scenario_density
-from qdl.visibility import visibility_analytic
+from qdl.visibility import _identity_residual, visibility_analytic
 
 LN2 = math.log(2.0)
 SINGLET = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2)
@@ -260,25 +260,38 @@ def test_stacked_ppt_check_equals_single_point_calls():
             assert (rep.negativity[k], rep.separable[k]) == (single.negativity, single.separable)
 
 
-# Array knobs of each kind: a live one, an empty one, robustness only, a 2-D broadcast, one no entropy reads.
+# Array knobs of each kind: a live one, an empty one, robustness only, a 2-D broadcast, ones no meter form reads.
 ARRAY_KNOBS = [
     {"d": np.array([0.1, 0.2])},
     {"d": np.array([])},
     {"r_s": np.array([0.3, 0.9]), "r_m": np.array([0.4, 0.8])},
     {"d": np.array([[0.3], [0.6]]), "r_s": np.array([0.2, 0.5, 1.0]), "r_m": np.array([0.2, 0.5, 1.0])},
     {"r": np.array([0.5, 0.5, 0.5])},
+    {"r_s": np.array([0.3, 0.9])},
 ]
 
 
-@pytest.mark.parametrize("scenario", [Scenario.SYSTEM, Scenario.METER], ids=lambda s: s.value)
+def _entropies(scenario):
+    return lambda params: {f: getattr(entropy_closed_form(scenario, params), f) for f in ("s_a", "s_b", "s_ab", "i_ab")}
+
+
+# Each closed form of the knobs as a dict of its values; the identity residual at the visibility 0.6.
+KNOB_FORMS = {
+    "system_entropies": _entropies(Scenario.SYSTEM),
+    "meter_entropies": _entropies(Scenario.METER),
+    "printed_meter_s_b": lambda params: {"s_b": printed_meter_s_b(params)},
+    "meter_identity_residual": lambda params: {"residual": _identity_residual(Scenario.METER, params, 0.6)},
+}
+
+
+@pytest.mark.parametrize("form", KNOB_FORMS)
 @pytest.mark.parametrize("knobs", ARRAY_KNOBS, ids=lambda k: ",".join(f"{n}{np.shape(v)}" for n, v in k.items()))
-def test_closed_form_entropies_take_the_knobs_shape_when_any_knob_is_an_array(scenario, knobs):
+def test_entropy_and_identity_closed_forms_take_the_knobs_shape_when_any_knob_is_an_array(form, knobs):
     shape = np.broadcast_shapes(*(np.shape(v) for v in knobs.values()))
-    rep = entropy_closed_form(scenario, ScenarioParams(**knobs))
-    for field in ("s_a", "s_b", "s_ab", "i_ab"):
-        value = getattr(rep, field)
+    values = KNOB_FORMS[form](ScenarioParams(**knobs))
+    for field, value in values.items():
         assert isinstance(value, np.ndarray) and value.shape == shape, field
         for index in np.ndindex(shape):  # each point is its one-point call, a float of the same bits
             point = ScenarioParams(**{k: float(np.broadcast_to(v, shape)[index]) for k, v in knobs.items()})
-            single = getattr(entropy_closed_form(scenario, point), field)
+            single = KNOB_FORMS[form](point)[field]
             assert type(single) is float and single == value[index], (field, index)

@@ -392,6 +392,22 @@ def test_stop_test_adds_left_to_right_in_the_one_matrix_loop_too():
     assert single.tobytes() == hermitian_eigenvalues(np.stack([m, np.eye(4)]))[0].tobytes()
 
 
+@pytest.mark.parametrize("stack", [(1,), (1, 1)])
+@pytest.mark.parametrize("kind", [float, complex])
+def test_one_matrix_in_a_stack_runs_the_one_matrix_loop(stack, kind, monkeypatch):
+    m = random_hermitian(np.random.default_rng(5), 4)
+    m = m.real if kind is float else m
+    single = hermitian_eigenvalues(m)
+
+    def refuse(a):  # a complex matrix leaves the stacked loop an empty stack of real ones
+        assert len(a) == 0, "one matrix reached the stacked loop"
+        return np.empty((0, a.shape[-1]))
+
+    monkeypatch.setattr(linalg, "_stacked_jacobi", refuse)
+    values = hermitian_eigenvalues(m.reshape(stack + m.shape))
+    assert values.shape == stack + (4,) and values.tobytes() == single.tobytes()
+
+
 def test_stacked_eigensystem_reports_non_convergence(monkeypatch):
     m = np.stack([np.diag([1.0, 2.0]), SIGMA_X]).astype(complex)
     monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)

@@ -235,6 +235,22 @@ def test_params_validation():
         ScenarioParams(r_m=1.0001)
 
 
+def test_array_knobs_become_new_arrays_of_one_shape():
+    d, r_s = np.array([[0.3], [0.6]]), np.array([0.2, 0.5, 1.0])
+    params = ScenarioParams(d=d, r_s=r_s)
+    for name, expected in (("r", 0.5), ("d", d), ("r_s", r_s), ("r_m", 1.0)):
+        value = getattr(params, name)
+        assert value.shape == (2, 3) and value.dtype == float, name
+        assert np.array_equal(value, np.broadcast_to(expected, (2, 3))), name
+        assert not np.shares_memory(value, d) and not np.shares_memory(value, r_s), name
+    assert all(type(getattr(ScenarioParams(d=0.3), name)) is float for name in ("r", "d", "r_s", "r_m"))
+
+
+def test_knob_arrays_that_do_not_broadcast_are_refused_at_construction():
+    with pytest.raises(ValueError, match=r"knob shapes .*'d': \(3,\), 'r_s': \(2,\).* do not broadcast together"):
+        ScenarioParams(d=np.zeros(3), r_s=np.zeros(2))
+
+
 @pytest.mark.parametrize("knobs", [{"d": np.array([0.1, 0.2])}, {"r_s": np.array([0.5])}, {"r_m": np.zeros((2, 2))}])
 def test_one_point_entry_points_reject_array_knobs(knobs):
     params = ScenarioParams(**knobs)

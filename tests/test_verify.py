@@ -131,6 +131,13 @@ def test_reducer_reports_the_first_worst_point_and_fails_on_nan():
     assert nan.worst_point == {"scenario": "meter", "d": 0.8, "r_m": 1.0}
 
 
+def test_meter_threshold_probe_fails_on_a_nan_gap(monkeypatch):
+    monkeypatch.setattr(verify, "binary_entropy", lambda p: math.nan)
+    (result,) = run_suites(names=["meter_threshold"])
+    assert math.isnan(result.max_residual) and not result.passed
+    assert result.lines[-1].endswith(" to nan)")
+
+
 def test_ppt_region_passes_on_the_coarsest_grid():
     (result,) = run_suites(resolution=2, names=["ppt"])
     assert result.passed and result.max_residual == 0.0

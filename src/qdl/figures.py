@@ -5,7 +5,10 @@ and a column function.  The column function maps the flattened grid
 coordinates of a chunk of points to its value columns, evaluating every
 point of the chunk through the stacked (N, 4, 4) layers at once.  Rows are written in row-major
 axis order, one chunk of at most CHUNK_POINTS points at a time; each chunk is one float table,
-formatted by a single '%' over a per-row line template and written at once.
+formatted as a whole and written at once.  A table whose values all lie in [0, 8), none within
+1e-6 of a rounding tie once scaled by 1e9, is printed by a numpy fixed-point kernel from the
+integers rint(x * 1e9), which give '%.9f''s correctly rounded digits there; any other table by a
+single '%' over a per-row line template.
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ MIN_RESOLUTION = 11
 DEFAULT_RESOLUTION = 41
 MAX_RESOLUTION = 1001  # resolution^2 rows: about 1e6 rows, some 40 MB of CSV
 CHUNK_POINTS = 1024
+_TIE_GUARD = 1e-6  # least distance of x * 1e9 from a half-integer for the fixed-point kernel
+# row k: the 3 ASCII digits of k, viewed as one 3-byte item so that a lookup is a 1-D take
+_DIGITS = (np.arange(1000)[:, None] // np.array([100, 10, 1]) % 10 + ord("0")).astype(np.uint8).view("V3").ravel()
 
 
 @dataclass(frozen=True)
@@ -100,11 +106,49 @@ def _grid_chunks(line: np.ndarray, n_axes: int) -> Iterator[tuple[np.ndarray, ..
 
 
 def _format_chunk(columns: tuple) -> str:
-    """CSV lines of equal-length columns as ``_fmt`` writes them: '%.9f' shares f"{x:.9f}"'s formatter,
-    adding 0.0 turns -0.0 into 0.0, and a bool column (as 1.0 or 0.0) prints through '%d'."""
-    line = ",".join("%d" if np.asarray(c).dtype == bool else "%.9f" for c in columns) + "\n"
+    """CSV lines of equal-length columns as ``_fmt`` writes them.
+
+    A chunk whose values all lie in [0, 8), each far enough from a rounding tie,
+    goes through ``_fixed_point_text``; any other through one '%' over a per-row
+    line template: '%.9f' shares f"{x:.9f}"'s formatter, adding 0.0 turns -0.0
+    into 0.0, and a bool column (as 1.0 or 0.0) prints through '%d'.
+    """
+    flags = [np.asarray(c).dtype == bool for c in columns]
     table = np.column_stack([np.asarray(c, dtype=float) for c in columns]) + 0.0
+    values = table[:, [not f for f in flags]]
+    if ((values >= 0.0) & (values < 8.0)).all():  # NaN fails both; checked before scaling, which could overflow
+        scaled = values * 1e9  # below 2**33, off the exact product by at most 2**-21 < 4.8e-7
+        units = np.rint(scaled)
+        if (np.abs(np.abs(scaled - units) - 0.5) > _TIE_GUARD).all():
+            return _fixed_point_text(table, flags, units.astype(np.int64))
+    line = ",".join("%d" if f else "%.9f" for f in flags) + "\n"
     return (line * len(table)) % tuple(table.ravel().tolist())
+
+
+def _fixed_point_text(table: np.ndarray, flags: list[bool], units: np.ndarray) -> str:
+    """The chunk's CSV text from ``units`` = round(x * 1e9) of its value columns, the decimals looked
+    up three at a time; a flag column prints its 0.0 or 1.0 as one digit."""
+    whole, rest = np.divmod(units, 10**9)
+    high, rest = np.divmod(rest, 10**6)
+    mid, low = np.divmod(rest, 10**3)
+    widths = [1 if f else 11 for f in flags]  # "0" or "1", "D.DDDDDDDDD"
+    text = np.empty((len(table), sum(widths) + len(widths)), np.uint8)
+    start, value = 0, 0
+    for j, (flag, width) in enumerate(zip(flags, widths)):
+        if flag:
+            text[:, start] = table[:, j] + ord("0")
+        else:
+            text[:, start] = whole[:, value] + ord("0")
+            text[:, start + 1] = ord(".")
+            for offset, group in ((2, high), (5, mid), (8, low)):
+                digits = _DIGITS.take(group[:, value]).view(np.uint8).reshape(-1, 3)
+                text[:, start + offset : start + offset + 3] = digits
+            value += 1
+        start += width
+        text[:, start] = ord(",")
+        start += 1
+    text[:, -1] = ord("\n")
+    return text.tobytes().decode("ascii")
 
 
 def write_figure_csv(n: int, resolution: int, path: str) -> int:

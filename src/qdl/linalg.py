@@ -91,7 +91,8 @@ def hermitian_eigensystem(m) -> np.ndarray:
     values = np.empty(a.shape[:-1])
     h = a[embed]  # each H = A + iB as the real symmetric [[A, -B], [B, A]]: H's spectrum with each value twice
     values[embed] = solve(np.block([[h.real, -h.imag], [h.imag, h.real]]))[:, ::2]
-    values[~embed] = _stacked_jacobi(a.real[~embed])  # none for one matrix
+    if not embed.all():  # when every matrix is complex, one matrix included, no real stack is left
+        values[~embed] = _stacked_jacobi(a.real[~embed])
     return values.reshape(batch + (n,))
 
 

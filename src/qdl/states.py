@@ -152,6 +152,4 @@ def scenario_density(params: ScenarioParams, scenario: Scenario) -> np.ndarray:
 
 def _decohere_stack(psi: np.ndarray, axis: int, weights: np.ndarray) -> np.ndarray:
     """Append an environment factor entangled with factor ``axis`` of each stacked state."""
-    psi = np.moveaxis(psi, axis, 1)
-    new = np.einsum("nk...,nke->nk...e", psi, weights)
-    return np.moveaxis(new, 1, axis)
+    return np.einsum("nk...,nke->nk...e" if axis == 1 else "njk...,nke->njk...e", psi, weights)

@@ -12,7 +12,7 @@ import pytest
 from qdl.bell import MAX_RESTARTS, horodecki_bmax, violates_chsh, violation_threshold
 from qdl.cli import main
 from qdl import figures
-from qdl.figures import FIGURES, _fmt, _format_chunk, write_figure_csv
+from qdl.figures import DEFAULT_RESOLUTION, FIGURES, _fmt, _format_chunk, write_figure_csv
 from qdl.infotheory import mutual_information
 from qdl.states import Scenario, ScenarioParams, scenario_density
 from qdl.verify import MAX_RESOLUTION as VERIFY_MAX_RESOLUTION
@@ -199,6 +199,84 @@ def value_columns(draw):
 def test_chunk_text_equals_rows_joined_from_fmt(columns):
     expected = "".join(",".join(_fmt(v) for v in row) + "\n" for row in zip(*columns))
     assert _format_chunk(columns) == expected
+
+
+def _rows_from_fmt(columns) -> str:
+    return "".join(",".join(_fmt(v) for v in row) + "\n" for row in zip(*columns))
+
+
+def _near_tie(m: int, side: int) -> float:
+    """The float nearest (m + 1/2) * 1e-9, a tie of the 9th decimal, or the float one ulp below or above it."""
+    tie = (m + 0.5) / 1e9
+    return float(np.nextafter(tie, side * math.inf)) if side else tie
+
+
+# Values the fixed-point kernel may see: [0, 8), the exact ties k / 1024, the floats at and one ulp
+# around the ties (m + 1/2) * 1e-9, points just past the kernel's tie guard, the top of the range and +-0.0
+KERNEL_VALUES = st.one_of(
+    st.floats(0.0, 8.0, exclude_max=True),
+    st.sampled_from([0.0, -0.0, 7.9999999995, 7.999999999, np.nextafter(8.0, 0.0), 5e-324]),
+    st.integers(0, 8 * 1024 - 1).map(lambda k: k / 1024),
+    st.builds(_near_tie, st.integers(0, 8 * 10**9 - 1), st.sampled_from([-1, 0, 1])),
+    st.builds(lambda m, off: (m + 0.5 + off) / 1e9, st.integers(0, 8 * 10**9 - 1), st.sampled_from([-2e-6, 2e-6])),
+)
+
+
+@st.composite
+def kernel_columns(draw):
+    rows = draw(st.sampled_from([1, 7, 1024]))
+    kinds = draw(st.lists(st.booleans(), min_size=1, max_size=5))
+    return tuple(
+        draw(hnp.arrays(bool, rows) if is_bool else hnp.arrays(np.float64, rows, elements=KERNEL_VALUES))
+        for is_bool in kinds
+    )
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(kernel_columns())
+def test_chunk_text_in_the_kernel_range_equals_rows_joined_from_fmt(columns):
+    assert _format_chunk(columns) == _rows_from_fmt(columns)
+
+
+def _uniform_chunk(rows=1024):
+    rng = np.random.default_rng(7)
+    flags = rng.random(rows) < 0.5
+    return (rng.uniform(0.0, 8.0, rows), rng.uniform(0.0, 1.0, rows), flags, rng.uniform(0.0, 2.0, rows))
+
+
+def _count_kernel_calls(monkeypatch) -> list:
+    calls, kernel = [], figures._fixed_point_text
+    monkeypatch.setattr(figures, "_fixed_point_text", lambda *a: calls.append(1) or kernel(*a))
+    return calls
+
+
+def test_chunk_of_values_in_range_takes_the_fixed_point_kernel(monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
+    for rows in (1, 7, 1024):
+        columns = _uniform_chunk(rows)
+        assert _format_chunk(columns) == _rows_from_fmt(columns)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("bad", [-1e-12, -1.0, math.nan, 8.0, 1e300, math.inf, 1 / 1024, _near_tie(123456789, 0)])
+@pytest.mark.parametrize("column", [0, 3])
+def test_one_value_outside_the_kernel_sends_the_whole_chunk_through_the_template(bad, column, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the chunk reached the fixed-point kernel")
+
+    monkeypatch.setattr(figures, "_fixed_point_text", refuse)
+    columns = _uniform_chunk()
+    columns[column][500] = bad
+    text = _format_chunk(columns)
+    assert text == _rows_from_fmt(columns)
+    assert text.splitlines()[500].split(",")[column] == _fmt(bad)
+
+
+def test_every_figure_chunk_at_the_default_resolution_takes_the_fixed_point_kernel(tmp_path, monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
+    for n in FIGURES:
+        write_figure_csv(n, DEFAULT_RESOLUTION, str(tmp_path / "fig.csv"))
+    assert len(calls) == len(FIGURES) * math.ceil(DEFAULT_RESOLUTION**2 / figures.CHUNK_POINTS)
 
 
 def test_figure_rejects_low_resolution(tmp_path, capsys):

@@ -399,13 +399,26 @@ def test_one_matrix_in_a_stack_runs_the_one_matrix_loop(stack, kind, monkeypatch
     m = m.real if kind is float else m
     single = hermitian_eigenvalues(m)
 
-    def refuse(a):  # a complex matrix leaves the stacked loop an empty stack of real ones
-        assert len(a) == 0, "one matrix reached the stacked loop"
-        return np.empty((0, a.shape[-1]))
+    def refuse(a):
+        raise AssertionError(f"one matrix reached the stacked loop as a {a.shape} stack")
 
     monkeypatch.setattr(linalg, "_stacked_jacobi", refuse)
     values = hermitian_eigenvalues(m.reshape(stack + m.shape))
     assert values.shape == stack + (4,) and values.tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("count", [None, 3])
+def test_all_complex_input_leaves_the_stacked_loop_no_real_stack(count, monkeypatch):
+    # every matrix goes through its embedding: one (4, 4) matrix runs no stacked loop at all,
+    # a (3, 4, 4) stack runs it once, on its (3, 8, 8) embeddings and not on an empty real stack
+    rng = np.random.default_rng(6)
+    m = random_hermitian(rng, 4) if count is None else np.stack([random_hermitian(rng, 4) for _ in range(count)])
+    singles = [hermitian_eigenvalues(x) for x in m.reshape(-1, 4, 4)]
+    calls, stacked = [], linalg._stacked_jacobi
+    monkeypatch.setattr(linalg, "_stacked_jacobi", lambda a: calls.append(a.shape) or stacked(a))
+    values = hermitian_eigenvalues(m)
+    assert calls == ([] if count is None else [(3, 8, 8)])
+    assert values.shape == m.shape[:-1] and values.tobytes() == np.stack(singles).reshape(values.shape).tobytes()
 
 
 def test_stacked_eigensystem_reports_non_convergence(monkeypatch):

@@ -5,10 +5,10 @@ and a column function.  The column function maps the flattened grid
 coordinates of a chunk of points to its value columns, evaluating every
 point of the chunk through the stacked (N, 4, 4) layers at once.  Rows are written in row-major
 axis order, one chunk of at most CHUNK_POINTS points at a time; each chunk is one float table,
-formatted as a whole and written at once.  A table whose values all lie in [0, 8), none within
-1e-6 of a rounding tie once scaled by 1e9, is printed by a numpy fixed-point kernel from the
-integers rint(x * 1e9), which give '%.9f''s correctly rounded digits there; any other table by a
-single '%' over a per-row line template.
+formatted as a whole and written at once.  A table whose values all lie in [0, 8), none scaled
+by 1e9 to exactly a half-integer, is printed by a numpy fixed-point kernel from the integers
+rint(x * 1e9), which give '%.9f''s correctly rounded digits there; any other table by a single
+'%' over a per-row line template.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ MIN_RESOLUTION = 11
 DEFAULT_RESOLUTION = 41
 MAX_RESOLUTION = 1001  # resolution^2 rows: about 1e6 rows, some 40 MB of CSV
 CHUNK_POINTS = 1024
-_TIE_GUARD = 1e-6  # least distance of x * 1e9 from a half-integer for the fixed-point kernel
 # row k: the 3 ASCII digits of k, viewed as one 3-byte item so that a lookup is a 1-D take
 _DIGITS = (np.arange(1000)[:, None] // np.array([100, 10, 1]) % 10 + ord("0")).astype(np.uint8).view("V3").ravel()
 
@@ -108,7 +107,7 @@ def _grid_chunks(line: np.ndarray, n_axes: int) -> Iterator[tuple[np.ndarray, ..
 def _format_chunk(columns: tuple) -> str:
     """CSV lines of equal-length columns as ``_fmt`` writes them.
 
-    A chunk whose values all lie in [0, 8), each far enough from a rounding tie,
+    A chunk whose values all lie in [0, 8), none scaled to a rounding tie,
     goes through ``_fixed_point_text``; any other through one '%' over a per-row
     line template: '%.9f' shares f"{x:.9f}"'s formatter, adding 0.0 turns -0.0
     into 0.0, and a bool column (as 1.0 or 0.0) prints through '%d'.
@@ -117,9 +116,11 @@ def _format_chunk(columns: tuple) -> str:
     table = np.column_stack([np.asarray(c, dtype=float) for c in columns]) + 0.0
     values = table[:, [not f for f in flags]]
     if ((values >= 0.0) & (values < 8.0)).all():  # NaN fails both; checked before scaling, which could overflow
-        scaled = values * 1e9  # below 2**33, off the exact product by at most 2**-21 < 4.8e-7
+        scaled = values * 1e9
         units = np.rint(scaled)
-        if (np.abs(np.abs(scaled - units) - 0.5) > _TIE_GUARD).all():
+        # Rounding x * 1e9 to a float is monotone, x * 1e9 < 2**33 and every m + 1/2 below 2**52 is a float, so the
+        # rounded product keeps the exact one's side of each half-integer unless it lands on one; rint is then exact.
+        if (np.abs(scaled - units) != 0.5).all():
             return _fixed_point_text(table, flags, units.astype(np.int64))
     line = ",".join("%d" if f else "%.9f" for f in flags) + "\n"
     return (line * len(table)) % tuple(table.ravel().tolist())

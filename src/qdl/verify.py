@@ -1,7 +1,7 @@
 """Verification suites: numeric cross-checks of every closed-form relation,
 boundary, region claim and published-formula discrepancy the package handles.
 
-Each suite returns a SuiteResult with a max residual and a pass flag; the
+Each suite returns a SuiteResult with a max residual, which passes below its tolerance; the
 discrepancy probes additionally carry a table of printed-vs-adopted values so
 that no adjudicated formula is patched silently.
 """
@@ -53,10 +53,10 @@ class SuiteResult:
     name: str
     max_residual: float
     tolerance: float
-    passed: bool
     lines: list[str] = field(default_factory=list)
     worst_point: dict | None = None  # scenario and live knobs of the largest residual
     points: int = 0  # number of residuals the maximum was taken over
+    passed = property(lambda self: self.max_residual < self.tolerance)  # a NaN residual fails
 
 
 class _Chunk:
@@ -96,11 +96,12 @@ def _chunk(scenario: Scenario, **knobs) -> _Chunk:
     return chunk
 
 
-def _grid(scenario: Scenario, steps: int):
-    """The scenario's grid over its live knobs in row-major order, as chunks (`_chunk`)."""
-    axes = _AXES[scenario]
-    for line in _grid_chunks(np.linspace(0.0, 1.0, steps), len(axes)):
-        yield _chunk(scenario, **dict(zip(axes, line)))
+def _grid(steps: int, *scenarios: Scenario):
+    """Each scenario's grid over its live knobs in row-major order, as chunks (`_chunk`)."""
+    for scenario in scenarios:
+        axes = _AXES[scenario]
+        for line in _grid_chunks(np.linspace(0.0, 1.0, steps), len(axes)):
+            yield _chunk(scenario, **dict(zip(axes, line)))
 
 
 def _reduce(name: str, tolerance: float, pairs) -> SuiteResult:
@@ -114,7 +115,7 @@ def _reduce(name: str, tolerance: float, pairs) -> SuiteResult:
             worst = float(residual[k])
             point = {"scenario": c.scenario.value, **{a: float(getattr(c.coords, a)[k]) for a in _AXES[c.scenario]}}
     worst = float(np.maximum(0.0, worst))  # np.maximum keeps a NaN
-    return SuiteResult(name, worst, tolerance, worst < tolerance, [], point, points)
+    return SuiteResult(name, worst, tolerance, [], point, points)
 
 
 def _boundary(scenario: Scenario, **robustness) -> _Chunk:
@@ -124,28 +125,21 @@ def _boundary(scenario: Scenario, **robustness) -> _Chunk:
     return _chunk(scenario, d=d, **robustness)
 
 
-def _residuals(scenarios, steps: int, residual):
-    """Pairs (chunk, residual(chunk)) over the grid of each scenario."""
-    for scenario in scenarios:
-        for chunk in _grid(scenario, steps):
-            yield chunk, residual(chunk)
-
-
 def suite_identities(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     """Complementarity identities of all four scenarios, analytic visibility."""
-    residuals = _residuals(_AXES, resolution, lambda c: _identity_residual(c.scenario, c.coords, c.visibility))
+    residuals = ((c, _identity_residual(c.scenario, c.coords, c.visibility)) for c in _grid(resolution, *_AXES))
     return _reduce("identities", IDENTITY_TOL, residuals)
 
 
 def suite_sweep_agreement(resolution: int = SWEEP_RESOLUTION) -> SuiteResult:
     """Fringe-definition visibility (phase sweep) against the analytic shortcut."""
-    gaps = _residuals(_AXES, resolution, lambda c: np.abs(visibility_sweep(c.rho).visibility - c.visibility))
+    gaps = ((c, np.abs(visibility_sweep(c.rho).visibility - c.visibility)) for c in _grid(resolution, *_AXES))
     return _reduce("visibility_sweep", 1e-5, gaps)
 
 
 def suite_closed_form(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     """Analytic B_max of each scenario against the matrix-route Horodecki value."""
-    gaps = _residuals(_AXES, resolution, lambda c: np.abs(bell_closed_form(c.scenario, c.coords) - c.bmax))
+    gaps = ((c, np.abs(bell_closed_form(c.scenario, c.coords) - c.bmax)) for c in _grid(resolution, *_AXES))
     return _reduce("bell_closed_form", CLOSED_FORM_TOL, gaps)
 
 
@@ -156,7 +150,7 @@ def suite_brute(resolution: int = BRUTE_RESOLUTION, restarts: int = 32, seed: in
     max(b_horodecki - b_brute, b_brute - b_horodecki - 1e-6, 0).  The states
     of every scenario share one see-saw, in which each runs the sweeps it would run alone.
     """
-    chunks = [chunk for scenario in _AXES for chunk in _grid(scenario, resolution)]
+    chunks = list(_grid(resolution, *_AXES))
     rho = np.concatenate([chunk.rho for chunk in chunks])
     settings, _ = _seesaw(rho, restarts, seed)
     b_brute = chsh_value(rho, *np.moveaxis(settings, 1, 0))
@@ -183,28 +177,22 @@ def suite_ppt_region(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     Residual is the number of misclassified grid points; a pass also requires
     at least one entangled-but-nonviolating point in the meter scenario (the
     hidden-nonlocality gap).  The gap needs an interior meter point, so it is
-    searched on a grid of at least 3 steps per axis.
+    searched on the meter grid of max(resolution, 3) steps per axis.
     """
-    mismatches = 0
-    gap_found = False
-    gap_steps = max(resolution, 3)
-    grids = [(Scenario.SYSTEM, resolution), (Scenario.METER, resolution)]
-    if gap_steps != resolution:
-        grids.append((Scenario.METER, gap_steps))
-    for scenario, steps in grids:
-        robustness = _AXES[scenario][1]
-        for chunk in _grid(scenario, steps):
-            coords, rep = chunk.coords, chunk.ppt
-            expected = (coords.d > REGION_MARGIN) & (getattr(coords, robustness) > REGION_MARGIN)
-            entangled = rep.negativity > NEGATIVITY_TOL
-            if steps == resolution:
-                single_negative = np.sum(rep.ppt_spectrum < -NEGATIVITY_TOL, axis=-1) == 1
-                mismatches += int(np.sum(entangled != expected)) + int(np.sum(entangled & expected & ~single_negative))
-            if scenario is Scenario.METER and steps == gap_steps:
-                gap_found |= bool(np.any(entangled & expected & ~violates_chsh(chunk.bmax)))
-    if not gap_found:
-        mismatches += 1
-    return SuiteResult("ppt_region", float(mismatches), 0.5, mismatches == 0)
+
+    def check(chunk):  # (misclassified points, whether an entangled meter point does not violate CHSH)
+        coords, rep = chunk.coords, chunk.ppt
+        expected = (coords.d > REGION_MARGIN) & (getattr(coords, _AXES[chunk.scenario][1]) > REGION_MARGIN)
+        entangled = rep.negativity > NEGATIVITY_TOL
+        single_negative = np.sum(rep.ppt_spectrum < -NEGATIVITY_TOL, axis=-1) == 1
+        both = entangled & expected
+        wrong = int(np.sum(entangled != expected)) + int(np.sum(both & ~single_negative))
+        return wrong, chunk.scenario is Scenario.METER and bool(np.any(both & ~violates_chsh(chunk.bmax)))
+
+    checks = [check(chunk) for chunk in _grid(resolution, Scenario.SYSTEM, Scenario.METER)]
+    gaps = checks if resolution > 2 else [check(chunk) for chunk in _grid(3, Scenario.METER)]
+    mismatches = sum(wrong for wrong, _ in checks) + (not any(hidden for _, hidden in gaps))
+    return SuiteResult("ppt_region", float(mismatches), 0.5)
 
 
 def suite_entropy_forms(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
@@ -217,7 +205,7 @@ def suite_entropy_forms(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
 
     boundary = _boundary(Scenario.SYSTEM, r_s=np.linspace(0.0, 1.0, resolution))
     threshold_gap = np.abs(info_threshold(Scenario.SYSTEM, boundary.coords.r_s) - boundary.info.i_ab)
-    grids = _residuals((Scenario.SYSTEM, Scenario.METER), resolution, gap)
+    grids = ((c, gap(c)) for c in _grid(resolution, Scenario.SYSTEM, Scenario.METER))
     return _reduce("entropy_closed_forms", ENTROPY_TOL, [*grids, (boundary, threshold_gap)])
 
 
@@ -230,7 +218,7 @@ def suite_threshold_consistency(resolution: int = DEFAULT_RESOLUTION) -> SuiteRe
     wherever the visibility itself degenerates).
     """
     mismatches = 0
-    for chunk in _grid(Scenario.SYSTEM, resolution):
+    for chunk in _grid(resolution, Scenario.SYSTEM):
         d, r = chunk.coords.d, chunk.coords.r_s
         bell = violates_chsh(chunk.bmax)
         info = chunk.info.i_ab > info_threshold(Scenario.SYSTEM, r)
@@ -239,18 +227,17 @@ def suite_threshold_consistency(resolution: int = DEFAULT_RESOLUTION) -> SuiteRe
         mismatches += int(np.sum(off_boundary & ((geometric != bell) | (bell != info))))
         v, lrt = chunk.visibility, 1.0 - d * d
         mismatches += int(np.sum((np.abs(v - lrt) > REGION_MARGIN) & ((v > lrt) != bell)))
-    return SuiteResult("info_threshold_consistency", float(mismatches), 0.5, mismatches == 0)
+    return SuiteResult("info_threshold_consistency", float(mismatches), 0.5)
 
 
 def probe_predictability(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     """Adjudicate P = |1-2r| against the published P = sqrt|1-2r| via identity (V^2/(1-P^2) + D^2 = 1)."""
 
-    def identity(p_of):  # the SuiteResult of the identity with P = p_of(r)
-        def residual(chunk):
-            p = p_of(chunk.coords.r)
-            return _ratio_residual(chunk.visibility, 1.0 - p * p, chunk.coords.d)
+    chunks = list(_grid(resolution, Scenario.FREE))  # held, so that both forms read one build of the grid
 
-        return _reduce("discrepancy_p_definition", IDENTITY_TOL, _residuals([Scenario.FREE], resolution, residual))
+    def identity(p_of):  # the SuiteResult of the identity with P = p_of(r)
+        residuals = ((c, _ratio_residual(c.visibility, 1.0 - p_of(c.coords.r) ** 2, c.coords.d)) for c in chunks)
+        return _reduce("discrepancy_p_definition", IDENTITY_TOL, residuals)
 
     res, printed = identity(predictability), identity(lambda r: np.sqrt(predictability(r)))
     res.lines = [
@@ -271,7 +258,7 @@ def probe_ppt_polarity(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     """
     entangled_points = 0
     with_negative_eig = 0
-    for chunk in _grid(Scenario.SYSTEM, resolution):
+    for chunk in _grid(resolution, Scenario.SYSTEM):
         coords, rep = chunk.coords, chunk.ppt
         entangled = (coords.d > 0.0) & (coords.r_s > 0.0) & (rep.negativity > NEGATIVITY_TOL)
         entangled_points += int(np.sum(entangled))
@@ -283,31 +270,28 @@ def probe_ppt_polarity(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
         "  standard polarity adopted (separable iff PT spectrum nonnegative);",
         "  the published criterion sentence states the inverse and is rejected.",
     ]
-    return SuiteResult("discrepancy_ppt_polarity", float(mism), 0.5, mism == 0, lines)
+    return SuiteResult("discrepancy_ppt_polarity", float(mism), 0.5, lines)
 
 
 def probe_meter_entropy_form(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     """Quantify the published meter-scenario S_B against the matrix route."""
-    chunks, samples, worst_printed = [], [], 0.0
-    for chunk in _grid(Scenario.METER, resolution):
-        coords, s_b = chunk.coords, chunk.info.s_b
-        adopted = entropy_closed_form(Scenario.METER, coords).s_b
-        printed = printed_meter_s_b(coords)
-        chunks.append((chunk, np.abs(adopted - s_b)))
-        dev = np.abs(printed - s_b)
-        k = int(np.argmax(dev))
-        if dev[k] > worst_printed:
-            worst_printed = float(dev[k])
-            samples = [
-                f"  worst point d={coords.d[k]:.3f} r_m={coords.r_m[k]:.3f}: matrix S_B={s_b[k]:.9f}"
-                f" printed={printed[k]:.9f} adopted={adopted[k]:.9f}"
-            ]
-    res = _reduce("discrepancy_meter_s_b", ENTROPY_TOL, chunks)
+    chunks = list(_grid(resolution, Scenario.METER))  # held, so that both forms read one build of the grid
+
+    def deviation(s_b_of):  # the reduced |S_B - matrix S_B| with S_B = s_b_of(coords)
+        gaps = ((c, np.abs(s_b_of(c.coords) - c.info.s_b)) for c in chunks)
+        return _reduce("discrepancy_meter_s_b", ENTROPY_TOL, gaps)
+
+    res = deviation(lambda coords: entropy_closed_form(Scenario.METER, coords).s_b)
+    printed = deviation(printed_meter_s_b)
+    p = printed.worst_point
+    c, k = next((c, k) for c in chunks for k in np.flatnonzero((c.coords.d == p["d"]) & (c.coords.r_m == p["r_m"])))
     res.lines = [
         "meter-scenario S_B closed form:",
         f"  adopted radical (1-d^2)(1-d^2(1-r^2)): max |S_B - matrix| = {res.max_residual:.3e}",
-        f"  printed radical (1-d^2)^2 (1-r^2):     max |S_B - matrix| = {worst_printed:.3e}  (rejected)",
-        *samples,
+        f"  printed radical (1-d^2)^2 (1-r^2):     max |S_B - matrix| = {printed.max_residual:.3e}  (rejected)",
+        f"  worst point d={p['d']:.3f} r_m={p['r_m']:.3f}: matrix S_B={c.info.s_b[k]:.9f}"
+        f" printed={printed_meter_s_b(c.coords)[k]:.9f}"
+        f" adopted={entropy_closed_form(Scenario.METER, c.coords).s_b[k]:.9f}",
     ]
     return res
 
@@ -328,7 +312,7 @@ def probe_meter_threshold_form() -> SuiteResult:
     lines.append("  numeric definition adopted; the published signs do not form an entropy.")
     worst_closed = float(np.max(gaps, initial=0.0))  # keeps a NaN, which fails the suite
     lines.append(f"  (numeric value equals the entropy h(1/2 + sqrt2 r^2 / (2 sqrt(1-r^2))) to {worst_closed:.1e})")
-    return SuiteResult("discrepancy_info_threshold", worst_closed, ENTROPY_TOL, worst_closed < ENTROPY_TOL, lines)
+    return SuiteResult("discrepancy_info_threshold", worst_closed, ENTROPY_TOL, lines)
 
 
 def probe_threshold_sign(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
@@ -338,7 +322,7 @@ def probe_threshold_sign(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     exactly on B_max = 2; the flipped sign mostly leaves the admissible range
     or misses the boundary.
     """
-    chunks, flipped_valid, flipped_total, worst_flipped = [], 0, 0, 0.0
+    chunks, flipped, flipped_total = [], [], 0
     for r_s, r_m in _grid_chunks(np.linspace(0.0, 1.0, resolution), 2):
         boundary = _boundary(Scenario.COMBINED, r_s=r_s, r_m=r_m)
         chunks.append((boundary, np.abs(boundary.bmax - 2.0)))
@@ -351,15 +335,15 @@ def probe_threshold_sign(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
         x = alpha / 2.0 + np.sqrt(np.maximum(0.0, disc))
         valid = inside & (disc >= 0.0) & (x >= 0.0) & (x <= 1.0)  # the flipped threshold lies in [0, 1]
         if valid.any():
-            flipped_valid += int(np.sum(valid))
-            rho_f = scenario_densities(Scenario.COMBINED, d=np.sqrt(x[valid]), r_s=a[valid], r_m=b[valid])
-            worst_flipped = max(worst_flipped, float(np.max(np.abs(horodecki_bmax(rho_f) - 2.0))))
+            states = _Chunk(Scenario.COMBINED, {"d": np.sqrt(x[valid]), "r_s": a[valid], "r_m": b[valid]})
+            flipped.append((states, np.abs(states.bmax - 2.0)))
     res = _reduce("discrepancy_threshold_sign", BOUNDARY_TOL, chunks)
+    rejected = _reduce("discrepancy_threshold_sign", BOUNDARY_TOL, flipped)
     res.lines = [
         "combined-scenario threshold sign adjudication:",
         f"  printed '+beta' sign: max |B_max - 2| on the threshold surface = {res.max_residual:.3e}  (confirmed)",
-        f"  flipped '-beta' sign: admissible at {flipped_valid}/{flipped_total} grid points,"
-        f" max |B_max - 2| where admissible = {worst_flipped:.3e}  (rejected)",
+        f"  flipped '-beta' sign: admissible at {rejected.points}/{flipped_total} grid points,"
+        f" max |B_max - 2| where admissible = {rejected.max_residual:.3e}  (rejected)",
     ]
     return res
 
@@ -419,7 +403,6 @@ def run_suites(
             res = SUITES[name](*args)
             if tolerance_override is not None:
                 res.tolerance = tolerance_override
-                res.passed = res.max_residual < tolerance_override
             results.append(res)
     finally:
         _TABLE.reset(table)

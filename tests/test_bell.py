@@ -398,7 +398,7 @@ def test_seesaw_equals_reference_bit_for_bit(sweeps, restarts, seed, monkeypatch
 
 def test_seesaw_equals_reference_on_the_brute_grid():
     """As above, over the whole brute-suite grid at the default budget."""
-    rho = np.concatenate([chunk.rho for scenario in _AXES for chunk in _grid(scenario, BRUTE_RESOLUTION)])
+    rho = np.concatenate([chunk.rho for chunk in _grid(BRUTE_RESOLUTION, *_AXES)])
     plain, converged = _assert_plain_phase_bits_and_no_loss(rho, 32, 0)
     assert plain.any() and not plain.all()
     assert converged.all()

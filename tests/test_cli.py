@@ -212,7 +212,7 @@ def _near_tie(m: int, side: int) -> float:
 
 
 # Values the fixed-point kernel may see: [0, 8), the exact ties k / 1024, the floats at and one ulp
-# around the ties (m + 1/2) * 1e-9, points just past the kernel's tie guard, the top of the range and +-0.0
+# around the ties (m + 1/2) * 1e-9, points 2e-6 from such a tie once scaled, the top of the range and +-0.0
 KERNEL_VALUES = st.one_of(
     st.floats(0.0, 8.0, exclude_max=True),
     st.sampled_from([0.0, -0.0, 7.9999999995, 7.999999999, np.nextafter(8.0, 0.0), 5e-324]),
@@ -256,6 +256,19 @@ def test_chunk_of_values_in_range_takes_the_fixed_point_kernel(monkeypatch):
         columns = _uniform_chunk(rows)
         assert _format_chunk(columns) == _rows_from_fmt(columns)
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("m", [0, 1, 123456789, 8 * 10**9 - 1])
+@pytest.mark.parametrize("side", [-1, 1])
+def test_a_value_one_ulp_from_a_tie_stays_in_the_fixed_point_kernel(m, side, monkeypatch):
+    # its product with 1e9 lies within 1e-6 of the half-integer m + 1/2 but not on it
+    calls = _count_kernel_calls(monkeypatch)
+    columns = _uniform_chunk()
+    columns[0][500] = _near_tie(m, side)
+    text = _format_chunk(columns)
+    assert (text, len(calls)) == (_rows_from_fmt(columns), 1)
+    n = m + (side > 0)  # the 9-decimal rounding, times 1e9
+    assert text.splitlines()[500].split(",")[0] == f"{n // 10**9}.{n % 10**9:09d}"
 
 
 @pytest.mark.parametrize("bad", [-1e-12, -1.0, math.nan, 8.0, 1e300, math.inf, 1 / 1024, _near_tie(123456789, 0)])

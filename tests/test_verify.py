@@ -138,6 +138,40 @@ def test_meter_threshold_probe_fails_on_a_nan_gap(monkeypatch):
     assert result.lines[-1].endswith(" to nan)")
 
 
+def test_meter_s_b_probe_reports_a_nan_printed_form(monkeypatch):
+    (adopted,) = run_suites(names=["meter_entropy"])
+    monkeypatch.setattr(verify, "printed_meter_s_b", lambda coords: coords.d * math.nan)
+    (res,) = run_suites(names=["meter_entropy"])
+    assert res.lines[2].endswith("max |S_B - matrix| = nan  (rejected)")
+    assert res.lines[3].startswith("  worst point d=0.000 r_m=0.000:") and " printed=nan " in res.lines[3]
+    assert (res.max_residual, res.passed) == (adopted.max_residual, True)  # the verdict rests on the adopted form
+
+
+def test_threshold_sign_probe_reports_a_nan_flipped_form(monkeypatch):
+    (adopted,) = run_suites(names=["threshold_sign"])
+
+    def bmax(rho):  # NaN wherever B_max misses 2: on this grid only at states of the flipped threshold
+        b = horodecki_bmax(rho)
+        return np.where(np.abs(b - 2.0) > 1e-6, math.nan, b)
+
+    monkeypatch.setattr(verify, "horodecki_bmax", bmax)
+    (res,) = run_suites(names=["threshold_sign"])
+    assert res.lines[2].endswith(" where admissible = nan  (rejected)")
+    assert res.lines[2].split(",")[0] == adopted.lines[2].split(",")[0]  # the same admissible count
+    assert (res.max_residual, res.passed) == (adopted.max_residual, True)
+
+
+@pytest.mark.parametrize("tolerance", [None, 0, 0.5, 1e-15, 1])
+def test_a_verdict_is_the_residual_below_the_tolerance(tolerance):
+    results = run_suites(resolution=3, tolerance_override=tolerance)
+    assert len(results) == len(SUITES)
+    for res in results:
+        assert tolerance is None or res.tolerance == tolerance
+        assert res.passed == (res.max_residual < res.tolerance)
+        res.max_residual = math.nan
+        assert not res.passed
+
+
 def test_ppt_region_passes_on_the_coarsest_grid():
     (result,) = run_suites(resolution=2, names=["ppt"])
     assert result.passed and result.max_residual == 0.0

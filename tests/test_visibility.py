@@ -96,7 +96,7 @@ def test_stacked_sweep_equals_per_state_scans():
 
 
 def test_stacked_sweep_equals_per_state_scans_on_the_verify_sweep_grid():
-    rho = np.concatenate([chunk.rho for scenario in _AXES for chunk in _grid(scenario, SWEEP_RESOLUTION)])
+    rho = np.concatenate([chunk.rho for chunk in _grid(SWEEP_RESOLUTION, *_AXES)])
     assert rho.shape == (200, 4, 4)
     probabilities = visibility_sweep(rho).probabilities
     for k in range(len(rho)):
@@ -137,7 +137,7 @@ from qdl.visibility import visibility_sweep
 rng = np.random.default_rng(17)
 g = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
 print(hashlib.sha256((g[0] * g[1]).tobytes()).hexdigest())
-rho = np.concatenate([chunk.rho for scenario in _AXES for chunk in _grid(scenario, SWEEP_RESOLUTION)])
+rho = np.concatenate([chunk.rho for chunk in _grid(SWEEP_RESOLUTION, *_AXES)])
 digest = hashlib.sha256(visibility_sweep(rho).probabilities.tobytes())
 for state in rho:
     digest.update(visibility_sweep(state).probabilities.tobytes())

@@ -21,7 +21,7 @@ from qdl import (
 )
 
 params = ScenarioParams(d=0.8, r_s=0.7, r_m=0.5)
-psi = scenario_amplitudes(Scenario.COMBINED, d=params.d, r_s=params.r_s, r_m=params.r_m)[0]
+psi = scenario_amplitudes(Scenario.COMBINED, params)[0]
 print(f"joint state factors: ('A', 'B', 'ES', 'EM'), {psi.size} amplitudes")
 psi = psi.reshape(4, 4)  # rows: A(x)B, columns: ES(x)EM
 rho = psi @ psi.conj().T  # trace out both environments

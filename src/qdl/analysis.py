@@ -12,6 +12,11 @@ from .visibility import predictability, visibility_analytic
 
 @dataclass(frozen=True)
 class Classifications:
+    """Flags of one point.  lrt_explainable is the paper's criterion V <= 1 - d^2: it concerns CHSH
+    only, and it is the negation of chsh_violating only in system at d < 1.  Both are true at d = 1
+    unless the robustness is about 0, and in free at 0 < d <= P < 1; both are false at many points of
+    meter and combined.  Figure 3's column, the same criterion, has the same d = 1 row."""
+
     chsh_violating: bool
     lrt_explainable: bool
     entangled: bool

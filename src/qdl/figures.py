@@ -52,30 +52,30 @@ def _fmt(value) -> str:
 
 def _fig1(d: np.ndarray, u: np.ndarray) -> tuple:
     r = (1.0 - np.sqrt(1.0 - u * u)) / 2.0
-    return d, u, horodecki_bmax(scenario_densities(Scenario.FREE, r=r, d=d))
+    return d, u, horodecki_bmax(scenario_densities(Scenario.FREE, ScenarioParams(r=r, d=d)))
 
 
 def _fig2(o: np.ndarray, r: np.ndarray) -> tuple:
     d = np.sqrt(1.0 - o * o)
-    return o, r, horodecki_bmax(scenario_densities(Scenario.SYSTEM, d=d, r_s=r))
+    return o, r, horodecki_bmax(scenario_densities(Scenario.SYSTEM, ScenarioParams(d=d, r_s=r)))
 
 
 def _fig3(d: np.ndarray, r: np.ndarray) -> tuple:
-    v = visibility_analytic(scenario_densities(Scenario.SYSTEM, d=d, r_s=r))
+    v = visibility_analytic(scenario_densities(Scenario.SYSTEM, ScenarioParams(d=d, r_s=r)))
     return d, r, v, v <= 1.0 - d * d
 
 
 def _fig4(d: np.ndarray, r: np.ndarray) -> tuple:
-    rho = scenario_densities(Scenario.SYSTEM, d=d, r_s=r)
+    rho = scenario_densities(Scenario.SYSTEM, ScenarioParams(d=d, r_s=r))
     return d, r, mutual_information(rho).i_ab, violates_chsh(horodecki_bmax(rho))
 
 
 def _fig5(r: np.ndarray, d: np.ndarray) -> tuple:
-    return r, d, horodecki_bmax(scenario_densities(Scenario.METER, d=d, r_m=r))
+    return r, d, horodecki_bmax(scenario_densities(Scenario.METER, ScenarioParams(d=d, r_m=r)))
 
 
 def _fig6(d: np.ndarray, r: np.ndarray) -> tuple:
-    rho = scenario_densities(Scenario.METER, d=d, r_m=r)
+    rho = scenario_densities(Scenario.METER, ScenarioParams(d=d, r_m=r))
     return d, r, mutual_information(rho).i_ab, violates_chsh(horodecki_bmax(rho))
 
 

@@ -135,7 +135,8 @@ def info_threshold(scenario: Scenario, robustness: float | np.ndarray) -> float 
         d_boundary = violation_threshold(Scenario.METER, ScenarioParams(r_m=robustness))
         if isinstance(robustness, float) and d_boundary == 0.0:
             return None
-        i_ab = mutual_information(scenario_densities(Scenario.METER, d=d_boundary, r_m=robustness)).i_ab
+        boundary = ScenarioParams(d=d_boundary, r_m=robustness)
+        i_ab = mutual_information(scenario_densities(Scenario.METER, boundary)).i_ab
         return _float_or_array(np.where(d_boundary == 0.0, np.nan, i_ab.reshape(np.shape(robustness))))
     raise ValueError(f"no information threshold defined for scenario {scenario.value}")
 

@@ -48,10 +48,10 @@ class ScenarioParams:
     r_s   robustness of the system qubit against its environment
     r_m   robustness of the meter qubit against its environment
 
-    A knob may also be an array over many points, checked once as a whole.  If any
-    knob is an array, all four become new arrays of their broadcast shape (knob
-    shapes that do not broadcast raise ValueError), so every closed form returns
-    one value per point in that shape.  ``scenario_density`` takes one point.
+    A knob may also be an array over many points, checked once as a whole.  If any knob is
+    an array, all four become new arrays of their broadcast shape (knob shapes that do not
+    broadcast raise ValueError): each closed form gives one value per point in that shape,
+    each state builder one state per point; ``scenario_density`` takes one point.
     """
 
     r: float | np.ndarray = 0.5
@@ -110,15 +110,11 @@ def _checked_norms(psi: np.ndarray) -> np.ndarray:
     return psi
 
 
-def scenario_amplitudes(scenario: Scenario, *, r=0.5, d=0.0, r_s=1.0, r_m=1.0) -> np.ndarray:
-    """Pure states of the scenario over the broadcast knob arrays, before any trace.
-
-    Shape (N, 2, 2[, 2][, 2]): point k holds the k-th knob values (flattened in
-    C order), with factors in the order A, B, then ES if the system decoheres
-    and EM if the meter does.
-    """
-    knobs = ScenarioParams(r=r, d=d, r_s=r_s, r_m=r_m)
-    r, d, r_s, r_m = (np.reshape(knob, -1) for knob in (knobs.r, knobs.d, knobs.r_s, knobs.r_m))
+def scenario_amplitudes(scenario: Scenario, params: ScenarioParams) -> np.ndarray:
+    """Pure states of the scenario at the points of ``params`` (knobs flattened in C order), before
+    any trace: shape (N, 2, 2[, 2][, 2]), factors A, B, then ES if the system decoheres and EM if
+    the meter does."""
+    r, d, r_s, r_m = (np.reshape(knob, -1) for knob in (params.r, params.d, params.r_s, params.r_m))
     if scenario is not Scenario.FREE and np.any(r != 0.5):
         raise ValueError(f"scenario {scenario.value} requires the balanced path weight r = 1/2")
     # psi[n, a, b, environments...]: source on A, then B in |down> rotated on the A=down branch.
@@ -133,12 +129,10 @@ def scenario_amplitudes(scenario: Scenario, *, r=0.5, d=0.0, r_s=1.0, r_m=1.0) -
     return psi
 
 
-def scenario_densities(scenario: Scenario, *, r=0.5, d=0.0, r_s=1.0, r_m=1.0) -> np.ndarray:
-    """Stack of A(x)B density matrices over the broadcast knob arrays, shape (N, 4, 4).
-
-    Point k is the k-th state of ``scenario_amplitudes`` with its environments traced out.
-    """
-    psi = scenario_amplitudes(scenario, r=r, d=d, r_s=r_s, r_m=r_m)
+def scenario_densities(scenario: Scenario, params: ScenarioParams) -> np.ndarray:
+    """Stack of A(x)B density matrices at the points of ``params``, shape (N, 4, 4): the states
+    of ``scenario_amplitudes`` with their environments traced out."""
+    psi = scenario_amplitudes(scenario, params)
     psi = psi.reshape(len(psi), 4, math.prod(psi.shape[3:]))
     return psi @ psi.swapaxes(-1, -2)
 
@@ -147,7 +141,7 @@ def scenario_density(params: ScenarioParams, scenario: Scenario) -> np.ndarray:
     """The 4x4 A(x)B density matrix of one point: the one-point ``scenario_densities`` stack."""
     if isinstance(params.d, np.ndarray):  # if any knob is an array, all are
         raise ValueError("scenario_density takes one point; use scenario_densities for arrays of knobs")
-    return scenario_densities(scenario, r=params.r, d=params.d, r_s=params.r_s, r_m=params.r_m)[0]
+    return scenario_densities(scenario, params)[0]
 
 
 def _decohere_stack(psi: np.ndarray, axis: int, weights: np.ndarray) -> np.ndarray:

@@ -67,7 +67,7 @@ class _Chunk:
         self.scenario, self.coords = scenario, ScenarioParams(**knobs)
         # Built now, while a grid's consumer still holds the previous chunk: freed first, its
         # states would let malloc trim the heap and page the next stack in afresh.
-        self.rho = scenario_densities(scenario, **knobs)
+        self.rho = scenario_densities(scenario, self.coords)
         self.rho.flags.writeable = False  # shared by the suites of a run
         self.points = len(self.rho)
 

@@ -120,7 +120,7 @@ def _identity_residual(scenario: Scenario, params: ScenarioParams, v) -> float |
         return _float_or_array(np.abs(v * v + d * d - 1.0))
     res = _ratio_residual(v, params.r_s * params.r_s, d)
     if scenario is Scenario.SYSTEM:  # against the balanced, decoherence-free interferometer at the same d
-        v_free = visibility_analytic(scenario_densities(Scenario.FREE, d=d)).reshape(np.shape(d))
+        v_free = visibility_analytic(scenario_densities(Scenario.FREE, ScenarioParams(d=d))).reshape(np.shape(d))
         below = d < 1.0
         res = np.where(below, np.maximum(res, np.abs(v / np.where(below, v_free, 1.0) - params.r_s)), res)
     return _float_or_array(res)

@@ -265,7 +265,8 @@ def test_stacked_seesaw_equals_per_point_calls(sweeps, monkeypatch):
 
 def test_stacked_chsh_value_equals_per_state_calls():
     rng = np.random.default_rng(37)
-    rho = scenario_densities(Scenario.COMBINED, d=rng.uniform(0, 1, 12), r_s=rng.uniform(0, 1, 12), r_m=0.3)
+    params = ScenarioParams(d=rng.uniform(0, 1, 12), r_s=rng.uniform(0, 1, 12), r_m=0.3)
+    rho = scenario_densities(Scenario.COMBINED, params)
     vs = rng.standard_normal((4, 12, 3))
     vs /= np.linalg.norm(vs, axis=-1, keepdims=True)
     stacked = chsh_value(rho, *vs)

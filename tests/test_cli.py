@@ -205,31 +205,46 @@ def _rows_from_fmt(columns) -> str:
     return "".join(",".join(_fmt(v) for v in row) + "\n" for row in zip(*columns))
 
 
-def _near_tie(m: int, side: int) -> float:
-    """The float nearest (m + 1/2) * 1e-9, a tie of the 9th decimal, or the float one ulp below or above it."""
-    tie = (m + 0.5) / 1e9
-    return float(np.nextafter(tie, side * math.inf)) if side else tie
+def _near_tie(m, side):
+    """The float nearest (m + 1/2) * 1e-9, a tie of the 9th decimal, or the float one ulp below or above it
+    (side 0, -1 or 1); elementwise over arrays of m and side."""
+    tie = (np.asarray(m) + 0.5) / 1e9
+    return np.where(side == 0, tie, np.nextafter(tie, np.where(np.asarray(side) < 0, -np.inf, np.inf)))[()]
 
 
-# Values the fixed-point kernel may see: [0, 8), the exact ties k / 1024, the floats at and one ulp
-# around the ties (m + 1/2) * 1e-9, points 2e-6 from such a tie once scaled, the top of the range and +-0.0
-KERNEL_VALUES = st.one_of(
-    st.floats(0.0, 8.0, exclude_max=True),
-    st.sampled_from([0.0, -0.0, 7.9999999995, 7.999999999, np.nextafter(8.0, 0.0), 5e-324]),
-    st.integers(0, 8 * 1024 - 1).map(lambda k: k / 1024),
-    st.builds(_near_tie, st.integers(0, 8 * 10**9 - 1), st.sampled_from([-1, 0, 1])),
-    st.builds(lambda m, off: (m + 0.5 + off) / 1e9, st.integers(0, 8 * 10**9 - 1), st.sampled_from([-2e-6, 2e-6])),
+# Classes of the values the fixed-point kernel may see, each a builder of n values from a numpy generator:
+# [0, 8) uniformly and in magnitude down to the subnormals, the top of the range, +-0.0 and the least subnormal,
+# the exact ties k / 1024, the floats at and one ulp around the ties (m + 1/2) * 1e-9, points 2e-6 from such a
+# tie once scaled, and at the lower edge of the range negatives that print as -0.000000000
+KERNEL_VALUES = (
+    lambda rng, n: rng.uniform(0.0, 8.0, n),
+    lambda rng, n: rng.uniform(0.0, 8.0, n) * 2.0 ** -rng.integers(0, 1075, n),
+    lambda rng, n: rng.choice([0.0, -0.0, 7.9999999995, 7.999999999, np.nextafter(8.0, 0.0), 5e-324], n),
+    lambda rng, n: rng.integers(0, 8 * 1024, n) / 1024,
+    lambda rng, n: _near_tie(rng.integers(0, 8 * 10**9, n), rng.integers(-1, 2, n)),
+    lambda rng, n: (rng.integers(0, 8 * 10**9, n) + 0.5 + rng.choice([-2e-6, 2e-6], n)) / 1e9,
+    lambda rng, n: rng.choice([-5e-324, -1e-12, -4.9e-10], n),
 )
 
 
 @st.composite
 def kernel_columns(draw):
+    """Columns built with numpy from a drawn description: row count, column kinds, the classes of
+    KERNEL_VALUES that the float columns mix, and a seed."""
     rows = draw(st.sampled_from([1, 7, 1024]))
     kinds = draw(st.lists(st.booleans(), min_size=1, max_size=5))
-    return tuple(
-        draw(hnp.arrays(bool, rows) if is_bool else hnp.arrays(np.float64, rows, elements=KERNEL_VALUES))
-        for is_bool in kinds
-    )
+    mix = np.array(draw(st.lists(st.integers(0, len(KERNEL_VALUES) - 1), min_size=1, max_size=len(KERNEL_VALUES))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for is_bool in kinds:
+        if is_bool:
+            columns.append(rng.random(rows) < 0.5)
+            continue
+        classes, values = rng.choice(mix, rows), np.empty(rows)
+        for k in np.unique(classes):
+            values[classes == k] = KERNEL_VALUES[k](rng, int(np.sum(classes == k)))
+        columns.append(values)
+    return tuple(columns)
 
 
 @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)

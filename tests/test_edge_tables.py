@@ -57,7 +57,7 @@ def test_b_max_is_two_within_8_ulps_of_the_violation_threshold_on_the_edge_table
     points = [(_ulps_from(d, k), r) for d, r in thresholds for k in steps]
     d, r = np.array([(d, r) for d, r in points if 0.0 <= d <= 1.0]).T
     closed = bell_closed_form(scenario, ScenarioParams(d=d, **{knob: r}))
-    horodecki = horodecki_bmax(scenario_densities(scenario, d=d, **{knob: r}))
+    horodecki = horodecki_bmax(scenario_densities(scenario, ScenarioParams(d=d, **{knob: r})))
     assert len(d) >= 8 * len(EDGE_TABLE)  # one side of each threshold at least
     assert np.max(np.abs(closed - 2.0)) < BOUNDARY_TOL
     assert np.max(np.abs(horodecki - 2.0)) < BOUNDARY_TOL
@@ -83,7 +83,7 @@ def test_array_meter_info_threshold_equals_its_one_value_calls_on_the_edge_table
 def test_combined_b_max_is_two_at_the_violation_threshold_on_the_edge_table():
     r_s, r_m = (a.ravel() for a in np.meshgrid([0.0, 0.5, 1.0], EDGE_TABLE, indexing="ij"))
     d = violation_threshold(Scenario.COMBINED, ScenarioParams(r_s=r_s, r_m=r_m))
-    b_max = horodecki_bmax(scenario_densities(Scenario.COMBINED, d=d, r_s=r_s, r_m=r_m))
+    b_max = horodecki_bmax(scenario_densities(Scenario.COMBINED, ScenarioParams(d=d, r_s=r_s, r_m=r_m)))
     assert np.max(np.abs(b_max - 2.0)) < BOUNDARY_TOL
 
 
@@ -105,7 +105,7 @@ EDGE_GRIDS = {
 def test_bell_closed_form_matches_horodecki_on_the_edge_table(scenario):
     knobs = EDGE_GRIDS[scenario]
     closed = bell_closed_form(scenario, ScenarioParams(**knobs))
-    b_max = horodecki_bmax(scenario_densities(scenario, **knobs))
+    b_max = horodecki_bmax(scenario_densities(scenario, ScenarioParams(**knobs)))
     assert np.max(np.abs(closed - b_max)) < CLOSED_FORM_TOL
 
 
@@ -113,7 +113,7 @@ def test_bell_closed_form_matches_horodecki_on_the_edge_table(scenario):
 def test_entropy_closed_form_matches_the_eigenvalue_route_on_the_edge_table(scenario):
     knobs = EDGE_GRIDS[scenario]
     closed = entropy_closed_form(scenario, ScenarioParams(**knobs))
-    matrix = mutual_information(scenario_densities(scenario, **knobs))
+    matrix = mutual_information(scenario_densities(scenario, ScenarioParams(**knobs)))
     for field in ("s_a", "s_b", "s_ab", "i_ab"):
         assert np.max(np.abs(getattr(closed, field) - getattr(matrix, field))) < ENTROPY_TOL, field
 

@@ -233,7 +233,7 @@ def test_stacked_layers_equal_single_point_calls():
     line = np.array([0.0, 1e-12, 0.3, 0.7, 1.0 - 1e-12, 1.0])
     d, r = np.repeat(line, line.size), np.tile(line, line.size)
     for scenario, knobs in ((Scenario.SYSTEM, {"r_s": r}), (Scenario.METER, {"r_m": r})):
-        stack = scenario_densities(scenario, d=d, **knobs)
+        stack = scenario_densities(scenario, ScenarioParams(d=d, **knobs))
         info = mutual_information(stack)
         b_max = horodecki_bmax(stack)
         v = visibility_analytic(stack)
@@ -251,7 +251,7 @@ def test_stacked_ppt_check_equals_single_point_calls():
     d, r_s, r_m = (axis.reshape(-1) for axis in np.meshgrid(line, line, line, indexing="ij"))
     for scenario in Scenario:
         knobs = {"r": 0.5 if scenario is not Scenario.FREE else r_s, "r_s": r_s, "r_m": r_m}
-        stack = scenario_densities(scenario, d=d, **knobs)
+        stack = scenario_densities(scenario, ScenarioParams(d=d, **knobs))
         rep = ppt_check(stack)
         assert rep.ppt_spectrum.shape == (d.size, 4)
         for k, rho in enumerate(stack):

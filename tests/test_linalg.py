@@ -238,8 +238,9 @@ def test_every_state_marginal_and_partial_transpose_the_package_builds_is_real(s
     # the isometries are real, so the package solves every one of these on the real loop as it is
     axes = _AXES[scenario]
     knobs = dict(zip(axes, (a.ravel() for a in np.meshgrid(*[GRID_41] * len(axes), indexing="ij"))))
-    rho = states.scenario_densities(scenario, **knobs)
-    built = {"psi": states.scenario_amplitudes(scenario, **knobs), "rho": rho, "rho^T_B": partial_transpose(rho),
+    params = ScenarioParams(**knobs)
+    rho = states.scenario_densities(scenario, params)
+    built = {"psi": states.scenario_amplitudes(scenario, params), "rho": rho, "rho^T_B": partial_transpose(rho),
              "rho_A": partial_trace(rho, "A"), "rho_B": partial_trace(rho, "B")}
     for kind, m in built.items():
         assert m.dtype == np.float64, kind

@@ -1,0 +1,17 @@
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_blocks_run_in_order_in_one_namespace(capsys):
+    # the second block reuses the first one's imports, as a reader running them in turn would
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 2
+    namespace = {"__name__": "readme"}
+    for k, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {k + 1}", "exec"), namespace)
+    # the values the first block's comments give, up to rounding
+    v, b_max, negativity, _, b_stack = capsys.readouterr().out.splitlines()
+    assert abs(float(v) - 0.36) < 1e-12 and abs(float(b_max) - 2.0) < 1e-12 and float(negativity) > 0.0
+    assert namespace["stack"].shape == (5, 4, 4) and len(b_stack.strip("[]").split()) == 5

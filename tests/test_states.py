@@ -24,7 +24,7 @@ EDGE_KNOBS = np.array([0.0, 1e-15, 1e-8, 0.3, 0.5, 1 / SQ2, 1.0 - 1e-15, 1.0])
 
 def amplitudes(scenario, **knobs) -> np.ndarray:
     """The pure state of one point, indexed [A, B, (ES), (EM)]."""
-    return scenario_amplitudes(scenario, **knobs)[0]
+    return scenario_amplitudes(scenario, ScenarioParams(**knobs))[0]
 
 
 def amp(psi: np.ndarray, bits: str) -> complex:
@@ -48,8 +48,8 @@ def test_input_state_quarter():
 
 
 def test_input_state_range_guard():
-    with pytest.raises(ValueError):
-        scenario_amplitudes(Scenario.FREE, r=1.2)
+    with pytest.raises(ValueError, match=r"^r must lie in \[0, 1\], got 1.2$"):
+        scenario_amplitudes(Scenario.FREE, ScenarioParams(r=1.2))
 
 
 def test_couple_meter_no_monitoring():
@@ -128,7 +128,7 @@ def test_environment_couplings_are_isometries():
 
 
 def test_build_joint_state_free_trivial():
-    psi = scenario_amplitudes(Scenario.FREE, r=0.5, d=0.0)
+    psi = scenario_amplitudes(Scenario.FREE, ScenarioParams(r=0.5, d=0.0))
     assert psi.shape == (1, 2, 2)  # A and B only
     assert amp(psi[0], "ud") == pytest.approx(1 / SQ2)
     assert amp(psi[0], "dd") == pytest.approx(-1 / SQ2)
@@ -158,8 +158,8 @@ def test_combined_amplitudes_in_factor_order_a_b_es_em():
 
 
 def test_build_joint_state_rejects_biased_r_with_decoherence():
-    with pytest.raises(ValueError):
-        scenario_amplitudes(Scenario.SYSTEM, r=0.3, d=0.5)
+    with pytest.raises(ValueError, match="^scenario system requires the balanced path weight r = 1/2$"):
+        scenario_amplitudes(Scenario.SYSTEM, ScenarioParams(r=0.3, d=0.5))
 
 
 def test_build_joint_state_norm():
@@ -167,7 +167,7 @@ def test_build_joint_state_norm():
     factors = {Scenario.FREE: 2, Scenario.SYSTEM: 3, Scenario.METER: 3, Scenario.COMBINED: 4}
     for scenario in Scenario:
         knobs = {name: rng.uniform(0, 1, 5) for name in ("d", "r_s", "r_m")}
-        psi = scenario_amplitudes(scenario, **knobs)
+        psi = scenario_amplitudes(scenario, ScenarioParams(**knobs))
         assert psi.shape == (5,) + (2,) * factors[scenario]
         assert np.max(np.abs(np.linalg.norm(psi.reshape(5, -1), axis=-1) - 1)) < 1e-12
 
@@ -299,7 +299,7 @@ STACKED_CASES = [
 
 @pytest.mark.parametrize("scenario, knobs", STACKED_CASES)
 def test_scenario_densities_equal_single_point_states(scenario, knobs):
-    stack = scenario_densities(scenario, **knobs)
+    stack = scenario_densities(scenario, ScenarioParams(**knobs))
     assert stack.shape == (OUTER.size, 4, 4) and stack.dtype == np.float64
     for k in range(OUTER.size):
         point = {name: float(values[k]) for name, values in knobs.items()}
@@ -311,7 +311,7 @@ def test_scenario_densities_equal_single_point_states(scenario, knobs):
 
 @pytest.mark.parametrize("scenario, knobs", STACKED_CASES)
 def test_scenario_densities_are_density_matrices_on_the_edge_line(scenario, knobs):
-    stack = scenario_densities(scenario, **knobs)
+    stack = scenario_densities(scenario, ScenarioParams(**knobs))
     assert np.max(np.abs(stack - stack.conj().swapaxes(-1, -2))) < 1e-12
     assert np.max(np.abs(np.trace(stack, axis1=-2, axis2=-1) - 1.0)) < 1e-12
     assert np.min(hermitian_eigenvalues(stack)) >= -1e-10
@@ -332,7 +332,7 @@ COMPLEX_INPUT_ROUTES = {
 @pytest.mark.parametrize("scenario, knobs", STACKED_CASES)
 def test_complex_copies_of_the_states_give_the_same_bits(scenario, knobs):
     # the states are float64; a caller's complex128 copy still goes through every route, to the same result
-    rho = scenario_densities(scenario, **knobs)
+    rho = scenario_densities(scenario, ScenarioParams(**knobs))
     twin = rho.astype(complex)
     for name, route in COMPLEX_INPUT_ROUTES.items():
         assert route(twin).tobytes() == route(rho).tobytes(), name
@@ -344,17 +344,17 @@ def test_complex_copies_of_the_states_give_the_same_bits(scenario, knobs):
 
 
 @pytest.mark.parametrize(
-    "scenario, knobs",
+    "scenario, knobs, message",
     [
-        (Scenario.SYSTEM, {"d": [0.2, 1.5]}),
-        (Scenario.METER, {"r_m": [0.5, np.nan]}),
-        (Scenario.FREE, {"d": [-1e-3]}),
-        (Scenario.SYSTEM, {"r": [0.5, 0.3]}),
+        (Scenario.SYSTEM, {"d": [0.2, 1.5]}, r"d must lie in \[0, 1\], got 1.5"),
+        (Scenario.METER, {"r_m": [0.5, np.nan]}, r"r_m must lie in \[0, 1\], got nan"),
+        (Scenario.FREE, {"d": [-1e-3]}, r"d must lie in \[0, 1\], got -0.001"),
+        (Scenario.SYSTEM, {"r": [0.5, 0.3]}, "scenario system requires the balanced path weight r = 1/2"),
     ],
 )
-def test_scenario_densities_reject_bad_knobs(scenario, knobs):
-    with pytest.raises(ValueError):
-        scenario_densities(scenario, **knobs)
+def test_scenario_densities_reject_bad_knobs(scenario, knobs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        scenario_densities(scenario, ScenarioParams(**knobs))
 
 
 NO_STATES = np.zeros((0, 4, 4), dtype=complex)
@@ -363,8 +363,9 @@ NO_STATES = np.zeros((0, 4, 4), dtype=complex)
 @pytest.mark.parametrize(
     "call, shape",
     [
-        *((lambda s=s: scenario_amplitudes(s, d=np.array([])), (0,) + (2,) * n) for s, n in zip(Scenario, (2, 3, 3, 4))),
-        *((lambda s=s: scenario_densities(s, r_m=np.array([])), (0, 4, 4)) for s in Scenario),
+        *((lambda s=s: scenario_amplitudes(s, ScenarioParams(d=np.array([]))), (0,) + (2,) * n)
+          for s, n in zip(Scenario, (2, 3, 3, 4))),
+        *((lambda s=s: scenario_densities(s, ScenarioParams(r_m=np.array([]))), (0, 4, 4)) for s in Scenario),
         (lambda: info_threshold(Scenario.METER, np.array([])), (0,)),
         (lambda: info_threshold(Scenario.SYSTEM, np.array([])), (0,)),
         (lambda: hermitian_eigenvalues(NO_STATES), (0, 4)),

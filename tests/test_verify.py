@@ -47,7 +47,7 @@ def _record_calls(monkeypatch) -> list:
 
     stack = lambda rho: (rho.shape, rho.tobytes())  # noqa: E731
     recorded("scenario_densities", verify.scenario_densities,
-             lambda scenario, **knobs: (scenario, *((k, np.shape(v), np.asarray(v).tobytes()) for k, v in knobs.items())))
+             lambda scenario, params: (scenario, *((k, np.shape(v), np.asarray(v).tobytes()) for k, v in vars(params).items())))
     monkeypatch.setattr(visibility, "scenario_densities", verify.scenario_densities)
     for name in ("horodecki_bmax", "mutual_information", "ppt_check"):
         recorded(name, getattr(verify, name), stack)
@@ -218,7 +218,7 @@ def scenario_points(draw, scenarios=tuple(_AXES)):
 def test_closed_forms_match_the_stacked_route_at_edge_biased_points(case):
     scenario, params = case
     knobs = {axis: [getattr(p, axis) for p in params] for axis in _AXES[scenario]}
-    rho = scenario_densities(scenario, **knobs)
+    rho = scenario_densities(scenario, ScenarioParams(**knobs))
     for p, b_max, v in zip(params, horodecki_bmax(rho), visibility_analytic(rho)):
         assert abs(bell_closed_form(scenario, p) - b_max) < CLOSED_FORM_TOL
         assert _identity_residual(scenario, p, v) < IDENTITY_TOL
@@ -293,7 +293,7 @@ def test_entropy_closed_forms_match_the_stacked_route_at_edge_biased_points(case
     scenario, params = case
     knobs = _array_knobs(params)
     closed = entropy_closed_form(scenario, knobs)
-    matrix = mutual_information(scenario_densities(scenario, d=knobs.d, r_s=knobs.r_s, r_m=knobs.r_m))
+    matrix = mutual_information(scenario_densities(scenario, knobs))
     for field in ("s_a", "s_b", "s_ab", "i_ab"):
         assert np.max(np.abs(getattr(closed, field) - getattr(matrix, field))) < ENTROPY_TOL, field
 
@@ -305,7 +305,7 @@ def test_entropy_closed_forms_match_the_stacked_route_at_edge_biased_points(case
 def test_b_max_is_two_at_the_violation_threshold_at_edge_biased_points(scenario, robustness):
     knob = _AXES[scenario][1]
     d = violation_threshold(scenario, ScenarioParams(**{knob: np.array(robustness)}))
-    b_max = horodecki_bmax(scenario_densities(scenario, d=d, **{knob: robustness}))
+    b_max = horodecki_bmax(scenario_densities(scenario, ScenarioParams(d=d, **{knob: robustness})))
     assert np.max(np.abs(b_max - 2.0)) < BOUNDARY_TOL
 
 

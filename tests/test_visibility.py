@@ -84,7 +84,8 @@ def test_sweep_probabilities_follow_the_fringe_formula():
 
 def test_stacked_sweep_equals_per_state_scans():
     rng = np.random.default_rng(23)
-    rho = scenario_densities(Scenario.COMBINED, d=rng.uniform(0, 1, 9), r_s=rng.uniform(0, 1, 9), r_m=0.6)
+    params = ScenarioParams(d=rng.uniform(0, 1, 9), r_s=rng.uniform(0, 1, 9), r_m=0.6)
+    rho = scenario_densities(Scenario.COMBINED, params)
     for n in (9, 256, 1023, 1024):
         scan = visibility_sweep(rho, n)
         assert scan.probabilities.shape == (9, n)

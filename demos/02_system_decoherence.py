@@ -21,7 +21,7 @@ from qdl import (
 
 print("r_s = 0.6 slice: the violation boundary sits at d^2 = 1 - r_s^2 = 0.64")
 print(f"{'d':>5} {'V':>9} {'B_max':>9} {'neg.':>9} {'I_AB':>9} {'I_bar':>9} {'status':>22}")
-threshold = info_threshold(Scenario.SYSTEM, 0.6)
+threshold = info_threshold(Scenario.SYSTEM, ScenarioParams(r_s=0.6))
 for d in np.linspace(0, 1, 11):
     params = ScenarioParams(d=d, r_s=0.6)
     rho = scenario_density(params, Scenario.SYSTEM)
@@ -45,7 +45,7 @@ for r in (0.2, 0.6, 0.9):
     d_boundary = np.sqrt(1 - r * r)
     rho = scenario_density(ScenarioParams(d=d_boundary, r_s=r), Scenario.SYSTEM)
     print(
-        f"  r_s={r:.1f}: I_bar={info_threshold(Scenario.SYSTEM, r):.9f}"
+        f"  r_s={r:.1f}: I_bar={info_threshold(Scenario.SYSTEM, ScenarioParams(r_s=r)):.9f}"
         f"  I_AB(d={d_boundary:.3f})={mutual_information(rho).i_ab:.9f}"
     )
 

@@ -49,11 +49,7 @@ def analyze(
     brute = chsh_brute_force(rho, restarts=restarts, seed=seed)
     bell = replace(brute, b_closed_form=bell_closed_form(scenario, params))
     sep = ppt_check(rho)
-    if scenario in (Scenario.SYSTEM, Scenario.METER):
-        robustness = params.r_s if scenario is Scenario.SYSTEM else params.r_m
-        threshold = info_threshold(scenario, robustness)
-    else:
-        threshold = None
+    threshold = info_threshold(scenario, params) if scenario in (Scenario.SYSTEM, Scenario.METER) else None
     info = replace(mutual_information(rho), threshold=threshold)
     above = info.i_ab > threshold if threshold is not None else None
     cls = Classifications(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULIS, _float_or_array, hermitian_eigenvalues
+from .linalg import PAULIS, _as_state, _float_or_array, hermitian_eigenvalues
 from .states import Scenario, ScenarioParams
 from .visibility import unpredictability
 
@@ -55,7 +55,7 @@ def correlation_tensor(rho: np.ndarray) -> np.ndarray:
 
     A stack of states (..., 4, 4) gives a stack of tensors (..., 3, 3).
     """
-    vals = np.einsum("...kl,ijlk->...ij", rho, _PAULI_KRON)
+    vals = np.einsum("...kl,ijlk->...ij", _as_state(rho), _PAULI_KRON)
     residue = np.abs(vals.imag)
     worst = residue.max(initial=0.0)
     if worst > 1e-9:
@@ -115,7 +115,7 @@ def chsh_value(rho: np.ndarray, a, a2, b, b2) -> float | np.ndarray:
     A stack of states (..., 4, 4) with settings (..., 3) gives one value per
     state; a single state uses the same arithmetic.
     """
-    rho = np.asarray(rho, dtype=complex)  # real rho too: einsum's loop for real x complex operands rounds otherwise
+    rho = np.asarray(_as_state(rho), dtype=complex)  # real too: einsum's loop for real x complex rounds otherwise
     op_a, op_a2, op_b, op_b2 = (
         _spin_operator(_unit_vectors(v, name)) for v, name in ((a, "a"), (a2, "a'"), (b, "b"), (b2, "b'"))
     )
@@ -313,8 +313,8 @@ def chsh_brute_force(
     gain less than 1e-14; exhausting the budget of SEESAW_SWEEPS sweeps flags
     the result unconverged but returns it.
     """
-    if np.shape(rho) != (4, 4):
-        raise ValueError("the CHSH optimizer expects a 4x4 A(x)B density matrix")
+    if np.shape(rho) != (4, 4):  # entries are checked by correlation_tensor
+        raise ValueError(f"rho must be a 4x4 A(x)B density matrix (one, not a stack), got shape {np.shape(rho)}")
     settings, converged = _seesaw(np.asarray(rho)[None], restarts, seed)
     b_h = horodecki_bmax(rho)
     return BellResult(
@@ -329,26 +329,17 @@ def chsh_brute_force(
 def violation_threshold(scenario: Scenario, params: ScenarioParams) -> float | np.ndarray:
     """The minimal distinguishability d for a CHSH violation at the given robustness values.
 
-    The threshold is the infimum of distinguishabilities giving B_max > 2; 1.0 means
-    no admissible d violates.  If any knob is an array, the threshold is an array of the
-    knobs' shape.  Whether a point violates is ``violates_chsh(bell_closed_form(scenario, params))``.
+    The threshold is the infimum of distinguishabilities giving B_max > 2; 1.0 means no admissible d violates.
+    System and meter are the combined threshold at r_m = 1 and at r_s = 1.  If any knob is an array, the
+    threshold is an array of the knobs' shape.  Whether a point violates is ``violates_chsh(bell_closed_form(...))``.
     """
     if scenario is Scenario.FREE:
         d_thr = np.where(unpredictability(params.r) > 0.0, 0.0, 1.0)
-    elif scenario is Scenario.SYSTEM:
-        d_thr = np.sqrt(np.maximum(0.0, 1.0 - params.r_s * params.r_s))
-    elif scenario is Scenario.METER:
-        d_thr = np.sqrt(_meter_threshold_sq(params.r_m))
     else:
-        d_thr = np.sqrt(_combined_threshold_sq(params.r_s, params.r_m))
+        r_s = 1.0 if scenario is Scenario.METER else params.r_s
+        r_m = 1.0 if scenario is Scenario.SYSTEM else params.r_m
+        d_thr = np.sqrt(_combined_threshold_sq(r_s, r_m))
     return _float_or_array(d_thr)
-
-
-def _meter_threshold_sq(r_m: float | np.ndarray) -> float | np.ndarray:
-    rm2 = r_m * r_m
-    below = rm2 < 0.5  # r_m >= 1/sqrt(2): violation for every d > 0
-    x = 1.0 - rm2 / np.where(below, 1.0 - rm2, 1.0)
-    return _float_or_array(np.where(below, np.minimum(1.0, np.maximum(0.0, x)), 0.0))
 
 
 def _combined_threshold_sq(r_s: float | np.ndarray, r_m: float | np.ndarray) -> float | np.ndarray:
@@ -358,5 +349,5 @@ def _combined_threshold_sq(r_s: float | np.ndarray, r_m: float | np.ndarray) -> 
     denom = np.where(limit, 1.0, 1.0 - rm2)
     alpha = rs2 - rm2 / denom
     beta = (1.0 - rs2) / denom
-    x = alpha / 2.0 + np.sqrt((alpha / 2.0) * (alpha / 2.0) + beta)
+    x = alpha / 2.0 + np.sqrt((alpha / 2.0) * (alpha / 2.0) + beta)  # at r_s = 1, beta = 0: x = max(alpha, 0)
     return _float_or_array(np.where(limit, np.maximum(0.0, 1.0 - rs2), np.minimum(1.0, np.maximum(0.0, x))))

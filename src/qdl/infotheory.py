@@ -17,7 +17,7 @@ import numpy as np
 
 from .bell import violation_threshold
 from .linalg import _float_or_array, hermitian_eigenvalues, partial_trace, partial_transpose
-from .states import Scenario, ScenarioParams, _check_unit_interval, scenario_densities
+from .states import Scenario, ScenarioParams, scenario_densities
 
 SEPARABILITY_TOL = 1e-10
 ENTROPY_EIGENVALUE_FLOOR = -1e-8
@@ -118,26 +118,25 @@ def printed_meter_s_b(params: ScenarioParams) -> float | np.ndarray:
     return binary_entropy(0.5 + 0.5 * np.sqrt((1.0 - d2) * (1.0 - d2) * (1.0 - params.r_m * params.r_m)))
 
 
-def info_threshold(scenario: Scenario, robustness: float | np.ndarray) -> float | np.ndarray | None:
-    """Mutual information needed for a CHSH violation at the given robustness.
+def info_threshold(scenario: Scenario, params: ScenarioParams) -> float | np.ndarray | None:
+    """Mutual information needed for a CHSH violation at the robustness of ``params``.
 
-    System case: the closed form h((1+r^2)/2), which equals I_AB on the violation
-    boundary d^2 = 1 - r^2.  Meter case: computed numerically as I_AB at the
-    boundary distinguishability d of ``violation_threshold``; returns None where
-    that d is 0 (robustness^2 >= 1/2), as every d > 0 already violates there.
-    An array of robustness values gives an array, NaN where the meter case gives None;
-    its states are solved as one stack, which gives the bits of the one-value calls.
+    System case (reads r_s): the closed form h((1+r_s^2)/2), which equals I_AB on the
+    violation boundary d^2 = 1 - r_s^2.  Meter case (reads r_m): computed numerically as
+    I_AB at the boundary distinguishability d of ``violation_threshold``; returns None where
+    that d is 0 (r_m^2 >= 1/2), as every d > 0 already violates there.  Array knobs give an
+    array of their shape, NaN where the meter case gives None; its states are solved as one
+    stack, which gives the bits of the one-point calls.
     """
-    robustness = _check_unit_interval("robustness", robustness)
     if scenario is Scenario.SYSTEM:
-        return binary_entropy((1.0 + robustness * robustness) / 2.0)
+        return binary_entropy((1.0 + params.r_s * params.r_s) / 2.0)
     if scenario is Scenario.METER:
-        d_boundary = violation_threshold(Scenario.METER, ScenarioParams(r_m=robustness))
-        if isinstance(robustness, float) and d_boundary == 0.0:
+        d_boundary = violation_threshold(Scenario.METER, params)
+        if isinstance(d_boundary, float) and d_boundary == 0.0:
             return None
-        boundary = ScenarioParams(d=d_boundary, r_m=robustness)
+        boundary = ScenarioParams(d=d_boundary, r_m=params.r_m)
         i_ab = mutual_information(scenario_densities(Scenario.METER, boundary)).i_ab
-        return _float_or_array(np.where(d_boundary == 0.0, np.nan, i_ab.reshape(np.shape(robustness))))
+        return _float_or_array(np.where(d_boundary == 0.0, np.nan, i_ab.reshape(np.shape(d_boundary))))
     raise ValueError(f"no information threshold defined for scenario {scenario.value}")
 
 

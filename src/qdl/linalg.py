@@ -42,6 +42,14 @@ def _as_square(m, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def _as_state(rho) -> np.ndarray:
+    """``_as_square`` of rho, which must also be a 4x4 A(x)B operator or a stack (..., 4, 4) of them."""
+    rho = _as_square(rho, "rho")
+    if rho.shape[-1] != 4:
+        raise ValueError(f"rho must be a 4x4 A(x)B operator or a stack (..., 4, 4) of them, got shape {rho.shape}")
+    return rho
+
+
 def _float_or_array(x) -> float | np.ndarray:
     """A float for a scalar or 0-d result, the array otherwise."""
     return float(x) if np.ndim(x) == 0 else x
@@ -198,9 +206,7 @@ def hermitian_eigenvalues(m) -> np.ndarray:
 
 def partial_trace(rho, keep: str) -> np.ndarray:
     """Reduced density matrix on factor ``keep`` ("A" or "B") of a 4x4 A(x)B density matrix or of each in a stack."""
-    rho = _as_square(rho, "rho")
-    if rho.shape[-1] != 4:
-        raise ValueError("density-matrix partial trace expects a 4x4 A(x)B operator")
+    rho = _as_state(rho)
     if keep not in ("A", "B"):
         raise ValueError(f"no subsystem {keep!r} in A(x)B: keep names 'A' or 'B'")
     r = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
@@ -209,8 +215,6 @@ def partial_trace(rho, keep: str) -> np.ndarray:
 
 def partial_transpose(rho) -> np.ndarray:
     """Transpose the second (B) factor in the computational product basis, of each matrix in a stack."""
-    rho = _as_square(rho, "rho")
-    if rho.shape[-1] != 4:
-        raise ValueError("partial transpose expects a 4x4 A(x)B operator")
+    rho = _as_state(rho)
     batch = rho.shape[:-2]
     return rho.reshape(batch + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(batch + (4, 4))

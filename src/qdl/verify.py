@@ -204,7 +204,7 @@ def suite_entropy_forms(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
         return np.max(np.abs([c.s_a - m.s_a, c.s_b - m.s_b, c.s_ab - m.s_ab, c.i_ab - m.i_ab]), axis=0)
 
     boundary = _boundary(Scenario.SYSTEM, r_s=np.linspace(0.0, 1.0, resolution))
-    threshold_gap = np.abs(info_threshold(Scenario.SYSTEM, boundary.coords.r_s) - boundary.info.i_ab)
+    threshold_gap = np.abs(info_threshold(Scenario.SYSTEM, boundary.coords) - boundary.info.i_ab)
     grids = ((c, gap(c)) for c in _grid(resolution, Scenario.SYSTEM, Scenario.METER))
     return _reduce("entropy_closed_forms", ENTROPY_TOL, [*grids, (boundary, threshold_gap)])
 
@@ -221,7 +221,7 @@ def suite_threshold_consistency(resolution: int = DEFAULT_RESOLUTION) -> SuiteRe
     for chunk in _grid(resolution, Scenario.SYSTEM):
         d, r = chunk.coords.d, chunk.coords.r_s
         bell = violates_chsh(chunk.bmax)
-        info = chunk.info.i_ab > info_threshold(Scenario.SYSTEM, r)
+        info = chunk.info.i_ab > info_threshold(Scenario.SYSTEM, chunk.coords)
         geometric = d * d + r * r > 1.0
         off_boundary = np.abs(d * d + r * r - 1.0) > REGION_MARGIN
         mismatches += int(np.sum(off_boundary & ((geometric != bell) | (bell != info))))
@@ -301,7 +301,7 @@ def probe_meter_threshold_form() -> SuiteResult:
     lines = ["meter information threshold (numeric boundary I_AB vs published form):",
              "  r_m      numeric          published        |difference|"]
     gaps = []
-    numerics = info_threshold(Scenario.METER, np.array(METER_THRESHOLD_ROBUSTNESS))
+    numerics = info_threshold(Scenario.METER, ScenarioParams(r_m=np.array(METER_THRESHOLD_ROBUSTNESS)))
     for r, numeric in zip(METER_THRESHOLD_ROBUSTNESS, numerics.tolist()):
         if math.isnan(numeric):  # no threshold: every d > 0 violates
             continue

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _float_or_array, partial_trace
+from .linalg import _as_state, _float_or_array, partial_trace
 from .states import Scenario, ScenarioParams, _check_unit_interval, scenario_densities, scenario_density
 
 DEFAULT_SWEEP_POINTS = 1024
@@ -67,9 +67,7 @@ def visibility_sweep(rho: np.ndarray, n: int = DEFAULT_SWEEP_POINTS) -> FringeSc
     """
     if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 8:
         raise ValueError(f"phase count must be an integer of at least 8, got {n!r}")
-    rho = np.ascontiguousarray(rho, dtype=complex)
-    if rho.shape[-2:] != (4, 4):
-        raise ValueError("visibility sweep expects a 4x4 A(x)B density matrix or a stack of them")
+    rho = np.ascontiguousarray(_as_state(rho), dtype=complex)
     phases, readout = _readout(int(n))
     # einsum's own loop, not BLAS: gemv for one state and gemm for a stack would round differently
     probs = np.einsum("nj,jk->nk", rho.reshape(-1, 16).view(float), readout)
@@ -116,9 +114,8 @@ def _identity_residual(scenario: Scenario, params: ScenarioParams, v) -> float |
     if scenario is Scenario.FREE:
         u = unpredictability(params.r)
         return _float_or_array(np.maximum(_ratio_residual(v, u * u, d), np.abs(v - overlap(d) * u)))
-    if scenario is Scenario.METER:
-        return _float_or_array(np.abs(v * v + d * d - 1.0))
-    res = _ratio_residual(v, params.r_s * params.r_s, d)
+    r_s = 1.0 if scenario is Scenario.METER else params.r_s  # meter: v^2/1.0 is exactly v^2
+    res = _ratio_residual(v, r_s * r_s, d)
     if scenario is Scenario.SYSTEM:  # against the balanced, decoherence-free interferometer at the same d
         v_free = visibility_analytic(scenario_densities(Scenario.FREE, ScenarioParams(d=d))).reshape(np.shape(d))
         below = d < 1.0

@@ -162,7 +162,7 @@ def test_criterion_7_entropy_closed_forms():
         i_boundary = mutual_information(
             scenario_density(ScenarioParams(d=d, r_s=r), Scenario.SYSTEM)
         ).i_ab
-        worst_threshold = max(worst_threshold, abs(info_threshold(Scenario.SYSTEM, r) - i_boundary))
+        worst_threshold = max(worst_threshold, abs(info_threshold(Scenario.SYSTEM, ScenarioParams(r_s=r)) - i_boundary))
     report(
         7,
         res.passed and worst_threshold < 1e-9,

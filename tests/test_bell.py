@@ -539,3 +539,44 @@ def test_closed_forms_take_the_knobs_shape_when_any_knob_is_an_array(closed_form
             scenario, ScenarioParams(**{k: float(np.broadcast_to(v, shape)[index]) for k, v in knobs.items()})
         )
         assert type(single) is float and single == values[index], index
+
+
+def _system_threshold_sq_formula(r_s):
+    """The system threshold d^2 = 1 - r_s^2 as its own formula, kept here to pin the combined route's bits."""
+    return np.maximum(0.0, 1.0 - r_s * r_s)
+
+
+def _meter_threshold_sq_formula(r_m):
+    """The meter threshold d^2 = 1 - r_m^2/(1 - r_m^2), 0 from r_m^2 = 1/2 on, as its own formula."""
+    rm2 = r_m * r_m
+    below = rm2 < 0.5
+    x = 1.0 - rm2 / np.where(below, 1.0 - rm2, 1.0)
+    return np.where(below, np.minimum(1.0, np.maximum(0.0, x)), 0.0)
+
+
+_THRESHOLD_EDGES = np.array(
+    [*(10.0**-k for k in range(1, 17)), *(1.0 - 10.0**-k for k in range(1, 17)), 0.0, 1.0]
+    + [math.nextafter(1.0 / SQ2, 0.0), 1.0 / SQ2, math.nextafter(1.0 / SQ2, 1.0)]
+)
+
+
+@pytest.mark.parametrize(
+    ("scenario", "knob", "formula"),
+    [(Scenario.SYSTEM, "r_s", _system_threshold_sq_formula), (Scenario.METER, "r_m", _meter_threshold_sq_formula)],
+    ids=["system", "meter"],
+)
+def test_system_and_meter_thresholds_keep_the_bits_of_their_own_formulas(scenario, knob, formula):
+    # System and meter go through the combined threshold at r_m = 1 and r_s = 1; that must
+    # give the bits of their own formulas, scalar and array, and read no other robustness.
+    other = "r_m" if knob == "r_s" else "r_s"
+    r = np.concatenate([np.linspace(0.0, 1.0, 100_001), _THRESHOLD_EDGES])
+    expected = np.sqrt(formula(r))
+    for unread in ({}, {other: 0.3}):
+        got = violation_threshold(scenario, ScenarioParams(**{knob: r}, **unread))
+        assert got.tobytes() == expected.tobytes()
+    scalars = r[::97].tolist() + _THRESHOLD_EDGES.tolist()  # one-point calls take ~15 us each: a sample of the grid
+    for x in scalars:
+        want = float(np.sqrt(formula(x)))
+        for unread in ({}, {other: 0.3}):
+            got = violation_threshold(scenario, ScenarioParams(**{knob: x}, **unread))
+            assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes(), (x, unread)

@@ -65,14 +65,14 @@ def test_b_max_is_two_within_8_ulps_of_the_violation_threshold_on_the_edge_table
 
 def test_array_meter_info_threshold_equals_its_one_value_calls_on_the_edge_table():
     # None <-> NaN; the table straddles r^2 = 1/2, where the one-value call switches to None
-    single = [info_threshold(Scenario.METER, r) for r in EDGE_TABLE]
+    single = [info_threshold(Scenario.METER, ScenarioParams(r_m=r)) for r in EDGE_TABLE]
     assert None in single and any(value is not None and value > 0.0 for value in single)
     expected = np.array([math.nan if value is None else value for value in single])
-    stacked = info_threshold(Scenario.METER, np.array(EDGE_TABLE))
+    stacked = info_threshold(Scenario.METER, ScenarioParams(r_m=np.array(EDGE_TABLE)))
     assert stacked.tobytes() == expected.tobytes()
-    grid = info_threshold(Scenario.METER, np.array(EDGE_TABLE[:48]).reshape(6, 8))
+    grid = info_threshold(Scenario.METER, ScenarioParams(r_m=np.array(EDGE_TABLE[:48]).reshape(6, 8)))
     assert grid.tobytes() == expected[:48].reshape(6, 8).tobytes()
-    assert info_threshold(Scenario.METER, list(EDGE_TABLE)).tobytes() == expected.tobytes()
+    assert info_threshold(Scenario.METER, ScenarioParams(r_m=list(EDGE_TABLE))).tobytes() == expected.tobytes()
 
 
 @pytest.mark.xfail(
@@ -135,7 +135,7 @@ def test_array_closed_forms_equal_their_one_point_calls_on_the_edge_grids(scenar
 
 @pytest.mark.parametrize(
     "form",
-    [predictability, unpredictability, overlap, partial(info_threshold, Scenario.SYSTEM)],
+    [predictability, unpredictability, overlap, lambda r: info_threshold(Scenario.SYSTEM, ScenarioParams(r_s=r))],
     ids=["predictability", "unpredictability", "overlap", "info_threshold-system"],
 )
 def test_array_knob_forms_equal_their_one_value_calls_on_the_edge_table(form):

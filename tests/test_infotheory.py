@@ -179,39 +179,39 @@ def test_printed_meter_s_b_disagrees_with_state():
 
 def test_info_threshold_system_endpoints():
     # published expression evaluated at r = 1 gives 0, matching boundary I_AB at d = 0
-    assert info_threshold(Scenario.SYSTEM, 1.0) == pytest.approx(0.0, abs=1e-12)
-    assert info_threshold(Scenario.SYSTEM, 0.0) == pytest.approx(LN2, abs=1e-12)
+    assert info_threshold(Scenario.SYSTEM, ScenarioParams(r_s=1.0)) == pytest.approx(0.0, abs=1e-12)
+    assert info_threshold(Scenario.SYSTEM, ScenarioParams(r_s=0.0)) == pytest.approx(LN2, abs=1e-12)
 
 
 def test_info_threshold_system_equals_boundary_information():
     for r in np.linspace(0.0, 1.0, 11):
         d = math.sqrt(1 - r * r)
         rho = scenario_density(ScenarioParams(d=d, r_s=r), Scenario.SYSTEM)
-        assert abs(info_threshold(Scenario.SYSTEM, r) - mutual_information(rho).i_ab) < 1e-9
+        assert abs(info_threshold(Scenario.SYSTEM, ScenarioParams(r_s=r)) - mutual_information(rho).i_ab) < 1e-9
 
 
 def test_info_threshold_meter_numeric():
     for r in (0.1, 0.4, 0.6):
-        thr = info_threshold(Scenario.METER, r)
+        thr = info_threshold(Scenario.METER, ScenarioParams(r_m=r))
         arg = 0.5 + 0.5 * math.sqrt(2) * r * r / math.sqrt(1 - r * r)
         assert thr == pytest.approx(binary_entropy(arg), abs=1e-9)
 
 
 def test_info_threshold_meter_none_above_sqrt_half():
     # 1 / math.sqrt(2) rounds below 1/sqrt2 and squares to below 1/2: its boundary d is 2.1e-8, not 0
-    assert info_threshold(Scenario.METER, math.nextafter(1 / math.sqrt(2), 1.0)) is None
-    assert info_threshold(Scenario.METER, 0.9) is None
-    assert info_threshold(Scenario.METER, 1.0) is None
+    assert info_threshold(Scenario.METER, ScenarioParams(r_m=math.nextafter(1 / math.sqrt(2), 1.0))) is None
+    assert info_threshold(Scenario.METER, ScenarioParams(r_m=0.9)) is None
+    assert info_threshold(Scenario.METER, ScenarioParams(r_m=1.0)) is None
 
 
 def test_info_threshold_unsupported_scenario():
     with pytest.raises(ValueError):
-        info_threshold(Scenario.FREE, 0.5)
+        info_threshold(Scenario.FREE, ScenarioParams(r=0.5))
 
 
 def test_printed_meter_threshold_differs_from_numeric():
     for r in (0.2, 0.5):
-        assert abs(printed_meter_info_threshold(r) - info_threshold(Scenario.METER, r)) > 0.1
+        assert abs(printed_meter_info_threshold(r) - info_threshold(Scenario.METER, ScenarioParams(r_m=r))) > 0.1
 
 
 def test_negativity_zero_iff_separable_on_grid():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qdl.analysis import analyze
-from qdl.bell import chsh_brute_force, chsh_value, correlation_tensor, horodecki_bmax
+from qdl.bell import chsh_brute_force, chsh_value, correlation_tensor, horodecki_bmax, horodecki_m
 from qdl.infotheory import info_threshold, mutual_information, ppt_check, von_neumann_entropy
 from qdl.linalg import hermitian_eigenvalues, partial_trace, partial_transpose
 from qdl.states import (
@@ -366,8 +366,8 @@ NO_STATES = np.zeros((0, 4, 4), dtype=complex)
         *((lambda s=s: scenario_amplitudes(s, ScenarioParams(d=np.array([]))), (0,) + (2,) * n)
           for s, n in zip(Scenario, (2, 3, 3, 4))),
         *((lambda s=s: scenario_densities(s, ScenarioParams(r_m=np.array([]))), (0, 4, 4)) for s in Scenario),
-        (lambda: info_threshold(Scenario.METER, np.array([])), (0,)),
-        (lambda: info_threshold(Scenario.SYSTEM, np.array([])), (0,)),
+        (lambda: info_threshold(Scenario.METER, ScenarioParams(r_m=np.array([]))), (0,)),
+        (lambda: info_threshold(Scenario.SYSTEM, ScenarioParams(r_s=np.array([]))), (0,)),
         (lambda: hermitian_eigenvalues(NO_STATES), (0, 4)),
         (lambda: von_neumann_entropy(NO_STATES), (0,)),
         (lambda: mutual_information(NO_STATES).i_ab, (0,)),
@@ -382,3 +382,36 @@ NO_STATES = np.zeros((0, 4, 4), dtype=complex)
 )
 def test_no_points_give_empty_results(call, shape):
     assert np.shape(call()) == shape
+
+
+_X, _Z = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
+STATE_FUNCTIONS = {
+    "correlation_tensor": correlation_tensor,
+    "horodecki_m": horodecki_m,
+    "horodecki_bmax": horodecki_bmax,
+    "chsh_value": lambda rho: chsh_value(rho, _Z, _X, _Z, _X),
+    "chsh_brute_force": lambda rho: chsh_brute_force(rho, restarts=1),
+    "visibility_sweep": visibility_sweep,
+    "visibility_analytic": visibility_analytic,
+    "partial_trace": lambda rho: partial_trace(rho, "A"),
+    "partial_transpose": partial_transpose,
+    "mutual_information": mutual_information,
+    "ppt_check": ppt_check,
+}
+
+
+def _bad_state(kind: str) -> np.ndarray:
+    if kind == "3x3":
+        return np.eye(3) / 3.0
+    rho = np.eye(4) / 4.0
+    rho[1, 2] = rho[2, 1] = math.nan if kind == "nan" else math.inf
+    return rho
+
+
+@pytest.mark.parametrize("kind", ["3x3", "nan", "inf"])
+@pytest.mark.parametrize("function", list(STATE_FUNCTIONS.values()), ids=list(STATE_FUNCTIONS))
+def test_state_functions_name_rho_for_a_wrong_size_or_non_finite_input(function, kind):
+    # one check for every state entry point: neither numpy's broadcast error, nor the name
+    # of an internal matrix, nor a silent NaN
+    with pytest.raises(ValueError, match=r"^rho (must be a 4x4|contains NaN/Inf)"):
+        function(_bad_state(kind))

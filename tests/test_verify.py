@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qdl import figures, verify, visibility
-from qdl.bell import _combined_threshold_sq, _meter_threshold_sq, bell_closed_form, horodecki_bmax, violates_chsh
+from qdl.bell import _combined_threshold_sq, bell_closed_form, horodecki_bmax, violates_chsh
 from qdl.bell import violation_threshold
 from qdl.infotheory import binary_entropy, entropy_closed_form, info_threshold
 from qdl.infotheory import mutual_information
@@ -269,12 +269,11 @@ def test_array_closed_forms_equal_their_scalar_calls_bit_for_bit(scenario, rows)
 
     same_bits(lambda q: bell_closed_form(scenario, q))
     same_bits(lambda q: violation_threshold(scenario, q))
-    same_bits(lambda q: _meter_threshold_sq(q.r_m))
     same_bits(lambda q: _combined_threshold_sq(q.r_s, q.r_m))
     same_bits(lambda q: unpredictability(q.r))
     same_bits(lambda q: predictability(q.r))
     same_bits(lambda q: binary_entropy(q.r))
-    same_bits(lambda q: info_threshold(Scenario.SYSTEM, q.r_s))
+    same_bits(lambda q: info_threshold(Scenario.SYSTEM, q))
     for field in ("s_a", "s_b", "s_ab", "i_ab"):
         same_bits(lambda q: getattr(entropy_closed_form(Scenario.SYSTEM, q), field))
         same_bits(lambda q: getattr(entropy_closed_form(Scenario.METER, q), field))
@@ -326,14 +325,14 @@ def test_meter_info_threshold_is_the_information_at_the_boundary_at_edge_biased_
     r2 = r * r
     d_boundary = math.sqrt(1.0 - r2 / (1.0 - r2))
     closed = entropy_closed_form(Scenario.METER, ScenarioParams(d=d_boundary, r_m=r)).i_ab
-    assert abs(info_threshold(Scenario.METER, r) - closed) < ENTROPY_TOL
+    assert abs(info_threshold(Scenario.METER, ScenarioParams(r_m=r)) - closed) < ENTROPY_TOL
 
 
 @pytest.mark.parametrize("r", [METER_THRESHOLD_MAX_ROBUSTNESS, math.nextafter(METER_THRESHOLD_MAX_ROBUSTNESS, 1.0)])
 def test_meter_info_threshold_is_none_exactly_where_the_violation_boundary_is_zero(r):
     # 1/sqrt2 rounded down squares to below 1/2, so its boundary d is 2.1e-8, not 0; the next float up squares past 1/2.
     d = violation_threshold(Scenario.METER, ScenarioParams(r_m=r))
-    threshold = info_threshold(Scenario.METER, r)
+    threshold = info_threshold(Scenario.METER, ScenarioParams(r_m=r))
     assert (threshold is None) == (d == 0.0)
     if threshold is not None:
         closed = entropy_closed_form(Scenario.METER, ScenarioParams(d=d, r_m=r)).i_ab

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULIS, _as_state, _float_or_array, hermitian_eigenvalues
+from .linalg import PAULIS, _as_hermitian_state, _float_or_array, hermitian_eigenvalues
 from .states import Scenario, ScenarioParams
 from .visibility import unpredictability
 
@@ -55,13 +55,8 @@ def correlation_tensor(rho: np.ndarray) -> np.ndarray:
 
     A stack of states (..., 4, 4) gives a stack of tensors (..., 3, 3).
     """
-    vals = np.einsum("...kl,ijlk->...ij", _as_state(rho), _PAULI_KRON)
-    residue = np.abs(vals.imag)
-    worst = residue.max(initial=0.0)
-    if worst > 1e-9:
-        i, j = np.unravel_index(np.argmax(residue), residue.shape)[-2:]
-        raise ValueError(f"correlation T[{i},{j}] has imaginary residue {worst:.3e}")
-    return vals.real.copy()
+    vals = np.einsum("...kl,ijlk->...ij", _as_hermitian_state(rho), _PAULI_KRON)
+    return vals.real.copy()  # |Im T_ij| <= 4 max|rho - rho^dag| / 2 < 2e-10 for a Hermitian state
 
 
 def horodecki_m(rho: np.ndarray) -> float | np.ndarray:
@@ -115,7 +110,8 @@ def chsh_value(rho: np.ndarray, a, a2, b, b2) -> float | np.ndarray:
     A stack of states (..., 4, 4) with settings (..., 3) gives one value per
     state; a single state uses the same arithmetic.
     """
-    rho = np.asarray(_as_state(rho), dtype=complex)  # real too: einsum's loop for real x complex rounds otherwise
+    # complex even for real input: einsum's loop for real x complex rounds otherwise
+    rho = np.asarray(_as_hermitian_state(rho), dtype=complex)
     op_a, op_a2, op_b, op_b2 = (
         _spin_operator(_unit_vectors(v, name)) for v, name in ((a, "a"), (a2, "a'"), (b, "b"), (b2, "b'"))
     )
@@ -161,28 +157,24 @@ def _bloch_vectors(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
 _PAIR_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
-def _seesaw_half(
-    fixed: np.ndarray, matrix: np.ndarray, vectors: np.ndarray, pair: np.ndarray, raw: np.ndarray, norm: np.ndarray
-) -> None:
+def _seesaw_half(fixed: np.ndarray, matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Set `vectors` in place to the best pair for one party with the other party's pair `fixed` held.
 
     `fixed` and `vectors` stack (v, v') per state and restart, shape (N, 2, R, 3),
     and `matrix` is (N, 1, 3, 3); the optimal partners are the unit vectors
-    along (v + v') M and (v - v') M, and the CHSH value they reach is the sum of
-    those two norms, left in `norm` (N, 2, R).  `pair` and `raw` are scratch
-    buffers shaped like `fixed`.  A zero row leaves the objective flat in that
-    vector, so it keeps its previous value.
+    along (v + v') M and (v - v') M.  Returns those two norms (N, 2, R), whose
+    sum is the CHSH value the pair reaches.  A zero row leaves the objective
+    flat in that vector, so it keeps its previous value.
     """
-    n = fixed.shape[0]
-    np.matmul(_PAIR_SIGNS, fixed.reshape(n, 2, -1), out=pair.reshape(n, 2, -1))
-    np.matmul(pair, matrix, out=raw)
-    np.einsum("...pmi,...pmi->...pm", raw, raw, out=norm)
+    raw = (_PAIR_SIGNS @ fixed.reshape(len(fixed), 2, -1)).reshape(fixed.shape) @ matrix
+    norm = np.einsum("...pmi,...pmi->...pm", raw, raw)
     np.sqrt(norm, out=norm)
     if norm.all():
         np.divide(raw, norm[..., None], out=vectors)
     else:
         live = norm > 0.0
         vectors[...] = np.where(live[..., None], raw / np.where(live, norm, 1.0)[..., None], vectors)
+    return norm
 
 
 def _check_seesaw_args(restarts: int, seed: int) -> None:
@@ -195,7 +187,7 @@ def _check_seesaw_args(restarts: int, seed: int) -> None:
         raise ValueError("seed must be non-negative")
 
 
-def _extrapolate(t_t, alice, bob, values, old_bob, step, pair, raw, norm) -> None:
+def _extrapolate(t_t, alice, bob, values, old_bob, step) -> None:
     """Try one extrapolation step per restart and keep it where it raises the value.
 
     Bob's pair moves along its change since `old_bob`, two sweeps back, to the
@@ -203,16 +195,14 @@ def _extrapolate(t_t, alice, bob, values, old_bob, step, pair, raw, norm) -> Non
     pair.  Where that value is strictly higher, (alice, bob, values) take the
     trial and `step` doubles (up to _STEP_CAP); elsewhere they stay and `step`
     halves.  So (alice, bob) always reach `values`, and no value decreases.
-    `pair`, `raw` and `norm` are the scratch buffers of `_seesaw_half`.
     """
     trial = bob - old_bob
     trial *= step[:, None, :, None]
     trial += bob
-    np.einsum("...pmi,...pmi->...pm", trial, trial, out=norm)
-    np.sqrt(norm, out=norm)  # |(1 + step) b - step b_old| >= 1 for unit rows, so never 0
-    trial /= norm[..., None]
+    norm = np.einsum("...pmi,...pmi->...pm", trial, trial)
+    trial /= np.sqrt(norm, out=norm)[..., None]  # |(1 + step) b - step b_old| >= 1 for unit rows, so never 0
     trial_alice = alice.copy()  # a zero row keeps Alice's vector, as in a plain sweep
-    _seesaw_half(trial, t_t, trial_alice, pair, raw, norm)
+    norm = _seesaw_half(trial, t_t, trial_alice)
     trial_values = norm[:, 0] + norm[:, 1]
     kept = trial_values > values
     np.copyto(alice, trial_alice, where=kept[:, None, :, None])
@@ -248,26 +238,26 @@ def _seesaw(rho: np.ndarray, restarts: int, seed: int):
     """
     _check_seesaw_args(restarts, seed)
     t = correlation_tensor(rho)[:, None]  # (N, 1, 3, 3): one tensor for both vectors of a pair
-    t_t = np.swapaxes(t, -1, -2)
     n = t.shape[0]
     start = _start_vectors(restarts, seed)
     alice = np.repeat(start[None, :2], n, axis=0)
     bob = np.repeat(start[None, 2:], n, axis=0)
-    values, norm = np.zeros((n, restarts)), np.empty((n, 2, restarts))  # a budget of 0 returns restart 0's start
-    pair, raw = np.empty_like(bob), np.empty_like(bob)
-    # per active state: Bob's pairs at the end of the last two sweeps (written from sweep _PLAIN_SWEEPS - 2),
-    # the extrapolation factors, and the sweeps in a row whose gain is below the phase's tolerance
-    old_bob, step, slow = np.empty((2,) + bob.shape), np.full((n, restarts), _STEP_START), np.zeros(n, dtype=int)
+    values = np.zeros((n, restarts))  # a budget of 0 returns restart 0's start
+    # per active state: Bob's pairs at the end of the last two sweeps, (N, 2, 2, R, 3) from sweep _PLAIN_SWEEPS - 2
+    # on, the extrapolation factors, and the sweeps in a row whose gain is below the phase's tolerance
+    old_bob, step, slow = np.empty((n, 0)), np.full((n, restarts), _STEP_START), np.zeros(n, dtype=int)
     settings, converged = np.empty((n, 4, 3)), np.zeros(n, dtype=bool)
     active, prev_best = np.arange(n), np.full(n, -np.inf)
     for sweep in range(SEESAW_SWEEPS):
-        _seesaw_half(bob, t_t, alice, pair, raw, norm)
-        _seesaw_half(alice, t, bob, pair, raw, norm)
-        np.add(norm[:, 0], norm[:, 1], out=values)
+        t_t = np.swapaxes(t, -1, -2)
+        _seesaw_half(bob, t_t, alice)
+        norm = _seesaw_half(alice, t, bob)
+        values = norm[:, 0] + norm[:, 1]
         if sweep >= _PLAIN_SWEEPS:
-            _extrapolate(t_t, alice, bob, values, old_bob[sweep % 2], step, pair, raw, norm)
-        if sweep >= _PLAIN_SWEEPS - 2:
-            old_bob[sweep % 2] = bob
+            _extrapolate(t_t, alice, bob, values, old_bob[:, sweep % 2], step)
+        if sweep >= _PLAIN_SWEEPS - 2:  # allocated here, so that no stop in the plain phase compacts it unwritten
+            old_bob = old_bob if sweep > _PLAIN_SWEEPS - 2 else np.empty((len(bob), 2) + bob.shape[1:])
+            old_bob[:, sweep % 2] = bob
         best_now = values.max(axis=1)
         tol, stalls = (_VALUE_STALL_TOL, 1) if sweep < _PLAIN_SWEEPS else (_STEP_STALL_TOL, _STEP_STALLS)
         slow = (slow + 1) * (best_now - prev_best < tol)  # a sweep that gains tol or more resets it
@@ -278,13 +268,9 @@ def _seesaw(rho: np.ndarray, restarts: int, seed: int):
             if stalled.all():
                 return settings, converged
             keep = ~stalled
-            active, alice, bob, values, t, step, slow, best_now = (
-                a[keep] for a in (active, alice, bob, values, t, step, slow, best_now)
+            active, alice, bob, values, t, old_bob, step, slow, best_now = (
+                a[keep] for a in (active, alice, bob, values, t, old_bob, step, slow, best_now)
             )
-            if sweep >= _PLAIN_SWEEPS - 2:
-                old_bob[:, : len(active)] = old_bob[:, keep]
-            t_t, old_bob = np.swapaxes(t, -1, -2), old_bob[:, : len(active)]
-            pair, raw, norm = pair[: len(active)], raw[: len(active)], norm[: len(active)]
         prev_best = best_now
     settings[active] = _best_settings(alice, bob, values)  # the states the budget ran out on
     return settings, converged
@@ -313,10 +299,10 @@ def chsh_brute_force(
     gain less than 1e-14; exhausting the budget of SEESAW_SWEEPS sweeps flags
     the result unconverged but returns it.
     """
-    if np.shape(rho) != (4, 4):  # entries are checked by correlation_tensor
+    if np.shape(rho) != (4, 4):  # entries are checked by horodecki_bmax
         raise ValueError(f"rho must be a 4x4 A(x)B density matrix (one, not a stack), got shape {np.shape(rho)}")
+    b_h = horodecki_bmax(rho)  # first, so that a bad state is named as one, not as a stack of one
     settings, converged = _seesaw(np.asarray(rho)[None], restarts, seed)
-    b_h = horodecki_bmax(rho)
     return BellResult(
         b_horodecki=b_h,
         b_brute=chsh_value(rho, *settings[0]),

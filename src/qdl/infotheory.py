@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import violation_threshold
-from .linalg import _float_or_array, hermitian_eigenvalues, partial_trace, partial_transpose
+from .linalg import _as_hermitian_state, _float_or_array, hermitian_eigenvalues, partial_trace, partial_transpose
 from .states import Scenario, ScenarioParams, scenario_densities
 
 SEPARABILITY_TOL = 1e-10
@@ -45,7 +45,7 @@ class InformationReport:
 
 def ppt_check(rho: np.ndarray) -> SeparabilityReport:
     """Peres-Horodecki test: spectrum of the partial transpose; array fields over a stack of states."""
-    spectrum = hermitian_eigenvalues(partial_transpose(rho))
+    spectrum = hermitian_eigenvalues(partial_transpose(_as_hermitian_state(rho)))
     negativity = np.sum(np.where(spectrum < 0.0, -spectrum, 0.0), axis=-1)
     separable = spectrum[..., -1] >= -SEPARABILITY_TOL
     if spectrum.ndim == 1:
@@ -72,6 +72,7 @@ def _xlogx(x: float | np.ndarray) -> np.ndarray:
 
 def mutual_information(rho: np.ndarray) -> InformationReport:
     """I_AB = S_A + S_B - S_AB from the eigenvalue route; array fields over a stack of states."""
+    rho = _as_hermitian_state(rho)
     s_a = von_neumann_entropy(partial_trace(rho, "A"))
     s_b = von_neumann_entropy(partial_trace(rho, "B"))
     s_ab = von_neumann_entropy(rho)
@@ -140,13 +141,13 @@ def info_threshold(scenario: Scenario, params: ScenarioParams) -> float | np.nda
     raise ValueError(f"no information threshold defined for scenario {scenario.value}")
 
 
-def printed_meter_info_threshold(robustness: float) -> float:
-    """Published meter-case threshold expression, evaluated verbatim.
+def printed_meter_info_threshold(params: ScenarioParams) -> float | np.ndarray:
+    """Published meter-case threshold expression at the r_m of ``params``, evaluated verbatim; an array over array knobs.
 
     The sign structure does not form an entropy (first term enters with a
     plus sign), so this disagrees with the numeric boundary value; it is kept
     only so the discrepancy can be quantified.
     """
-    r2 = robustness * robustness
-    arg = 0.5 + 0.5 * math.sqrt(2.0) * r2 / math.sqrt(1.0 - r2)
-    return float(_xlogx(arg) - _xlogx(1.0 - arg))
+    r2 = params.r_m * params.r_m
+    arg = 0.5 + 0.5 * math.sqrt(2.0) * r2 / np.sqrt(1.0 - r2)
+    return _float_or_array(_xlogx(arg) - _xlogx(1.0 - arg))

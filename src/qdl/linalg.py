@@ -50,6 +50,26 @@ def _as_state(rho) -> np.ndarray:
     return rho
 
 
+def _as_hermitian_state(rho) -> np.ndarray:
+    """``_as_state`` of rho, which must also be Hermitian within HERMITICITY_TOL (``_check_hermitian``)."""
+    rho = _as_state(rho)
+    _check_hermitian(rho, "rho")
+    return rho
+
+
+def _check_hermitian(m: np.ndarray, name: str) -> np.ndarray:
+    """The adjoint of m (..., n, n); a ValueError names the first matrix with an entry |m - m^dag| >= HERMITICITY_TOL."""
+    adjoint = m.conj().swapaxes(-1, -2)
+    dev = m - adjoint
+    dev = np.abs(dev, out=dev.real)  # in place: a second fresh array of a stack's size costs more than the test
+    if dev.max(initial=0.0) >= HERMITICITY_TOL:
+        dev = dev.reshape((-1,) + m.shape[-2:])
+        k = int(np.argmax(dev.max(axis=(-2, -1)) >= HERMITICITY_TOL))
+        which = name if m.ndim == 2 else f"{name} {k} of the stack"
+        raise ValueError(f"{which} is not Hermitian (max |{name} - {name}^dag| = {dev[k].max():.3e})")
+    return adjoint
+
+
 def _float_or_array(x) -> float | np.ndarray:
     """A float for a scalar or 0-d result, the array otherwise."""
     return float(x) if np.ndim(x) == 0 else x
@@ -84,14 +104,7 @@ def hermitian_eigensystem(m) -> np.ndarray:
     """
     m = _as_square(m, "m")
     batch, n = m.shape[:-2], m.shape[-1]
-    a = m.reshape((-1, n, n))
-    ah = a.conj().swapaxes(-1, -2)
-    dev = np.abs(a - ah)
-    if dev.max(initial=0.0) >= HERMITICITY_TOL:
-        k = int(np.argmax(dev.max(axis=(-2, -1)) >= HERMITICITY_TOL))
-        which = "matrix" if m.ndim == 2 else f"matrix {k} of the stack"
-        raise ValueError(f"{which} is not Hermitian (max |m - m^dag| = {dev[k].max():.3e})")
-    a = (a + ah) / 2.0
+    a = (m + _check_hermitian(m, "m")).reshape((-1, n, n)) / 2.0
     solve = _jacobi if len(a) == 1 else _stacked_jacobi
     if not a.imag.any():
         return solve(a.real).reshape(batch + (n,))

@@ -300,15 +300,12 @@ def probe_meter_threshold_form() -> SuiteResult:
     """Meter information threshold: numeric boundary value vs the published expression."""
     lines = ["meter information threshold (numeric boundary I_AB vs published form):",
              "  r_m      numeric          published        |difference|"]
-    gaps = []
-    numerics = info_threshold(Scenario.METER, ScenarioParams(r_m=np.array(METER_THRESHOLD_ROBUSTNESS)))
-    for r, numeric in zip(METER_THRESHOLD_ROBUSTNESS, numerics.tolist()):
-        if math.isnan(numeric):  # no threshold: every d > 0 violates
-            continue
-        printed = printed_meter_info_threshold(r)
-        arg = 0.5 + 0.5 * math.sqrt(2.0) * r * r / math.sqrt(1.0 - r * r)
-        gaps.append(abs(numeric - binary_entropy(arg)))
-        lines.append(f"  {r:.2f}   {numeric:.9f}      {printed:.9f}     {abs(numeric - printed):.9f}")
+    params = ScenarioParams(r_m=np.array(METER_THRESHOLD_ROBUSTNESS))
+    r, numeric = params.r_m, info_threshold(Scenario.METER, params)
+    found = ~np.isnan(numeric)  # NaN: no threshold, every d > 0 violates
+    gaps = np.abs(numeric - binary_entropy(0.5 + 0.5 * math.sqrt(2.0) * r * r / np.sqrt(1.0 - r * r)))[found]
+    for r_m, num, pub in zip(*(x[found].tolist() for x in (r, numeric, printed_meter_info_threshold(params)))):
+        lines.append(f"  {r_m:.2f}   {num:.9f}      {pub:.9f}     {abs(num - pub):.9f}")
     lines.append("  numeric definition adopted; the published signs do not form an entropy.")
     worst_closed = float(np.max(gaps, initial=0.0))  # keeps a NaN, which fails the suite
     lines.append(f"  (numeric value equals the entropy h(1/2 + sqrt2 r^2 / (2 sqrt(1-r^2))) to {worst_closed:.1e})")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _as_state, _float_or_array, partial_trace
+from .linalg import _as_hermitian_state, _float_or_array, partial_trace
 from .states import Scenario, ScenarioParams, _check_unit_interval, scenario_densities, scenario_density
 
 DEFAULT_SWEEP_POINTS = 1024
@@ -67,7 +67,7 @@ def visibility_sweep(rho: np.ndarray, n: int = DEFAULT_SWEEP_POINTS) -> FringeSc
     """
     if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 8:
         raise ValueError(f"phase count must be an integer of at least 8, got {n!r}")
-    rho = np.ascontiguousarray(_as_state(rho), dtype=complex)
+    rho = np.ascontiguousarray(_as_hermitian_state(rho), dtype=complex)
     phases, readout = _readout(int(n))
     # einsum's own loop, not BLAS: gemv for one state and gemm for a stack would round differently
     probs = np.einsum("nj,jk->nk", rho.reshape(-1, 16).view(float), readout)
@@ -80,7 +80,7 @@ def visibility_sweep(rho: np.ndarray, n: int = DEFAULT_SWEEP_POINTS) -> FringeSc
 
 def visibility_analytic(rho: np.ndarray) -> float | np.ndarray:
     """Fringe contrast from the A coherence: V = 2 |<up| rho_A |down>|; an array over a stack of states."""
-    c = partial_trace(rho, "A")[..., 0, 1]
+    c = partial_trace(_as_hermitian_state(rho), "A")[..., 0, 1]
     return _float_or_array(2.0 * np.hypot(c.real, c.imag))  # hypot rounds like abs() of one complex scalar
 
 

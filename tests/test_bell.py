@@ -7,6 +7,7 @@ from qdl import bell
 from qdl.bell import (
     _PLAIN_SWEEPS,
     _VALUE_STALL_TOL,
+    MAX_RESTARTS,
     SEESAW_SWEEPS,
     _seesaw,
     _start_vectors,
@@ -444,6 +445,122 @@ def test_stacked_seesaw_budget_ending_on_a_stop_sweep(monkeypatch):
             single, single_converged = _seesaw(state[None], 8, 3)
             assert np.array_equal(single[0], settings[k])
             assert single_converged[0] == converged[k]
+
+
+def _buffered_seesaw_half(fixed, matrix, vectors, pair, raw, norm):
+    """The see-saw half step with caller-owned scratch buffers, which `_seesaw_half` replaced."""
+    n = fixed.shape[0]
+    np.matmul(bell._PAIR_SIGNS, fixed.reshape(n, 2, -1), out=pair.reshape(n, 2, -1))
+    np.matmul(pair, matrix, out=raw)
+    np.einsum("...pmi,...pmi->...pm", raw, raw, out=norm)
+    np.sqrt(norm, out=norm)
+    if norm.all():
+        np.divide(raw, norm[..., None], out=vectors)
+    else:
+        live = norm > 0.0
+        vectors[...] = np.where(live[..., None], raw / np.where(live, norm, 1.0)[..., None], vectors)
+
+
+def _buffered_extrapolate(t_t, alice, bob, values, old_bob, step, pair, raw, norm):
+    trial = bob - old_bob
+    trial *= step[:, None, :, None]
+    trial += bob
+    np.einsum("...pmi,...pmi->...pm", trial, trial, out=norm)
+    np.sqrt(norm, out=norm)
+    trial /= norm[..., None]
+    trial_alice = alice.copy()
+    _buffered_seesaw_half(trial, t_t, trial_alice, pair, raw, norm)
+    trial_values = norm[:, 0] + norm[:, 1]
+    kept = trial_values > values
+    np.copyto(alice, trial_alice, where=kept[:, None, :, None])
+    np.copyto(bob, trial, where=kept[:, None, :, None])
+    np.maximum(values, trial_values, out=values)
+    step *= np.where(kept, 2.0, 0.5)
+    np.minimum(step, bell._STEP_CAP, out=step)
+
+
+def _buffered_seesaw(rho, restarts, seed):
+    """The see-saw, extrapolated phase included, with scratch buffers sliced on each compaction and
+    Bob's history kept party-first, (2, N, 2, R, 3), and compacted on its own.  Reads
+    bell.SEESAW_SWEEPS at the call."""
+    t = correlation_tensor(rho)[:, None]
+    t_t = np.swapaxes(t, -1, -2)
+    n = t.shape[0]
+    start = _start_vectors(restarts, seed)
+    alice = np.repeat(start[None, :2], n, axis=0)
+    bob = np.repeat(start[None, 2:], n, axis=0)
+    values, norm = np.zeros((n, restarts)), np.empty((n, 2, restarts))
+    pair, raw = np.empty_like(bob), np.empty_like(bob)
+    old_bob, step, slow = np.empty((2,) + bob.shape), np.full((n, restarts), bell._STEP_START), np.zeros(n, dtype=int)
+    settings, converged = np.empty((n, 4, 3)), np.zeros(n, dtype=bool)
+    active, prev_best = np.arange(n), np.full(n, -np.inf)
+    for sweep in range(bell.SEESAW_SWEEPS):
+        _buffered_seesaw_half(bob, t_t, alice, pair, raw, norm)
+        _buffered_seesaw_half(alice, t, bob, pair, raw, norm)
+        np.add(norm[:, 0], norm[:, 1], out=values)
+        if sweep >= _PLAIN_SWEEPS:
+            _buffered_extrapolate(t_t, alice, bob, values, old_bob[sweep % 2], step, pair, raw, norm)
+        if sweep >= _PLAIN_SWEEPS - 2:
+            old_bob[sweep % 2] = bob
+        best_now = values.max(axis=1)
+        if sweep < _PLAIN_SWEEPS:
+            tol, stalls = _VALUE_STALL_TOL, 1
+        else:
+            tol, stalls = bell._STEP_STALL_TOL, bell._STEP_STALLS
+        slow = (slow + 1) * (best_now - prev_best < tol)
+        stalled = slow >= stalls
+        if stalled.any():
+            done = active[stalled]
+            settings[done], converged[done] = bell._best_settings(alice[stalled], bob[stalled], values[stalled]), True
+            if stalled.all():
+                return settings, converged
+            keep = ~stalled
+            active, alice, bob, values, t, step, slow, best_now = (
+                a[keep] for a in (active, alice, bob, values, t, step, slow, best_now)
+            )
+            if sweep >= _PLAIN_SWEEPS - 2:
+                old_bob[:, : len(active)] = old_bob[:, keep]
+            t_t, old_bob = np.swapaxes(t, -1, -2), old_bob[:, : len(active)]
+            pair, raw, norm = pair[: len(active)], raw[: len(active)], norm[: len(active)]
+        prev_best = best_now
+    settings[active] = bell._best_settings(alice, bob, values)
+    return settings, converged
+
+
+def _assert_equals_buffered_seesaw(rho, restarts, seed):
+    settings, converged = _seesaw(rho, restarts, seed)
+    ref_settings, ref_converged = _buffered_seesaw(rho, restarts, seed)
+    assert np.array_equal(settings, ref_settings)
+    assert np.array_equal(converged, ref_converged)
+
+
+@pytest.mark.parametrize("sweeps", [SEESAW_SWEEPS, 40, 1])
+@pytest.mark.parametrize("restarts", [1, 8, 32])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_seesaw_equals_the_buffered_seesaw_on_the_mixed_stack(sweeps, restarts, seed, monkeypatch):
+    """Bit identity with the buffered loop in both phases: the mixed stack stops states in the
+    plain phase and in the extrapolated one, and compacts the history in each."""
+    monkeypatch.setattr(bell, "SEESAW_SWEEPS", sweeps)
+    _assert_equals_buffered_seesaw(_mixed_optimizer_stack(), restarts, seed)
+
+
+@pytest.mark.parametrize("restarts", [32, MAX_RESTARTS])
+def test_seesaw_equals_the_buffered_seesaw_on_the_brute_grid(restarts):
+    rho = np.concatenate([chunk.rho for chunk in _grid(BRUTE_RESOLUTION, *_AXES)])
+    _assert_equals_buffered_seesaw(rho, restarts, 0)
+
+
+@pytest.mark.parametrize(
+    "scenario, params",
+    [
+        (Scenario.SYSTEM, ScenarioParams(d=0.9999557243204511, r_s=0.9995418905310595)),
+        (Scenario.METER, ScenarioParams(d=0.7387126869164424, r_m=0.9994977530794785)),
+        (Scenario.SYSTEM, ScenarioParams(d=0.9923654627945088, r_s=0.7194443005884364)),
+        (Scenario.COMBINED, ScenarioParams(d=0.069897370734194, r_s=1.0, r_m=0.4425796625277897)),
+    ],
+)
+def test_seesaw_equals_the_buffered_seesaw_where_the_extrapolated_phase_runs_long(scenario, params):
+    _assert_equals_buffered_seesaw(scenario_density(params, scenario)[None], 32, 0)
 
 
 @pytest.mark.parametrize(

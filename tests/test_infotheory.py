@@ -211,7 +211,8 @@ def test_info_threshold_unsupported_scenario():
 
 def test_printed_meter_threshold_differs_from_numeric():
     for r in (0.2, 0.5):
-        assert abs(printed_meter_info_threshold(r) - info_threshold(Scenario.METER, ScenarioParams(r_m=r))) > 0.1
+        params = ScenarioParams(r_m=r)
+        assert abs(printed_meter_info_threshold(params) - info_threshold(Scenario.METER, params)) > 0.1
 
 
 def test_negativity_zero_iff_separable_on_grid():

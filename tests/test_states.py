@@ -404,14 +404,28 @@ def _bad_state(kind: str) -> np.ndarray:
     if kind == "3x3":
         return np.eye(3) / 3.0
     rho = np.eye(4) / 4.0
-    rho[1, 2] = rho[2, 1] = math.nan if kind == "nan" else math.inf
+    if kind == "non-Hermitian":  # trace 1 and positive marginals, but rho[3, 0] = 0
+        rho[0, 3] = 0.4
+    else:
+        rho[1, 2] = rho[2, 1] = math.nan if kind == "nan" else math.inf
     return rho
 
 
-@pytest.mark.parametrize("kind", ["3x3", "nan", "inf"])
-@pytest.mark.parametrize("function", list(STATE_FUNCTIONS.values()), ids=list(STATE_FUNCTIONS))
-def test_state_functions_name_rho_for_a_wrong_size_or_non_finite_input(function, kind):
+# the partial trace and transpose take any finite 4x4 operator
+_OPERATOR_FUNCTIONS = ("partial_trace", "partial_transpose")
+
+
+@pytest.mark.parametrize("kind", ["3x3", "nan", "inf", "non-Hermitian"])
+@pytest.mark.parametrize("name", list(STATE_FUNCTIONS))
+def test_state_functions_name_rho_for_a_wrong_size_or_non_finite_input(name, kind):
     # one check for every state entry point: neither numpy's broadcast error, nor the name
-    # of an internal matrix, nor a silent NaN
-    with pytest.raises(ValueError, match=r"^rho (must be a 4x4|contains NaN/Inf)"):
-        function(_bad_state(kind))
+    # of an internal matrix, nor a silent NaN or a number for a matrix that is not a state
+    function, rho = STATE_FUNCTIONS[name], _bad_state(kind)
+    if kind != "non-Hermitian":
+        with pytest.raises(ValueError, match=r"^rho (must be a 4x4|contains NaN/Inf)"):
+            function(rho)
+    elif name in _OPERATOR_FUNCTIONS:
+        assert np.isfinite(function(rho)).all()
+    else:
+        with pytest.raises(ValueError, match=r"^rho is not Hermitian"):
+            function(rho)

@@ -33,9 +33,10 @@ print()
 print("complementarity identity V^2/(1-P^2) + d^2 = 1 across biased sources")
 for r in (0.1, 0.3, 0.5):
     for d in (0.2, 0.8):
-        rho = scenario_density(ScenarioParams(r=r, d=d), Scenario.FREE)
+        params = ScenarioParams(r=r, d=d)
+        rho = scenario_density(params, Scenario.FREE)
         v = visibility_analytic(rho)
-        p = predictability(r)
+        p = predictability(params)
         lhs = v**2 / (1 - p**2) + d**2
         print(f"  r={r:.1f} d={d:.1f}: P={p:.2f}  V={v:.6f}  identity LHS={lhs:.12f}")
 

@@ -45,7 +45,7 @@ def analyze(
     """Compute visibility, CHSH maxima, separability and information for one point."""
     rho = scenario_density(params, scenario)
     v = visibility_analytic(rho)
-    p = predictability(params.r)
+    p = predictability(params)
     brute = chsh_brute_force(rho, restarts=restarts, seed=seed)
     bell = replace(brute, b_closed_form=bell_closed_form(scenario, params))
     sep = ppt_check(rho)

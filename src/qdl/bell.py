@@ -79,7 +79,7 @@ def bell_closed_form(scenario: Scenario, params: ScenarioParams) -> float | np.n
     """Scenario-specific analytic maximum of the CHSH value; an array over array knobs."""
     d2 = params.d * params.d
     if scenario is Scenario.FREE:
-        u = unpredictability(params.r)
+        u = unpredictability(params)
         m = 1.0 + d2 * u * u
     elif scenario is Scenario.SYSTEM:
         m = params.r_s * params.r_s + d2
@@ -320,7 +320,7 @@ def violation_threshold(scenario: Scenario, params: ScenarioParams) -> float | n
     threshold is an array of the knobs' shape.  Whether a point violates is ``violates_chsh(bell_closed_form(...))``.
     """
     if scenario is Scenario.FREE:
-        d_thr = np.where(unpredictability(params.r) > 0.0, 0.0, 1.0)
+        d_thr = np.where(unpredictability(params) > 0.0, 0.0, 1.0)
     else:
         r_s = 1.0 if scenario is Scenario.METER else params.r_s
         r_m = 1.0 if scenario is Scenario.SYSTEM else params.r_m

@@ -144,10 +144,11 @@ def info_threshold(scenario: Scenario, params: ScenarioParams) -> float | np.nda
 def printed_meter_info_threshold(params: ScenarioParams) -> float | np.ndarray:
     """Published meter-case threshold expression at the r_m of ``params``, evaluated verbatim; an array over array knobs.
 
-    The sign structure does not form an entropy (first term enters with a
-    plus sign), so this disagrees with the numeric boundary value; it is kept
-    only so the discrepancy can be quantified.
+    The sign structure does not form an entropy (first term enters with a plus sign), so this disagrees with the
+    numeric boundary value; it is kept only so the discrepancy can be quantified.  NaN where r_m^2 >= 1/2, as
+    for ``info_threshold``: the argument of the entropy terms exceeds 1 there.
     """
     r2 = params.r_m * params.r_m
-    arg = 0.5 + 0.5 * math.sqrt(2.0) * r2 / np.sqrt(1.0 - r2)
-    return _float_or_array(_xlogx(arg) - _xlogx(1.0 - arg))
+    inside = r2 < 0.5
+    arg = 0.5 + 0.5 * math.sqrt(2.0) * r2 / np.sqrt(1.0 - np.where(inside, r2, 0.0))
+    return _float_or_array(np.where(inside, _xlogx(arg) - _xlogx(1.0 - arg), np.nan))

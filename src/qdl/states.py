@@ -89,18 +89,6 @@ def _meter_rotation(d) -> np.ndarray:
     return _matrix_2x2(np.shape(d), o, d, -d, o)
 
 
-def _environment_weights(control: str, r) -> np.ndarray:
-    """weights[..., k, e]: amplitude for environment level e given control level k, robustness r.
-
-    Environment basis: index 0 = |up>, 1 = |down>; it starts in |down>.  On A
-    the up-branch is inert, on B the down-branch.
-    """
-    leak = np.sqrt(1.0 - r * r)
-    if control == "A":
-        return _matrix_2x2(np.shape(r), 0.0, 1.0, leak, r)
-    return _matrix_2x2(np.shape(r), leak, r, 0.0, 1.0)
-
-
 def _checked_norms(psi: np.ndarray) -> np.ndarray:
     """Stacked amplitudes (N, ...) whose every state has unit norm within 1e-12."""
     flat = psi.reshape(len(psi), math.prod(psi.shape[1:]))
@@ -108,6 +96,16 @@ def _checked_norms(psi: np.ndarray) -> np.ndarray:
     if np.any(np.abs(norms - 1.0) > 1e-12):
         raise ValueError(f"state norm {norms[np.argmax(np.abs(norms - 1.0))]} is not 1 within 1e-12")
     return psi
+
+
+def _decohere(psi: np.ndarray, factor: str, r) -> np.ndarray:
+    """Append to each stacked state (N, 2, 2, ...) an environment qubit coupled to factor ``factor`` ("A" or "B")
+    at robustness r[n], and check every norm.  The environment starts in |down>; the up-branch of A, or the
+    down-branch of B, leaves it there, and the other branch turns it into sqrt(1 - r^2)|up> + r|down>."""
+    leak = np.sqrt(1.0 - r * r)
+    if factor == "A":
+        return _checked_norms(np.einsum("nk...,nke->nk...e", psi, _matrix_2x2(np.shape(r), 0.0, 1.0, leak, r)))
+    return _checked_norms(np.einsum("njk...,nke->njk...e", psi, _matrix_2x2(np.shape(r), leak, r, 0.0, 1.0)))
 
 
 def scenario_amplitudes(scenario: Scenario, params: ScenarioParams) -> np.ndarray:
@@ -123,9 +121,9 @@ def scenario_amplitudes(scenario: Scenario, params: ScenarioParams) -> np.ndarra
     psi[:, 1] = np.einsum("nij,nj->ni", _meter_rotation(d), psi[:, 1])
     psi = _checked_norms(psi)
     if scenario in (Scenario.SYSTEM, Scenario.COMBINED):
-        psi = _checked_norms(_decohere_stack(psi, 1, _environment_weights("A", r_s)))
+        psi = _decohere(psi, "A", r_s)
     if scenario in (Scenario.METER, Scenario.COMBINED):
-        psi = _checked_norms(_decohere_stack(psi, 2, _environment_weights("B", r_m)))
+        psi = _decohere(psi, "B", r_m)
     return psi
 
 
@@ -143,7 +141,3 @@ def scenario_density(params: ScenarioParams, scenario: Scenario) -> np.ndarray:
         raise ValueError("scenario_density takes one point; use scenario_densities for arrays of knobs")
     return scenario_densities(scenario, params)[0]
 
-
-def _decohere_stack(psi: np.ndarray, axis: int, weights: np.ndarray) -> np.ndarray:
-    """Append an environment factor entangled with factor ``axis`` of each stacked state."""
-    return np.einsum("nk...,nke->nk...e" if axis == 1 else "njk...,nke->njk...e", psi, weights)

@@ -21,7 +21,7 @@ from .bell import _check_seesaw_args, _seesaw, bell_closed_form, chsh_value, hor
 from .bell import violation_threshold
 from .figures import _grid_chunks
 from .infotheory import binary_entropy, entropy_closed_form, info_threshold, mutual_information, ppt_check
-from .infotheory import printed_meter_info_threshold, printed_meter_s_b
+from .infotheory import SEPARABILITY_TOL, printed_meter_info_threshold, printed_meter_s_b
 from .states import Scenario, ScenarioParams, scenario_densities
 from .visibility import _identity_residual, _ratio_residual, predictability, visibility_analytic, visibility_sweep
 
@@ -31,7 +31,6 @@ BRUTE_TOL = 1e-5
 BOUNDARY_TOL = 1e-9
 ENTROPY_TOL = 1e-9
 REGION_MARGIN = 1e-6
-NEGATIVITY_TOL = 1e-10
 
 DEFAULT_RESOLUTION = 13
 BRUTE_RESOLUTION = 5
@@ -183,8 +182,8 @@ def suite_ppt_region(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     def check(chunk):  # (misclassified points, whether an entangled meter point does not violate CHSH)
         coords, rep = chunk.coords, chunk.ppt
         expected = (coords.d > REGION_MARGIN) & (getattr(coords, _AXES[chunk.scenario][1]) > REGION_MARGIN)
-        entangled = rep.negativity > NEGATIVITY_TOL
-        single_negative = np.sum(rep.ppt_spectrum < -NEGATIVITY_TOL, axis=-1) == 1
+        entangled = rep.negativity > SEPARABILITY_TOL
+        single_negative = np.sum(rep.ppt_spectrum < -SEPARABILITY_TOL, axis=-1) == 1
         both = entangled & expected
         wrong = int(np.sum(entangled != expected)) + int(np.sum(both & ~single_negative))
         return wrong, chunk.scenario is Scenario.METER and bool(np.any(both & ~violates_chsh(chunk.bmax)))
@@ -235,11 +234,11 @@ def probe_predictability(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
 
     chunks = list(_grid(resolution, Scenario.FREE))  # held, so that both forms read one build of the grid
 
-    def identity(p_of):  # the SuiteResult of the identity with P = p_of(r)
-        residuals = ((c, _ratio_residual(c.visibility, 1.0 - p_of(c.coords.r) ** 2, c.coords.d)) for c in chunks)
+    def identity(p_of):  # the SuiteResult of the identity with P = p_of(coords)
+        residuals = ((c, _ratio_residual(c.visibility, 1.0 - p_of(c.coords) ** 2, c.coords.d)) for c in chunks)
         return _reduce("discrepancy_p_definition", IDENTITY_TOL, residuals)
 
-    res, printed = identity(predictability), identity(lambda r: np.sqrt(predictability(r)))
+    res, printed = identity(predictability), identity(lambda q: np.sqrt(predictability(q)))
     res.lines = [
         "predictability definition vs the visibility identity:",
         f"  P = |1-2r|       max identity residual = {res.max_residual:.3e}   (adopted)",
@@ -256,13 +255,12 @@ def probe_ppt_polarity(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     source elsewhere describes entangled states by their single negative
     eigenvalue, so the standard polarity is the consistent reading.
     """
-    entangled_points = 0
-    with_negative_eig = 0
+    entangled_points = with_negative_eig = 0
     for chunk in _grid(resolution, Scenario.SYSTEM):
         coords, rep = chunk.coords, chunk.ppt
-        entangled = (coords.d > 0.0) & (coords.r_s > 0.0) & (rep.negativity > NEGATIVITY_TOL)
+        entangled = (coords.d > 0.0) & (coords.r_s > 0.0) & (rep.negativity > SEPARABILITY_TOL)
         entangled_points += int(np.sum(entangled))
-        with_negative_eig += int(np.sum(entangled & (rep.ppt_spectrum[:, -1] < -NEGATIVITY_TOL)))
+        with_negative_eig += int(np.sum(entangled & (rep.ppt_spectrum[:, -1] < -SEPARABILITY_TOL)))
     mism = entangled_points - with_negative_eig
     lines = [
         "partial-transpose polarity (system scenario, d > 0, r > 0):",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _as_hermitian_state, _float_or_array, partial_trace
-from .states import Scenario, ScenarioParams, _check_unit_interval, scenario_densities, scenario_density
+from .states import Scenario, ScenarioParams, scenario_densities, scenario_density
 
 DEFAULT_SWEEP_POINTS = 1024
 # Recombination rotation on A: |up> -> (|up>+|down>)/sqrt2, |down> -> (-|up>+|down>)/sqrt2.
@@ -84,21 +84,19 @@ def visibility_analytic(rho: np.ndarray) -> float | np.ndarray:
     return _float_or_array(2.0 * np.hypot(c.real, c.imag))  # hypot rounds like abs() of one complex scalar
 
 
-def predictability(r: float | np.ndarray) -> float | np.ndarray:
-    """A-priori path bias |p_down - p_up| = |1 - 2r| of the source state; an array over an array of r."""
-    return abs(1.0 - 2.0 * _check_unit_interval("r", r))
+def predictability(params: ScenarioParams) -> float | np.ndarray:
+    """A-priori path bias |p_down - p_up| = |1 - 2r| at the r of ``params``; an array over array knobs."""
+    return abs(1.0 - 2.0 * params.r)
 
 
-def unpredictability(r: float | np.ndarray) -> float | np.ndarray:
-    """sqrt(1 - P^2), written as 2 sqrt(r (1 - r)): 1 - P^2 cancels as r -> 0 or 1."""
-    r = _check_unit_interval("r", r)
-    return _float_or_array(2.0 * np.sqrt(r * (1.0 - r)))
+def unpredictability(params: ScenarioParams) -> float | np.ndarray:
+    """sqrt(1 - P^2) at the r of ``params``, written as 2 sqrt(r (1 - r)): 1 - P^2 cancels as r -> 0 or 1."""
+    return _float_or_array(2.0 * np.sqrt(params.r * (1.0 - params.r)))
 
 
-def overlap(d: float | np.ndarray) -> float | np.ndarray:
-    """Overlap of the two meter states tagging the paths: sqrt(1 - d^2)."""
-    d = _check_unit_interval("d", d)
-    return _float_or_array(np.sqrt(1.0 - d * d))
+def overlap(params: ScenarioParams) -> float | np.ndarray:
+    """Overlap sqrt(1 - d^2) of the two meter states tagging the paths, at the d of ``params``."""
+    return _float_or_array(np.sqrt(1.0 - params.d * params.d))
 
 
 def _ratio_residual(v, denom, d) -> float | np.ndarray:
@@ -112,8 +110,8 @@ def _identity_residual(scenario: Scenario, params: ScenarioParams, v) -> float |
     """Residual of `check_identity` given the visibility v of the point; one per point for array knobs."""
     d = params.d
     if scenario is Scenario.FREE:
-        u = unpredictability(params.r)
-        return _float_or_array(np.maximum(_ratio_residual(v, u * u, d), np.abs(v - overlap(d) * u)))
+        u = unpredictability(params)
+        return _float_or_array(np.maximum(_ratio_residual(v, u * u, d), np.abs(v - overlap(params) * u)))
     r_s = 1.0 if scenario is Scenario.METER else params.r_s  # meter: v^2/1.0 is exactly v^2
     res = _ratio_residual(v, r_s * r_s, d)
     if scenario is Scenario.SYSTEM:  # against the balanced, decoherence-free interferometer at the same d

@@ -41,7 +41,7 @@ def flags():
 
 def test_at_d_1_the_flag_holds_in_every_scenario_and_the_state_violates_where_robust(flags):
     robust = {
-        Scenario.FREE: lambda q: predictability(q.r) < 1.0,
+        Scenario.FREE: lambda q: predictability(q) < 1.0,
         Scenario.SYSTEM: lambda q: q.r_s > 0.0,
         Scenario.METER: lambda q: q.r_m > 0.0,
         Scenario.COMBINED: lambda q: q.r_s * q.r_m > 0.0,
@@ -64,7 +64,7 @@ def test_the_flags_are_each_others_negation_only_in_system_below_d_1(flags):
 def test_free_flag_is_d_at_most_p_where_every_d_above_0_violates_unless_p_is_1(flags):
     both = 0
     for scenario, q, lrt, chsh in flags:
-        p = predictability(q.r)
+        p = predictability(q)
         if scenario is Scenario.FREE and q.d < 1.0 and abs(q.d - p) > NEAR:
             assert lrt == (q.d < p) and chsh == (q.d > 0.0 and p < 1.0), q
             both += lrt and chsh

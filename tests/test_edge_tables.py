@@ -76,7 +76,6 @@ def test_array_meter_info_threshold_equals_its_one_value_calls_on_the_edge_table
 
 
 @pytest.mark.xfail(
-    strict=True,
     raises=AssertionError,
     reason="_combined_threshold_sq cancels as r_m -> 1: |B_max - 2| reaches 3.05e-5 at r_s = 0.5, r_m = 1 - 1e-12",
 )
@@ -134,13 +133,13 @@ def test_array_closed_forms_equal_their_one_point_calls_on_the_edge_grids(scenar
 
 
 @pytest.mark.parametrize(
-    "form",
-    [predictability, unpredictability, overlap, lambda r: info_threshold(Scenario.SYSTEM, ScenarioParams(r_s=r))],
+    ("form", "knob"),
+    [(predictability, "r"), (unpredictability, "r"), (overlap, "d"), (partial(info_threshold, Scenario.SYSTEM), "r_s")],
     ids=["predictability", "unpredictability", "overlap", "info_threshold-system"],
 )
-def test_array_knob_forms_equal_their_one_value_calls_on_the_edge_table(form):
-    single = np.array([form(x) for x in EDGE_TABLE])
-    assert form(np.array(EDGE_TABLE)).tobytes() == single.tobytes()
+def test_array_knob_forms_equal_their_one_value_calls_on_the_edge_table(form, knob):
+    single = np.array([form(ScenarioParams(**{knob: x})) for x in EDGE_TABLE])
+    assert form(ScenarioParams(**{knob: np.array(EDGE_TABLE)})).tobytes() == single.tobytes()
 
 
 def test_system_identity_equals_its_two_step_value_on_the_edge_grid():

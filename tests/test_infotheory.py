@@ -215,6 +215,39 @@ def test_printed_meter_threshold_differs_from_numeric():
         assert abs(printed_meter_info_threshold(params) - info_threshold(Scenario.METER, params)) > 0.1
 
 
+# r_m about the meter domain edge r_m^2 = 1/2; 1 / math.sqrt(2) rounds below 1/sqrt2, its next float above
+PRINTED_METER_ROBUSTNESS = [0.7, 1 / math.sqrt(2), math.nextafter(1 / math.sqrt(2), 1.0), 0.75, 0.8, 0.95, 1.0]
+
+
+def test_printed_meter_threshold_is_nan_exactly_where_the_numeric_threshold_is_none():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no division by zero at r_m = 1, no log of a negative argument
+        printed = [printed_meter_info_threshold(ScenarioParams(r_m=r)) for r in PRINTED_METER_ROBUSTNESS]
+        numeric = [info_threshold(Scenario.METER, ScenarioParams(r_m=r)) for r in PRINTED_METER_ROBUSTNESS]
+        array = printed_meter_info_threshold(ScenarioParams(r_m=np.array(PRINTED_METER_ROBUSTNESS)))
+        numeric_array = info_threshold(Scenario.METER, ScenarioParams(r_m=np.array(PRINTED_METER_ROBUSTNESS)))
+    assert all(type(x) is float for x in printed)
+    assert [math.isnan(x) for x in printed] == [x is None for x in numeric] == [False, False] + [True] * 5
+    assert np.array_equal(np.isnan(array), np.isnan(numeric_array))
+    assert array.tobytes() == np.array(printed).tobytes()
+    # inside the domain the published expression is still evaluated verbatim
+    r2 = 0.7 * 0.7
+    arg = 0.5 + 0.5 * math.sqrt(2.0) * r2 / math.sqrt(1.0 - r2)
+    assert printed[0] == pytest.approx(arg * math.log(arg) - (1.0 - arg) * math.log(1.0 - arg), rel=1e-15)
+    assert printed[1] == 0.0  # the argument rounds to 1
+
+
+def test_printed_meter_threshold_domain_edge_is_the_numeric_one_to_the_last_bit():
+    edge = [1 / math.sqrt(2)]
+    for _ in range(16):
+        edge = [math.nextafter(edge[0], 0.0), *edge, math.nextafter(edge[-1], 1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        printed = printed_meter_info_threshold(ScenarioParams(r_m=np.array(edge)))
+        numeric = [info_threshold(Scenario.METER, ScenarioParams(r_m=r)) for r in edge]
+    assert np.isnan(printed).tolist() == [x is None for x in numeric] == [False] * 17 + [True] * 16
+
+
 def test_negativity_zero_iff_separable_on_grid():
     line = np.linspace(0, 1, 9)
     for scenario in (Scenario.SYSTEM, Scenario.METER):

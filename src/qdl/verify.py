@@ -130,10 +130,26 @@ def suite_identities(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     return _reduce("identities", IDENTITY_TOL, residuals)
 
 
+def _distinct(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct states of a stack and the inverse that rebuilds it; rows compare as bytes, so -0.0 != 0.0."""
+    keys = rho.reshape(len(rho), -1).view(np.dtype((np.void, rho[0].nbytes))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return rho[first], inverse
+
+
+def _solve_distinct(resolution: int, solve) -> list[tuple[_Chunk, np.ndarray]]:
+    """(chunk, solve(its states)) over the four scenario grids, solve run once on their distinct states: grids meet
+    (combined at r_m = 1 is the system grid, at r_s = 1 the meter grid; at d = 0 all meet free r = 1/2), and each
+    stacked layer gives every state its one-state bits (110 of the 200 states differ at 5 steps)."""
+    chunks = list(_grid(resolution, *_AXES))
+    distinct, inverse = _distinct(np.concatenate([c.rho for c in chunks]))
+    return list(zip(chunks, np.split(solve(distinct)[inverse], np.cumsum([c.points for c in chunks[:-1]]))))
+
+
 def suite_sweep_agreement(resolution: int = SWEEP_RESOLUTION) -> SuiteResult:
     """Fringe-definition visibility (phase sweep) against the analytic shortcut."""
-    gaps = ((c, np.abs(visibility_sweep(c.rho).visibility - c.visibility)) for c in _grid(resolution, *_AXES))
-    return _reduce("visibility_sweep", 1e-5, gaps)
+    sweeps = _solve_distinct(resolution, lambda rho: visibility_sweep(rho).visibility)
+    return _reduce("visibility_sweep", 1e-5, ((c, np.abs(v - c.visibility)) for c, v in sweeps))
 
 
 def suite_closed_form(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
@@ -146,16 +162,15 @@ def suite_brute(resolution: int = BRUTE_RESOLUTION, restarts: int = 32, seed: in
     """Brute-force CHSH maximization against the Horodecki value.
 
     The optimizer must reach the analytic maximum from below: residual is
-    max(b_horodecki - b_brute, b_brute - b_horodecki - 1e-6, 0).  The states
-    of every scenario share one see-saw, in which each runs the sweeps it would run alone.
+    max(b_horodecki - b_brute, b_brute - b_horodecki - 1e-6, 0).  Like the sweep suite, it solves each distinct
+    state of the four grids once (`_solve_distinct`; 110 of 200 at the default cap), each in the sweeps it runs alone.
     """
-    chunks = list(_grid(resolution, *_AXES))
-    rho = np.concatenate([chunk.rho for chunk in chunks])
-    settings, _ = _seesaw(rho, restarts, seed)
-    b_brute = chsh_value(rho, *np.moveaxis(settings, 1, 0))
-    b_h = horodecki_bmax(rho)
-    gaps = np.split(np.maximum(b_h - b_brute, b_brute - b_h - 1e-6), np.cumsum([c.points for c in chunks[:-1]]))
-    return _reduce("chsh_brute_force", BRUTE_TOL, zip(chunks, gaps))
+
+    def gap(rho):
+        b_brute, b_h = chsh_value(rho, *np.moveaxis(_seesaw(rho, restarts, seed)[0], 1, 0)), horodecki_bmax(rho)
+        return np.maximum(b_h - b_brute, b_brute - b_h - 1e-6)
+
+    return _reduce("chsh_brute_force", BRUTE_TOL, _solve_distinct(resolution, gap))
 
 
 def suite_boundaries(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
@@ -384,7 +399,7 @@ def run_suites(
     ):
         raise ValueError("tolerance must be a finite non-negative number")
     _check_seesaw_args(restarts, seed)
-    selected = list(SUITES) if names is None else list(names)
+    selected = list(SUITES) if names is None else list(dict.fromkeys(names))  # each once, in first-named order
     for name in selected:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")

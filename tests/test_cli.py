@@ -363,6 +363,21 @@ def test_verify_single_suite_passes(capsys):
     assert "PASS" in out
 
 
+def test_verify_stdout_equals_the_stored_report(capsys):
+    # every residual line and the discrepancy report; a change that moves a printed digit updates the file
+    code, out, _ = run_cli(["verify"], capsys)
+    assert code == 0
+    with open(os.path.join(os.path.dirname(__file__), "verify_stdout.txt"), encoding="utf-8", newline="") as fh:
+        assert out == fh.read()
+
+
+def test_verify_runs_a_repeated_suite_once(capsys):
+    _, once, _ = run_cli(["verify", "--suite", "brute", "--resolution", "3"], capsys)
+    code, out, _ = run_cli(["verify", "--suite", "brute", "--suite", "brute", "--resolution", "3"], capsys)
+    assert code == 0 and out == once
+    assert out.count("chsh_brute_force") == 1 and len(out.splitlines()) == 2
+
+
 def test_verify_meter_threshold_table(capsys):
     code, out, _ = run_cli(["verify", "--suite", "meter_threshold"], capsys)
     assert code == 0

@@ -5,16 +5,16 @@ import numpy as np
 import pytest
 
 from qdl import figures, verify, visibility
-from qdl.bell import _combined_threshold_sq, bell_closed_form, horodecki_bmax, violates_chsh
+from qdl.bell import _combined_threshold_sq, _seesaw, bell_closed_form, chsh_value, horodecki_bmax, violates_chsh
 from qdl.bell import violation_threshold
 from qdl.infotheory import binary_entropy, entropy_closed_form, info_threshold
 from qdl.infotheory import SEPARABILITY_TOL, mutual_information
 from qdl.infotheory import printed_meter_s_b
 from qdl.states import Scenario, ScenarioParams, scenario_densities
-from qdl.verify import _AXES, BOUNDARY_TOL, CLOSED_FORM_TOL, ENTROPY_TOL, IDENTITY_TOL, SUITES, _reduce, run_suites
-from qdl.verify import _Chunk, _grid, suite_identities
+from qdl.verify import _AXES, BOUNDARY_TOL, BRUTE_TOL, CLOSED_FORM_TOL, ENTROPY_TOL, IDENTITY_TOL, SUITES, _reduce
+from qdl.verify import _Chunk, _distinct, _grid, run_suites, suite_brute, suite_identities, suite_sweep_agreement
 from qdl.visibility import _identity_residual, check_identity, overlap, predictability, unpredictability
-from qdl.visibility import visibility_analytic
+from qdl.visibility import visibility_analytic, visibility_sweep
 
 
 METER_THRESHOLD_MAX_ROBUSTNESS = 1.0 / math.sqrt(2.0)  # 0.7071067811865475, 1/sqrt2 rounded down
@@ -96,6 +96,75 @@ def test_the_run_table_keeps_at_most_four_chunks_of_points(monkeypatch):
     monkeypatch.setattr(verify, "_chunk", counted)
     run_suites(resolution=5)
     assert 0 < max(kept) <= 4 * 7
+
+
+def test_a_repeated_suite_name_runs_once_in_the_order_first_named(monkeypatch):
+    ran = []
+    for name in ("brute", "identities"):
+        suite = SUITES[name]
+        monkeypatch.setitem(SUITES, name, lambda *args, name=name, suite=suite: ran.append(name) or suite(*args))
+    results = run_suites(resolution=2, names=["brute", "identities", "brute", "identities"])
+    assert ran == ["brute", "identities"]
+    assert [res.name for res in results] == ["chsh_brute_force", "identities"]
+    assert results == run_suites(resolution=2, names=["brute", "identities"])
+
+
+def _assert_distinct_rebuilds(rho):
+    distinct, inverse = _distinct(rho)
+    rows = [row.tobytes() for row in distinct]
+    assert len(set(rows)) == len(rows)
+    assert distinct[inverse].tobytes() == rho.tobytes()
+    return distinct
+
+
+def test_the_distinct_states_of_the_verify_grids_rebuild_them_byte_for_byte():
+    for resolution, count in ((2, 7), (3, 20), (5, 110)):
+        rho = np.concatenate([chunk.rho for chunk in _grid(resolution, *_AXES)])
+        assert len(_assert_distinct_rebuilds(rho)) == count, resolution
+
+
+def test_states_that_differ_only_in_the_sign_of_a_zero_stay_apart():
+    rho = np.stack([np.eye(4) / 4] * 4)
+    rho[1, 0, 3] = rho[3, 0, 3] = -0.0  # 0.0 == -0.0 as floats, not as bytes
+    distinct = _assert_distinct_rebuilds(rho)
+    assert len(distinct) == 2 and sorted(np.signbit(distinct[:, 0, 3]).tolist()) == [False, True]
+
+
+@pytest.mark.parametrize("resolution, distinct, points", [(13, 110, 200), (2, 7, 20), (3, 20, 54)])
+def test_the_see_saw_and_the_phase_sweep_run_once_on_the_distinct_states(resolution, distinct, points, monkeypatch):
+    calls = {"_seesaw": [], "visibility_sweep": []}
+    for name, states in calls.items():
+        solve = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda rho, *args, solve=solve, states=states: states.append(len(rho))
+                            or solve(rho, *args))
+    results = {res.name: res for res in run_suites(resolution=resolution)}
+    assert calls == {"_seesaw": [distinct], "visibility_sweep": [distinct]}
+    assert results["chsh_brute_force"].points == results["visibility_sweep"].points == points
+
+
+def _whole_grid_brute(resolution, restarts, seed):
+    """The whole-grid route of suite_brute: all 3 * resolution**2 + resolution**3 states in one see-saw, then split."""
+    chunks = list(_grid(resolution, *_AXES))
+    rho = np.concatenate([chunk.rho for chunk in chunks])
+    settings, _ = _seesaw(rho, restarts, seed)
+    b_brute = chsh_value(rho, *np.moveaxis(settings, 1, 0))
+    b_h = horodecki_bmax(rho)
+    gaps = np.split(np.maximum(b_h - b_brute, b_brute - b_h - 1e-6), np.cumsum([c.points for c in chunks[:-1]]))
+    return _reduce("chsh_brute_force", BRUTE_TOL, zip(chunks, gaps))
+
+
+def _whole_grid_sweep(resolution):
+    """The whole-grid route of suite_sweep_agreement: every chunk's states swept, repeated states included."""
+    gaps = ((c, np.abs(visibility_sweep(c.rho).visibility - c.visibility)) for c in _grid(resolution, *_AXES))
+    return _reduce("visibility_sweep", 1e-5, gaps)
+
+
+@pytest.mark.parametrize("resolution", [2, 3, 5])
+def test_distinct_state_suites_equal_the_whole_grid_route(resolution):
+    assert repr(suite_sweep_agreement(resolution)) == repr(_whole_grid_sweep(resolution))
+    for restarts, seed in itertools.product((1, 32, 1024), (0, 3)):
+        expected = _whole_grid_brute(resolution, restarts, seed)
+        assert repr(suite_brute(resolution, restarts, seed)) == repr(expected), (restarts, seed)
 
 
 @pytest.mark.parametrize("tolerance", ["1e-3", True, False, math.nan, math.inf, -0.5], ids=repr)

@@ -16,13 +16,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULIS, _as_hermitian_state, _float_or_array, hermitian_eigenvalues
+from .linalg import _as_hermitian_state, _float_or_array, hermitian_eigenvalues
 from .states import Scenario, ScenarioParams
 from .visibility import unpredictability
 
 VIOLATION_TOL = 1e-9
 
-_PAULI_KRON = np.array([[np.kron(PAULIS[i], PAULIS[j]) for j in range(3)] for i in range(3)])  # (3, 3, 4, 4)
+# v.sigma = R + iI, R = [[v_z, v_x], [v_x, -v_z]] and I = v_y J with J = [[0, -1], [1, 0]]: entries of v, signs
+_SPIN_ENTRIES, _SPIN_SIGNS = [2, 0, 0, 2, 1, 1, 1, 1], np.array([1.0, 1.0, 1.0, -1.0, 0.0, -1.0, 1.0, 0.0])
+
+
+def _spin_operator(v: np.ndarray) -> np.ndarray:
+    """The real and imaginary parts (R, I) of v.sigma, shape (..., 2, 2, 2); a stack shape leads v (..., 3)."""
+    return (v[..., _SPIN_ENTRIES] * _SPIN_SIGNS).reshape(v.shape[:-1] + (2, 2, 2))
+
+
+_PAULI_PARTS = _spin_operator(np.eye(3))  # (R, I) of sigma_x, sigma_y, sigma_z
+# (16, 9): column 3i + j is Re(sigma_i (x) sigma_j)^T = (R_i (x) R_j - I_i (x) I_j)^T, flattened
+_CORRELATION_TABLE = np.stack([(np.kron(*_PAULI_PARTS[[i, j], 0]) - np.kron(*_PAULI_PARTS[[i, j], 1])).T.ravel()
+                               for i, j in np.ndindex(3, 3)], axis=1)
 
 # Sweep budget of the CHSH see-saw, read at each call.  Plain sweeps converge
 # linearly, and slowly where the two smaller singular values of T nearly
@@ -53,10 +65,12 @@ class BellResult:
 def correlation_tensor(rho: np.ndarray) -> np.ndarray:
     """3x3 matrix of spin correlators T_ij = Tr[rho (sigma_i x sigma_j)].
 
-    A stack of states (..., 4, 4) gives a stack of tensors (..., 3, 3).
+    rho is real, so T_ij = Tr[rho Re(sigma_i x sigma_j)]: the flattened state times column 3i + j of a
+    (16, 9) table.  A stack of states (..., 4, 4) gives a stack of tensors (..., 3, 3).
     """
-    vals = np.einsum("...kl,ijlk->...ij", _as_hermitian_state(rho), _PAULI_KRON)
-    return vals.real.copy()  # |Im T_ij| <= 4 max|rho - rho^dag| / 2 < 2e-10 for a Hermitian state
+    rho = _as_hermitian_state(rho)
+    # einsum's own loop, not BLAS: gemv for one state and gemm for a stack would round differently
+    return np.einsum("nj,jk->nk", rho.reshape(-1, 16), _CORRELATION_TABLE).reshape(rho.shape[:-2] + (3, 3))
 
 
 def horodecki_m(rho: np.ndarray) -> float | np.ndarray:
@@ -99,27 +113,22 @@ def _unit_vectors(v, name: str) -> np.ndarray:
     return v
 
 
-def _spin_operator(v: np.ndarray) -> np.ndarray:
-    """v.sigma, with a leading stack shape taken from v (..., 3)."""
-    return sum(v[..., i, None, None] * PAULIS[i] for i in range(3))
-
-
 def chsh_value(rho: np.ndarray, a, a2, b, b2) -> float | np.ndarray:
     """CHSH combination C(a,b) + C(a,b') + C(a',b) - C(a',b'), with C(x, y) = Tr[rho (x.sigma x y.sigma)].
 
-    A stack of states (..., 4, 4) with settings (..., 3) gives one value per
-    state; a single state uses the same arithmetic.
+    rho is real, so C(x, y) = Tr[rho (R_x x R_y - I_x x I_y)] with x.sigma = R_x + i I_x.  A stack of states
+    (..., 4, 4) with settings (..., 3) gives one value per state; a single state uses the same arithmetic.
     """
-    # complex even for real input: einsum's loop for real x complex rounds otherwise
-    rho = np.asarray(_as_hermitian_state(rho), dtype=complex)
+    rho = _as_hermitian_state(rho)
     op_a, op_a2, op_b, op_b2 = (
         _spin_operator(_unit_vectors(v, name)) for v, name in ((a, "a"), (a2, "a'"), (b, "b"), (b2, "b'"))
     )
 
     def c(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        # Kronecker product: block (i, j) is x[i, j] * y
-        op = (x[..., :, None, :, None] * y[..., None, :, None, :]).reshape(x.shape[:-2] + (4, 4))
-        return np.einsum("...kl,...lk->...", rho, op).real
+        # R_x x R_y and I_x x I_y: block (i, j) of a Kronecker product is x[i, j] * y
+        p = x[..., :, :, None, :, None] * y[..., :, None, :, None, :]
+        op = (p[..., 0, :, :, :, :] - p[..., 1, :, :, :, :]).reshape(p.shape[:-5] + (4, 4))
+        return np.einsum("...kl,...lk->...", rho, op)
 
     return _float_or_array(c(op_a, op_b) + c(op_a, op_b2) + c(op_a2, op_b) - c(op_a2, op_b2))
 

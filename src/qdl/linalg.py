@@ -1,14 +1,14 @@
-"""Dense linear algebra for small Hermitian matrices and A(x)B operators.
+"""Dense linear algebra for small real symmetric matrices and A(x)B operators.
 
 Everything here is a pure function of immutable inputs.  The eigensolver is a
 cyclic real-symmetric Jacobi iteration, deliberately self-contained so the
 rest of the package does not depend on LAPACK behaviour for its contractual
-results; a complex Hermitian matrix goes through its real symmetric embedding.
-It, the partial trace and the partial transpose of 4x4 A(x)B operators also
-take stacks (..., n, n) of matrices, which grid sweeps use to evaluate many
-points per call.  The partial trace and transpose keep the input's kind, so
-the package's float64 states give float64 marginals and partial transposes,
-and complex input stays complex.
+results.  It, the partial trace and the partial transpose of 4x4 A(x)B
+operators also take stacks (..., n, n) of matrices, which grid sweeps use to
+evaluate many points per call.  The package is real-only: every state it
+builds is float64, and a complex input is taken as its real part when its
+imaginary part is exactly zero and refused otherwise (``_as_square``), so
+marginals and partial transposes are float64 too.
 """
 
 from __future__ import annotations
@@ -25,21 +25,20 @@ JACOBI_MAX_SWEEPS = 100
 _TINY = np.finfo(float).tiny  # smallest normal float
 _TAU_HUGE = 1e154  # tau * tau overflows past ~1.3e154; from 2**27 on, sqrt(1 + tau * tau) rounds to |tau|
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-
 
 def _as_square(m, name: str = "matrix") -> np.ndarray:
-    """Square matrix, or stack (..., n, n) of them, with finite entries; real input stays real, complex complex."""
+    """Real square matrix, or stack (..., n, n) of them, with finite entries; a complex m must be exactly real."""
     m = np.asarray(m)
-    m = m.astype(np.result_type(m, float), copy=False)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
         raise ValueError(f"{name} must be a square matrix or a stack (..., n, n) with n >= 1, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError(f"{name} contains NaN/Inf entries")
-    return m
+    if np.iscomplexobj(m):
+        if m.imag.any():
+            raise ValueError(f"{name} has a nonzero imaginary part (max |Im {name}| = {np.abs(m.imag).max():.3e}); "
+                             "only real matrices are accepted")
+        m = m.real
+    return m.astype(np.result_type(m, float), copy=False)
 
 
 def _as_state(rho) -> np.ndarray:
@@ -58,16 +57,15 @@ def _as_hermitian_state(rho) -> np.ndarray:
 
 
 def _check_hermitian(m: np.ndarray, name: str) -> np.ndarray:
-    """The adjoint of m (..., n, n); a ValueError names the first matrix with an entry |m - m^dag| >= HERMITICITY_TOL."""
-    adjoint = m.conj().swapaxes(-1, -2)
-    dev = m - adjoint
-    dev = np.abs(dev, out=dev.real)  # in place: a second fresh array of a stack's size costs more than the test
+    """The transpose of m (..., n, n); a ValueError names the first matrix with an entry |m - m^T| >= HERMITICITY_TOL."""
+    transpose = m.swapaxes(-1, -2)
+    dev = np.abs(m - transpose)
     if dev.max(initial=0.0) >= HERMITICITY_TOL:
         dev = dev.reshape((-1,) + m.shape[-2:])
         k = int(np.argmax(dev.max(axis=(-2, -1)) >= HERMITICITY_TOL))
         which = name if m.ndim == 2 else f"{name} {k} of the stack"
-        raise ValueError(f"{which} is not Hermitian (max |{name} - {name}^dag| = {dev[k].max():.3e})")
-    return adjoint
+        raise ValueError(f"{which} is not Hermitian (max |{name} - {name}^T| = {dev[k].max():.3e})")
+    return transpose
 
 
 def _float_or_array(x) -> float | np.ndarray:
@@ -87,7 +85,7 @@ def _pivots(n: int) -> list[tuple[int, int, slice]]:
 
 
 def hermitian_eigensystem(m) -> np.ndarray:
-    """Eigenvalues, descending, of a Hermitian matrix or of each in a stack (..., n, n).
+    """Eigenvalues, descending, of a real symmetric matrix or of each in a stack (..., n, n).
 
     Cyclic Jacobi with real plane rotations; a sweep visits every
     off-diagonal pivot once and iteration stops when the off-diagonal
@@ -96,25 +94,16 @@ def hermitian_eigensystem(m) -> np.ndarray:
     ``hermitian_eigenvalues``; the loop keeps this name, matrix first, because
     the benchmark harness traces and counts the solves under it.
 
-    A matrix whose imaginary part is all zero is solved as it is, any other
-    through its real symmetric embedding.  One matrix, 2-D or the only one of a
-    stack of any shape, runs on Python floats in ``_jacobi``, more than one in
-    ``_stacked_jacobi``; both do the same float products, none that
-    numpy could fuse, so each member of a stack gets its one-matrix bits on any CPU.
+    One matrix, 2-D or the only one of a stack of any shape, runs on Python
+    floats in ``_jacobi``, more than one in ``_stacked_jacobi``; both do the
+    same float products, none that numpy could fuse, so each member of a stack
+    gets its one-matrix bits on any CPU.
     """
     m = _as_square(m, "m")
     batch, n = m.shape[:-2], m.shape[-1]
     a = (m + _check_hermitian(m, "m")).reshape((-1, n, n)) / 2.0
     solve = _jacobi if len(a) == 1 else _stacked_jacobi
-    if not a.imag.any():
-        return solve(a.real).reshape(batch + (n,))
-    embed = a.imag.any(axis=(-2, -1))
-    values = np.empty(a.shape[:-1])
-    h = a[embed]  # each H = A + iB as the real symmetric [[A, -B], [B, A]]: H's spectrum with each value twice
-    values[embed] = solve(np.block([[h.real, -h.imag], [h.imag, h.real]]))[:, ::2]
-    if not embed.all():  # when every matrix is complex, one matrix included, no real stack is left
-        values[~embed] = _stacked_jacobi(a.real[~embed])
-    return values.reshape(batch + (n,))
+    return solve(a).reshape(batch + (n,))
 
 
 def _jacobi(a: np.ndarray) -> np.ndarray:
@@ -213,7 +202,7 @@ def _stacked_jacobi(a: np.ndarray) -> np.ndarray:
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix (or of each in a stack), sorted descending."""
+    """All eigenvalues of a real symmetric matrix (or of each in a stack), sorted descending."""
     return hermitian_eigensystem(m)
 
 

@@ -3,7 +3,7 @@
 The fringe definition is the operational one: sweep a phase on A, recombine
 with the fixed rotation, read the |up>_A probability, and take the contrast
 (p_max - p_min)/(p_max + p_min) of the recorded samples.  For the states built
-here the fringe is exactly sinusoidal, p(phi) = (1 - 2 Re(e^{-i phi} c))/2
+here the fringe is exactly sinusoidal: for a real state, p(phi) = (1 - 2c cos phi)/2
 with c the off-diagonal element of the reduced A state, so the contrast
 collapses to 2|c|; both routes are kept because the sweep is the oracle.
 """
@@ -22,7 +22,7 @@ from .states import Scenario, ScenarioParams, scenario_densities, scenario_densi
 
 DEFAULT_SWEEP_POINTS = 1024
 # Recombination rotation on A: |up> -> (|up>+|down>)/sqrt2, |down> -> (-|up>+|down>)/sqrt2.
-ROTATION_A = np.array([[1, -1], [1, 1]], dtype=complex) / math.sqrt(2)
+ROTATION_A = np.array([[1.0, -1.0], [1.0, 1.0]]) / math.sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,10 @@ class FringeScan:
 
 @functools.lru_cache(maxsize=8)
 def _readout(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n phases over [0, 2pi) and their measurement operators as one real (32, n) matrix (read-only, cached).
+    """The n phases over [0, 2pi) and their measurement operators as one real (16, n) matrix (read-only, cached).
 
-    Column k is conj(G_k^T), G_k = U_k^dag Pi_up U_k, flattened with real and imaginary parts side by side:
-    p_k = Tr[rho G_k] (Heisenberg picture) is its dot product with the same view of rho.
+    Column k is Re(G_k^T), G_k = U_k^dag Pi_up U_k, flattened: for a real rho, p_k = Tr[rho G_k]
+    (Heisenberg picture) is its dot product with rho flattened.
     """
     phases = 2.0 * math.pi * np.arange(n) / n
     shift = np.zeros((n, 2, 2), dtype=complex)
@@ -52,7 +52,7 @@ def _readout(n: int) -> tuple[np.ndarray, np.ndarray]:
     gate = np.einsum("ab,kbc->kac", ROTATION_A, shift)  # rotation after phase shift
     block = np.einsum("kab,cd->kacbd", gate, np.eye(2)).reshape(n, 4, 4)[:, :2, :]
     readout = np.einsum("kab,kac->kbc", block.conj(), block).reshape(n, 16)  # conj(G_k^T)
-    readout = np.ascontiguousarray(readout.view(float).T)
+    readout = np.ascontiguousarray(readout.real.T)
     phases.flags.writeable = readout.flags.writeable = False
     return phases, readout
 
@@ -67,10 +67,10 @@ def visibility_sweep(rho: np.ndarray, n: int = DEFAULT_SWEEP_POINTS) -> FringeSc
     """
     if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 8:
         raise ValueError(f"phase count must be an integer of at least 8, got {n!r}")
-    rho = np.ascontiguousarray(_as_hermitian_state(rho), dtype=complex)
+    rho = _as_hermitian_state(rho)
     phases, readout = _readout(int(n))
     # einsum's own loop, not BLAS: gemv for one state and gemm for a stack would round differently
-    probs = np.einsum("nj,jk->nk", rho.reshape(-1, 16).view(float), readout)
+    probs = np.einsum("nj,jk->nk", rho.reshape(-1, 16), readout)
     probs = probs.reshape(rho.shape[:-2] + (n,))
     p_max = probs.max(axis=-1)
     p_min = probs.min(axis=-1)
@@ -81,7 +81,7 @@ def visibility_sweep(rho: np.ndarray, n: int = DEFAULT_SWEEP_POINTS) -> FringeSc
 def visibility_analytic(rho: np.ndarray) -> float | np.ndarray:
     """Fringe contrast from the A coherence: V = 2 |<up| rho_A |down>|; an array over a stack of states."""
     c = partial_trace(_as_hermitian_state(rho), "A")[..., 0, 1]
-    return _float_or_array(2.0 * np.hypot(c.real, c.imag))  # hypot rounds like abs() of one complex scalar
+    return _float_or_array(2.0 * np.abs(c))
 
 
 def predictability(params: ScenarioParams) -> float | np.ndarray:

@@ -19,16 +19,15 @@ from qdl.bell import (
     violates_chsh,
     violation_threshold,
 )
-from qdl.linalg import PAULIS
 from qdl.states import Scenario, ScenarioParams, scenario_densities, scenario_density
 from qdl.verify import _AXES, BRUTE_RESOLUTION, BRUTE_TOL, _grid
 
 SQ2 = math.sqrt(2.0)
-SINGLET = np.array([0, 1, -1, 0], dtype=complex) / SQ2
+SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / SQ2
 
 
 def singlet_rho():
-    return np.outer(SINGLET, SINGLET.conj())
+    return np.outer(SINGLET, SINGLET)
 
 
 def test_tensor_maximally_mixed():
@@ -120,7 +119,7 @@ def test_chsh_value_degenerate_settings():
 
 
 def test_chsh_value_product_state_bound():
-    rho = np.kron(np.diag([0.2, 0.8]), np.diag([0.9, 0.1])).astype(complex)
+    rho = np.kron(np.diag([0.2, 0.8]), np.diag([0.9, 0.1]))
     rng = np.random.default_rng(33)
     for _ in range(20):
         vs = rng.standard_normal((4, 3))
@@ -218,7 +217,7 @@ def test_seesaw_with_no_sweeps_returns_the_first_start_unconverged(monkeypatch):
 def test_brute_force_rank_one_tensor():
     # |00><00| has T = diag(0, 0, 1): a and a' end up along +-z, so one of
     # T^T(a + a'), T^T(a - a') is the zero vector
-    rho = np.zeros((4, 4), dtype=complex)
+    rho = np.zeros((4, 4))
     rho[0, 0] = 1.0
     res = chsh_brute_force(rho, restarts=8)
     assert res.b_brute == pytest.approx(2.0, abs=1e-9)
@@ -233,14 +232,14 @@ def _mixed_optimizer_stack():
     """Fast points, a rank-one tensor and an analyze-pool point near sigma_2 ~ sigma_3 that
     plain sweeps leave unconverged after the whole budget, so states leave the active set
     at different sweeps, in the plain phase and in the extrapolated one."""
-    rank_one = np.zeros((4, 4), dtype=complex)
+    rank_one = np.zeros((4, 4))
     rank_one[0, 0] = 1.0
     return np.array(
         [
             scenario_density(ScenarioParams(d=0.7, r_s=0.5, r_m=0.4), Scenario.COMBINED),
             singlet_rho(),
             scenario_density(ScenarioParams(d=0.9999557243204511, r_s=0.9995418905310595), Scenario.SYSTEM),
-            np.eye(4, dtype=complex) / 4,
+            np.eye(4) / 4,
             rank_one,
             scenario_density(ScenarioParams(d=0.3, r_m=0.8), Scenario.METER),
         ]
@@ -277,13 +276,22 @@ def test_stacked_chsh_value_equals_per_state_calls():
 
 
 def _four_correlator_chsh_value(rho, a, a2, b, b2):
-    """The CHSH value as four separate correlator calls, each building its own spin operators."""
+    """The CHSH value as four separate correlator calls, each building its own spin operators in real arithmetic.
+
+    Re(x.sigma) = [[x_z, x_x], [x_x, -x_z]] and Im(x.sigma) = x_y J, J = [[0, -1], [1, 0]], so the real part of
+    x.sigma (x) y.sigma is Re(x.sigma) (x) Re(y.sigma) - Im(x.sigma) (x) Im(y.sigma), entry by entry.
+    """
+    j = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+    def kron(x, y):  # over the last two axes of each
+        return (x[..., :, None, :, None] * y[..., None, :, None, :]).reshape(x.shape[:-2] + (4, 4))
 
     def correlator(rho, a, b):
-        op_a = sum(np.asarray(a, dtype=float)[..., i, None, None] * PAULIS[i] for i in range(3))
-        op_b = sum(np.asarray(b, dtype=float)[..., i, None, None] * PAULIS[i] for i in range(3))
-        op = (op_a[..., :, None, :, None] * op_b[..., None, :, None, :]).reshape(op_a.shape[:-2] + (4, 4))
-        value = np.einsum("...kl,...lk->...", np.asarray(rho, dtype=complex), op).real
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        re_a, re_b = (np.stack([v[..., 2], v[..., 0], v[..., 0], -v[..., 2]], -1).reshape(v.shape[:-1] + (2, 2))
+                      for v in (a, b))
+        im_a, im_b = a[..., 1, None, None] * j, b[..., 1, None, None] * j
+        value = np.einsum("...kl,...lk->...", rho, kron(re_a, re_b) - kron(im_a, im_b))
         return float(value) if np.ndim(value) == 0 else value
 
     return correlator(rho, a, b) + correlator(rho, a, b2) + correlator(rho, a2, b) - correlator(rho, a2, b2)
@@ -579,9 +587,9 @@ def test_brute_force_rejects_bad_counts(kwargs, name):
 def test_tsirelson_bound_everywhere():
     rng = np.random.default_rng(36)
     for _ in range(30):
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        rho = g @ g.conj().T
-        rho /= np.trace(rho).real
+        g = rng.standard_normal((4, 4))
+        rho = g @ g.T
+        rho /= np.trace(rho)
         assert horodecki_bmax(rho) <= 2 * SQ2 + 1e-12
 
 

@@ -20,18 +20,18 @@ from qdl.states import Scenario, ScenarioParams, scenario_densities, scenario_de
 from qdl.visibility import _identity_residual, visibility_analytic
 
 LN2 = math.log(2.0)
-SINGLET = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2)
+SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2)
 
 
 def test_ppt_product_state_separable():
-    rho = np.kron(np.diag([0.3, 0.7]), np.diag([0.6, 0.4])).astype(complex)
+    rho = np.kron(np.diag([0.3, 0.7]), np.diag([0.6, 0.4]))
     rep = ppt_check(rho)
     assert rep.separable
     assert rep.negativity == pytest.approx(0.0, abs=1e-14)
 
 
 def test_ppt_singlet():
-    rep = ppt_check(np.outer(SINGLET, SINGLET.conj()))
+    rep = ppt_check(np.outer(SINGLET, SINGLET))
     assert np.allclose(rep.ppt_spectrum, [0.5, 0.5, 0.5, -0.5], atol=1e-12)
     assert rep.negativity == pytest.approx(0.5, abs=1e-12)
     assert not rep.separable
@@ -49,7 +49,7 @@ def test_ppt_spectrum_is_descending():
 
 
 def test_entropy_pure_state():
-    rho = np.outer(SINGLET, SINGLET.conj())
+    rho = np.outer(SINGLET, SINGLET)
     assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-10)
 
 
@@ -63,11 +63,11 @@ def test_entropy_maximally_mixed_two_qubits():
 
 def test_entropy_rejects_negative_spectrum():
     with pytest.raises(ValueError):
-        von_neumann_entropy(np.diag([1.1, -0.1, 0.0, 0.0]).astype(complex))
+        von_neumann_entropy(np.diag([1.1, -0.1, 0.0, 0.0]))
 
 
 def test_entropy_tolerates_rounding_dips():
-    rho = np.diag([1.0 + 5e-10, -5e-10, 0.0, 0.0]).astype(complex)
+    rho = np.diag([1.0 + 5e-10, -5e-10, 0.0, 0.0])
     assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-8)
 
 

@@ -15,46 +15,56 @@ from qdl.linalg import (
     _TINY,
     JACOBI_MAX_SWEEPS,
     JACOBI_OFFDIAG_TOL,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     hermitian_eigenvalues,
     partial_trace,
     partial_transpose,
 )
-from qdl.analysis import analyze
-from qdl.bell import _PAULI_KRON, correlation_tensor
-from qdl.figures import FIGURES, write_figure_csv
+from qdl.bell import _CORRELATION_TABLE, chsh_brute_force, chsh_value, correlation_tensor, horodecki_bmax
+from qdl.infotheory import mutual_information, ppt_check, von_neumann_entropy
 from qdl.states import Scenario, ScenarioParams, _checked_norms
-from qdl.verify import _AXES, run_suites
+from qdl.verify import _AXES
+from qdl.visibility import visibility_analytic, visibility_sweep
 
-PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-
-
-def random_hermitian(rng, n):
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return (g + g.conj().T) / 2
-
-
-# _PAULI_KRON[i, j] is the Kronecker product sigma_i (x) sigma_j the correlation tensor reads.
+PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+# The complex Pauli matrices, against which the real table of the correlation tensor is checked.
+PAULIS = (SIGMA_X.astype(complex), np.array([[0, -1j], [1j, 0]]), np.diag([1.0 + 0j, -1.0]))
 
 
-def test_kron_diagonal():
-    assert np.allclose(_PAULI_KRON[2, 2], np.diag([1, -1, -1, 1]))
+def random_symmetric(rng, n):
+    g = rng.standard_normal((n, n))
+    return (g + g.T) / 2
 
 
-def test_kron_xy_corner():
-    # hand expansion: block (0,1) of sigma_x (x) sigma_y is sigma_y, entry [0,1] = -i
-    assert _PAULI_KRON[0, 1][0, 3] == pytest.approx(-1j)
+def table_operator(i, j):
+    """Column 3i + j of the correlation tensor's table as a 4x4 matrix: Re(sigma_i (x) sigma_j)^T."""
+    return _CORRELATION_TABLE[:, 3 * i + j].reshape(4, 4)
 
 
-def test_kron_mixed_product_identity():
-    # (a x b)(c x d) = (ac) x (bd) over every pair of Pauli products
-    paulis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-    for i, j, k, l in np.ndindex(3, 3, 3, 3):
-        lhs = _PAULI_KRON[i, j] @ _PAULI_KRON[k, l]
-        rhs = np.kron(paulis[i] @ paulis[k], paulis[j] @ paulis[l])
-        assert np.max(np.abs(lhs - rhs)) < 1e-15
+def test_table_zz_column_is_the_diagonal():
+    assert np.array_equal(table_operator(2, 2), np.diag([1.0, -1.0, -1.0, 1.0]))
+
+
+def test_table_holds_no_imaginary_pauli_product():
+    # hand expansion: block (0,1) of sigma_x (x) sigma_y is sigma_y, entry [0,3] = -i, so its real part is 0;
+    # sigma_y (x) sigma_y has entry [0,3] = (-i)(-i) = -1
+    assert not table_operator(0, 1).any() and not table_operator(1, 0).any()
+    assert table_operator(1, 1)[0, 3] == -1.0
+
+
+def test_table_is_the_real_part_of_every_pauli_product():
+    for i, j in np.ndindex(3, 3):
+        assert np.array_equal(table_operator(i, j), np.kron(PAULIS[i], PAULIS[j]).real.T)
+
+
+def test_tensor_of_real_states_equals_the_complex_trace():
+    rng = np.random.default_rng(9)
+    for _ in range(10):
+        g = rng.standard_normal((4, 4))
+        rho = g @ g.T / np.trace(g @ g.T)
+        t = correlation_tensor(rho)
+        expected = [[np.trace(rho @ np.kron(PAULIS[i], PAULIS[j])).real for j in range(3)] for i in range(3)]
+        assert t.dtype == np.float64 and np.max(np.abs(t - expected)) < 1e-14
 
 
 def test_eigenvalues_pauli():
@@ -66,7 +76,7 @@ def test_eigenvalues_scalar_matrix():
 
 
 def test_eigenvalues_bell_partial_transpose():
-    rho = np.outer(PHI_PLUS, PHI_PLUS.conj())
+    rho = np.outer(PHI_PLUS, PHI_PLUS)
     spec = hermitian_eigenvalues(partial_transpose(rho))
     assert np.allclose(spec, [0.5, 0.5, 0.5, -0.5], atol=1e-12)
 
@@ -75,7 +85,7 @@ def test_eigenvalues_match_lapack_oracle():
     rng = np.random.default_rng(42)
     for n in (2, 3, 4, 8, 16):
         for _ in range(10):
-            m = random_hermitian(rng, n)
+            m = random_symmetric(rng, n)
             ours = hermitian_eigenvalues(m)
             ref = np.sort(np.linalg.eigvalsh(m))[::-1]
             assert np.max(np.abs(ours - ref)) < 1e-10
@@ -84,13 +94,13 @@ def test_eigenvalues_match_lapack_oracle():
 def test_eigenvalue_sum_equals_trace():
     rng = np.random.default_rng(1)
     for _ in range(20):
-        m = random_hermitian(rng, 4)
-        assert abs(np.sum(hermitian_eigenvalues(m)) - np.trace(m).real) < 1e-10
+        m = random_symmetric(rng, 4)
+        assert abs(np.sum(hermitian_eigenvalues(m)) - np.trace(m)) < 1e-10
 
 
 def test_eigenvalues_reject_non_hermitian():
     with pytest.raises(ValueError):
-        hermitian_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
+        hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)])
@@ -100,18 +110,18 @@ def test_eigenvalues_reject_empty_matrices(shape):
 
 
 def test_partial_trace_maximally_entangled():
-    rho = np.outer(PHI_PLUS, PHI_PLUS.conj())
+    rho = np.outer(PHI_PLUS, PHI_PLUS)
     assert np.allclose(partial_trace(rho, "A"), np.eye(2) / 2, atol=1e-12)
 
 
 def test_partial_trace_product_state():
-    rho = np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex)  # |up>_A |down>_B
+    rho = np.diag([0.0, 1.0, 0.0, 0.0])  # |up>_A |down>_B
     assert np.allclose(partial_trace(rho, "A"), np.diag([1.0, 0.0]), atol=1e-14)
     assert np.allclose(partial_trace(rho, "B"), np.diag([0.0, 1.0]), atol=1e-14)
 
 
 def test_partial_trace_bad_label():
-    rho = np.outer(PHI_PLUS, PHI_PLUS.conj())
+    rho = np.outer(PHI_PLUS, PHI_PLUS)
     # one factor, named "A" or "B": no tuple of labels, no axis index, no keep-both
     for keep in (("A", "E"), ("A", "A"), (0, "A"), (2,), (), ("A",), ("A", "B"), 0, "C"):
         with pytest.raises(ValueError):
@@ -121,13 +131,13 @@ def test_partial_trace_bad_label():
 def test_partial_trace_of_pure_state_is_density_matrix():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        amps = rng.standard_normal(4)
         amps /= np.linalg.norm(amps)
-        rho = np.outer(amps, amps.conj())
+        rho = np.outer(amps, amps)
         spectra = []
         for keep in ("A", "B"):
             reduced = partial_trace(rho, keep)
-            assert np.max(np.abs(reduced - reduced.conj().T)) < 1e-15
+            assert np.max(np.abs(reduced - reduced.T)) < 1e-15
             assert abs(np.trace(reduced) - 1.0) < 1e-12
             spectra.append(hermitian_eigenvalues(reduced))
             assert spectra[-1][-1] >= -1e-10
@@ -136,12 +146,12 @@ def test_partial_trace_of_pure_state_is_density_matrix():
 
 def test_partial_transpose_product_state():
     rng = np.random.default_rng(4)
-    a = random_hermitian(rng, 2)
-    a = a @ a.conj().T
-    a /= np.trace(a).real
-    b = random_hermitian(rng, 2)
-    b = b @ b.conj().T
-    b /= np.trace(b).real
+    a = random_symmetric(rng, 2)
+    a = a @ a.T
+    a /= np.trace(a)
+    b = random_symmetric(rng, 2)
+    b = b @ b.T
+    b /= np.trace(b)
     rho = np.kron(a, b)
     assert np.allclose(partial_transpose(rho), np.kron(a, b.T), atol=1e-14)
     spec = hermitian_eigenvalues(partial_transpose(rho))
@@ -151,18 +161,18 @@ def test_partial_transpose_product_state():
 def test_partial_transpose_involution_and_structure():
     rng = np.random.default_rng(5)
     for _ in range(10):
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        rho = g @ g.conj().T
-        rho /= np.trace(rho).real
+        g = rng.standard_normal((4, 4))
+        rho = g @ g.T
+        rho /= np.trace(rho)
         pt = partial_transpose(rho)
         assert np.array_equal(partial_transpose(pt), rho)  # bit-exact involution
         assert abs(np.trace(pt) - np.trace(rho)) == 0.0
-        assert np.max(np.abs(pt - pt.conj().T)) < 1e-15
+        assert np.max(np.abs(pt - pt.T)) < 1e-15
 
 
 def test_partial_transpose_of_a_stack_equals_per_matrix_calls():
     rng = np.random.default_rng(5)
-    stack = rng.standard_normal((3, 2, 4, 4)) + 1j * rng.standard_normal((3, 2, 4, 4))
+    stack = rng.standard_normal((3, 2, 4, 4))
     pt = partial_transpose(stack)
     assert pt.shape == stack.shape
     for index in np.ndindex(stack.shape[:2]):
@@ -189,18 +199,16 @@ def test_norm_guard_on_strided_scaled_and_zero_states():
         _checked_norms(np.array([[0.6, 0.8], [0.0, 0.0]]))
 
 
-def test_partial_trace_and_transpose_keep_the_input_kind():
-    rng = np.random.default_rng(6)
-    rho = random_hermitian(rng, 4)
-    assert rho.imag.any()
-    for m, kind in ((rho, np.complex128), (rho.real, np.float64), (np.eye(4, dtype=int), np.float64)):
+def test_partial_trace_and_transpose_are_float64():
+    rho = random_symmetric(np.random.default_rng(6), 4)
+    for m in (rho, rho.astype(complex), np.eye(4, dtype=int)):
         pt = partial_transpose(m)
-        assert pt.dtype == kind
-        assert np.array_equal(pt, m.reshape(2, 2, 2, 2).swapaxes(1, 3).reshape(4, 4))
+        assert pt.dtype == np.float64
+        assert np.array_equal(pt, m.real.reshape(2, 2, 2, 2).swapaxes(1, 3).reshape(4, 4))
         for keep, subscripts in (("A", "ikjk->ij"), ("B", "kikj->ij")):
             reduced = partial_trace(m, keep)
-            assert reduced.dtype == kind
-            assert np.array_equal(reduced, np.einsum(subscripts, m.reshape(2, 2, 2, 2)))
+            assert reduced.dtype == np.float64
+            assert np.array_equal(reduced, np.einsum(subscripts, m.real.reshape(2, 2, 2, 2)))
 
 
 def load_pool_points():
@@ -246,44 +254,74 @@ def test_every_state_marginal_and_partial_transpose_the_package_builds_is_real(s
         assert m.dtype == np.float64, kind
 
 
-def test_no_complex_matrix_reaches_the_eigensolver(monkeypatch, tmp_path):
-    # the package's own matrices are float64: none takes the complex route, let alone the 2n x 2n embedding
-    solve, shapes = linalg.hermitian_eigensystem, []
+CHSH_SETTINGS = ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.6, 0.0, 0.8], [0.0, 0.8, 0.6])  # a, a', b, b'
+REAL_ONLY_ROUTES = {  # each takes a stack of states; the name its refusal gives the argument
+    "hermitian_eigenvalues": (hermitian_eigenvalues, "m"),
+    "partial_trace": (lambda rho: np.stack([partial_trace(rho, "A"), partial_trace(rho, "B")]), "rho"),
+    "partial_transpose": (partial_transpose, "rho"),
+    "correlation_tensor": (correlation_tensor, "rho"),
+    "horodecki_bmax": (horodecki_bmax, "rho"),
+    "chsh_value": (lambda rho: chsh_value(rho, *(np.broadcast_to(v, rho.shape[:-2] + (3,)) for v in CHSH_SETTINGS)),
+                   "rho"),
+    "chsh_brute_force": (lambda rho: [repr(chsh_brute_force(state, restarts=4)) for state in rho], "rho"),
+    "visibility_sweep": (lambda rho: visibility_sweep(rho, 64).probabilities, "rho"),
+    "visibility_analytic": (visibility_analytic, "rho"),
+    "ppt_check": (lambda rho: ppt_check(rho).ppt_spectrum, "rho"),
+    "von_neumann_entropy": (von_neumann_entropy, "m"),
+    "mutual_information": (lambda rho: mutual_information(rho).i_ab, "rho"),
+}
+REAL_ONLY_STATES = np.stack([
+    states.scenario_density(ScenarioParams(r=0.3, d=0.4), Scenario.FREE),
+    states.scenario_density(ScenarioParams(d=0.6, r_s=0.7), Scenario.SYSTEM),
+    states.scenario_density(ScenarioParams(d=0.5, r_m=0.2), Scenario.METER),
+    states.scenario_density(ScenarioParams(d=0.8, r_s=0.7, r_m=0.5), Scenario.COMBINED),
+])
 
-    def real_only(m):
-        assert not np.iscomplexobj(m), f"a complex {np.shape(m)} matrix sent to the eigensolver"
-        shapes.append(np.shape(m))
-        return solve(m)
 
-    monkeypatch.setattr(linalg, "hermitian_eigensystem", real_only)
-    assert all(result.passed for result in run_suites(resolution=3))
-    for n in FIGURES:
-        write_figure_csv(n, 11, str(tmp_path / f"fig{n}.csv"))
-    edges = {
-        Scenario.FREE: ScenarioParams(r=1.0, d=1.0),
-        Scenario.SYSTEM: ScenarioParams(d=1.0, r_s=0.0),
-        Scenario.METER: ScenarioParams(d=0.0, r_m=1.0),
-        Scenario.COMBINED: ScenarioParams(d=1.0, r_s=1.0, r_m=0.0),
-    }
-    for scenario, params in edges.items():
-        analyze(scenario, params)
-    assert (4, 4) in shapes and (2, 2) in shapes and (3, 3) in shapes  # rho and rho^T_B, marginals, T^T T
+@pytest.mark.parametrize("route", REAL_ONLY_ROUTES)
+def test_complex_input_is_its_real_part_or_refused(route):
+    # the package is real-only: an exactly real complex copy gives the float64 call's bits; an imaginary part is refused
+    call, name = REAL_ONLY_ROUTES[route]
+    twin = REAL_ONLY_STATES.astype(complex)
+    expected = call(REAL_ONLY_STATES)
+    got = call(twin)
+    if isinstance(expected, list):
+        assert got == expected
+    else:
+        assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
+    twin[-1, 0, 1] += 1e-300j  # in one off-diagonal pair, so that the state stays Hermitian
+    twin[-1, 1, 0] -= 1e-300j
+    with pytest.raises(ValueError, match=f"^{name} has a nonzero imaginary part"):
+        call(twin)
 
 
-# Prints a digest of one numpy complex product, then the eigenvalue bytes
-# of a fixed stack and of each of its members alone.
+# Prints a digest of one numpy complex product, then the bytes of: the eigenvalues of
+# a fixed real symmetric stack and of each of its members alone; the correlation
+# tensor and a CHSH value of the distinct states of the capped brute grids; and
+# b_brute at two analyze pool points whose CHSH value a fused multiply-add would round otherwise.
 _DIGEST_SCRIPT = """
 import hashlib
 import numpy as np
+from qdl.bell import chsh_brute_force, chsh_value, correlation_tensor
 from qdl.linalg import hermitian_eigenvalues, partial_transpose
+from qdl.states import Scenario, ScenarioParams, scenario_density
+from qdl.verify import _AXES, BRUTE_RESOLUTION, _distinct, _grid
 rng = np.random.default_rng(17)
 g = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))
 print(hashlib.sha256((g[0] * g[1]).tobytes()).hexdigest())
 psi = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
 bell = 0.7 * np.outer(psi, psi) + 0.3 * np.eye(4) / 4
-stack = np.concatenate([(g + g.conj().swapaxes(-1, -2)) / 2, partial_transpose(bell)[None]])
+stack = np.concatenate([(g.real + g.real.swapaxes(-1, -2)) / 2, partial_transpose(bell)[None]])
 for m in (stack, *stack):
     print(hashlib.sha256(hermitian_eigenvalues(m).tobytes()).hexdigest())
+rho = _distinct(np.concatenate([chunk.rho for chunk in _grid(BRUTE_RESOLUTION, *_AXES)]))[0]
+settings = rng.standard_normal((4, len(rho), 3))
+settings /= np.linalg.norm(settings, axis=-1, keepdims=True)
+print(len(rho), hashlib.sha256(correlation_tensor(rho).tobytes()).hexdigest())
+print(hashlib.sha256(chsh_value(rho, *settings).tobytes()).hexdigest())
+for scenario, params in ((Scenario.SYSTEM, ScenarioParams(d=0.9999557243204511, r_s=0.9995418905310595)),
+                         (Scenario.FREE, ScenarioParams(r=0.46637046862060194, d=0.9595898403230706))):
+    print(repr(chsh_brute_force(scenario_density(params, scenario)).b_brute))
 """
 
 
@@ -298,13 +336,14 @@ def eigen_digests(disabled_features):
     return run.stdout.split()
 
 
-def test_eigensystem_bits_do_not_depend_on_numpy_simd_dispatch():
-    # numpy fuses the multiply-add of a complex product under AVX2 (X86_V3)
-    # dispatch and not without it; the Jacobi rotations must not notice.
+def test_eigensystem_tensor_and_chsh_bits_do_not_depend_on_numpy_simd_dispatch():
+    # numpy fuses the multiply-add of a complex product under AVX2 (X86_V3) dispatch and not
+    # without it, so this host can tell; the Jacobi rotations, the correlation table and the
+    # real CHSH operators do no complex product, and must not notice.
     default, reduced = eigen_digests(None), eigen_digests("X86_V4 X86_V3")
     if default[0] == reduced[0]:
         pytest.skip("NPY_DISABLE_CPU_FEATURES does not change numpy's complex product on this host")
-    assert len(default) == 9
+    assert len(default) == 14 and default[9] == "110"
     assert reduced[1:] == default[1:]
 
 
@@ -314,32 +353,23 @@ hnp = pytest.importorskip("hypothesis.extra.numpy")
 
 
 @st.composite
-def hermitian_stacks(draw, parts=2, max_n=16):
-    n = draw(st.integers(2, max_n))
+def symmetric_stacks(draw):
+    n = draw(st.integers(2, 16))
     batch = draw(st.integers(1, 8))
     # Half the entries straddle the smallest normal float, so that pivots below
     # it (skipped) and just above it (rotated, with tau past 1e154 or overflowing)
     # meet ordinary ones in the same stack.
     entries = st.floats(-1e3, 1e3) | st.floats(-2 * _TINY, 2 * _TINY)
-    re, *im = draw(hnp.arrays(np.float64, (parts, batch, n, n), elements=entries))
-    g = re + 1j * im[0] if im else re
-    return (g + g.conj().swapaxes(-1, -2)) / 2
-
-
-@st.composite
-def mixed_stacks(draw):
-    """Hermitian stacks in which some members have an all-zero imaginary part, n <= 8 (embedded, 16)."""
-    m = draw(hermitian_stacks(max_n=8))
-    real = draw(hnp.arrays(bool, m.shape[0]))
-    return np.where(real[:, None, None], m.real, m)
+    g = draw(hnp.arrays(np.float64, (batch, n, n), elements=entries))
+    return (g + g.swapaxes(-1, -2)) / 2
 
 
 def assert_matches_lapack(values, m):
-    """Eigenvalues of one Hermitian matrix against LAPACK's, within the solver's tolerance."""
+    """Eigenvalues of one symmetric matrix against LAPACK's, within the solver's tolerance."""
     # LAPACK loses accuracy on subnormal entries (one eigenvalue of 2.5 came
     # back as 2.49999999); scaling by 2**600 is exact here and makes them normal.
-    # Scaled, it strays elsewhere: 0.5 came back as 0.499999 from a zero-diagonal
-    # matrix with a 2.4e-160 pivot next to 0.5j, which it solves unscaled.  Both
+    # Scaled, it can stray elsewhere: 0.5 came back as 0.499999 from a zero-diagonal
+    # matrix with a 2.4e-160 pivot, which it solves unscaled.  Both
     # solve the same spectrum, so the nearer of the two is the reference.
     scale = max(1.0, float(np.max(np.abs(m))))
     refs = [np.sort(np.linalg.eigvalsh(m * s))[::-1] / s for s in (1.0, 2.0**600)]
@@ -347,7 +377,7 @@ def assert_matches_lapack(values, m):
 
 
 @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@hypothesis.given(hermitian_stacks())
+@hypothesis.given(symmetric_stacks())
 def test_stacked_eigensystem_equals_per_matrix_calls(m):
     values = hermitian_eigenvalues(m)
     for k in range(m.shape[0]):
@@ -356,7 +386,7 @@ def test_stacked_eigensystem_equals_per_matrix_calls(m):
 
 
 @hypothesis.settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@hypothesis.given(hermitian_stacks(), st.data())
+@hypothesis.given(symmetric_stacks(), st.data())
 def test_stacked_eigensystem_rejects_one_bad_member(m, data):
     k = data.draw(st.integers(0, m.shape[0] - 1))
     bad = m.copy()
@@ -394,10 +424,8 @@ def test_stop_test_adds_left_to_right_in_the_one_matrix_loop_too():
 
 
 @pytest.mark.parametrize("stack", [(1,), (1, 1)])
-@pytest.mark.parametrize("kind", [float, complex])
-def test_one_matrix_in_a_stack_runs_the_one_matrix_loop(stack, kind, monkeypatch):
-    m = random_hermitian(np.random.default_rng(5), 4)
-    m = m.real if kind is float else m
+def test_one_matrix_in_a_stack_runs_the_one_matrix_loop(stack, monkeypatch):
+    m = random_symmetric(np.random.default_rng(5), 4)
     single = hermitian_eigenvalues(m)
 
     def refuse(a):
@@ -409,21 +437,20 @@ def test_one_matrix_in_a_stack_runs_the_one_matrix_loop(stack, kind, monkeypatch
 
 
 @pytest.mark.parametrize("count", [None, 3])
-def test_all_complex_input_leaves_the_stacked_loop_no_real_stack(count, monkeypatch):
-    # every matrix goes through its embedding: one (4, 4) matrix runs no stacked loop at all,
-    # a (3, 4, 4) stack runs it once, on its (3, 8, 8) embeddings and not on an empty real stack
+def test_a_stack_runs_the_stacked_loop_once_on_all_its_matrices(count, monkeypatch):
+    # one (4, 4) matrix runs no stacked loop at all, a (3, 4, 4) stack runs it once, on the whole stack
     rng = np.random.default_rng(6)
-    m = random_hermitian(rng, 4) if count is None else np.stack([random_hermitian(rng, 4) for _ in range(count)])
+    m = random_symmetric(rng, 4) if count is None else np.stack([random_symmetric(rng, 4) for _ in range(count)])
     singles = [hermitian_eigenvalues(x) for x in m.reshape(-1, 4, 4)]
     calls, stacked = [], linalg._stacked_jacobi
     monkeypatch.setattr(linalg, "_stacked_jacobi", lambda a: calls.append(a.shape) or stacked(a))
     values = hermitian_eigenvalues(m)
-    assert calls == ([] if count is None else [(3, 8, 8)])
+    assert calls == ([] if count is None else [(3, 4, 4)])
     assert values.shape == m.shape[:-1] and values.tobytes() == np.stack(singles).reshape(values.shape).tobytes()
 
 
 def test_stacked_eigensystem_reports_non_convergence(monkeypatch):
-    m = np.stack([np.diag([1.0, 2.0]), SIGMA_X]).astype(complex)
+    m = np.stack([np.diag([1.0, 2.0]), SIGMA_X])
     monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)
     with pytest.raises(ArithmeticError):
         hermitian_eigenvalues(m)
@@ -431,10 +458,10 @@ def test_stacked_eigensystem_reports_non_convergence(monkeypatch):
     assert np.array_equal(hermitian_eigenvalues(m), [[2.0, 1.0], [1.0, -1.0]])
 
 
-@pytest.mark.parametrize("pivot", [1e-309, -4e-309, 5e-324, 1e-309j])
+@pytest.mark.parametrize("pivot", [1e-309, -4e-309, 5e-324])
 def test_subnormal_pivot_gives_finite_eigenvalues(pivot):
-    # a pivot below the smallest normal float is skipped by both loops, in the real part or, embedded, the imaginary
-    m = np.array([[1.0, pivot, 0.5], [np.conj(pivot), 2.0, 0.3], [0.5, 0.3, 3.0]], dtype=complex)
+    # a pivot below the smallest normal float is skipped by both loops
+    m = np.array([[1.0, pivot, 0.5], [pivot, 2.0, 0.3], [0.5, 0.3, 3.0]])
     ref = np.sort(np.linalg.eigvalsh(m))[::-1]
     single = hermitian_eigenvalues(m)
     stacked = hermitian_eigenvalues(np.stack([m, np.diag([1.0, 2.0, 3.0])]))
@@ -445,13 +472,13 @@ def test_subnormal_pivot_gives_finite_eigenvalues(pivot):
 
 @pytest.mark.parametrize(
     "pivot, a11",
-    [(1e-200, 0.0), (-3e-250j, 0.0), (2e-300, 0.0), (1e-300, 1e10)],
-    ids=["1e-200", "(-0-3e-250j)", "2e-300", "1e-300-gap-1e10"],
+    [(1e-200, 0.0), (-3e-250, 0.0), (2e-300, 0.0), (1e-300, 1e10)],
+    ids=["1e-200", "-3e-250", "2e-300", "1e-300-gap-1e10"],
 )
 def test_huge_tau_rotates_without_overflow(pivot, a11):
     # tau = (a_qq - a_pp) / (2|z|) lies past 1e154 here, where tau * tau overflows;
     # with a gap of 1e10 over a pivot of 1e-300 the quotient itself overflows.
-    m = np.array([[1.0, pivot, 0.5], [np.conj(pivot), a11, 0.3], [0.5, 0.3, 3.0]], dtype=complex)
+    m = np.array([[1.0, pivot, 0.5], [pivot, a11, 0.3], [0.5, 0.3, 3.0]])
     ref = np.sort(np.linalg.eigvalsh(m))[::-1]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -509,47 +536,20 @@ def reference_jacobi(a):
     return np.take_along_axis(values, np.argsort(values, axis=-1)[:, ::-1], axis=-1)
 
 
-def reference_values(m):
-    """``reference_jacobi`` on each member of a Hermitian stack as the solver routes it.
-
-    The members are symmetrised as the solver does it, signed zeros included;
-    a member whose imaginary part is then all zero is solved as it is, any
-    other through its real embedding [[A, -B], [B, A]], taking every second
-    value of the doubled spectrum.
-    """
-    h = ((m + m.conj().swapaxes(-1, -2)) / 2.0).reshape((-1,) + m.shape[-2:])
-    embed = h.imag.any(axis=(-2, -1))
-    values = np.empty(h.shape[:-1])
-    values[~embed] = reference_jacobi(h.real[~embed])
-    b = h[embed]
-    values[embed] = reference_jacobi(np.block([[b.real, -b.imag], [b.imag, b.real]]))[:, ::2]
-    return values.reshape(m.shape[:-1])
-
-
 @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@hypothesis.given(hermitian_stacks(parts=1))  # real symmetric
+@hypothesis.given(symmetric_stacks())
 def test_real_stacks_and_their_members_equal_the_reference_loop_bit_for_bit(m):
     expected = reference_jacobi(m).tobytes()
     assert hermitian_eigenvalues(m).tobytes() == expected
     assert b"".join(hermitian_eigenvalues(member).tobytes() for member in m) == expected
 
 
-@hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@hypothesis.given(mixed_stacks())
-def test_complex_and_mixed_stacks_equal_the_embedded_reference_and_their_members(m):
-    values = hermitian_eigenvalues(m)
-    assert values.tobytes() == reference_values(m).tobytes()
-    for k in range(m.shape[0]):
-        assert values[k].tobytes() == hermitian_eigenvalues(m[k]).tobytes()
-        assert_matches_lapack(values[k], m[k])
-
-
 def test_real_stack_converging_at_different_sweeps_with_skipped_pivots(monkeypatch):
     rng = np.random.default_rng(8)
-    dense = random_hermitian(rng, 4).real
+    dense = random_symmetric(rng, 4)
     blocks = np.zeros((4, 4))  # pivots (0,2), (0,3), (1,2) and (1,3) stay exactly 0
-    blocks[:2, :2] = random_hermitian(rng, 2).real
-    blocks[2:, 2:] = random_hermitian(rng, 2).real
+    blocks[:2, :2] = random_symmetric(rng, 2)
+    blocks[2:, 2:] = random_symmetric(rng, 2)
     diagonal = np.diag([0.5, -1.0, 2.0, 0.0])
     stack = np.stack([dense, blocks, diagonal, dense[::-1, ::-1]])
     # diagonal needs no sweep, blocks one, the dense members several

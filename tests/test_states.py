@@ -27,7 +27,7 @@ def amplitudes(scenario, **knobs) -> np.ndarray:
     return scenario_amplitudes(scenario, ScenarioParams(**knobs))[0]
 
 
-def amp(psi: np.ndarray, bits: str) -> complex:
+def amp(psi: np.ndarray, bits: str) -> float:
     """Amplitude of a basis label like 'du' (A=down, B=up, ...); u=up, d=down."""
     return psi[tuple(0 if ch == "u" else 1 for ch in bits)]
 
@@ -77,7 +77,7 @@ def test_couple_meter_is_isometry():
     d = np.concatenate([EDGE_KNOBS, np.random.default_rng(8).uniform(0, 1, 10)])
     u = _meter_rotation(d)
     assert u.shape == (d.size, 2, 2)
-    assert np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(2))) < 1e-15
+    assert np.max(np.abs(u.swapaxes(-1, -2) @ u - np.eye(2))) < 1e-15
 
 
 def test_decohere_system_factorizes_at_full_robustness():
@@ -225,7 +225,7 @@ def test_combined_reduces_to_single_environment_cases():
 
 def test_reduce_to_ab_free_is_pure():
     rho = scenario_density(ScenarioParams(r=0.5, d=0.37), Scenario.FREE)
-    assert abs(np.trace(rho @ rho).real - 1) < 1e-12
+    assert abs(np.trace(rho @ rho) - 1) < 1e-12
 
 
 def test_reduce_to_ab_fully_decohered_diagonal():
@@ -251,9 +251,9 @@ def test_interference_rotation_twice_is_quarter_turn():
 
 
 def test_interference_rotation_fixes_maximally_mixed():
-    rho = np.kron(np.eye(2) / 2, np.diag([0.3, 0.7])).astype(complex)
+    rho = np.kron(np.eye(2) / 2, np.diag([0.3, 0.7]))
     full = np.kron(ROTATION_A, np.eye(2))
-    assert np.max(np.abs(full @ rho @ full.conj().T - rho)) < 1e-14
+    assert np.max(np.abs(full @ rho @ full.T - rho)) < 1e-14
 
 
 def test_params_validation():
@@ -340,7 +340,7 @@ def test_scenario_densities_equal_single_point_states(scenario, knobs):
 @pytest.mark.parametrize("scenario, knobs", STACKED_CASES)
 def test_scenario_densities_are_density_matrices_on_the_edge_line(scenario, knobs):
     stack = scenario_densities(scenario, ScenarioParams(**knobs))
-    assert np.max(np.abs(stack - stack.conj().swapaxes(-1, -2))) < 1e-12
+    assert np.max(np.abs(stack - stack.swapaxes(-1, -2))) < 1e-12
     assert np.max(np.abs(np.trace(stack, axis1=-2, axis2=-1) - 1.0)) < 1e-12
     assert np.min(hermitian_eigenvalues(stack)) >= -1e-10
 
@@ -359,14 +359,14 @@ COMPLEX_INPUT_ROUTES = {
 
 @pytest.mark.parametrize("scenario, knobs", STACKED_CASES)
 def test_complex_copies_of_the_states_give_the_same_bits(scenario, knobs):
-    # the states are float64; a caller's complex128 copy still goes through every route, to the same result
+    # the states are float64; a caller's complex128 copy, exactly real, is taken as its real part on every route
     rho = scenario_densities(scenario, ScenarioParams(**knobs))
     twin = rho.astype(complex)
     for name, route in COMPLEX_INPUT_ROUTES.items():
         assert route(twin).tobytes() == route(rho).tobytes(), name
     for keep in ("A", "B"):
-        assert partial_trace(twin, keep).tobytes() == partial_trace(rho, keep).astype(complex).tobytes()
-    assert partial_transpose(twin).tobytes() == partial_transpose(rho).astype(complex).tobytes()
+        assert partial_trace(twin, keep).tobytes() == partial_trace(rho, keep).tobytes()
+    assert partial_transpose(twin).tobytes() == partial_transpose(rho).tobytes()
     for k in range(0, len(rho), 10):
         assert repr(chsh_brute_force(twin[k], restarts=4)) == repr(chsh_brute_force(rho[k], restarts=4))
 
@@ -385,7 +385,7 @@ def test_scenario_densities_reject_bad_knobs(scenario, knobs, message):
         scenario_densities(scenario, ScenarioParams(**knobs))
 
 
-NO_STATES = np.zeros((0, 4, 4), dtype=complex)
+NO_STATES = np.zeros((0, 4, 4))
 
 
 @pytest.mark.parametrize(

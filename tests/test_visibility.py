@@ -65,8 +65,9 @@ def test_sweep_records_requested_grid():
 
 def test_sweep_probabilities_follow_the_fringe_formula():
     # p(phi) = (1 - 2 Re(e^{-i phi} c)) / 2 with c = rho_A[0, 1]: the phase shift multiplies
-    # |up>_A by e^{-i phi} and ROTATION_A recombines the paths.  A complex c pins the sign of phi.
-    coherent = np.kron(np.array([[0.5, 0.3 - 0.2j], [0.3 + 0.2j, 0.5]]), np.diag([0.6, 0.4]))
+    # |up>_A by e^{-i phi} and ROTATION_A recombines the paths.  The states are real, so c is
+    # real and p(phi) = (1 - 2c cos phi) / 2 is even in phi: the sign of phi cannot be observed.
+    coherent = np.kron(np.array([[0.5, 0.3], [0.3, 0.5]]), np.diag([0.6, 0.4]))
     states = [
         scenario_density(ScenarioParams(r=0.3, d=0.4), Scenario.FREE),
         scenario_density(ScenarioParams(d=0.6, r_s=0.7), Scenario.SYSTEM),
@@ -77,9 +78,9 @@ def test_sweep_probabilities_follow_the_fringe_formula():
     for rho in states:
         scan = visibility_sweep(rho, 64)
         c = partial_trace(rho, "A")[0, 1]
-        expected = (1.0 - 2.0 * np.real(np.exp(-1j * scan.phases) * c)) / 2.0
+        expected = (1.0 - 2.0 * c * np.cos(scan.phases)) / 2.0
         assert np.max(np.abs(scan.probabilities - expected)) < 1e-14
-    assert np.max(np.abs(ROTATION_A.conj().T @ ROTATION_A - np.eye(2))) < 1e-15
+    assert np.max(np.abs(ROTATION_A.T @ ROTATION_A - np.eye(2))) < 1e-15
 
 
 def test_stacked_sweep_equals_per_state_scans():
@@ -104,12 +105,12 @@ def test_stacked_sweep_equals_per_state_scans_on_the_verify_sweep_grid():
         assert visibility_sweep(rho[k]).probabilities.tobytes() == probabilities[k].tobytes(), k
 
 
-def test_stacked_sweep_of_complex_states_equals_per_state_scans():
-    # the scenario states are real; these have imaginary parts in every off-diagonal entry
+def test_stacked_sweep_of_dense_states_equals_per_state_scans():
+    # the scenario states have structural zeros; these have no zero entry
     rng = np.random.default_rng(24)
-    g = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
-    rho = g @ g.conj().swapaxes(-1, -2)
-    rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+    g = rng.standard_normal((5, 4, 4))
+    rho = g @ g.swapaxes(-1, -2)
+    rho /= np.trace(rho, axis1=-2, axis2=-1)[:, None, None]
     scan = visibility_sweep(rho, 64)
     for k in range(len(rho)):
         assert np.array_equal(visibility_sweep(rho[k], 64).probabilities, scan.probabilities[k])

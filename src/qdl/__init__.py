@@ -27,7 +27,8 @@ from .infotheory import (
     von_neumann_entropy,
 )
 from .linalg import hermitian_eigenvalues, partial_trace, partial_transpose
-from .states import Scenario, ScenarioParams, scenario_amplitudes, scenario_densities, scenario_density
+from .states import Scenario, ScenarioParams, environment_densities, scenario_amplitudes, scenario_densities
+from .states import scenario_density
 from .visibility import (
     FringeScan,
     check_identity,

@@ -3,7 +3,8 @@
 Each figure is a SweepSpec: a fixed column order, the two grid axes first,
 and a column function.  The column function maps the flattened grid
 coordinates of a chunk of points to its value columns, evaluating every
-point of the chunk through the stacked (N, 4, 4) layers at once.  Rows are written in row-major
+point of the chunk through the stacked (N, 4, 4) layers at once; figures 4 and 6 read S_AB off the 2x2
+environment of the same pure states, and clamp I_AB at its bound 0.  Rows are written in row-major
 axis order, one chunk of at most CHUNK_POINTS points at a time; each chunk is one float table,
 formatted as a whole and written at once.  A table whose values all lie in [0, 8), none scaled
 by 1e9 to exactly a half-integer, is printed by a numpy fixed-point kernel from the integers
@@ -20,8 +21,9 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .bell import horodecki_bmax, violates_chsh, violation_threshold
-from .infotheory import mutual_information
-from .states import Scenario, ScenarioParams, scenario_densities
+from .infotheory import von_neumann_entropy
+from .linalg import partial_trace
+from .states import Scenario, ScenarioParams, _gram, scenario_amplitudes, scenario_densities
 from .visibility import visibility_analytic
 
 MIN_RESOLUTION = 11
@@ -65,9 +67,17 @@ def _fig3(d: np.ndarray, r: np.ndarray) -> tuple:
     return d, r, v, v <= 1.0 - d * d
 
 
+def _information_and_violation(scenario: Scenario, params: ScenarioParams) -> tuple:
+    """I_AB of each point, S_AB read off its environment and clamped at the bound I_AB >= 0, and its CHSH flag."""
+    psi = scenario_amplitudes(scenario, params)
+    rho = _gram(psi)
+    s_a, s_b = (von_neumann_entropy(partial_trace(rho, keep)) for keep in "AB")
+    s_ab = von_neumann_entropy(_gram(psi, environment=True))
+    return np.maximum(0.0, s_a + s_b - s_ab), violates_chsh(horodecki_bmax(rho))
+
+
 def _fig4(d: np.ndarray, r: np.ndarray) -> tuple:
-    rho = scenario_densities(Scenario.SYSTEM, ScenarioParams(d=d, r_s=r))
-    return d, r, mutual_information(rho).i_ab, violates_chsh(horodecki_bmax(rho))
+    return d, r, *_information_and_violation(Scenario.SYSTEM, ScenarioParams(d=d, r_s=r))
 
 
 def _fig5(r: np.ndarray, d: np.ndarray) -> tuple:
@@ -75,8 +85,7 @@ def _fig5(r: np.ndarray, d: np.ndarray) -> tuple:
 
 
 def _fig6(d: np.ndarray, r: np.ndarray) -> tuple:
-    rho = scenario_densities(Scenario.METER, ScenarioParams(d=d, r_m=r))
-    return d, r, mutual_information(rho).i_ab, violates_chsh(horodecki_bmax(rho))
+    return d, r, *_information_and_violation(Scenario.METER, ScenarioParams(d=d, r_m=r))
 
 
 def _fig7(r_s: np.ndarray, r_m: np.ndarray) -> tuple:

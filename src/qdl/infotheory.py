@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import violation_threshold
-from .linalg import _as_hermitian_state, _float_or_array, hermitian_eigenvalues, partial_trace, partial_transpose
+from .linalg import _as_hermitian_state, _as_state, _float_or_array, hermitian_eigenvalues
+from .linalg import partial_trace, partial_transpose
 from .states import Scenario, ScenarioParams, scenario_densities
 
 SEPARABILITY_TOL = 1e-10
@@ -55,7 +56,7 @@ def ppt_check(rho: np.ndarray) -> SeparabilityReport:
 
 def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
     """-sum lambda ln lambda over the spectrum, with 0 ln 0 = 0; an array over a stack of states."""
-    evals = hermitian_eigenvalues(rho)
+    evals = hermitian_eigenvalues(rho, "rho")
     lowest = evals[..., -1].min(initial=np.inf)
     if lowest < ENTROPY_EIGENVALUE_FLOOR:
         raise ValueError(f"state has eigenvalue {lowest:.3e}; not positive semidefinite")
@@ -72,10 +73,9 @@ def _xlogx(x: float | np.ndarray) -> np.ndarray:
 
 def mutual_information(rho: np.ndarray) -> InformationReport:
     """I_AB = S_A + S_B - S_AB from the eigenvalue route; array fields over a stack of states."""
-    rho = _as_hermitian_state(rho)
+    s_ab = von_neumann_entropy(_as_state(rho))  # the one Hermiticity check of rho
     s_a = von_neumann_entropy(partial_trace(rho, "A"))
     s_b = von_neumann_entropy(partial_trace(rho, "B"))
-    s_ab = von_neumann_entropy(rho)
     return InformationReport(s_a=s_a, s_b=s_b, s_ab=s_ab, i_ab=s_a + s_b - s_ab)
 
 

@@ -84,7 +84,7 @@ def _pivots(n: int) -> list[tuple[int, int, slice]]:
     return table
 
 
-def hermitian_eigensystem(m) -> np.ndarray:
+def hermitian_eigensystem(m, _name: str = "m") -> np.ndarray:
     """Eigenvalues, descending, of a real symmetric matrix or of each in a stack (..., n, n).
 
     Cyclic Jacobi with real plane rotations; a sweep visits every
@@ -99,9 +99,9 @@ def hermitian_eigensystem(m) -> np.ndarray:
     same float products, none that numpy could fuse, so each member of a stack
     gets its one-matrix bits on any CPU.
     """
-    m = _as_square(m, "m")
+    m = _as_square(m, _name)
     batch, n = m.shape[:-2], m.shape[-1]
-    a = (m + _check_hermitian(m, "m")).reshape((-1, n, n)) / 2.0
+    a = (m + _check_hermitian(m, _name)).reshape((-1, n, n)) / 2.0
     solve = _jacobi if len(a) == 1 else _stacked_jacobi
     return solve(a).reshape(batch + (n,))
 
@@ -201,9 +201,9 @@ def _stacked_jacobi(a: np.ndarray) -> np.ndarray:
     return np.take_along_axis(values, order, axis=-1)
 
 
-def hermitian_eigenvalues(m) -> np.ndarray:
-    """All eigenvalues of a real symmetric matrix (or of each in a stack), sorted descending."""
-    return hermitian_eigensystem(m)
+def hermitian_eigenvalues(m, _name: str = "m") -> np.ndarray:
+    """All eigenvalues of a real symmetric matrix (or of each in a stack), sorted descending; refusals name it _name."""
+    return hermitian_eigensystem(m, _name)
 
 
 def partial_trace(rho, keep: str) -> np.ndarray:

@@ -127,12 +127,22 @@ def scenario_amplitudes(scenario: Scenario, params: ScenarioParams) -> np.ndarra
     return psi
 
 
+def _gram(psi: np.ndarray, environment: bool = False) -> np.ndarray:
+    """Of amplitudes (N, 2, 2, ...) viewed as (N, 4, k): psi psi^T on A(x)B, or psi^T psi on the environments."""
+    psi = psi.reshape(len(psi), 4, math.prod(psi.shape[3:]))
+    return psi.swapaxes(-1, -2) @ psi if environment else psi @ psi.swapaxes(-1, -2)
+
+
 def scenario_densities(scenario: Scenario, params: ScenarioParams) -> np.ndarray:
     """Stack of A(x)B density matrices at the points of ``params``, shape (N, 4, 4): the states
     of ``scenario_amplitudes`` with their environments traced out."""
-    psi = scenario_amplitudes(scenario, params)
-    psi = psi.reshape(len(psi), 4, math.prod(psi.shape[3:]))
-    return psi @ psi.swapaxes(-1, -2)
+    return _gram(scenario_amplitudes(scenario, params))
+
+
+def environment_densities(scenario: Scenario, params: ScenarioParams) -> np.ndarray:
+    """Stack of environment density matrices at the points of ``params``, shape (N, k, k), k = 1 (free), 2 (system,
+    meter) or 4 (combined): A(x)B traced out of ``scenario_amplitudes``, so each has its A(x)B state's entropy."""
+    return _gram(scenario_amplitudes(scenario, params), environment=True)
 
 
 def scenario_density(params: ScenarioParams, scenario: Scenario) -> np.ndarray:

@@ -14,7 +14,7 @@ from qdl.cli import main
 from qdl import figures
 from qdl.figures import DEFAULT_RESOLUTION, FIGURES, _fmt, _format_chunk, write_figure_csv
 from qdl.infotheory import mutual_information
-from qdl.states import Scenario, ScenarioParams, scenario_density
+from qdl.states import Scenario, ScenarioParams, scenario_densities, scenario_density
 from qdl.verify import MAX_RESOLUTION as VERIFY_MAX_RESOLUTION
 from qdl.visibility import visibility_analytic
 
@@ -164,6 +164,21 @@ def test_figure_csv_matches_per_point_reference(tmp_path, capsys, monkeypatch):
         header = ",".join(FIGURES[n].columns) + "\n"
         body = "".join(",".join(_fmt(v) for v in row(x, y)) + "\n" for x in line for y in line)
         assert out_path.read_bytes() == (header + body).encode("utf-8"), f"figure {n}"
+
+
+@pytest.mark.parametrize("resolution", [41, 161])
+@pytest.mark.parametrize(("n", "scenario", "knob"), [(4, Scenario.SYSTEM, "r_s"), (6, Scenario.METER, "r_m")])
+def test_information_figures_equal_the_csv_of_the_4x4_route(n, scenario, knob, resolution, tmp_path):
+    # the figures read S_AB off the environment and clamp I_AB at 0; the stacked 4x4 route gives the same bytes
+    line = np.arange(resolution) / (resolution - 1)
+    d, r = (axis.ravel() for axis in np.meshgrid(line, line, indexing="ij"))
+    rho = scenario_densities(scenario, ScenarioParams(d=d, **{knob: r}))
+    columns = (d, r, mutual_information(rho).i_ab, violates_chsh(horodecki_bmax(rho)))
+    path = tmp_path / f"fig{n}.csv"
+    write_figure_csv(n, resolution, str(path))
+    text = path.read_bytes().decode("utf-8")
+    assert text == ",".join(FIGURES[n].columns) + "\n" + _format_chunk(columns)
+    assert "-0.000000000" not in text
 
 
 def test_figure_csvs_do_not_depend_on_the_run_or_the_chunk_size(tmp_path, monkeypatch):

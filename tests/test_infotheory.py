@@ -15,9 +15,12 @@ from qdl.infotheory import (
     printed_meter_s_b,
     von_neumann_entropy,
 )
+from qdl import linalg
 from qdl.bell import horodecki_bmax
-from qdl.states import Scenario, ScenarioParams, scenario_densities, scenario_density
+from qdl.states import Scenario, ScenarioParams, environment_densities, scenario_densities, scenario_density
+from qdl.verify import ENTROPY_TOL
 from qdl.visibility import _identity_residual, visibility_analytic
+from test_edge_tables import EDGE_GRIDS
 
 LN2 = math.log(2.0)
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2)
@@ -69,6 +72,25 @@ def test_entropy_rejects_negative_spectrum():
 def test_entropy_tolerates_rounding_dips():
     rho = np.diag([1.0 + 5e-10, -5e-10, 0.0, 0.0])
     assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    ("m", "message"),
+    [(np.array([[0.5, 0.1], [0.0, 0.5]]), "is not Hermitian"), (np.full((2, 2), np.nan), "contains NaN/Inf"),
+     (np.ones(3), "must be a square matrix")],
+    ids=["non-Hermitian", "nan", "vector"],
+)
+def test_entropy_refusals_name_rho(m, message):
+    with pytest.raises(ValueError, match=f"^rho {message}"):
+        von_neumann_entropy(m)
+
+
+def test_mutual_information_checks_each_matrix_once(monkeypatch):
+    # rho, then its two marginals: analyze and verify pay one Hermiticity check per matrix
+    checked, check = [], linalg._check_hermitian
+    monkeypatch.setattr(linalg, "_check_hermitian", lambda m, name: checked.append((m.shape, name)) or check(m, name))
+    mutual_information(scenario_densities(Scenario.COMBINED, ScenarioParams(d=np.array([0.3, 0.6]))))
+    assert checked == [((2, 4, 4), "rho"), ((2, 2, 2), "rho"), ((2, 2, 2), "rho")]
 
 
 @pytest.mark.parametrize("p", [0.0, 5e-324, 1.0 - 2.0**-53, 1.0])
@@ -329,3 +351,26 @@ def test_entropy_and_identity_closed_forms_take_the_knobs_shape_when_any_knob_is
             point = ScenarioParams(**{k: float(np.broadcast_to(v, shape)[index]) for k, v in knobs.items()})
             single = KNOB_FORMS[form](point)[field]
             assert type(single) is float and single == value[index], (field, index)
+
+
+ENVIRONMENT_SIZE = {Scenario.FREE: 1, Scenario.SYSTEM: 2, Scenario.METER: 2, Scenario.COMBINED: 4}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scenario", list(EDGE_GRIDS), ids=lambda s: s.value)
+def test_environment_entropy_equals_the_state_entropy_on_the_edge_grids(scenario):
+    # A(x)B and its environments split a pure state, so their densities share the nonzero spectrum (Schmidt)
+    knobs = EDGE_GRIDS[scenario]
+    params, k = ScenarioParams(**knobs), ENVIRONMENT_SIZE[scenario]
+    rho_e = environment_densities(scenario, params)
+    assert rho_e.shape == (len(knobs["d"]), k, k) and rho_e.dtype == np.float64
+    assert np.max(np.abs(np.trace(rho_e, axis1=-2, axis2=-1) - 1.0)) < 1e-12
+    assert np.max(np.abs(rho_e - rho_e.swapaxes(-1, -2))) < 1e-12
+    s_e = von_neumann_entropy(rho_e)
+    assert np.max(np.abs(s_e - von_neumann_entropy(scenario_densities(scenario, params)))) < ENTROPY_TOL
+    if scenario is Scenario.FREE:  # no environment: the state is pure
+        assert np.max(s_e) < ENTROPY_TOL
+    for n in range(0, len(s_e), 3):  # a stack gives the bits of its one-point calls
+        point = environment_densities(scenario, ScenarioParams(**{name: float(v[n]) for name, v in knobs.items()}))
+        assert point.tobytes() == rho_e[n : n + 1].tobytes()
+        assert von_neumann_entropy(point[0]) == s_e[n], n

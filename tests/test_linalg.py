@@ -267,7 +267,7 @@ REAL_ONLY_ROUTES = {  # each takes a stack of states; the name its refusal gives
     "visibility_sweep": (lambda rho: visibility_sweep(rho, 64).probabilities, "rho"),
     "visibility_analytic": (visibility_analytic, "rho"),
     "ppt_check": (lambda rho: ppt_check(rho).ppt_spectrum, "rho"),
-    "von_neumann_entropy": (von_neumann_entropy, "m"),
+    "von_neumann_entropy": (von_neumann_entropy, "rho"),
     "mutual_information": (lambda rho: mutual_information(rho).i_ab, "rho"),
 }
 REAL_ONLY_STATES = np.stack([

@@ -12,6 +12,7 @@ from qdl.states import (
     ScenarioParams,
     _decohere,
     _meter_rotation,
+    environment_densities,
     scenario_amplitudes,
     scenario_densities,
     scenario_density,
@@ -394,6 +395,8 @@ NO_STATES = np.zeros((0, 4, 4))
         *((lambda s=s: scenario_amplitudes(s, ScenarioParams(d=np.array([]))), (0,) + (2,) * n)
           for s, n in zip(Scenario, (2, 3, 3, 4))),
         *((lambda s=s: scenario_densities(s, ScenarioParams(r_m=np.array([]))), (0, 4, 4)) for s in Scenario),
+        *((lambda s=s: environment_densities(s, ScenarioParams(r_s=np.array([]))), (0, k, k))
+          for s, k in zip(Scenario, (1, 2, 2, 4))),
         (lambda: info_threshold(Scenario.METER, ScenarioParams(r_m=np.array([]))), (0,)),
         (lambda: info_threshold(Scenario.SYSTEM, ScenarioParams(r_s=np.array([]))), (0,)),
         (lambda: hermitian_eigenvalues(NO_STATES), (0, 4)),
@@ -405,6 +408,7 @@ NO_STATES = np.zeros((0, 4, 4))
         (lambda: visibility_sweep(NO_STATES).visibility, (0,)),
     ],
     ids=[f"amplitudes-{s.value}" for s in Scenario] + [f"densities-{s.value}" for s in Scenario]
+    + [f"environments-{s.value}" for s in Scenario]
     + ["info_threshold-meter", "info_threshold-system", "eigenvalues", "entropy", "mutual_information", "ppt",
        "bmax", "visibility_analytic", "visibility_sweep"],
 )

@@ -1,15 +1,14 @@
 """Parameter sweeps behind the seven figure data sets, emitted as CSV grids.
 
-Each figure is a SweepSpec: a fixed column order, the two grid axes first,
-and a column function.  The column function maps the flattened grid
-coordinates of a chunk of points to its value columns, evaluating every
-point of the chunk through the stacked (N, 4, 4) layers at once; figures 4 and 6 read S_AB off the 2x2
-environment of the same pure states, and clamp I_AB at its bound 0.  Rows are written in row-major
-axis order, one chunk of at most CHUNK_POINTS points at a time; each chunk is one float table,
-formatted as a whole and written at once.  A table whose values all lie in [0, 8), none scaled
-by 1e9 to exactly a half-integer, is printed by a numpy fixed-point kernel from the integers
-rint(x * 1e9), which give '%.9f''s correctly rounded digits there; any other table by a single
-'%' over a per-row line template.
+Each figure is a SweepSpec: a fixed column order, the two grid axes first, and a column function.  The column
+function maps the flattened grid coordinates of a chunk of points to its value columns, evaluating every point of
+the chunk through the stacked (N, 4, 4) layers at once; figures 4 and 6 read S_AB off the 2x2 environment of the
+same pure states, solve rho_A, rho_B and rho_E as one (3N, 2, 2) stack, and clamp I_AB at its bound 0.  Rows are
+written in row-major axis order, one chunk of at most CHUNK_POINTS points at a time (the default 41 x 41 grid is
+one chunk, so one eigen-solve per layer); each chunk is one float table, formatted as a whole and written at once.
+A table whose values all lie in [0, 8), none scaled by 1e9 to exactly a half-integer, is printed by a numpy
+fixed-point kernel from the integers rint(x * 1e9), which give '%.9f''s correctly rounded digits there; any other
+table by a single '%' over a per-row line template.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from .visibility import visibility_analytic
 MIN_RESOLUTION = 11
 DEFAULT_RESOLUTION = 41
 MAX_RESOLUTION = 1001  # resolution^2 rows: about 1e6 rows, some 40 MB of CSV
-CHUNK_POINTS = 1024
+CHUNK_POINTS = 2048  # the default 41 x 41 grid is one chunk
 # row k: the 3 ASCII digits of k, viewed as one 3-byte item so that a lookup is a 1-D take
 _DIGITS = (np.arange(1000)[:, None] // np.array([100, 10, 1]) % 10 + ord("0")).astype(np.uint8).view("V3").ravel()
 
@@ -71,8 +70,8 @@ def _information_and_violation(scenario: Scenario, params: ScenarioParams) -> tu
     """I_AB of each point, S_AB read off its environment and clamped at the bound I_AB >= 0, and its CHSH flag."""
     psi = scenario_amplitudes(scenario, params)
     rho = _gram(psi)
-    s_a, s_b = (von_neumann_entropy(partial_trace(rho, keep)) for keep in "AB")
-    s_ab = von_neumann_entropy(_gram(psi, environment=True))
+    marginals = np.concatenate([partial_trace(rho, "A"), partial_trace(rho, "B"), _gram(psi, environment=True)])
+    s_a, s_b, s_ab = von_neumann_entropy(marginals).reshape(3, -1)
     return np.maximum(0.0, s_a + s_b - s_ab), violates_chsh(horodecki_bmax(rho))
 
 

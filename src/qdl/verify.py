@@ -8,6 +8,8 @@ that no adjudicated formula is patched silently.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 import numbers
 from contextvars import ContextVar
@@ -58,22 +60,27 @@ class SuiteResult:
     passed = property(lambda self: self.max_residual < self.tolerance)  # a NaN residual fails
 
 
-class _Chunk:
-    """Points of one scenario (coords, at 1-D knob arrays), their states (rho) and matrix-route values,
-    each value solved on first use."""
+class _States:
+    """A stack of states (rho) and its matrix-route values, each solved on first use."""
 
-    def __init__(self, scenario: Scenario, knobs: dict):
-        self.scenario, self.coords = scenario, ScenarioParams(**knobs)
-        # Built now, while a grid's consumer still holds the previous chunk: freed first, its
-        # states would let malloc trim the heap and page the next stack in afresh.
-        self.rho = scenario_densities(scenario, self.coords)
-        self.rho.flags.writeable = False  # shared by the suites of a run
-        self.points = len(self.rho)
+    def __init__(self, rho: np.ndarray):
+        self.rho, self.points = rho, len(rho)
 
     bmax = cached_property(lambda self: horodecki_bmax(self.rho))
     info = cached_property(lambda self: mutual_information(self.rho))
     ppt = cached_property(lambda self: ppt_check(self.rho))
     visibility = cached_property(lambda self: visibility_analytic(self.rho))
+
+
+class _Chunk(_States):
+    """Points of one scenario (coords, at 1-D knob arrays) and their states, with their values."""
+
+    def __init__(self, scenario: Scenario, knobs: dict):
+        self.scenario, self.coords = scenario, ScenarioParams(**knobs)
+        # Built now, while a grid's consumer still holds the previous chunk: freed first, its
+        # states would let malloc trim the heap and page the next stack in afresh.
+        super().__init__(scenario_densities(scenario, self.coords))
+        self.rho.flags.writeable = False  # shared by the suites of a run
 
 
 # The chunks of the running run_suites call, by scenario and knob bytes, for its later suites to read; else None.
@@ -82,7 +89,7 @@ _TABLE: ContextVar[dict | None] = ContextVar("qdl_verify_table", default=None)
 
 def _chunk(scenario: Scenario, **knobs) -> _Chunk:
     """The chunk of the scenario at the knobs: within run_suites, the table's own, kept there while
-    the kept chunks hold at most 4 * figures.CHUNK_POINTS points (past that, a new chunk each call)."""
+    the kept chunks hold at most 2 * figures.CHUNK_POINTS points (past that, a new chunk each call)."""
     table = _TABLE.get()
     if table is None:
         return _Chunk(scenario, knobs)
@@ -90,7 +97,7 @@ def _chunk(scenario: Scenario, **knobs) -> _Chunk:
     chunk = table.get(key)
     if chunk is None:
         chunk = _Chunk(scenario, knobs)
-        if sum(kept.points for kept in table.values()) + chunk.points <= 4 * figures.CHUNK_POINTS:
+        if sum(kept.points for kept in table.values()) + chunk.points <= 2 * figures.CHUNK_POINTS:
             table[key] = chunk
     return chunk
 
@@ -133,44 +140,56 @@ def suite_identities(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
 def _distinct(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct states of a stack and the inverse that rebuilds it; rows compare as bytes, so -0.0 != 0.0."""
     keys = rho.reshape(len(rho), -1).view(np.dtype((np.void, rho[0].nbytes))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return rho[first], inverse
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    return distinct.view(rho.dtype).reshape((-1,) + rho.shape[1:]), inverse
 
 
-def _solve_distinct(resolution: int, solve) -> list[tuple[_Chunk, np.ndarray]]:
-    """(chunk, solve(its states)) over the four scenario grids, solve run once on their distinct states: grids meet
-    (combined at r_m = 1 is the system grid, at r_s = 1 the meter grid; at d = 0 all meet free r = 1/2), and each
-    stacked layer gives every state its one-state bits (110 of the 200 states differ at 5 steps)."""
-    chunks = list(_grid(resolution, *_AXES))
-    distinct, inverse = _distinct(np.concatenate([c.rho for c in chunks]))
-    return list(zip(chunks, np.split(solve(distinct)[inverse], np.cumsum([c.points for c in chunks[:-1]]))))
+def _solve_distinct(chunks, layer):
+    """(chunk, its values) for each of the chunks, in order.  layer names a `_States` value, which each chunk keeps
+    (a chunk holding it is not solved again), or is a function of a state stack.  Runs of consecutive chunks holding
+    at most 2 * figures.CHUNK_POINTS points, the run table's budget (a larger chunk alone), are solved at once on
+    their distinct states: grids meet (combined at r_m = 1 is the system grid, at r_s = 1 the meter grid; at d = 0
+    all meet free r = 1/2), and each stacked layer gives every state its one-state bits."""
+    named, batch = isinstance(layer, str), []
+    for chunk in itertools.chain(chunks, [None]):  # None ends the last run
+        if batch and (chunk is None or sum(c.points for c in batch) + chunk.points > 2 * figures.CHUNK_POINTS):
+            kept = [vars(c) if named else {} for c in batch]  # a cached_property keeps its value under its name
+            todo = [k for k, values in enumerate(kept) if layer not in values]
+            if todo:
+                distinct, inverse = _distinct(np.concatenate([batch[k].rho for k in todo]))
+                solved = getattr(_States(distinct), layer) if named else layer(distinct)
+                for k, rows in zip(todo, np.split(inverse, np.cumsum([batch[k].points for k in todo[:-1]]))):
+                    kept[k][layer] = solved[rows] if isinstance(solved, np.ndarray) else dataclasses.replace(
+                        solved, **{name: v[rows] for name, v in vars(solved).items() if v is not None})
+                del distinct, inverse, solved  # before the next run is solved
+            yield from ((c, values[layer]) for c, values in zip(batch, kept))
+            batch = []
+        batch.append(chunk)
 
 
 def suite_sweep_agreement(resolution: int = SWEEP_RESOLUTION) -> SuiteResult:
     """Fringe-definition visibility (phase sweep) against the analytic shortcut."""
-    sweeps = _solve_distinct(resolution, lambda rho: visibility_sweep(rho).visibility)
+    sweeps = _solve_distinct(_grid(resolution, *_AXES), lambda rho: visibility_sweep(rho).visibility)
     return _reduce("visibility_sweep", 1e-5, ((c, np.abs(v - c.visibility)) for c, v in sweeps))
 
 
 def suite_closed_form(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     """Analytic B_max of each scenario against the matrix-route Horodecki value."""
-    gaps = ((c, np.abs(bell_closed_form(c.scenario, c.coords) - c.bmax)) for c in _grid(resolution, *_AXES))
+    bmax = _solve_distinct(_grid(resolution, *_AXES), "bmax")
+    gaps = ((c, np.abs(bell_closed_form(c.scenario, c.coords) - b)) for c, b in bmax)
     return _reduce("bell_closed_form", CLOSED_FORM_TOL, gaps)
 
 
 def suite_brute(resolution: int = BRUTE_RESOLUTION, restarts: int = 32, seed: int = 0) -> SuiteResult:
     """Brute-force CHSH maximization against the Horodecki value.
 
-    The optimizer must reach the analytic maximum from below: residual is
-    max(b_horodecki - b_brute, b_brute - b_horodecki - 1e-6, 0).  Like the sweep suite, it solves each distinct
-    state of the four grids once (`_solve_distinct`; 110 of 200 at the default cap), each in the sweeps it runs alone.
+    The optimizer must reach the analytic maximum from below: residual is max(b_horodecki - b_brute,
+    b_brute - b_horodecki - 1e-6, 0), b_horodecki the chunks' kept B_max.  Like the phase sweep, the see-saw runs
+    once on each distinct state of the four grids (110 of 200 at the default cap), in the sweeps it runs alone.
     """
-
-    def gap(rho):
-        b_brute, b_h = chsh_value(rho, *np.moveaxis(_seesaw(rho, restarts, seed)[0], 1, 0)), horodecki_bmax(rho)
-        return np.maximum(b_h - b_brute, b_brute - b_h - 1e-6)
-
-    return _reduce("chsh_brute_force", BRUTE_TOL, _solve_distinct(resolution, gap))
+    chunks = (c for c, _ in _solve_distinct(_grid(resolution, *_AXES), "bmax"))
+    b_brute = _solve_distinct(chunks, lambda rho: chsh_value(rho, *np.moveaxis(_seesaw(rho, restarts, seed)[0], 1, 0)))
+    return _reduce("chsh_brute_force", BRUTE_TOL, ((c, np.maximum(c.bmax - b, b - c.bmax - 1e-6)) for c, b in b_brute))
 
 
 def suite_boundaries(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
@@ -181,8 +200,8 @@ def suite_boundaries(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
         (Scenario.METER, {"r_m": np.linspace(0.0, 1.0 / math.sqrt(2.0), resolution)}),
         *((Scenario.COMBINED, {"r_s": r_s, "r_m": r_m}) for r_s, r_m in _grid_chunks(line, 2)),
     ]
-    boundaries = (_boundary(scenario, **robustness) for scenario, robustness in knobs)
-    return _reduce("boundary_exactness", BOUNDARY_TOL, ((c, np.abs(c.bmax - 2.0)) for c in boundaries))
+    boundaries = _solve_distinct((_boundary(scenario, **robustness) for scenario, robustness in knobs), "bmax")
+    return _reduce("boundary_exactness", BOUNDARY_TOL, ((c, np.abs(b - 2.0)) for c, b in boundaries))
 
 
 def suite_ppt_region(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
@@ -203,8 +222,8 @@ def suite_ppt_region(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
         wrong = int(np.sum(entangled != expected)) + int(np.sum(both & ~single_negative))
         return wrong, chunk.scenario is Scenario.METER and bool(np.any(both & ~violates_chsh(chunk.bmax)))
 
-    checks = [check(chunk) for chunk in _grid(resolution, Scenario.SYSTEM, Scenario.METER)]
-    gaps = checks if resolution > 2 else [check(chunk) for chunk in _grid(3, Scenario.METER)]
+    checks = [check(c) for c, _ in _solve_distinct(_grid(resolution, Scenario.SYSTEM, Scenario.METER), "ppt")]
+    gaps = checks if resolution > 2 else [check(c) for c, _ in _solve_distinct(_grid(3, Scenario.METER), "ppt")]
     mismatches = sum(wrong for wrong, _ in checks) + (not any(hidden for _, hidden in gaps))
     return SuiteResult("ppt_region", float(mismatches), 0.5)
 
@@ -218,8 +237,9 @@ def suite_entropy_forms(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
         return np.max(np.abs([c.s_a - m.s_a, c.s_b - m.s_b, c.s_ab - m.s_ab, c.i_ab - m.i_ab]), axis=0)
 
     boundary = _boundary(Scenario.SYSTEM, r_s=np.linspace(0.0, 1.0, resolution))
+    chunks = _solve_distinct(itertools.chain(_grid(resolution, Scenario.SYSTEM, Scenario.METER), [boundary]), "info")
+    grids = [(c, gap(c)) for c, _ in chunks if c is not boundary]  # the boundary's info solved with the grids'
     threshold_gap = np.abs(info_threshold(Scenario.SYSTEM, boundary.coords) - boundary.info.i_ab)
-    grids = ((c, gap(c)) for c in _grid(resolution, Scenario.SYSTEM, Scenario.METER))
     return _reduce("entropy_closed_forms", ENTROPY_TOL, [*grids, (boundary, threshold_gap)])
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from qdl.bell import MAX_RESTARTS, horodecki_bmax, violates_chsh, violation_threshold
 from qdl.cli import main
-from qdl import figures
+from qdl import figures, linalg
 from qdl.figures import DEFAULT_RESOLUTION, FIGURES, _fmt, _format_chunk, write_figure_csv
 from qdl.infotheory import mutual_information
 from qdl.states import Scenario, ScenarioParams, scenario_densities, scenario_density
@@ -320,6 +320,28 @@ def test_every_figure_chunk_at_the_default_resolution_takes_the_fixed_point_kern
     for n in FIGURES:
         write_figure_csv(n, DEFAULT_RESOLUTION, str(tmp_path / "fig.csv"))
     assert len(calls) == len(FIGURES) * math.ceil(DEFAULT_RESOLUTION**2 / figures.CHUNK_POINTS)
+
+
+# The eigen-solves of each figure at the default resolution, by stack shape: its 41 x 41 grid is one chunk, so
+# one call per layer: T^T T for B_max, and rho_A, rho_B and rho_E of every point as one stack for I_AB.
+DEFAULT_EIGEN_SOLVES = {
+    1: [(1681, 3, 3)],
+    2: [(1681, 3, 3)],
+    3: [],
+    4: [(3 * 1681, 2, 2), (1681, 3, 3)],
+    5: [(1681, 3, 3)],
+    6: [(3 * 1681, 2, 2), (1681, 3, 3)],
+    7: [],
+}
+
+
+def test_each_figure_at_the_default_resolution_solves_each_layer_in_one_call(tmp_path, monkeypatch):
+    calls, solve = [], linalg.hermitian_eigensystem
+    monkeypatch.setattr(linalg, "hermitian_eigensystem", lambda m, *args: calls.append(np.shape(m)) or solve(m, *args))
+    for n, expected in DEFAULT_EIGEN_SOLVES.items():
+        calls.clear()
+        write_figure_csv(n, DEFAULT_RESOLUTION, str(tmp_path / "fig.csv"))
+        assert calls == expected, f"figure {n}"
 
 
 def test_figure_rejects_low_resolution(tmp_path, capsys):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qdl import figures, verify, visibility
+from qdl import figures, linalg, verify, visibility
 from qdl.bell import _combined_threshold_sq, _seesaw, bell_closed_form, chsh_value, horodecki_bmax, violates_chsh
 from qdl.bell import violation_threshold
 from qdl.infotheory import binary_entropy, entropy_closed_form, info_threshold
@@ -84,9 +84,9 @@ def test_the_run_table_is_dropped_when_a_suite_raises(monkeypatch):
     assert verify._TABLE.get() is None
 
 
-def test_the_run_table_keeps_at_most_four_chunks_of_points(monkeypatch):
+def test_the_run_table_and_each_batched_solve_hold_at_most_two_chunks_of_points(monkeypatch):
     monkeypatch.setattr(figures, "CHUNK_POINTS", 7)
-    kept, chunk = [], verify._chunk
+    kept, states, chunk = [], [], verify._chunk
 
     def counted(*args, **kwargs):
         found = chunk(*args, **kwargs)
@@ -94,8 +94,22 @@ def test_the_run_table_keeps_at_most_four_chunks_of_points(monkeypatch):
         return found
 
     monkeypatch.setattr(verify, "_chunk", counted)
+    for name in ("horodecki_bmax", "mutual_information", "ppt_check", "_seesaw", "visibility_sweep"):
+        solve = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda rho, *args, solve=solve: states.append(len(rho)) or solve(rho, *args))
     run_suites(resolution=5)
-    assert 0 < max(kept) <= 4 * 7
+    assert 0 < max(kept) <= 2 * 7
+    assert 7 < max(states) <= 2 * 7  # runs of chunks are solved together, within the same budget
+
+
+def test_a_default_run_makes_eleven_eigen_solves(monkeypatch):
+    # one per layer and run of chunks: B_max of the four 13-step grids, of the 5-step brute grids, of the boundaries
+    # and of the flipped threshold surface; PPT of the system and meter grids; S_AB, S_A and S_B of the entropy
+    # suite's grids and boundary, and of the meter threshold probe's boundary
+    calls, solve = [], linalg.hermitian_eigensystem
+    monkeypatch.setattr(linalg, "hermitian_eigensystem", lambda m, *args: calls.append(len(m)) or solve(m, *args))
+    run_suites()
+    assert (len(calls), sum(calls)) == (11, 3653)
 
 
 def test_a_repeated_suite_name_runs_once_in_the_order_first_named(monkeypatch):

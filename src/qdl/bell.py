@@ -178,11 +178,7 @@ def _seesaw_half(fixed: np.ndarray, matrix: np.ndarray, vectors: np.ndarray) -> 
     raw = (_PAIR_SIGNS @ fixed.reshape(len(fixed), 2, -1)).reshape(fixed.shape) @ matrix
     norm = np.einsum("...pmi,...pmi->...pm", raw, raw)
     np.sqrt(norm, out=norm)
-    if norm.all():
-        np.divide(raw, norm[..., None], out=vectors)
-    else:
-        live = norm > 0.0
-        vectors[...] = np.where(live[..., None], raw / np.where(live, norm, 1.0)[..., None], vectors)
+    np.divide(raw, norm[..., None], out=vectors, where=norm[..., None] > 0.0)
     return norm
 
 

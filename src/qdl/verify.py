@@ -144,24 +144,24 @@ def _distinct(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct.view(rho.dtype).reshape((-1,) + rho.shape[1:]), inverse
 
 
-def _solve_distinct(chunks, layer):
+def _solve_runs(chunks, layer):
     """(chunk, its values) for each of the chunks, in order.  layer names a `_States` value, which each chunk keeps
-    (a chunk holding it is not solved again), or is a function of a state stack.  Runs of consecutive chunks holding
-    at most 2 * figures.CHUNK_POINTS points, the run table's budget (a larger chunk alone), are solved at once on
-    their distinct states: grids meet (combined at r_m = 1 is the system grid, at r_s = 1 the meter grid; at d = 0
-    all meet free r = 1/2), and each stacked layer gives every state its one-state bits."""
+    (and is not solved again), or is an oracle, a function of a state stack.  Runs of consecutive chunks holding at
+    most 2 * figures.CHUNK_POINTS points (a larger chunk alone) are solved at once, each state to its one-state bits:
+    a named layer on the states as built, an oracle (far costlier per state) on the distinct ones, as grids meet."""
     named, batch = isinstance(layer, str), []
     for chunk in itertools.chain(chunks, [None]):  # None ends the last run
         if batch and (chunk is None or sum(c.points for c in batch) + chunk.points > 2 * figures.CHUNK_POINTS):
             kept = [vars(c) if named else {} for c in batch]  # a cached_property keeps its value under its name
             todo = [k for k, values in enumerate(kept) if layer not in values]
             if todo:
-                distinct, inverse = _distinct(np.concatenate([batch[k].rho for k in todo]))
-                solved = getattr(_States(distinct), layer) if named else layer(distinct)
+                stack = np.concatenate([batch[k].rho for k in todo])
+                states, inverse = (stack, np.arange(len(stack))) if named else _distinct(stack)
+                solved = getattr(_States(states), layer) if named else layer(states)
                 for k, rows in zip(todo, np.split(inverse, np.cumsum([batch[k].points for k in todo[:-1]]))):
                     kept[k][layer] = solved[rows] if isinstance(solved, np.ndarray) else dataclasses.replace(
                         solved, **{name: v[rows] for name, v in vars(solved).items() if v is not None})
-                del distinct, inverse, solved  # before the next run is solved
+                del stack, states, inverse, solved  # before the next run is solved
             yield from ((c, values[layer]) for c, values in zip(batch, kept))
             batch = []
         batch.append(chunk)
@@ -169,13 +169,13 @@ def _solve_distinct(chunks, layer):
 
 def suite_sweep_agreement(resolution: int = SWEEP_RESOLUTION) -> SuiteResult:
     """Fringe-definition visibility (phase sweep) against the analytic shortcut."""
-    sweeps = _solve_distinct(_grid(resolution, *_AXES), lambda rho: visibility_sweep(rho).visibility)
+    sweeps = _solve_runs(_grid(resolution, *_AXES), lambda rho: visibility_sweep(rho).visibility)
     return _reduce("visibility_sweep", 1e-5, ((c, np.abs(v - c.visibility)) for c, v in sweeps))
 
 
 def suite_closed_form(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     """Analytic B_max of each scenario against the matrix-route Horodecki value."""
-    bmax = _solve_distinct(_grid(resolution, *_AXES), "bmax")
+    bmax = _solve_runs(_grid(resolution, *_AXES), "bmax")
     gaps = ((c, np.abs(bell_closed_form(c.scenario, c.coords) - b)) for c, b in bmax)
     return _reduce("bell_closed_form", CLOSED_FORM_TOL, gaps)
 
@@ -187,8 +187,8 @@ def suite_brute(resolution: int = BRUTE_RESOLUTION, restarts: int = 32, seed: in
     b_brute - b_horodecki - 1e-6, 0), b_horodecki the chunks' kept B_max.  Like the phase sweep, the see-saw runs
     once on each distinct state of the four grids (110 of 200 at the default cap), in the sweeps it runs alone.
     """
-    chunks = (c for c, _ in _solve_distinct(_grid(resolution, *_AXES), "bmax"))
-    b_brute = _solve_distinct(chunks, lambda rho: chsh_value(rho, *np.moveaxis(_seesaw(rho, restarts, seed)[0], 1, 0)))
+    chunks = (c for c, _ in _solve_runs(_grid(resolution, *_AXES), "bmax"))
+    b_brute = _solve_runs(chunks, lambda rho: chsh_value(rho, *np.moveaxis(_seesaw(rho, restarts, seed)[0], 1, 0)))
     return _reduce("chsh_brute_force", BRUTE_TOL, ((c, np.maximum(c.bmax - b, b - c.bmax - 1e-6)) for c, b in b_brute))
 
 
@@ -200,7 +200,7 @@ def suite_boundaries(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
         (Scenario.METER, {"r_m": np.linspace(0.0, 1.0 / math.sqrt(2.0), resolution)}),
         *((Scenario.COMBINED, {"r_s": r_s, "r_m": r_m}) for r_s, r_m in _grid_chunks(line, 2)),
     ]
-    boundaries = _solve_distinct((_boundary(scenario, **robustness) for scenario, robustness in knobs), "bmax")
+    boundaries = _solve_runs((_boundary(scenario, **robustness) for scenario, robustness in knobs), "bmax")
     return _reduce("boundary_exactness", BOUNDARY_TOL, ((c, np.abs(b - 2.0)) for c, b in boundaries))
 
 
@@ -222,8 +222,8 @@ def suite_ppt_region(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
         wrong = int(np.sum(entangled != expected)) + int(np.sum(both & ~single_negative))
         return wrong, chunk.scenario is Scenario.METER and bool(np.any(both & ~violates_chsh(chunk.bmax)))
 
-    checks = [check(c) for c, _ in _solve_distinct(_grid(resolution, Scenario.SYSTEM, Scenario.METER), "ppt")]
-    gaps = checks if resolution > 2 else [check(c) for c, _ in _solve_distinct(_grid(3, Scenario.METER), "ppt")]
+    checks = [check(c) for c, _ in _solve_runs(_grid(resolution, Scenario.SYSTEM, Scenario.METER), "ppt")]
+    gaps = checks if resolution > 2 else [check(c) for c, _ in _solve_runs(_grid(3, Scenario.METER), "ppt")]
     mismatches = sum(wrong for wrong, _ in checks) + (not any(hidden for _, hidden in gaps))
     return SuiteResult("ppt_region", float(mismatches), 0.5)
 
@@ -237,7 +237,7 @@ def suite_entropy_forms(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
         return np.max(np.abs([c.s_a - m.s_a, c.s_b - m.s_b, c.s_ab - m.s_ab, c.i_ab - m.i_ab]), axis=0)
 
     boundary = _boundary(Scenario.SYSTEM, r_s=np.linspace(0.0, 1.0, resolution))
-    chunks = _solve_distinct(itertools.chain(_grid(resolution, Scenario.SYSTEM, Scenario.METER), [boundary]), "info")
+    chunks = _solve_runs(itertools.chain(_grid(resolution, Scenario.SYSTEM, Scenario.METER), [boundary]), "info")
     grids = [(c, gap(c)) for c, _ in chunks if c is not boundary]  # the boundary's info solved with the grids'
     threshold_gap = np.abs(info_threshold(Scenario.SYSTEM, boundary.coords) - boundary.info.i_ab)
     return _reduce("entropy_closed_forms", ENTROPY_TOL, [*grids, (boundary, threshold_gap)])

@@ -105,11 +105,19 @@ def test_the_run_table_and_each_batched_solve_hold_at_most_two_chunks_of_points(
 def test_a_default_run_makes_eleven_eigen_solves(monkeypatch):
     # one per layer and run of chunks: B_max of the four 13-step grids, of the 5-step brute grids, of the boundaries
     # and of the flipped threshold surface; PPT of the system and meter grids; S_AB, S_A and S_B of the entropy
-    # suite's grids and boundary, and of the meter threshold probe's boundary
+    # suite's grids and boundary, and of the meter threshold probe's boundary.  Each run's states are solved as
+    # built, repeated states included
     calls, solve = [], linalg.hermitian_eigensystem
     monkeypatch.setattr(linalg, "hermitian_eigensystem", lambda m, *args: calls.append(len(m)) or solve(m, *args))
     run_suites()
-    assert (len(calls), sum(calls)) == (11, 3653)
+    assert (len(calls), sum(calls)) == (11, 4526)
+
+
+def test_only_the_see_saw_and_the_phase_sweep_sort_their_states(monkeypatch):
+    calls, distinct = [], verify._distinct
+    monkeypatch.setattr(verify, "_distinct", lambda rho: calls.append(len(rho)) or distinct(rho))
+    run_suites()
+    assert calls == [200, 200]  # the four 5-step grids of the sweep, then of the brute suite
 
 
 def test_a_repeated_suite_name_runs_once_in_the_order_first_named(monkeypatch):

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import violation_threshold
 from .linalg import _as_hermitian_state, _as_state, _float_or_array, hermitian_eigenvalues
 from .linalg import partial_trace, partial_transpose
-from .states import Scenario, ScenarioParams, scenario_densities
+from .states import Scenario, ScenarioParams
 
 SEPARABILITY_TOL = 1e-10
 ENTROPY_EIGENVALUE_FLOOR = -1e-8
@@ -120,35 +119,32 @@ def printed_meter_s_b(params: ScenarioParams) -> float | np.ndarray:
 
 
 def info_threshold(scenario: Scenario, params: ScenarioParams) -> float | np.ndarray | None:
-    """Mutual information needed for a CHSH violation at the robustness of ``params``.
+    """Mutual information needed for a CHSH violation at the robustness of ``params``: I_AB on the violation boundary.
 
-    System case (reads r_s): the closed form h((1+r_s^2)/2), which equals I_AB on the
-    violation boundary d^2 = 1 - r_s^2.  Meter case (reads r_m): computed numerically as
-    I_AB at the boundary distinguishability d of ``violation_threshold``; returns None where
-    that d is 0 (r_m^2 >= 1/2), as every d > 0 already violates there.  Array knobs give an
-    array of their shape, NaN where the meter case gives None; its states are solved as one
-    stack, which gives the bits of the one-point calls.
+    System (reads r_s): h((1+r_s^2)/2), at d^2 = 1 - r_s^2.  Meter (reads r_m): h(a), a = 1/2 + sqrt2 r_m^2 /
+    (2 sqrt(1-r_m^2)), at the d of ``violation_threshold``, as ``qdl verify`` checks; None exactly where that d is 0
+    (r_m^2 >= 1/2), as every d > 0 violates there.  Array knobs give an array of their shape, NaN for None.
     """
     if scenario is Scenario.SYSTEM:
         return binary_entropy((1.0 + params.r_s * params.r_s) / 2.0)
     if scenario is Scenario.METER:
-        d_boundary = violation_threshold(Scenario.METER, params)
-        if isinstance(d_boundary, float) and d_boundary == 0.0:
-            return None
-        boundary = ScenarioParams(d=d_boundary, r_m=params.r_m)
-        i_ab = mutual_information(scenario_densities(Scenario.METER, boundary)).i_ab
-        return _float_or_array(np.where(d_boundary == 0.0, np.nan, i_ab.reshape(np.shape(d_boundary))))
+        h = _meter_threshold(params, binary_entropy)
+        return None if isinstance(h, float) and math.isnan(h) else h
     raise ValueError(f"no information threshold defined for scenario {scenario.value}")
 
 
 def printed_meter_info_threshold(params: ScenarioParams) -> float | np.ndarray:
-    """Published meter-case threshold expression at the r_m of ``params``, evaluated verbatim; an array over array knobs.
+    """Published meter-case threshold expression, xlogx(a) - xlogx(1-a) at the a of ``info_threshold``, verbatim.
 
-    The sign structure does not form an entropy (first term enters with a plus sign), so this disagrees with the
-    numeric boundary value; it is kept only so the discrepancy can be quantified.  NaN where r_m^2 >= 1/2, as
-    for ``info_threshold``: the argument of the entropy terms exceeds 1 there.
+    Its first term enters with a plus sign, so it is no entropy h(a) and disagrees with the boundary I_AB; it is kept
+    so the discrepancy can be quantified.  An array over array knobs; NaN where r_m^2 >= 1/2, where a exceeds 1.
     """
+    return _meter_threshold(params, lambda a: _xlogx(a) - _xlogx(1.0 - a))
+
+
+def _meter_threshold(params: ScenarioParams, form) -> float | np.ndarray:
+    """form(a) at the a of ``info_threshold``, in [1/2, 1) where r_m^2 < 1/2; NaN elsewhere (form sees a finite a)."""
     r2 = params.r_m * params.r_m
     inside = r2 < 0.5
-    arg = 0.5 + 0.5 * math.sqrt(2.0) * r2 / np.sqrt(1.0 - np.where(inside, r2, 0.0))
-    return _float_or_array(np.where(inside, _xlogx(arg) - _xlogx(1.0 - arg), np.nan))
+    a = 0.5 + 0.5 * math.sqrt(2.0) * r2 / np.sqrt(1.0 - np.where(inside, r2, 0.0))
+    return _float_or_array(np.where(inside, form(a), np.nan))

@@ -22,7 +22,7 @@ from . import figures
 from .bell import _check_seesaw_args, _seesaw, bell_closed_form, chsh_value, horodecki_bmax, violates_chsh
 from .bell import violation_threshold
 from .figures import _grid_chunks
-from .infotheory import binary_entropy, entropy_closed_form, info_threshold, mutual_information, ppt_check
+from .infotheory import entropy_closed_form, info_threshold, mutual_information, ppt_check
 from .infotheory import SEPARABILITY_TOL, printed_meter_info_threshold, printed_meter_s_b
 from .states import Scenario, ScenarioParams, scenario_densities
 from .visibility import _identity_residual, _ratio_residual, predictability, visibility_analytic, visibility_sweep
@@ -330,14 +330,14 @@ def probe_meter_entropy_form(resolution: int = DEFAULT_RESOLUTION) -> SuiteResul
 
 
 def probe_meter_threshold_form() -> SuiteResult:
-    """Meter information threshold: numeric boundary value vs the published expression."""
+    """Meter information threshold: boundary I_AB against the adopted closed form and the published expression."""
     lines = ["meter information threshold (numeric boundary I_AB vs published form):",
              "  r_m      numeric          published        |difference|"]
-    params = ScenarioParams(r_m=np.array(METER_THRESHOLD_ROBUSTNESS))
-    r, numeric = params.r_m, info_threshold(Scenario.METER, params)
-    found = ~np.isnan(numeric)  # NaN: no threshold, every d > 0 violates
-    gaps = np.abs(numeric - binary_entropy(0.5 + 0.5 * math.sqrt(2.0) * r * r / np.sqrt(1.0 - r * r)))[found]
-    for r_m, num, pub in zip(*(x[found].tolist() for x in (r, numeric, printed_meter_info_threshold(params)))):
+    boundary = _boundary(Scenario.METER, r_m=np.array(METER_THRESHOLD_ROBUSTNESS))
+    found = boundary.coords.d > 0.0  # d = 0: no threshold, every d > 0 violates
+    numeric, params = boundary.info.i_ab[found], ScenarioParams(r_m=boundary.coords.r_m[found])
+    gaps = np.abs(numeric - info_threshold(Scenario.METER, params))
+    for r_m, num, pub in zip(*(x.tolist() for x in (params.r_m, numeric, printed_meter_info_threshold(params)))):
         lines.append(f"  {r_m:.2f}   {num:.9f}      {pub:.9f}     {abs(num - pub):.9f}")
     lines.append("  numeric definition adopted; the published signs do not form an entropy.")
     worst_closed = float(np.max(gaps, initial=0.0))  # keeps a NaN, which fails the suite
@@ -419,7 +419,10 @@ def run_suites(
     ):
         raise ValueError("tolerance must be a finite non-negative number")
     _check_seesaw_args(restarts, seed)
-    selected = list(SUITES) if names is None else list(dict.fromkeys(names))  # each once, in first-named order
+    # each once, in first-named order; a string is no collection of names
+    selected = list(SUITES) if names is None else list(dict.fromkeys(() if isinstance(names, str) else names))
+    if not selected:
+        raise ValueError(f"names must be a non-empty collection of suite names, got {names!r}")
     for name in selected:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")

@@ -75,6 +75,22 @@ def test_array_meter_info_threshold_equals_its_one_value_calls_on_the_edge_table
     assert info_threshold(Scenario.METER, ScenarioParams(r_m=list(EDGE_TABLE))).tobytes() == expected.tobytes()
 
 
+def test_meter_info_threshold_is_none_exactly_where_r_m_squared_reaches_one_half():
+    # The rule r_m * r_m >= 1/2 agrees with violation_threshold's d = 0 on every float: below 1/2,
+    # fl(1 - r_m^2) >= 1/2 > r_m^2, so the quotient r_m^2 / (1 - r_m^2) rounds below 1 and d > 0; from 1/2 on,
+    # 1 - r_m^2 is exact and at most r_m^2, so d = 0.  Checked 64 floats to either side of 1/sqrt2.
+    edge = [_ulps_from(1.0 / math.sqrt(2.0), k) for k in range(-64, 65)]
+    r = sorted({0.0, 1.0, *edge, *EDGE_TABLE})
+    rule = [x * x >= 0.5 for x in r]
+    assert True in rule and False in rule
+    single = [info_threshold(Scenario.METER, ScenarioParams(r_m=x)) for x in r]
+    single_d = [violation_threshold(Scenario.METER, ScenarioParams(r_m=x)) for x in r]
+    stacked = info_threshold(Scenario.METER, ScenarioParams(r_m=np.array(r)))
+    stacked_d = violation_threshold(Scenario.METER, ScenarioParams(r_m=np.array(r)))
+    assert [x is None for x in single] == [d == 0.0 for d in single_d] == rule
+    assert np.isnan(stacked).tolist() == (stacked_d == 0.0).tolist() == rule
+
+
 @pytest.mark.xfail(
     raises=AssertionError,
     reason="_combined_threshold_sq cancels as r_m -> 1: |B_max - 2| reaches 3.05e-5 at r_s = 0.5, r_m = 1 - 1e-12",

@@ -15,8 +15,8 @@ from qdl.infotheory import (
     printed_meter_s_b,
     von_neumann_entropy,
 )
-from qdl import linalg
-from qdl.bell import horodecki_bmax
+from qdl import linalg, states
+from qdl.bell import horodecki_bmax, violation_threshold
 from qdl.states import Scenario, ScenarioParams, environment_densities, scenario_densities, scenario_density
 from qdl.verify import ENTROPY_TOL
 from qdl.visibility import _identity_residual, visibility_analytic
@@ -213,10 +213,22 @@ def test_info_threshold_system_equals_boundary_information():
 
 
 def test_info_threshold_meter_numeric():
+    # the closed form against the eigenvalue route on the boundary state
     for r in (0.1, 0.4, 0.6):
         thr = info_threshold(Scenario.METER, ScenarioParams(r_m=r))
-        arg = 0.5 + 0.5 * math.sqrt(2) * r * r / math.sqrt(1 - r * r)
-        assert thr == pytest.approx(binary_entropy(arg), abs=1e-9)
+        d = violation_threshold(Scenario.METER, ScenarioParams(r_m=r))
+        i_ab = mutual_information(scenario_density(ScenarioParams(d=d, r_m=r), Scenario.METER)).i_ab
+        assert thr == pytest.approx(i_ab, abs=1e-9)
+
+
+@pytest.mark.parametrize("r_m", [0.3, 0.9, np.array([0.0, 0.3, 0.7, 0.9, 1.0])], ids=["0.3", "0.9", "array"])
+def test_info_threshold_meter_builds_no_state_and_solves_no_spectrum(r_m, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("info_threshold built a state or solved a spectrum")
+
+    for module, name in ((states, "scenario_densities"), (states, "scenario_density"), (linalg, "hermitian_eigensystem")):
+        monkeypatch.setattr(module, name, refused)
+    info_threshold(Scenario.METER, ScenarioParams(r_m=r_m))
 
 
 def test_info_threshold_meter_none_above_sqrt_half():

@@ -450,12 +450,15 @@ def test_a_stack_runs_the_stacked_loop_once_on_all_its_matrices(count, monkeypat
 
 
 def test_stacked_eigensystem_reports_non_convergence(monkeypatch):
+    # the stacked loop, and the one-matrix loop on SIGMA_X alone
     m = np.stack([np.diag([1.0, 2.0]), SIGMA_X])
     monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)
-    with pytest.raises(ArithmeticError):
-        hermitian_eigenvalues(m)
+    for matrix in (m, SIGMA_X):
+        with pytest.raises(ArithmeticError, match="failed to converge in 0 sweeps"):
+            hermitian_eigenvalues(matrix)
     monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
     assert np.array_equal(hermitian_eigenvalues(m), [[2.0, 1.0], [1.0, -1.0]])
+    assert np.array_equal(hermitian_eigenvalues(SIGMA_X), [1.0, -1.0])
 
 
 @pytest.mark.parametrize("pivot", [1e-309, -4e-309, 5e-324])

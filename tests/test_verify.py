@@ -224,7 +224,7 @@ def test_reducer_reports_the_first_worst_point_and_fails_on_nan():
 
 
 def test_meter_threshold_probe_fails_on_a_nan_gap(monkeypatch):
-    monkeypatch.setattr(verify, "binary_entropy", lambda p: math.nan)
+    monkeypatch.setattr(verify, "info_threshold", lambda scenario, params: params.r_m * math.nan)
     (result,) = run_suites(names=["meter_threshold"])
     assert math.isnan(result.max_residual) and not result.passed
     assert result.lines[-1].endswith(" to nan)")
@@ -288,16 +288,21 @@ def test_run_suites_rejects_non_integral_optimizer_arguments_before_any_suite(kw
 
 
 @pytest.mark.parametrize(
-    "kwargs, name",
-    [({"resolution": 5.0}, "resolution"), ({"resolution": np.float64(5.0)}, "resolution"),
-     ({"resolution": "5"}, "resolution"), ({"resolution": 2, "restarts": True}, "restarts")],
-    ids=["float", "float64", "str", "restarts-bool"],
+    "kwargs, message",
+    [({"resolution": 5.0}, "resolution must be an integer"),
+     ({"resolution": np.float64(5.0)}, "resolution must be an integer"),
+     ({"resolution": "5"}, "resolution must be an integer"),
+     ({"resolution": 2, "restarts": True}, "restarts must be an integer"),
+     ({"names": []}, r"names must be a non-empty collection of suite names, got \[\]"),
+     ({"names": "brute"}, "names must be a non-empty collection of suite names, got 'brute'"),
+     ({"names": ["identities", "bogus"]}, "unknown suite 'bogus'")],
+    ids=["float", "float64", "str", "restarts-bool", "names-empty", "names-str", "names-unknown"],
 )
-def test_run_suites_rejects_a_non_integral_resolution_before_any_suite(kwargs, name, monkeypatch):
+def test_run_suites_rejects_a_non_integral_resolution_before_any_suite(kwargs, message, monkeypatch):
     ran = []
     monkeypatch.setitem(SUITES, "identities", lambda *args: ran.append(args))
-    with pytest.raises(ValueError, match=f"{name} must be an integer"):
-        run_suites(names=["identities"], **kwargs)
+    with pytest.raises(ValueError, match=message):
+        run_suites(**{"names": ["identities"], **kwargs})
     assert ran == []
 
 
@@ -426,11 +431,9 @@ METER_ROBUSTNESS = st.one_of(
 @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @hypothesis.given(METER_ROBUSTNESS)
 def test_meter_info_threshold_is_the_information_at_the_boundary_at_edge_biased_points(r):
-    # info_threshold solves the boundary state with the scalar Jacobi loop.
-    r2 = r * r
-    d_boundary = math.sqrt(1.0 - r2 / (1.0 - r2))
-    closed = entropy_closed_form(Scenario.METER, ScenarioParams(d=d_boundary, r_m=r)).i_ab
-    assert abs(info_threshold(Scenario.METER, ScenarioParams(r_m=r)) - closed) < ENTROPY_TOL
+    boundary = ScenarioParams(d=violation_threshold(Scenario.METER, ScenarioParams(r_m=r)), r_m=r)
+    i_ab = mutual_information(scenario_densities(Scenario.METER, boundary)).i_ab
+    assert abs(info_threshold(Scenario.METER, ScenarioParams(r_m=r)) - i_ab) < ENTROPY_TOL
 
 
 @pytest.mark.parametrize("r", [METER_THRESHOLD_MAX_ROBUSTNESS, math.nextafter(METER_THRESHOLD_MAX_ROBUSTNESS, 1.0)])
@@ -440,5 +443,5 @@ def test_meter_info_threshold_is_none_exactly_where_the_violation_boundary_is_ze
     threshold = info_threshold(Scenario.METER, ScenarioParams(r_m=r))
     assert (threshold is None) == (d == 0.0)
     if threshold is not None:
-        closed = entropy_closed_form(Scenario.METER, ScenarioParams(d=d, r_m=r)).i_ab
-        assert abs(threshold - closed) < ENTROPY_TOL
+        i_ab = mutual_information(scenario_densities(Scenario.METER, ScenarioParams(d=d, r_m=r))).i_ab
+        assert abs(threshold - i_ab) < ENTROPY_TOL

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qdl import bell
+from qdl.analysis import analyze
 from qdl.bell import (
     _PLAIN_SWEEPS,
     _VALUE_STALL_TOL,
@@ -422,8 +423,9 @@ def test_seesaw_equals_reference_on_the_brute_grid():
     ],
 )
 def test_brute_force_converges_where_plain_sweeps_exhaust_the_budget(scenario, params):
-    # sigma_2 ~ sigma_3: the plain loop ran all 3000 sweeps here and ended 4.6e-7 and 3.2e-8 low
-    res = chsh_brute_force(scenario_density(params, scenario))
+    # sigma_2 ~ sigma_3: the plain loop ran all 3000 sweeps here and ended 4.6e-7 and 3.2e-8 low; the see-saw's
+    # longest extrapolated phases, run through every layer of `qdl analyze`
+    res = analyze(scenario, params).bell
     assert res.brute_converged
     assert 0.0 <= res.b_horodecki - res.b_brute <= 1e-9
 

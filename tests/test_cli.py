@@ -194,6 +194,16 @@ def test_figure_csvs_do_not_depend_on_the_run_or_the_chunk_size(tmp_path, monkey
         assert list(csvs()) == first, f"CHUNK_POINTS={chunk}"
 
 
+def test_figure_csv_bits_do_not_depend_on_numpy_simd_dispatch(simd_digests):
+    # figures 1-7 at 41 steps, and figures 4 and 6 at 161: the SIMD sqrt and log loops and the fixed-point
+    # kernel's multiply and rint must not change a digit, so this holds whatever the complex product does
+    default, reduced = simd_digests
+    names = [name for name in default if name.startswith("figure_")]
+    assert len(names) == 9
+    for name in names:
+        assert reduced[name] == default[name], name
+
+
 # -0.0, negatives that print as -0.000000000, the 5e-10 rounding tie, subnormals and huge magnitudes
 EDGE_VALUES = [-0.0, -1e-12, -4.9e-10, 5e-10, -5e-10, 1.5e-9, 2.5e-9, 0.1234567895, 5e-324, -2e-310, 1e300, -1e300]
 CELL_VALUES = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(-1e300, 1e300))

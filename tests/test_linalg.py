@@ -1,7 +1,5 @@
 import importlib.util
 import math
-import os
-import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -295,56 +293,15 @@ def test_complex_input_is_its_real_part_or_refused(route):
         call(twin)
 
 
-# Prints a digest of one numpy complex product, then the bytes of: the eigenvalues of
-# a fixed real symmetric stack and of each of its members alone; the correlation
-# tensor and a CHSH value of the distinct states of the capped brute grids; and
-# b_brute at two analyze pool points whose CHSH value a fused multiply-add would round otherwise.
-_DIGEST_SCRIPT = """
-import hashlib
-import numpy as np
-from qdl.bell import chsh_brute_force, chsh_value, correlation_tensor
-from qdl.linalg import hermitian_eigenvalues, partial_transpose
-from qdl.states import Scenario, ScenarioParams, scenario_density
-from qdl.verify import _AXES, BRUTE_RESOLUTION, _distinct, _grid
-rng = np.random.default_rng(17)
-g = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))
-print(hashlib.sha256((g[0] * g[1]).tobytes()).hexdigest())
-psi = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
-bell = 0.7 * np.outer(psi, psi) + 0.3 * np.eye(4) / 4
-stack = np.concatenate([(g.real + g.real.swapaxes(-1, -2)) / 2, partial_transpose(bell)[None]])
-for m in (stack, *stack):
-    print(hashlib.sha256(hermitian_eigenvalues(m).tobytes()).hexdigest())
-rho = _distinct(np.concatenate([chunk.rho for chunk in _grid(BRUTE_RESOLUTION, *_AXES)]))[0]
-settings = rng.standard_normal((4, len(rho), 3))
-settings /= np.linalg.norm(settings, axis=-1, keepdims=True)
-print(len(rho), hashlib.sha256(correlation_tensor(rho).tobytes()).hexdigest())
-print(hashlib.sha256(chsh_value(rho, *settings).tobytes()).hexdigest())
-for scenario, params in ((Scenario.SYSTEM, ScenarioParams(d=0.9999557243204511, r_s=0.9995418905310595)),
-                         (Scenario.FREE, ScenarioParams(r=0.46637046862060194, d=0.9595898403230706))):
-    print(repr(chsh_brute_force(scenario_density(params, scenario)).b_brute))
-"""
-
-
-def eigen_digests(disabled_features):
-    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
-    if disabled_features:
-        env["NPY_DISABLE_CPU_FEATURES"] = disabled_features
-    src = str(Path(linalg.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
-    run = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT], env=env, capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    return run.stdout.split()
-
-
-def test_eigensystem_tensor_and_chsh_bits_do_not_depend_on_numpy_simd_dispatch():
-    # numpy fuses the multiply-add of a complex product under AVX2 (X86_V3) dispatch and not
-    # without it, so this host can tell; the Jacobi rotations, the correlation table and the
-    # real CHSH operators do no complex product, and must not notice.
-    default, reduced = eigen_digests(None), eigen_digests("X86_V4 X86_V3")
-    if default[0] == reduced[0]:
+def test_eigensystem_tensor_and_chsh_bits_do_not_depend_on_numpy_simd_dispatch(simd_digests):
+    # the Jacobi rotations, the correlation table and the real CHSH operators do no complex product,
+    # and must not notice
+    default, reduced = simd_digests
+    if default["complex_product"] == reduced["complex_product"]:
         pytest.skip("NPY_DISABLE_CPU_FEATURES does not change numpy's complex product on this host")
-    assert len(default) == 14 and default[9] == "110"
-    assert reduced[1:] == default[1:]
+    assert default["brute_states"] == "110"
+    for name in ("eigenvalues", "correlation_tensor", "chsh_value", "b_brute_system", "b_brute_free"):
+        assert reduced[name] == default[name], name
 
 
 hypothesis = pytest.importorskip("hypothesis")

@@ -1,7 +1,11 @@
 import re
+import runpy
 from pathlib import Path
 
+import pytest
+
 README = Path(__file__).resolve().parents[1] / "README.md"
+DEMOS = sorted((README.parent / "demos").glob("*.py"))
 
 
 def test_readme_python_blocks_run_in_order_in_one_namespace(capsys):
@@ -15,3 +19,9 @@ def test_readme_python_blocks_run_in_order_in_one_namespace(capsys):
     v, b_max, negativity, _, b_stack = capsys.readouterr().out.splitlines()
     assert abs(float(v) - 0.36) < 1e-12 and abs(float(b_max) - 2.0) < 1e-12 and float(negativity) > 0.0
     assert namespace["stack"].shape == (5, 4, 4) and len(b_stack.strip("[]").split()) == 5
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda path: path.name)
+def test_demo_runs_as_a_script(path, capsys):
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out

@@ -29,6 +29,7 @@ def test_suite_results_do_not_depend_on_the_chunk_size(monkeypatch):
 @pytest.mark.parametrize("resolution", [2, 3, 13])
 def test_each_suite_alone_equals_its_entry_of_the_full_run(resolution):
     full = run_suites(resolution=resolution)
+    assert all(entry.passed for entry in full)  # as `qdl verify --resolution N` exits 0
     for name, entry in zip(SUITES, full):
         (alone,) = run_suites(resolution=resolution, names=[name])
         assert repr(alone) == repr(entry)  # every field, floats to the last bit
@@ -186,7 +187,9 @@ def test_distinct_state_suites_equal_the_whole_grid_route(resolution):
     assert repr(suite_sweep_agreement(resolution)) == repr(_whole_grid_sweep(resolution))
     for restarts, seed in itertools.product((1, 32, 1024), (0, 3)):
         expected = _whole_grid_brute(resolution, restarts, seed)
-        assert repr(suite_brute(resolution, restarts, seed)) == repr(expected), (restarts, seed)
+        result = suite_brute(resolution, restarts, seed)
+        assert repr(result) == repr(expected), (restarts, seed)
+        assert result.passed, (restarts, seed)  # as `qdl verify --suite brute --restarts R` exits 0 at 5 steps
 
 
 @pytest.mark.parametrize("tolerance", ["1e-3", True, False, math.nan, math.inf, -0.5], ids=repr)
@@ -253,10 +256,16 @@ def test_threshold_sign_probe_reports_a_nan_flipped_form(monkeypatch):
     assert (res.max_residual, res.passed) == (adopted.max_residual, True)
 
 
+# The verdicts of the full run at resolution 3; `qdl verify` exits 0 exactly when they are all PASS.  Every
+# residual is below 1 and none below 0; three (brute force, entropy forms, meter threshold) are not below 1e-15.
+VERDICTS_AT_3 = {None: {True}, 0: {False}, 0.5: {True}, 1e-15: {True, False}, 1: {True}}
+
+
 @pytest.mark.parametrize("tolerance", [None, 0, 0.5, 1e-15, 1])
 def test_a_verdict_is_the_residual_below_the_tolerance(tolerance):
     results = run_suites(resolution=3, tolerance_override=tolerance)
     assert len(results) == len(SUITES)
+    assert {res.passed for res in results} == VERDICTS_AT_3[tolerance]
     for res in results:
         assert tolerance is None or res.tolerance == tolerance
         assert res.passed == (res.max_residual < res.tolerance)

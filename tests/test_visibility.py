@@ -1,8 +1,3 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -129,41 +124,11 @@ def test_sweep_phases_are_read_only_and_shared():
     assert again.probabilities.tobytes() == scan.probabilities.tobytes()
 
 
-# Prints a digest of one numpy complex product, then the probability bytes of the
-# verify sweep grid as one stack and of each of its states alone.
-_SWEEP_DIGEST_SCRIPT = """
-import hashlib
-import numpy as np
-from qdl.verify import _AXES, SWEEP_RESOLUTION, _grid
-from qdl.visibility import visibility_sweep
-rng = np.random.default_rng(17)
-g = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-print(hashlib.sha256((g[0] * g[1]).tobytes()).hexdigest())
-rho = np.concatenate([chunk.rho for chunk in _grid(SWEEP_RESOLUTION, *_AXES)])
-digest = hashlib.sha256(visibility_sweep(rho).probabilities.tobytes())
-for state in rho:
-    digest.update(visibility_sweep(state).probabilities.tobytes())
-print(digest.hexdigest())
-"""
-
-
-def sweep_digests(disabled_features):
-    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
-    if disabled_features:
-        env["NPY_DISABLE_CPU_FEATURES"] = disabled_features
-    src = str(Path(visibility.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
-    run = subprocess.run([sys.executable, "-c", _SWEEP_DIGEST_SCRIPT], env=env, capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    return run.stdout.split()
-
-
-def test_sweep_bits_do_not_depend_on_numpy_simd_dispatch():
-    default, reduced = sweep_digests(None), sweep_digests("X86_V4 X86_V3")
-    if default[0] == reduced[0]:
+def test_sweep_bits_do_not_depend_on_numpy_simd_dispatch(simd_digests):
+    default, reduced = simd_digests
+    if default["complex_product"] == reduced["complex_product"]:
         pytest.skip("NPY_DISABLE_CPU_FEATURES does not change numpy's complex product on this host")
-    assert len(default) == 2
-    assert reduced[1] == default[1]
+    assert reduced["sweep"] == default["sweep"]
 
 
 def test_analytic_zero_for_maximally_mixed():

@@ -3,9 +3,6 @@ import os
 import subprocess
 import sys
 
-import hypothesis
-import hypothesis.extra.numpy as hnp
-import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -17,6 +14,8 @@ from qdl.infotheory import mutual_information
 from qdl.states import Scenario, ScenarioParams, scenario_densities, scenario_density
 from qdl.verify import MAX_RESOLUTION as VERIFY_MAX_RESOLUTION
 from qdl.visibility import visibility_analytic
+
+from edge_classes import mixed
 
 
 def run_cli(args, capsys):
@@ -204,30 +203,38 @@ def test_figure_csv_bits_do_not_depend_on_numpy_simd_dispatch(simd_digests):
         assert reduced[name] == default[name], name
 
 
-# -0.0, negatives that print as -0.000000000, the 5e-10 rounding tie, subnormals and huge magnitudes
-EDGE_VALUES = [-0.0, -1e-12, -4.9e-10, 5e-10, -5e-10, 1.5e-9, 2.5e-9, 0.1234567895, 5e-324, -2e-310, 1e300, -1e300]
-CELL_VALUES = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(-1e300, 1e300))
-
-
-@st.composite
-def value_columns(draw):
-    rows = draw(st.sampled_from([1, 7, 1024]))
-    kinds = draw(st.lists(st.booleans(), min_size=1, max_size=5))
-    return tuple(
-        draw(hnp.arrays(bool, rows) if is_bool else hnp.arrays(np.float64, rows, elements=CELL_VALUES))
-        for is_bool in kinds
-    )
-
-
-@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@hypothesis.given(value_columns())
-def test_chunk_text_equals_rows_joined_from_fmt(columns):
-    expected = "".join(",".join(_fmt(v) for v in row) + "\n" for row in zip(*columns))
-    assert _format_chunk(columns) == expected
-
-
 def _rows_from_fmt(columns) -> str:
     return "".join(",".join(_fmt(v) for v in row) + "\n" for row in zip(*columns))
+
+
+def _assert_chunk_text_is_rows_from_fmt(columns):
+    # compared as lists of lines, so that a failing 1024-row chunk reports its first wrong line, not a diff of the texts
+    assert _format_chunk(columns).splitlines(True) == _rows_from_fmt(columns).splitlines(True)
+
+
+# -0.0, negatives that print as -0.000000000, the 5e-10 rounding tie, subnormals and huge magnitudes
+EDGE_VALUES = [-0.0, -1e-12, -4.9e-10, 5e-10, -5e-10, 1.5e-9, 2.5e-9, 0.1234567895, 5e-324, -2e-310, 1e300, -1e300]
+# EDGE_VALUES, or any magnitude up to 1e300 (a uniform mantissa of either sign scaled by 2^e, e = -1074..996)
+CELL_VALUES = (
+    lambda rng, size: rng.choice(EDGE_VALUES, size),
+    lambda rng, size: np.ldexp(rng.uniform(-1.0, 1.0, size), rng.integers(-1074, 997, size)),
+)
+
+
+def _column_kinds(rng):
+    """The row count, 1, 7 or 1024, and for each of 1 to 5 columns whether it holds bools."""
+    return rng.choice([1, 7, 1024]), rng.random(rng.integers(1, 6)) < 0.5
+
+
+def value_columns(rng):
+    """Columns of 1, 7 or 1024 rows, each of bools or of CELL_VALUES."""
+    rows, kinds = _column_kinds(rng)
+    return tuple(rng.random(rows) < 0.5 if is_bool else mixed(rng, rows, CELL_VALUES) for is_bool in kinds)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_chunk_text_equals_rows_joined_from_fmt(seed):
+    _assert_chunk_text_is_rows_from_fmt(value_columns(np.random.default_rng(seed)))
 
 
 def _near_tie(m, side):
@@ -252,30 +259,16 @@ KERNEL_VALUES = (
 )
 
 
-@st.composite
-def kernel_columns(draw):
-    """Columns built with numpy from a drawn description: row count, column kinds, the classes of
-    KERNEL_VALUES that the float columns mix, and a seed."""
-    rows = draw(st.sampled_from([1, 7, 1024]))
-    kinds = draw(st.lists(st.booleans(), min_size=1, max_size=5))
-    mix = np.array(draw(st.lists(st.integers(0, len(KERNEL_VALUES) - 1), min_size=1, max_size=len(KERNEL_VALUES))))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    columns = []
-    for is_bool in kinds:
-        if is_bool:
-            columns.append(rng.random(rows) < 0.5)
-            continue
-        classes, values = rng.choice(mix, rows), np.empty(rows)
-        for k in np.unique(classes):
-            values[classes == k] = KERNEL_VALUES[k](rng, int(np.sum(classes == k)))
-        columns.append(values)
-    return tuple(columns)
+def kernel_columns(rng):
+    """Columns of 1, 7 or 1024 rows, each of bools or of a mix of 1 to 7 classes of KERNEL_VALUES."""
+    rows, kinds = _column_kinds(rng)
+    mix = [KERNEL_VALUES[k] for k in rng.permutation(len(KERNEL_VALUES))[: rng.integers(1, len(KERNEL_VALUES) + 1)]]
+    return tuple(rng.random(rows) < 0.5 if is_bool else mixed(rng, rows, mix) for is_bool in kinds)
 
 
-@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@hypothesis.given(kernel_columns())
-def test_chunk_text_in_the_kernel_range_equals_rows_joined_from_fmt(columns):
-    assert _format_chunk(columns) == _rows_from_fmt(columns)
+@pytest.mark.parametrize("seed", range(60, 260))
+def test_chunk_text_in_the_kernel_range_equals_rows_joined_from_fmt(seed):
+    _assert_chunk_text_is_rows_from_fmt(kernel_columns(np.random.default_rng(seed)))
 
 
 def _uniform_chunk(rows=1024):

@@ -1,6 +1,6 @@
 """Violation thresholds and closed forms on an enumerated table of knob values at the edges of [0, 1].
 
-The table is fixed, so every checkout and every run evaluates the same points:
+The table (`EDGE_TABLE` of `edge_classes.py`) is fixed, so every checkout and every run evaluates the same points:
 0 and 1, 10^-k and 1 - 10^-k for k = 1..15, and 1/sqrt2 with the 8 floats on
 each side of it, where the meter threshold switches to d = 0.  At each table
 value of a robustness, the system and meter thresholds in d are also probed
@@ -21,20 +21,8 @@ from qdl.verify import BOUNDARY_TOL, CLOSED_FORM_TOL, ENTROPY_TOL
 from qdl.visibility import _ratio_residual, check_identity, overlap, predictability, unpredictability
 from qdl.visibility import visibility_analytic
 
+from edge_classes import EDGE_TABLE, SQRT_HALF, ulps_from
 
-def _ulps_from(x: float, k: int) -> float:
-    """The float k steps above x (below for k < 0)."""
-    for _ in range(abs(k)):
-        x = math.nextafter(x, math.copysign(math.inf, k))
-    return x
-
-
-EDGE_TABLE = sorted(
-    {0.0, 1.0}
-    | {10.0**-k for k in range(1, 16)}
-    | {1.0 - 10.0**-k for k in range(1, 16)}
-    | {_ulps_from(1.0 / math.sqrt(2.0), k) for k in range(-8, 9)}
-)
 ROBUSTNESS_KNOB = {Scenario.SYSTEM: "r_s", Scenario.METER: "r_m"}
 
 
@@ -54,7 +42,7 @@ def test_b_max_is_two_within_8_ulps_of_the_violation_threshold_on_the_edge_table
     knob = ROBUSTNESS_KNOB[scenario]
     steps = [k for k in range(-8, 9) if k != 0]
     thresholds = [(violation_threshold(scenario, ScenarioParams(**{knob: r})), r) for r in EDGE_TABLE]
-    points = [(_ulps_from(d, k), r) for d, r in thresholds for k in steps]
+    points = [(ulps_from(d, k), r) for d, r in thresholds for k in steps]
     d, r = np.array([(d, r) for d, r in points if 0.0 <= d <= 1.0]).T
     closed = bell_closed_form(scenario, ScenarioParams(d=d, **{knob: r}))
     horodecki = horodecki_bmax(scenario_densities(scenario, ScenarioParams(d=d, **{knob: r})))
@@ -79,7 +67,7 @@ def test_meter_info_threshold_is_none_exactly_where_r_m_squared_reaches_one_half
     # The rule r_m * r_m >= 1/2 agrees with violation_threshold's d = 0 on every float: below 1/2,
     # fl(1 - r_m^2) >= 1/2 > r_m^2, so the quotient r_m^2 / (1 - r_m^2) rounds below 1 and d > 0; from 1/2 on,
     # 1 - r_m^2 is exact and at most r_m^2, so d = 0.  Checked 64 floats to either side of 1/sqrt2.
-    edge = [_ulps_from(1.0 / math.sqrt(2.0), k) for k in range(-64, 65)]
+    edge = [ulps_from(SQRT_HALF, k) for k in range(-64, 65)]
     r = sorted({0.0, 1.0, *edge, *EDGE_TABLE})
     rule = [x * x >= 0.5 for x in r]
     assert True in rule and False in rule

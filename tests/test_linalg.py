@@ -23,6 +23,8 @@ from qdl.states import Scenario, ScenarioParams, _checked_norms
 from qdl.verify import _AXES
 from qdl.visibility import visibility_analytic, visibility_sweep
 
+from edge_classes import mixed
+
 PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 # The complex Pauli matrices, against which the real table of the correlation tensor is checked.
@@ -304,20 +306,26 @@ def test_eigensystem_tensor_and_chsh_bits_do_not_depend_on_numpy_simd_dispatch(s
         assert reduced[name] == default[name], name
 
 
-hypothesis = pytest.importorskip("hypothesis")
-st = pytest.importorskip("hypothesis.strategies")
-hnp = pytest.importorskip("hypothesis.extra.numpy")
+# Entries of the symmetric stacks, from five classes.  Three lie in [-1e3, 1e3]: uniform, whole numbers from
+# -8 to 8, which repeat, and uniform ones scaled by 2^-k, k = 0..1074, so that every magnitude down to the
+# subnormals occurs.  Two straddle the smallest normal float, so that pivots below it (skipped) and just above it
+# (rotated, with tau past 1e154 or overflowing) meet ordinary ones in the same stack: 0, -0, the least and the
+# largest subnormal, tiny and 2 tiny of either sign, or uniform on [-2 tiny, 2 tiny].
+_STRADDLE_TINY = (0.0, -0.0, 5e-324, -5e-324, np.nextafter(_TINY, 0.0), -np.nextafter(_TINY, 0.0),
+                  _TINY, -_TINY, 2 * _TINY, -2 * _TINY)
+STACK_ENTRIES = (
+    lambda rng, size: rng.uniform(-1e3, 1e3, size),
+    lambda rng, size: rng.integers(-8, 9, size).astype(float),
+    lambda rng, size: rng.uniform(-1e3, 1e3, size) * 2.0 ** -rng.integers(0, 1075, size),
+    lambda rng, size: rng.choice(_STRADDLE_TINY, size),
+    lambda rng, size: rng.uniform(-2 * _TINY, 2 * _TINY, size),
+)
 
 
-@st.composite
-def symmetric_stacks(draw):
-    n = draw(st.integers(2, 16))
-    batch = draw(st.integers(1, 8))
-    # Half the entries straddle the smallest normal float, so that pivots below
-    # it (skipped) and just above it (rotated, with tau past 1e154 or overflowing)
-    # meet ordinary ones in the same stack.
-    entries = st.floats(-1e3, 1e3) | st.floats(-2 * _TINY, 2 * _TINY)
-    g = draw(hnp.arrays(np.float64, (batch, n, n), elements=entries))
+def symmetric_stack(rng):
+    """1 to 8 symmetric n x n matrices, n = 2..16, one n for the whole stack."""
+    n, batch = rng.integers(2, 17), rng.integers(1, 9)
+    g = mixed(rng, (batch, n, n), STACK_ENTRIES)
     return (g + g.swapaxes(-1, -2)) / 2
 
 
@@ -333,24 +341,24 @@ def assert_matches_lapack(values, m):
     assert min(np.max(np.abs(values - ref)) for ref in refs) < 1e-10 * scale
 
 
-@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@hypothesis.given(symmetric_stacks())
-def test_stacked_eigensystem_equals_per_matrix_calls(m):
+@pytest.mark.parametrize("seed", range(60))
+def test_stacked_eigensystem_equals_per_matrix_calls(seed):
+    m = symmetric_stack(np.random.default_rng(seed))
     values = hermitian_eigenvalues(m)
     for k in range(m.shape[0]):
         assert np.array_equal(values[k], hermitian_eigenvalues(m[k]))
         assert_matches_lapack(values[k], m[k])
 
 
-@hypothesis.settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@hypothesis.given(symmetric_stacks(), st.data())
-def test_stacked_eigensystem_rejects_one_bad_member(m, data):
-    k = data.draw(st.integers(0, m.shape[0] - 1))
-    bad = m.copy()
-    if data.draw(st.booleans()):
+@pytest.mark.parametrize("seed", range(60, 90))
+def test_stacked_eigensystem_rejects_one_bad_member(seed):
+    rng = np.random.default_rng(seed)
+    bad = symmetric_stack(rng)
+    k = rng.integers(bad.shape[0])
+    if rng.random() < 0.5:
         bad[k, 0, -1] += 1.0  # breaks Hermiticity of member k only
     else:
-        bad[k, -1, 0] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        bad[k, -1, 0] = rng.choice([np.nan, np.inf, -np.inf])
     with pytest.raises(ValueError):
         hermitian_eigenvalues(bad)
 
@@ -496,9 +504,9 @@ def reference_jacobi(a):
     return np.take_along_axis(values, np.argsort(values, axis=-1)[:, ::-1], axis=-1)
 
 
-@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@hypothesis.given(symmetric_stacks())
-def test_real_stacks_and_their_members_equal_the_reference_loop_bit_for_bit(m):
+@pytest.mark.parametrize("seed", range(90, 150))
+def test_real_stacks_and_their_members_equal_the_reference_loop_bit_for_bit(seed):
+    m = symmetric_stack(np.random.default_rng(seed))
     expected = reference_jacobi(m).tobytes()
     assert hermitian_eigenvalues(m).tobytes() == expected
     assert b"".join(hermitian_eigenvalues(member).tobytes() for member in m) == expected

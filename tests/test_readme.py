@@ -1,3 +1,4 @@
+import ast
 import re
 import runpy
 from pathlib import Path
@@ -25,3 +26,28 @@ def test_readme_python_blocks_run_in_order_in_one_namespace(capsys):
 def test_demo_runs_as_a_script(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def _module_level_nodes(tree):
+    """The nodes that run when the module is imported: everything but the bodies of functions and lambdas."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(node.decorator_list + node.args.defaults + [d for d in node.args.kw_defaults if d])
+        elif isinstance(node, ast.Lambda):
+            stack.extend(node.args.defaults + [d for d in node.args.kw_defaults if d])
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_test_module_skips_whole_when_a_package_is_missing():
+    # as README says: a test that needs an optional package calls pytest.importorskip inside the test or a fixture
+    found = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in _module_level_nodes(ast.parse(path.read_text(encoding="utf-8"))):
+            func = node.func if isinstance(node, ast.Call) else None
+            if getattr(func, "attr", getattr(func, "id", None)) == "importorskip":
+                found.append((path.name, node.lineno))
+    assert not found, sorted(found)

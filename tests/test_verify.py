@@ -16,8 +16,7 @@ from qdl.verify import _Chunk, _distinct, _grid, run_suites, suite_brute, suite_
 from qdl.visibility import _identity_residual, check_identity, overlap, predictability, unpredictability
 from qdl.visibility import visibility_analytic, visibility_sweep
 
-
-METER_THRESHOLD_MAX_ROBUSTNESS = 1.0 / math.sqrt(2.0)  # 0.7071067811865475, 1/sqrt2 rounded down
+from edge_classes import EDGE_BIASED, METER_ROBUSTNESS, SQRT_HALF, mixed
 
 
 def test_suite_results_do_not_depend_on_the_chunk_size(monkeypatch):
@@ -315,26 +314,17 @@ def test_run_suites_rejects_a_non_integral_resolution_before_any_suite(kwargs, m
     assert ran == []
 
 
-hypothesis = pytest.importorskip("hypothesis")
-st = pytest.importorskip("hypothesis.strategies")
-
-# Exactly 0 or 1, within 10^-k of either edge, or uniform on [0, 1].
-_near_zero = st.builds(lambda u, k: u * 10.0**-k, st.floats(0.0, 1.0), st.integers(1, 15))
-EDGE_BIASED = st.one_of(st.sampled_from((0.0, 1.0)), _near_zero, _near_zero.map(lambda x: 1.0 - x), st.floats(0.0, 1.0))
-
-
-@st.composite
-def scenario_points(draw, scenarios=tuple(_AXES)):
-    scenario = draw(st.sampled_from(scenarios))
+def scenario_points(rng, scenarios=tuple(_AXES)):
+    """A scenario and 1 to 8 points of it, each live knob drawn from EDGE_BIASED."""
+    scenario = scenarios[rng.integers(len(scenarios))]
     axes = _AXES[scenario]
-    points = draw(st.lists(st.tuples(*(EDGE_BIASED for _ in axes)), min_size=1, max_size=8))
-    return scenario, [ScenarioParams(**dict(zip(axes, point))) for point in points]
+    points = mixed(rng, (rng.integers(1, 9), len(axes)), EDGE_BIASED)
+    return scenario, [ScenarioParams(**dict(zip(axes, point.tolist()))) for point in points]
 
 
-@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@hypothesis.given(scenario_points())
-def test_closed_forms_match_the_stacked_route_at_edge_biased_points(case):
-    scenario, params = case
+@pytest.mark.parametrize("seed", range(200))
+def test_closed_forms_match_the_stacked_route_at_edge_biased_points(seed):
+    scenario, params = scenario_points(np.random.default_rng(seed))
     knobs = {axis: [getattr(p, axis) for p in params] for axis in _AXES[scenario]}
     rho = scenario_densities(scenario, ScenarioParams(**knobs))
     for p, b_max, v in zip(params, horodecki_bmax(rho), visibility_analytic(rho)):
@@ -370,14 +360,12 @@ def test_array_closed_forms_equal_their_scalar_calls_on_uniform_draws():
         assert _bits(closed_form(_array_knobs(params))) == _bits([closed_form(p) for p in params])
 
 
-# All four knobs of a point, then a visibility for it.
-KNOB_ROWS = st.tuples(*[EDGE_BIASED] * 4, st.floats(0.01, 1.0))
-
-
-@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@hypothesis.given(st.sampled_from(list(_AXES)), st.lists(KNOB_ROWS, min_size=1, max_size=8))
-def test_array_closed_forms_equal_their_scalar_calls_bit_for_bit(scenario, rows):
-    params = [ScenarioParams(r=r, d=d, r_s=r_s, r_m=r_m) for r, d, r_s, r_m, _ in rows]
+@pytest.mark.parametrize("seed", range(800, 1000))
+def test_array_closed_forms_equal_their_scalar_calls_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    scenario = list(_AXES)[rng.integers(len(_AXES))]
+    rows = mixed(rng, (rng.integers(1, 9), 4), EDGE_BIASED).tolist()  # all four knobs of each point
+    params = [ScenarioParams(r=r, d=d, r_s=r_s, r_m=r_m) for r, d, r_s, r_m in rows]
     knobs = _array_knobs(params)
 
     def same_bits(closed_form):
@@ -399,16 +387,16 @@ def test_array_closed_forms_equal_their_scalar_calls_bit_for_bit(scenario, rows)
     same_bits(printed_meter_s_b)
     violates = violates_chsh(bell_closed_form(scenario, knobs)).tolist()
     assert violates == [violates_chsh(bell_closed_form(scenario, p)) for p in params]
-    v = [row[4] for row in rows]  # a system point's decoherence-free visibility is the free state's at its d
+    # a visibility for each point: a system point's decoherence-free visibility is the free state's at its d
+    v = rng.uniform(0.01, 1.0, len(rows)).tolist()
     residuals = [_identity_residual(scenario, p, a) for p, a in zip(params, v)]
     assert all(type(x) is float for x in residuals)
     assert _bits(_identity_residual(scenario, knobs, np.array(v))) == _bits(residuals)
 
 
-@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@hypothesis.given(scenario_points((Scenario.SYSTEM, Scenario.METER)))
-def test_entropy_closed_forms_match_the_stacked_route_at_edge_biased_points(case):
-    scenario, params = case
+@pytest.mark.parametrize("seed", range(200, 400))
+def test_entropy_closed_forms_match_the_stacked_route_at_edge_biased_points(seed):
+    scenario, params = scenario_points(np.random.default_rng(seed), (Scenario.SYSTEM, Scenario.METER))
     knobs = _array_knobs(params)
     closed = entropy_closed_form(scenario, knobs)
     matrix = mutual_information(scenario_densities(scenario, knobs))
@@ -418,34 +406,25 @@ def test_entropy_closed_forms_match_the_stacked_route_at_edge_biased_points(case
 
 # The combined scenario is left out: its threshold cancels as r_m -> 1 until the
 # stable root of ROADMAP item 1 replaces it.
-@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@hypothesis.given(st.sampled_from((Scenario.SYSTEM, Scenario.METER)), st.lists(EDGE_BIASED, min_size=1, max_size=8))
-def test_b_max_is_two_at_the_violation_threshold_at_edge_biased_points(scenario, robustness):
-    knob = _AXES[scenario][1]
-    d = violation_threshold(scenario, ScenarioParams(**{knob: np.array(robustness)}))
+@pytest.mark.parametrize("seed", range(400, 600))
+def test_b_max_is_two_at_the_violation_threshold_at_edge_biased_points(seed):
+    rng = np.random.default_rng(seed)
+    scenario = (Scenario.SYSTEM, Scenario.METER)[rng.integers(2)]
+    knob, robustness = _AXES[scenario][1], mixed(rng, rng.integers(1, 9), EDGE_BIASED)
+    d = violation_threshold(scenario, ScenarioParams(**{knob: robustness}))
     b_max = horodecki_bmax(scenario_densities(scenario, ScenarioParams(d=d, **{knob: robustness})))
     assert np.max(np.abs(b_max - 2.0)) < BOUNDARY_TOL
 
 
-
-# Robustness in [0, 1/sqrt2): exactly 0, within 10^-k of 0, uniform, or 1 to 8 ulps below 1/sqrt2.
-_BELOW_SQRT_HALF = st.integers(1, 8).map(
-    lambda k: METER_THRESHOLD_MAX_ROBUSTNESS - k * math.ulp(METER_THRESHOLD_MAX_ROBUSTNESS)
-)
-METER_ROBUSTNESS = st.one_of(
-    st.just(0.0), _near_zero, st.floats(0.0, METER_THRESHOLD_MAX_ROBUSTNESS, exclude_max=True), _BELOW_SQRT_HALF
-)
-
-
-@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@hypothesis.given(METER_ROBUSTNESS)
-def test_meter_info_threshold_is_the_information_at_the_boundary_at_edge_biased_points(r):
+@pytest.mark.parametrize("seed", range(600, 800))
+def test_meter_info_threshold_is_the_information_at_the_boundary_at_edge_biased_points(seed):
+    (r,) = mixed(np.random.default_rng(seed), 1, METER_ROBUSTNESS).tolist()
     boundary = ScenarioParams(d=violation_threshold(Scenario.METER, ScenarioParams(r_m=r)), r_m=r)
     i_ab = mutual_information(scenario_densities(Scenario.METER, boundary)).i_ab
     assert abs(info_threshold(Scenario.METER, ScenarioParams(r_m=r)) - i_ab) < ENTROPY_TOL
 
 
-@pytest.mark.parametrize("r", [METER_THRESHOLD_MAX_ROBUSTNESS, math.nextafter(METER_THRESHOLD_MAX_ROBUSTNESS, 1.0)])
+@pytest.mark.parametrize("r", [SQRT_HALF, math.nextafter(SQRT_HALF, 1.0)])
 def test_meter_info_threshold_is_none_exactly_where_the_violation_boundary_is_zero(r):
     # 1/sqrt2 rounded down squares to below 1/2, so its boundary d is 2.1e-8, not 0; the next float up squares past 1/2.
     d = violation_threshold(Scenario.METER, ScenarioParams(r_m=r))

@@ -41,7 +41,7 @@ _CORRELATION_TABLE = np.stack([(np.kron(*_PAULI_PARTS[[i, j], 0]) - np.kron(*_PA
 # coincide; from sweep _PLAIN_SWEEPS on, a safeguarded extrapolation step
 # (`_extrapolate`) stops such states within a few hundred sweeps.
 SEESAW_SWEEPS = 3000
-MAX_RESTARTS = 1024  # each state carries (2, restarts, 3) settings per party
+MAX_RESTARTS = 1024  # each state carries (2, 3, restarts) settings per party
 
 _HALTON_BASES = (2, 3, 5, 7, 11, 13, 17, 19)
 _VALUE_STALL_TOL = 1e-13  # plain phase: stop on the first sweep that gains less
@@ -166,19 +166,26 @@ def _bloch_vectors(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
 _PAIR_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Column norms of v (..., 3, R) with the squares summed (x^2 + z^2) + y^2, as a row einsum sums them."""
+    sq = v * v
+    norm = sq[..., 0, :] + sq[..., 2, :]
+    norm += sq[..., 1, :]
+    return np.sqrt(norm, out=norm)
+
+
 def _seesaw_half(fixed: np.ndarray, matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Set `vectors` in place to the best pair for one party with the other party's pair `fixed` held.
 
-    `fixed` and `vectors` stack (v, v') per state and restart, shape (N, 2, R, 3),
-    and `matrix` is (N, 1, 3, 3); the optimal partners are the unit vectors
-    along (v + v') M and (v - v') M.  Returns those two norms (N, 2, R), whose
-    sum is the CHSH value the pair reaches.  A zero row leaves the objective
-    flat in that vector, so it keeps its previous value.
+    `fixed` and `vectors` stack (v, v') per state as columns, restarts last,
+    (N, 2, 3, R), and `matrix` is (N, 1, 3, 3); the optimal partners are the
+    unit vectors along M (v + v') and M (v - v').  Returns those two norms
+    (N, 2, R) from `_norms`, whose sum is the CHSH value the pair reaches.  A
+    zero column leaves the objective flat in that vector, so it keeps its value.
     """
-    raw = (_PAIR_SIGNS @ fixed.reshape(len(fixed), 2, -1)).reshape(fixed.shape) @ matrix
-    norm = np.einsum("...pmi,...pmi->...pm", raw, raw)
-    np.sqrt(norm, out=norm)
-    np.divide(raw, norm[..., None], out=vectors, where=norm[..., None] > 0.0)
+    raw = matrix @ (_PAIR_SIGNS @ fixed.reshape(len(fixed), 2, -1)).reshape(fixed.shape)
+    norm = _norms(raw)
+    np.divide(raw, norm[..., None, :], out=vectors, where=norm[..., None, :] > 0.0)
     return norm
 
 
@@ -192,26 +199,25 @@ def _check_seesaw_args(restarts: int, seed: int) -> None:
         raise ValueError("seed must be non-negative")
 
 
-def _extrapolate(t_t, alice, bob, values, old_bob, step) -> None:
+def _extrapolate(t, alice, bob, values, old_bob, step) -> None:
     """Try one extrapolation step per restart and keep it where it raises the value.
 
     Bob's pair moves along its change since `old_bob`, two sweeps back, to the
-    unit rows of bob + step (bob - old_bob), and Alice answers it with her best
+    unit columns of bob + step (bob - old_bob), and Alice answers it with her best
     pair.  Where that value is strictly higher, (alice, bob, values) take the
     trial and `step` doubles (up to _STEP_CAP); elsewhere they stay and `step`
     halves.  So (alice, bob) always reach `values`, and no value decreases.
     """
     trial = bob - old_bob
-    trial *= step[:, None, :, None]
+    trial *= step[:, None, None, :]
     trial += bob
-    norm = np.einsum("...pmi,...pmi->...pm", trial, trial)
-    trial /= np.sqrt(norm, out=norm)[..., None]  # |(1 + step) b - step b_old| >= 1 for unit rows, so never 0
-    trial_alice = alice.copy()  # a zero row keeps Alice's vector, as in a plain sweep
-    norm = _seesaw_half(trial, t_t, trial_alice)
+    trial /= _norms(trial)[..., None, :]  # |(1 + step) b - step b_old| >= 1 for unit columns, so never 0
+    trial_alice = alice.copy()  # a zero column keeps Alice's vector, as in a plain sweep
+    norm = _seesaw_half(trial, t, trial_alice)
     trial_values = norm[:, 0] + norm[:, 1]
     kept = trial_values > values
-    np.copyto(alice, trial_alice, where=kept[:, None, :, None])
-    np.copyto(bob, trial, where=kept[:, None, :, None])
+    np.copyto(alice, trial_alice, where=kept[:, None, None, :])
+    np.copyto(bob, trial, where=kept[:, None, None, :])
     np.maximum(values, trial_values, out=values)
     step *= np.where(kept, 2.0, 0.5)
     np.minimum(step, _STEP_CAP, out=step)
@@ -221,7 +227,7 @@ def _best_settings(alice: np.ndarray, bob: np.ndarray, values: np.ndarray) -> np
     """Each state's settings (a, a', b, b') at its best restart, ties to the lowest, as unit rows (M, 4, 3)."""
     best = np.argmax(values, axis=1)
     rows = np.arange(len(values))
-    settings = np.concatenate((alice[rows, :, best], bob[rows, :, best]), axis=1)
+    settings = np.concatenate((alice[rows, :, :, best], bob[rows, :, :, best]), axis=1)
     settings /= np.linalg.norm(settings, axis=-1, keepdims=True)
     return settings
 
@@ -239,27 +245,27 @@ def _seesaw(rho: np.ndarray, restarts: int, seed: int):
     and norms, never an eigenvalue.  The budget is SEESAW_SWEEPS sweeps, read
     at each call.  Every state runs exactly the sweeps it would run alone: a
     state leaves the active set on the sweep where it stops, and the active
-    set is compacted only on such sweeps.
+    set is compacted only on such sweeps.  Pairs are held as columns, restarts
+    last, (N, 2, 3, R); `_norms` sums each column's squares (x^2 + z^2) + y^2.
     """
     _check_seesaw_args(restarts, seed)
     t = correlation_tensor(rho)[:, None]  # (N, 1, 3, 3): one tensor for both vectors of a pair
     n = t.shape[0]
-    start = _start_vectors(restarts, seed)
+    start = _start_vectors(restarts, seed).swapaxes(1, 2)
     alice = np.repeat(start[None, :2], n, axis=0)
     bob = np.repeat(start[None, 2:], n, axis=0)
     values = np.zeros((n, restarts))  # a budget of 0 returns restart 0's start
-    # per active state: Bob's pairs at the end of the last two sweeps, (N, 2, 2, R, 3) from sweep _PLAIN_SWEEPS - 2
+    # per active state: Bob's pairs at the end of the last two sweeps, (N, 2, 2, 3, R) from sweep _PLAIN_SWEEPS - 2
     # on, the extrapolation factors, and the sweeps in a row whose gain is below the phase's tolerance
     old_bob, step, slow = np.empty((n, 0)), np.full((n, restarts), _STEP_START), np.zeros(n, dtype=int)
     settings, converged = np.empty((n, 4, 3)), np.zeros(n, dtype=bool)
     active, prev_best = np.arange(n), np.full(n, -np.inf)
     for sweep in range(SEESAW_SWEEPS):
-        t_t = np.swapaxes(t, -1, -2)
-        _seesaw_half(bob, t_t, alice)
-        norm = _seesaw_half(alice, t, bob)
+        _seesaw_half(bob, t, alice)
+        norm = _seesaw_half(alice, np.swapaxes(t, -1, -2), bob)
         values = norm[:, 0] + norm[:, 1]
         if sweep >= _PLAIN_SWEEPS:
-            _extrapolate(t_t, alice, bob, values, old_bob[:, sweep % 2], step)
+            _extrapolate(t, alice, bob, values, old_bob[:, sweep % 2], step)
         if sweep >= _PLAIN_SWEEPS - 2:  # allocated here, so that no stop in the plain phase compacts it unwritten
             old_bob = old_bob if sweep > _PLAIN_SWEEPS - 2 else np.empty((len(bob), 2) + bob.shape[1:])
             old_bob[:, sweep % 2] = bob

@@ -68,6 +68,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_analyze(args) -> int:
     scenario = Scenario(args.scenario)
     params = ScenarioParams(r=args.r, d=args.d, r_s=args.r_s, r_m=args.r_m)
+    reads = {"free": "--d --r", "system": "--d --r-s", "meter": "--d --r-m"}.get(args.scenario, "--d --r-s --r-m")
+    for flag, value in (("--r-s", params.r_s), ("--r-m", params.r_m)):  # the state builder checks --r
+        if value != 1.0 and flag not in reads.split():
+            raise ValueError(f"scenario {scenario.value} does not read {flag}; it reads only {reads}")
     report = analyze(scenario, params, restarts=args.restarts, seed=args.seed)
     out = [
         f"scenario={scenario.value}",

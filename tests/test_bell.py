@@ -324,6 +324,33 @@ def test_start_vectors_are_cached_read_only():
     assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
 
+@pytest.mark.parametrize("n", [1, 110])
+def test_norms_equal_the_row_einsum_of_the_restart_first_layout_bit_for_bit(n):
+    # the see-saw's norms before pairs were held restarts last: an einsum over rows (N, 2, R, 3)
+    rng = np.random.default_rng(38)
+    rows = rng.standard_normal((n * 2 * 32, 3))
+    rows[:8] = 0.0
+    rows[8:16] *= 1e-310  # subnormal entries, whose squares underflow to 0
+    rows[16:24] *= 1e-155  # entries whose squares are subnormal
+    rows[24:40] = rng.uniform(0.5, 2.0, (16, 3)) * 1e154  # squares near the overflow and past it
+    rows[40:48, 1] *= 1e154  # one large entry among normal ones
+    rows = rows.reshape(n, 2, 32, 3)
+    with np.errstate(over="ignore"):
+        expected = np.sqrt(np.einsum("...pmi,...pmi->...pm", rows, rows))
+        got = bell._norms(np.ascontiguousarray(rows.swapaxes(-1, -2)))
+    assert np.isinf(expected).any() and (expected == 0.0).any()
+    assert got.tobytes() == expected.tobytes()
+
+
+def _old_layout_best_settings(alice, bob, values):
+    """Each state's settings at its best restart, gathered from pairs held restart-first, (M, 2, R, 3)."""
+    best = np.argmax(values, axis=1)
+    rows = np.arange(len(values))
+    settings = np.concatenate((alice[rows, :, best], bob[rows, :, best]), axis=1)
+    settings /= np.linalg.norm(settings, axis=-1, keepdims=True)
+    return settings
+
+
 def _reference_seesaw_half(fixed, matrix, prev):
     pair = np.empty_like(fixed)
     np.add(fixed[:, 0], fixed[:, 1], out=pair[:, 0])
@@ -372,11 +399,7 @@ def _reference_seesaw(rho, restarts, seed, iterations):
         prev_best = best_now
     else:
         final_alice[active], final_bob[active], final_values[active] = alice, bob, values
-    best = np.argmax(final_values, axis=1)
-    rows = np.arange(n)
-    settings = np.concatenate((final_alice[rows, :, best], final_bob[rows, :, best]), axis=1)
-    settings /= np.linalg.norm(settings, axis=-1, keepdims=True)
-    return settings, converged, sweeps
+    return _old_layout_best_settings(final_alice, final_bob, final_values), converged, sweeps
 
 
 def _assert_plain_phase_bits_and_no_loss(rho, restarts, seed):
@@ -491,7 +514,8 @@ def _buffered_extrapolate(t_t, alice, bob, values, old_bob, step, pair, raw, nor
 
 def _buffered_seesaw(rho, restarts, seed):
     """The see-saw, extrapolated phase included, with scratch buffers sliced on each compaction and
-    Bob's history kept party-first, (2, N, 2, R, 3), and compacted on its own.  Reads
+    Bob's history kept party-first, (2, N, 2, R, 3), and compacted on its own.  Pairs are held
+    restart-first, (N, 2, R, 3), as rows times the matrix on the right, with einsum norms.  Reads
     bell.SEESAW_SWEEPS at the call."""
     t = correlation_tensor(rho)[:, None]
     t_t = np.swapaxes(t, -1, -2)
@@ -521,7 +545,7 @@ def _buffered_seesaw(rho, restarts, seed):
         stalled = slow >= stalls
         if stalled.any():
             done = active[stalled]
-            settings[done], converged[done] = bell._best_settings(alice[stalled], bob[stalled], values[stalled]), True
+            settings[done], converged[done] = _old_layout_best_settings(alice[stalled], bob[stalled], values[stalled]), True
             if stalled.all():
                 return settings, converged
             keep = ~stalled
@@ -533,7 +557,7 @@ def _buffered_seesaw(rho, restarts, seed):
             t_t, old_bob = np.swapaxes(t, -1, -2), old_bob[:, : len(active)]
             pair, raw, norm = pair[: len(active)], raw[: len(active)], norm[: len(active)]
         prev_best = best_now
-    settings[active] = bell._best_settings(alice, bob, values)
+    settings[active] = _old_layout_best_settings(alice, bob, values)
     return settings, converged
 
 

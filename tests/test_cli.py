@@ -1,5 +1,6 @@
 import math
 import os
+import platform
 import subprocess
 import sys
 
@@ -67,6 +68,26 @@ def test_analyze_rejects_bad_params(capsys):
 def test_analyze_rejects_biased_r_in_decoherence_scenario(capsys):
     code, _, err = run_cli(["analyze", "--scenario", "system", "--d", "0.5", "--r", "0.3"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "scenario, flag, reads",
+    [("system", "--r-m", "--d --r-s"), ("free", "--r-s", "--d --r"), ("free", "--r-m", "--d --r"),
+     ("meter", "--r-s", "--d --r-m")],
+)
+def test_analyze_rejects_a_robustness_its_scenario_does_not_read(scenario, flag, reads, capsys):
+    code, out, err = run_cli(["analyze", "--scenario", scenario, "--d", "0.5", flag, "0.3"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: scenario {scenario} does not read {flag}; it reads only {reads}\n")
+    assert "usage: qdl analyze" in err
+
+
+def test_analyze_takes_an_unread_robustness_at_its_default(capsys):
+    # 1 is the default of --r-s and --r-m, so naming it changes nothing
+    _, default, _ = run_cli(["analyze", "--scenario", "free", "--d", "0.5", "--restarts", "4"], capsys)
+    code, out, _ = run_cli(["analyze", "--scenario", "free", "--d", "0.5", "--r-s", "1", "--r-m", "1", "--restarts", "4"],
+                           capsys)
+    assert code == 0 and out == default
 
 
 def test_figure_csv_shape_and_format(tmp_path, capsys):
@@ -411,6 +432,38 @@ def test_verify_stdout_equals_the_stored_report(capsys):
         assert code == 0
         with open(os.path.join(os.path.dirname(__file__), stored), encoding="utf-8", newline="") as fh:
             assert out == fh.read(), stored
+
+
+def _numpy_uses_openblas_dynamic_arch():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no dict mode
+        return False
+    return "openblas" in blas.get("name", "").lower() and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+@pytest.mark.skipif(
+    platform.machine() not in ("x86_64", "AMD64") or not _numpy_uses_openblas_dynamic_arch(),
+    reason="needs x86-64 and numpy on an OpenBLAS built with DYNAMIC_ARCH, which OPENBLAS_CORETYPE selects in",
+)
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="states._gram and horodecki_m's T^T T go through BLAS dgemm, which fuses multiply-adds on the AVX2 "
+    "kernels and not on the older ones, so the chsh_brute_force and entropy_closed_forms residuals move",
+)
+def test_verify_stdout_holds_across_openblas_kernels():
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-m", "qdl.cli", "verify", "--suite", "brute", "--suite", "entropy"],
+            env=dict(os.environ, OPENBLAS_CORETYPE=core),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for core in ("Haswell", "Prescott")
+    ]
+    assert outputs[0] == outputs[1]
 
 
 def test_verify_runs_a_repeated_suite_once(capsys):

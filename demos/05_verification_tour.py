@@ -1,8 +1,10 @@
 """Run the verification suites programmatically and show the discrepancy report.
 
-Everything the CLI `qdl verify` prints is available as structured results:
-each suite carries its max residual, tolerance and pass flag, and the
-discrepancy probes carry the printed-vs-adopted comparison tables.
+Everything the CLI `qdl verify` prints is available as results: each suite
+carries its max residual, tolerance and pass flag, and the discrepancy probes
+carry their printed-vs-adopted report as text lines (`SuiteResult.lines`).
+At resolution 9 the predictability and threshold-sign probes still use the
+default 13-step grid, as no coarser grid tells their two forms apart.
 """
 
 from qdl.verify import DISCREPANCY_SUITES, run_suites

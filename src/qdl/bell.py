@@ -327,14 +327,13 @@ def violation_threshold(scenario: Scenario, params: ScenarioParams) -> float | n
     """The minimal distinguishability d for a CHSH violation at the given robustness values.
 
     The threshold is the infimum of distinguishabilities giving B_max > 2; 1.0 means no admissible d violates.
-    System and meter are the combined threshold at r_m = 1 and at r_s = 1.  If any knob is an array, the
-    threshold is an array of the knobs' shape.  Whether a point violates is ``violates_chsh(bell_closed_form(...))``.
+    Past free, each scenario is the combined threshold with any robustness it does not read at 1.  Array knobs give
+    an array of their shape.  Whether a point violates is ``violates_chsh(bell_closed_form(...))``.
     """
     if scenario is Scenario.FREE:
         d_thr = np.where(unpredictability(params) > 0.0, 0.0, 1.0)
     else:
-        r_s = 1.0 if scenario is Scenario.METER else params.r_s
-        r_m = 1.0 if scenario is Scenario.SYSTEM else params.r_m
+        r_s, r_m = (getattr(params, knob) if knob in scenario.knobs else 1.0 for knob in ("r_s", "r_m"))
         d_thr = np.sqrt(_combined_threshold_sq(r_s, r_m))
     return _float_or_array(d_thr)
 

@@ -68,9 +68,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_analyze(args) -> int:
     scenario = Scenario(args.scenario)
     params = ScenarioParams(r=args.r, d=args.d, r_s=args.r_s, r_m=args.r_m)
-    reads = {"free": "--d --r", "system": "--d --r-s", "meter": "--d --r-m"}.get(args.scenario, "--d --r-s --r-m")
-    for flag, value in (("--r-s", params.r_s), ("--r-m", params.r_m)):  # the state builder checks --r
-        if value != 1.0 and flag not in reads.split():
+    flags = {knob: "--" + knob.replace("_", "-") for knob in ("d", "r", "r_s", "r_m")}  # in the usage line's order
+    for knob, flag in flags.items():  # a knob off its default that the scenario does not read is an error
+        if knob not in scenario.knobs and getattr(params, knob) != getattr(ScenarioParams(), knob):
+            reads = " ".join(f for k, f in flags.items() if k in scenario.knobs)
             raise ValueError(f"scenario {scenario.value} does not read {flag}; it reads only {reads}")
     report = analyze(scenario, params, restarts=args.restarts, seed=args.seed)
     out = [

@@ -21,10 +21,20 @@ import numpy as np
 
 
 class Scenario(enum.Enum):
-    FREE = "free"
-    SYSTEM = "system"
-    METER = "meter"
-    COMBINED = "combined"
+    """The four which-way scenarios.  ``knobs`` names the ScenarioParams knobs a scenario reads, outer grid
+    axis first; every other knob keeps its default (the state builder refuses r != 1/2 and ignores r_s, r_m)."""
+
+    FREE = "free", ("r", "d")
+    SYSTEM = "system", ("d", "r_s")
+    METER = "meter", ("d", "r_m")
+    COMBINED = "combined", ("d", "r_s", "r_m")
+
+    def __new__(cls, value: str, knobs: tuple[str, ...]):
+        member = object.__new__(cls)
+        member._value_, member._knobs = value, knobs
+        return member
+
+    knobs = property(lambda self: self._knobs)
 
 
 def _check_unit_interval(name: str, value) -> float | np.ndarray:
@@ -113,17 +123,16 @@ def scenario_amplitudes(scenario: Scenario, params: ScenarioParams) -> np.ndarra
     any trace: shape (N, 2, 2[, 2][, 2]), factors A, B, then ES if the system decoheres and EM if
     the meter does."""
     r, d, r_s, r_m = (np.reshape(knob, -1) for knob in (params.r, params.d, params.r_s, params.r_m))
-    if scenario is not Scenario.FREE and np.any(r != 0.5):
+    if "r" not in scenario.knobs and np.any(r != 0.5):
         raise ValueError(f"scenario {scenario.value} requires the balanced path weight r = 1/2")
     # psi[n, a, b, environments...]: source on A, then B in |down> rotated on the A=down branch.
     psi = np.zeros((r.size, 2, 2))
     psi[..., 1] = _checked_norms(np.stack((np.sqrt(r), -np.sqrt(1.0 - r)), axis=-1))
     psi[:, 1] = np.einsum("nij,nj->ni", _meter_rotation(d), psi[:, 1])
     psi = _checked_norms(psi)
-    if scenario in (Scenario.SYSTEM, Scenario.COMBINED):
-        psi = _decohere(psi, "A", r_s)
-    if scenario in (Scenario.METER, Scenario.COMBINED):
-        psi = _decohere(psi, "B", r_m)
+    for factor, knob, robustness in (("A", "r_s", r_s), ("B", "r_m", r_m)):
+        if knob in scenario.knobs:
+            psi = _decohere(psi, factor, robustness)
     return psi
 
 

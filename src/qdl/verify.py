@@ -40,14 +40,6 @@ SWEEP_RESOLUTION = 5
 MAX_RESOLUTION = 201  # the combined-scenario suites evaluate resolution^3 points
 METER_THRESHOLD_ROBUSTNESS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)  # r_m rows of the meter threshold table
 
-# The live knobs of each scenario, outer grid axis first.
-_AXES = {
-    Scenario.FREE: ("r", "d"),
-    Scenario.SYSTEM: ("d", "r_s"),
-    Scenario.METER: ("d", "r_m"),
-    Scenario.COMBINED: ("d", "r_s", "r_m"),
-}
-
 
 @dataclass
 class SuiteResult:
@@ -55,7 +47,7 @@ class SuiteResult:
     max_residual: float
     tolerance: float
     lines: list[str] = field(default_factory=list)
-    worst_point: dict | None = None  # scenario and live knobs of the largest residual
+    worst_point: dict | None = None  # scenario and knobs (Scenario.knobs) of the largest residual
     points: int = 0  # number of residuals the maximum was taken over
     passed = property(lambda self: self.max_residual < self.tolerance)  # a NaN residual fails
 
@@ -103,11 +95,10 @@ def _chunk(scenario: Scenario, **knobs) -> _Chunk:
 
 
 def _grid(steps: int, *scenarios: Scenario):
-    """Each scenario's grid over its live knobs in row-major order, as chunks (`_chunk`)."""
+    """Each scenario's grid over its knobs (`Scenario.knobs`) in row-major order, as chunks (`_chunk`)."""
     for scenario in scenarios:
-        axes = _AXES[scenario]
-        for line in _grid_chunks(np.linspace(0.0, 1.0, steps), len(axes)):
-            yield _chunk(scenario, **dict(zip(axes, line)))
+        for line in _grid_chunks(np.linspace(0.0, 1.0, steps), len(scenario.knobs)):
+            yield _chunk(scenario, **dict(zip(scenario.knobs, line)))
 
 
 def _reduce(name: str, tolerance: float, pairs) -> SuiteResult:
@@ -119,7 +110,7 @@ def _reduce(name: str, tolerance: float, pairs) -> SuiteResult:
         k = int(np.argmax(residual))  # the first NaN, else the first maximum
         if residual[k] > worst or (np.isnan(residual[k]) and not np.isnan(worst)):
             worst = float(residual[k])
-            point = {"scenario": c.scenario.value, **{a: float(getattr(c.coords, a)[k]) for a in _AXES[c.scenario]}}
+            point = {"scenario": c.scenario.value, **{a: float(getattr(c.coords, a)[k]) for a in c.scenario.knobs}}
     worst = float(np.maximum(0.0, worst))  # np.maximum keeps a NaN
     return SuiteResult(name, worst, tolerance, [], point, points)
 
@@ -133,7 +124,7 @@ def _boundary(scenario: Scenario, **robustness) -> _Chunk:
 
 def suite_identities(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     """Complementarity identities of all four scenarios, analytic visibility."""
-    residuals = ((c, _identity_residual(c.scenario, c.coords, c.visibility)) for c in _grid(resolution, *_AXES))
+    residuals = ((c, _identity_residual(c.scenario, c.coords, c.visibility)) for c in _grid(resolution, *Scenario))
     return _reduce("identities", IDENTITY_TOL, residuals)
 
 
@@ -169,13 +160,13 @@ def _solve_runs(chunks, layer):
 
 def suite_sweep_agreement(resolution: int = SWEEP_RESOLUTION) -> SuiteResult:
     """Fringe-definition visibility (phase sweep) against the analytic shortcut."""
-    sweeps = _solve_runs(_grid(resolution, *_AXES), lambda rho: visibility_sweep(rho).visibility)
+    sweeps = _solve_runs(_grid(resolution, *Scenario), lambda rho: visibility_sweep(rho).visibility)
     return _reduce("visibility_sweep", 1e-5, ((c, np.abs(v - c.visibility)) for c, v in sweeps))
 
 
 def suite_closed_form(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     """Analytic B_max of each scenario against the matrix-route Horodecki value."""
-    bmax = _solve_runs(_grid(resolution, *_AXES), "bmax")
+    bmax = _solve_runs(_grid(resolution, *Scenario), "bmax")
     gaps = ((c, np.abs(bell_closed_form(c.scenario, c.coords) - b)) for c, b in bmax)
     return _reduce("bell_closed_form", CLOSED_FORM_TOL, gaps)
 
@@ -187,7 +178,7 @@ def suite_brute(resolution: int = BRUTE_RESOLUTION, restarts: int = 32, seed: in
     b_brute - b_horodecki - 1e-6, 0), b_horodecki the chunks' kept B_max.  Like the phase sweep, the see-saw runs
     once on each distinct state of the four grids (110 of 200 at the default cap), in the sweeps it runs alone.
     """
-    chunks = (c for c, _ in _solve_runs(_grid(resolution, *_AXES), "bmax"))
+    chunks = (c for c, _ in _solve_runs(_grid(resolution, *Scenario), "bmax"))
     b_brute = _solve_runs(chunks, lambda rho: chsh_value(rho, *np.moveaxis(_seesaw(rho, restarts, seed)[0], 1, 0)))
     return _reduce("chsh_brute_force", BRUTE_TOL, ((c, np.maximum(c.bmax - b, b - c.bmax - 1e-6)) for c, b in b_brute))
 
@@ -215,7 +206,7 @@ def suite_ppt_region(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
 
     def check(chunk):  # (misclassified points, whether an entangled meter point does not violate CHSH)
         coords, rep = chunk.coords, chunk.ppt
-        expected = (coords.d > REGION_MARGIN) & (getattr(coords, _AXES[chunk.scenario][1]) > REGION_MARGIN)
+        expected = (coords.d > REGION_MARGIN) & (getattr(coords, chunk.scenario.knobs[1]) > REGION_MARGIN)
         entangled = rep.negativity > SEPARABILITY_TOL
         single_negative = np.sum(rep.ppt_spectrum < -SEPARABILITY_TOL, axis=-1) == 1
         both = entangled & expected
@@ -265,9 +256,9 @@ def suite_threshold_consistency(resolution: int = DEFAULT_RESOLUTION) -> SuiteRe
 
 
 def probe_predictability(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
-    """Adjudicate P = |1-2r| against the published P = sqrt|1-2r| via identity (V^2/(1-P^2) + D^2 = 1)."""
-
-    chunks = list(_grid(resolution, Scenario.FREE))  # held, so that both forms read one build of the grid
+    """Adjudicate P = |1-2r| against the published P = sqrt|1-2r| via identity (V^2/(1-P^2) + D^2 = 1), on a grid of
+    at least DEFAULT_RESOLUTION steps per axis: the two forms first differ at 4 steps."""
+    chunks = list(_grid(max(resolution, DEFAULT_RESOLUTION), Scenario.FREE))  # held: both forms read one build
 
     def identity(p_of):  # the SuiteResult of the identity with P = p_of(coords)
         residuals = ((c, _ratio_residual(c.visibility, 1.0 - p_of(c.coords) ** 2, c.coords.d)) for c in chunks)
@@ -348,12 +339,12 @@ def probe_meter_threshold_form() -> SuiteResult:
 def probe_threshold_sign(resolution: int = DEFAULT_RESOLUTION) -> SuiteResult:
     """Adjudicate the sign of the combined-scenario threshold term.
 
-    With the printed positive sign of (1-r_s^2)/(1-r_m^2) the threshold lands
-    exactly on B_max = 2; the flipped sign mostly leaves the admissible range
-    or misses the boundary.
+    With the printed positive sign of (1-r_s^2)/(1-r_m^2) the threshold lands exactly on B_max = 2; the flipped
+    sign mostly leaves the admissible range or misses the boundary, first on a grid of 13 steps per axis, so the
+    grid has at least DEFAULT_RESOLUTION steps.
     """
     chunks, flipped, flipped_total = [], [], 0
-    for r_s, r_m in _grid_chunks(np.linspace(0.0, 1.0, resolution), 2):
+    for r_s, r_m in _grid_chunks(np.linspace(0.0, 1.0, max(resolution, DEFAULT_RESOLUTION)), 2):
         boundary = _boundary(Scenario.COMBINED, r_s=r_s, r_m=r_m)
         chunks.append((boundary, np.abs(boundary.bmax - 2.0)))
         a, b = boundary.coords.r_s, boundary.coords.r_m

@@ -112,7 +112,7 @@ def _identity_residual(scenario: Scenario, params: ScenarioParams, v) -> float |
     if scenario is Scenario.FREE:
         u = unpredictability(params)
         return _float_or_array(np.maximum(_ratio_residual(v, u * u, d), np.abs(v - overlap(params) * u)))
-    r_s = 1.0 if scenario is Scenario.METER else params.r_s  # meter: v^2/1.0 is exactly v^2
+    r_s = params.r_s if "r_s" in scenario.knobs else 1.0  # meter: v^2/1.0 is exactly v^2
     res = _ratio_residual(v, r_s * r_s, d)
     if scenario is Scenario.SYSTEM:  # against the balanced, decoherence-free interferometer at the same d
         v_free = visibility_analytic(scenario_densities(Scenario.FREE, ScenarioParams(d=d))).reshape(np.shape(d))

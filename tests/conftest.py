@@ -20,7 +20,7 @@ from qdl.bell import chsh_brute_force, chsh_value, correlation_tensor
 from qdl.figures import write_figure_csv
 from qdl.linalg import hermitian_eigenvalues, partial_transpose
 from qdl.states import Scenario, ScenarioParams, scenario_density
-from qdl.verify import _AXES, BRUTE_RESOLUTION, SWEEP_RESOLUTION, _distinct, _grid
+from qdl.verify import BRUTE_RESOLUTION, SWEEP_RESOLUTION, _distinct, _grid
 from qdl.visibility import visibility_sweep
 sha = lambda *arrays: hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
 rng = np.random.default_rng(17)
@@ -30,7 +30,7 @@ psi = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
 bell = 0.7 * np.outer(psi, psi) + 0.3 * np.eye(4) / 4
 stack = np.concatenate([(g.real + g.real.swapaxes(-1, -2)) / 2, partial_transpose(bell)[None]])
 print("eigenvalues", sha(hermitian_eigenvalues(stack), *map(hermitian_eigenvalues, stack)))
-rho = _distinct(np.concatenate([chunk.rho for chunk in _grid(BRUTE_RESOLUTION, *_AXES)]))[0]
+rho = _distinct(np.concatenate([chunk.rho for chunk in _grid(BRUTE_RESOLUTION, *Scenario)]))[0]
 settings = rng.standard_normal((4, len(rho), 3))
 settings /= np.linalg.norm(settings, axis=-1, keepdims=True)
 print("brute_states", len(rho))
@@ -39,7 +39,7 @@ print("chsh_value", sha(chsh_value(rho, *settings)))
 for scenario, params in ((Scenario.SYSTEM, ScenarioParams(d=0.9999557243204511, r_s=0.9995418905310595)),
                          (Scenario.FREE, ScenarioParams(r=0.46637046862060194, d=0.9595898403230706))):
     print("b_brute_" + scenario.value, repr(chsh_brute_force(scenario_density(params, scenario)).b_brute))
-rho = np.concatenate([chunk.rho for chunk in _grid(SWEEP_RESOLUTION, *_AXES)])
+rho = np.concatenate([chunk.rho for chunk in _grid(SWEEP_RESOLUTION, *Scenario)])
 print("sweep", sha(visibility_sweep(rho).probabilities, *(visibility_sweep(s).probabilities for s in rho)))
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "figure.csv")

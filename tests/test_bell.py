@@ -21,7 +21,7 @@ from qdl.bell import (
     violation_threshold,
 )
 from qdl.states import Scenario, ScenarioParams, scenario_densities, scenario_density
-from qdl.verify import _AXES, BRUTE_RESOLUTION, BRUTE_TOL, _grid
+from qdl.verify import BRUTE_RESOLUTION, BRUTE_TOL, _grid
 
 SQ2 = math.sqrt(2.0)
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / SQ2
@@ -432,7 +432,7 @@ def test_seesaw_equals_reference_bit_for_bit(sweeps, restarts, seed, monkeypatch
 
 def test_seesaw_equals_reference_on_the_brute_grid():
     """As above, over the whole brute-suite grid at the default budget."""
-    rho = np.concatenate([chunk.rho for chunk in _grid(BRUTE_RESOLUTION, *_AXES)])
+    rho = np.concatenate([chunk.rho for chunk in _grid(BRUTE_RESOLUTION, *Scenario)])
     plain, converged = _assert_plain_phase_bits_and_no_loss(rho, 32, 0)
     assert plain.any() and not plain.all()
     assert converged.all()
@@ -580,7 +580,7 @@ def test_seesaw_equals_the_buffered_seesaw_on_the_mixed_stack(sweeps, restarts, 
 
 @pytest.mark.parametrize("restarts", [32, MAX_RESTARTS])
 def test_seesaw_equals_the_buffered_seesaw_on_the_brute_grid(restarts):
-    rho = np.concatenate([chunk.rho for chunk in _grid(BRUTE_RESOLUTION, *_AXES)])
+    rho = np.concatenate([chunk.rho for chunk in _grid(BRUTE_RESOLUTION, *Scenario)])
     _assert_equals_buffered_seesaw(rho, restarts, 0)
 
 

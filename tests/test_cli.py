@@ -73,13 +73,24 @@ def test_analyze_rejects_biased_r_in_decoherence_scenario(capsys):
 @pytest.mark.parametrize(
     "scenario, flag, reads",
     [("system", "--r-m", "--d --r-s"), ("free", "--r-s", "--d --r"), ("free", "--r-m", "--d --r"),
-     ("meter", "--r-s", "--d --r-m")],
+     ("meter", "--r-s", "--d --r-m"), ("system", "--r", "--d --r-s")],
 )
 def test_analyze_rejects_a_robustness_its_scenario_does_not_read(scenario, flag, reads, capsys):
     code, out, err = run_cli(["analyze", "--scenario", scenario, "--d", "0.5", flag, "0.3"], capsys)
     assert code == 2 and out == ""
     assert err.startswith(f"error: scenario {scenario} does not read {flag}; it reads only {reads}\n")
     assert "usage: qdl analyze" in err
+
+
+@pytest.mark.parametrize("scenario", list(Scenario), ids=lambda s: s.value)
+def test_analyze_takes_exactly_the_knob_flags_of_its_scenario(scenario, capsys):
+    # one rule from Scenario.knobs: a flag off its default exits 2 unless the scenario reads its knob; at its
+    # default every flag runs
+    for knob, default in (("r", "0.5"), ("r_s", "1"), ("r_m", "1")):
+        flag = "--" + knob.replace("_", "-")
+        for value, status in (("0.3", 0 if knob in scenario.knobs else 2), (default, 0)):
+            args = ["analyze", "--scenario", scenario.value, "--d", "0.5", flag, value, "--restarts", "1"]
+            assert run_cli(args, capsys)[0] == status, (flag, value)
 
 
 def test_analyze_takes_an_unread_robustness_at_its_default(capsys):

@@ -23,23 +23,23 @@ from qdl.visibility import visibility_analytic
 
 from edge_classes import EDGE_TABLE, SQRT_HALF, ulps_from
 
-ROBUSTNESS_KNOB = {Scenario.SYSTEM: "r_s", Scenario.METER: "r_m"}
+ONE_ROBUSTNESS = (Scenario.SYSTEM, Scenario.METER)  # each reads d and one robustness, its knobs[1]
 
 
 @pytest.mark.parametrize("r", EDGE_TABLE)
-@pytest.mark.parametrize("scenario", list(ROBUSTNESS_KNOB), ids=lambda s: s.value)
+@pytest.mark.parametrize("scenario", ONE_ROBUSTNESS, ids=lambda s: s.value)
 def test_b_max_is_two_at_the_violation_threshold_on_the_edge_table(scenario, r):
-    knob = ROBUSTNESS_KNOB[scenario]
+    knob = scenario.knobs[1]
     d = violation_threshold(scenario, ScenarioParams(**{knob: r}))
     b_max = horodecki_bmax(scenario_density(ScenarioParams(d=d, **{knob: r}), scenario))
     assert abs(b_max - 2.0) < BOUNDARY_TOL
 
 
-@pytest.mark.parametrize("scenario", list(ROBUSTNESS_KNOB), ids=lambda s: s.value)
+@pytest.mark.parametrize("scenario", ONE_ROBUSTNESS, ids=lambda s: s.value)
 def test_b_max_is_two_within_8_ulps_of_the_violation_threshold_on_the_edge_table(scenario):
     # d = threshold +- 1..8 floats at every table value of the robustness; a d past
     # [0, 1] (next to a threshold of 0 or 1) is no state and is left out
-    knob = ROBUSTNESS_KNOB[scenario]
+    knob = scenario.knobs[1]
     steps = [k for k in range(-8, 9) if k != 0]
     thresholds = [(violation_threshold(scenario, ScenarioParams(**{knob: r})), r) for r in EDGE_TABLE]
     points = [(ulps_from(d, k), r) for d, r in thresholds for k in steps]
@@ -95,13 +95,9 @@ def _edge_grid(axes, *lines):
     return dict(zip(axes, (a.ravel() for a in np.meshgrid(*lines, indexing="ij"))))
 
 
-# The live knobs of each scenario over EDGE_TABLE x EDGE_TABLE; combined also takes r_s in {0, 0.5, 1}.
-EDGE_GRIDS = {
-    Scenario.FREE: _edge_grid(("r", "d"), EDGE_TABLE, EDGE_TABLE),
-    Scenario.SYSTEM: _edge_grid(("d", "r_s"), EDGE_TABLE, EDGE_TABLE),
-    Scenario.METER: _edge_grid(("d", "r_m"), EDGE_TABLE, EDGE_TABLE),
-    Scenario.COMBINED: _edge_grid(("r_s", "d", "r_m"), [0.0, 0.5, 1.0], EDGE_TABLE, EDGE_TABLE),
-}
+# The knobs of each scenario (Scenario.knobs) over EDGE_TABLE x EDGE_TABLE; combined also takes r_s in {0, 0.5, 1}.
+EDGE_GRIDS = {s: _edge_grid(s.knobs, EDGE_TABLE, EDGE_TABLE) for s in Scenario if len(s.knobs) == 2}
+EDGE_GRIDS[Scenario.COMBINED] = _edge_grid(("r_s", "d", "r_m"), [0.0, 0.5, 1.0], EDGE_TABLE, EDGE_TABLE)
 
 
 @pytest.mark.parametrize("scenario", list(EDGE_GRIDS), ids=lambda s: s.value)
@@ -126,7 +122,7 @@ def test_array_closed_forms_equal_their_one_point_calls_on_the_edge_grids(scenar
     # numpy's SIMD sqrt and log loops must give the bits of the one-value calls
     forms = {"bell_closed_form": bell_closed_form, "violation_threshold": violation_threshold}
     forms = {name: partial(form, scenario) for name, form in forms.items()}
-    if scenario in ROBUSTNESS_KNOB:
+    if scenario in ONE_ROBUSTNESS:
         for field in ("s_a", "s_b", "s_ab", "i_ab"):
             forms[field] = lambda params, field=field: getattr(entropy_closed_form(scenario, params), field)
     knobs = EDGE_GRIDS[scenario]

@@ -20,7 +20,6 @@ from qdl.linalg import (
 from qdl.bell import _CORRELATION_TABLE, chsh_brute_force, chsh_value, correlation_tensor, horodecki_bmax
 from qdl.infotheory import mutual_information, ppt_check, von_neumann_entropy
 from qdl.states import Scenario, ScenarioParams, _checked_norms
-from qdl.verify import _AXES
 from qdl.visibility import visibility_analytic, visibility_sweep
 
 from edge_classes import mixed
@@ -241,10 +240,10 @@ def test_stacked_equals_single_on_the_matrices_analyze_solves():
 GRID_41 = np.linspace(0.0, 1.0, 41)
 
 
-@pytest.mark.parametrize("scenario", list(_AXES), ids=lambda s: s.value)
+@pytest.mark.parametrize("scenario", list(Scenario), ids=lambda s: s.value)
 def test_every_state_marginal_and_partial_transpose_the_package_builds_is_real(scenario):
     # the isometries are real, so the package solves every one of these on the real loop as it is
-    axes = _AXES[scenario]
+    axes = scenario.knobs
     knobs = dict(zip(axes, (a.ravel() for a in np.meshgrid(*[GRID_41] * len(axes), indexing="ij"))))
     params = ScenarioParams(**knobs)
     rho = states.scenario_densities(scenario, params)
@@ -331,14 +330,21 @@ def symmetric_stack(rng):
 
 def assert_matches_lapack(values, m):
     """Eigenvalues of one symmetric matrix against LAPACK's, within the solver's tolerance."""
-    # LAPACK loses accuracy on subnormal entries (one eigenvalue of 2.5 came
-    # back as 2.49999999); scaling by 2**600 is exact here and makes them normal.
-    # Scaled, it can stray elsewhere: 0.5 came back as 0.499999 from a zero-diagonal
-    # matrix with a 2.4e-160 pivot, which it solves unscaled.  Both
-    # solve the same spectrum, so the nearer of the two is the reference.
+    # LAPACK loses accuracy on entries whose squares are subnormal (one eigenvalue of 2.5 came back as
+    # 2.49999999), so the reference solves m with every entry below sqrt(tiny) set to 0.  By Weyl's
+    # inequality that moves each eigenvalue by at most n sqrt(tiny), about 1.5e-154 n.
     scale = max(1.0, float(np.max(np.abs(m))))
-    refs = [np.sort(np.linalg.eigvalsh(m * s))[::-1] / s for s in (1.0, 2.0**600)]
-    assert min(np.max(np.abs(values - ref)) for ref in refs) < 1e-10 * scale
+    ref = np.sort(np.linalg.eigvalsh(np.where(np.abs(m) < math.sqrt(_TINY), 0.0, m)))[::-1]
+    assert np.max(np.abs(values - ref)) < 1e-10 * scale
+
+
+def test_lapack_reference_on_a_pivot_among_entries_whose_squares_are_subnormal():
+    # eigvalsh of this matrix as it is missed +-27.5 by 6.5e-9, and by 2.1e-8 scaled by 2^600
+    m = np.full((4, 4), 9.594591049778737e-157)
+    m[0, 1] = m[1, 0] = 27.5
+    values = hermitian_eigenvalues(m)
+    assert (values[0], values[-1]) == (27.5, -27.5)
+    assert_matches_lapack(values, m)
 
 
 @pytest.mark.parametrize("seed", range(60))

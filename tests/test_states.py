@@ -186,6 +186,26 @@ def test_combined_amplitudes_in_factor_order_a_b_es_em():
     assert np.all(psi[:, 1, :, 0] == 0)  # on B=down, EM stays |down>
 
 
+@pytest.mark.parametrize("scenario", list(Scenario), ids=lambda s: s.value)
+def test_the_state_builder_reads_exactly_the_knobs_of_the_scenario(scenario):
+    # Scenario.knobs is the builder's table: r off 1/2 is refused where it is not read, r_s couples ES to A and r_m
+    # couples EM to B (in that order) where they are read, and an unread robustness leaves every amplitude as it is
+    environments = [knob for knob in ("r_s", "r_m") if knob in scenario.knobs]
+    default = amplitudes(scenario, d=0.6)
+    assert default.shape == (2, 2) + (2,) * len(environments)
+    for knob in ("r", "r_s", "r_m"):
+        if knob not in scenario.knobs and knob == "r":
+            with pytest.raises(ValueError, match="requires the balanced path weight"):
+                amplitudes(scenario, d=0.6, r=0.3)
+        else:
+            changed = amplitudes(scenario, d=0.6, **{knob: 0.3}).tobytes() != default.tobytes()
+            assert changed == (knob in scenario.knobs), knob
+    for k, knob in enumerate(environments):  # at robustness 0 each environment records its factor: A down, B up
+        psi = amplitudes(scenario, d=0.6, **{knob: 0.0})
+        for index in zip(*np.nonzero(psi)):
+            assert index[2 + k] == (1 - index[0] if knob == "r_s" else index[1]), (knob, index)
+
+
 def test_build_joint_state_rejects_biased_r_with_decoherence():
     with pytest.raises(ValueError, match="^scenario system requires the balanced path weight r = 1/2$"):
         scenario_amplitudes(Scenario.SYSTEM, ScenarioParams(r=0.3, d=0.5))

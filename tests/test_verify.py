@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from qdl.infotheory import binary_entropy, entropy_closed_form, info_threshold
 from qdl.infotheory import SEPARABILITY_TOL, mutual_information
 from qdl.infotheory import printed_meter_s_b
 from qdl.states import Scenario, ScenarioParams, scenario_densities
-from qdl.verify import _AXES, BOUNDARY_TOL, BRUTE_TOL, CLOSED_FORM_TOL, ENTROPY_TOL, IDENTITY_TOL, SUITES, _reduce
+from qdl.verify import BOUNDARY_TOL, BRUTE_TOL, CLOSED_FORM_TOL, DISCREPANCY_SUITES, ENTROPY_TOL, IDENTITY_TOL, SUITES
+from qdl.verify import _reduce
 from qdl.verify import _Chunk, _distinct, _grid, run_suites, suite_brute, suite_identities, suite_sweep_agreement
 from qdl.visibility import _identity_residual, check_identity, overlap, predictability, unpredictability
 from qdl.visibility import visibility_analytic, visibility_sweep
@@ -141,7 +143,7 @@ def _assert_distinct_rebuilds(rho):
 
 def test_the_distinct_states_of_the_verify_grids_rebuild_them_byte_for_byte():
     for resolution, count in ((2, 7), (3, 20), (5, 110)):
-        rho = np.concatenate([chunk.rho for chunk in _grid(resolution, *_AXES)])
+        rho = np.concatenate([chunk.rho for chunk in _grid(resolution, *Scenario)])
         assert len(_assert_distinct_rebuilds(rho)) == count, resolution
 
 
@@ -166,7 +168,7 @@ def test_the_see_saw_and_the_phase_sweep_run_once_on_the_distinct_states(resolut
 
 def _whole_grid_brute(resolution, restarts, seed):
     """The whole-grid route of suite_brute: all 3 * resolution**2 + resolution**3 states in one see-saw, then split."""
-    chunks = list(_grid(resolution, *_AXES))
+    chunks = list(_grid(resolution, *Scenario))
     rho = np.concatenate([chunk.rho for chunk in chunks])
     settings, _ = _seesaw(rho, restarts, seed)
     b_brute = chsh_value(rho, *np.moveaxis(settings, 1, 0))
@@ -177,7 +179,7 @@ def _whole_grid_brute(resolution, restarts, seed):
 
 def _whole_grid_sweep(resolution):
     """The whole-grid route of suite_sweep_agreement: every chunk's states swept, repeated states included."""
-    gaps = ((c, np.abs(visibility_sweep(c.rho).visibility - c.visibility)) for c in _grid(resolution, *_AXES))
+    gaps = ((c, np.abs(visibility_sweep(c.rho).visibility - c.visibility)) for c in _grid(resolution, *Scenario))
     return _reduce("visibility_sweep", 1e-5, gaps)
 
 
@@ -206,10 +208,26 @@ def test_run_suites_takes_an_integer_or_numpy_tolerance():
 def test_identities_suite_is_the_worst_single_point_check():
     line = np.linspace(0.0, 1.0, 5)
     worst = 0.0
-    for scenario, axes in _AXES.items():
-        for point in itertools.product(line, repeat=len(axes)):
-            worst = max(worst, check_identity(scenario, ScenarioParams(**dict(zip(axes, point)))))
+    for scenario in Scenario:
+        for point in itertools.product(line, repeat=len(scenario.knobs)):
+            worst = max(worst, check_identity(scenario, ScenarioParams(**dict(zip(scenario.knobs, point)))))
     assert suite_identities(5).max_residual == worst
+
+
+@pytest.mark.parametrize("scenario", list(Scenario), ids=lambda s: s.value)
+def test_a_grid_runs_over_the_knobs_of_its_scenario_outer_axis_first(scenario):
+    # Scenario.knobs gives the axes of each grid in row-major order, and the keys of its worst point;
+    # every other knob stays at its default
+    line = np.linspace(0.0, 1.0, 3)
+    chunks = list(_grid(3, scenario))
+    axes = (a.ravel() for a in np.meshgrid(*[line] * len(scenario.knobs), indexing="ij"))
+    expected = ScenarioParams(**dict(zip(scenario.knobs, axes)))
+    for knob in ("r", "d", "r_s", "r_m"):
+        got = np.concatenate([getattr(c.coords, knob) for c in chunks])
+        assert got.tobytes() == getattr(expected, knob).tobytes(), knob
+    assert all(c.scenario is scenario for c in chunks)
+    worst = _reduce("s", 1.0, [(c, np.zeros(c.points)) for c in chunks]).worst_point
+    assert list(worst) == ["scenario", *scenario.knobs]
 
 
 def test_reducer_reports_the_first_worst_point_and_fails_on_nan():
@@ -239,6 +257,20 @@ def test_meter_s_b_probe_reports_a_nan_printed_form(monkeypatch):
     assert res.lines[2].endswith("max |S_B - matrix| = nan  (rejected)")
     assert res.lines[3].startswith("  worst point d=0.000 r_m=0.000:") and " printed=nan " in res.lines[3]
     assert (res.max_residual, res.passed) == (adopted.max_residual, True)  # the verdict rests on the adopted form
+
+
+@pytest.mark.parametrize("resolution", range(2, 14))
+def test_a_rejected_form_shows_a_residual_at_or_above_its_tolerance(resolution):
+    # a grid too coarse to tell two forms apart would print "rejected" beside a residual that rejects nothing:
+    # the sign and predictability probes take at least the default grid for this reason
+    checked = 0
+    for res in run_suites(resolution, names=DISCREPANCY_SUITES):
+        for line in res.lines:
+            residuals = re.findall(r"\d\.\d{3}e[+-]\d+", line)
+            if "rejected" in line and residuals:
+                assert float(residuals[-1]) >= res.tolerance, line
+                checked += 1
+    assert checked == 3  # the printed P, meter S_B and flipped sign
 
 
 def test_threshold_sign_probe_reports_a_nan_flipped_form(monkeypatch):
@@ -281,7 +313,7 @@ def test_ppt_region_passes_on_the_coarsest_grid():
 def test_negativity_above_the_separability_tolerance_is_exactly_the_ppt_entangled_verdict(resolution):
     # the ppt suites' reading (negativity > tol) against ppt_check's (smallest PT eigenvalue < -tol)
     points, entangled = 0, 0
-    for chunk in _grid(resolution, *_AXES):
+    for chunk in _grid(resolution, *Scenario):
         rep = chunk.ppt
         assert np.array_equal(rep.negativity > SEPARABILITY_TOL, ~rep.separable), chunk.scenario
         points, entangled = points + chunk.points, entangled + int(np.sum(~rep.separable))
@@ -314,10 +346,10 @@ def test_run_suites_rejects_a_non_integral_resolution_before_any_suite(kwargs, m
     assert ran == []
 
 
-def scenario_points(rng, scenarios=tuple(_AXES)):
-    """A scenario and 1 to 8 points of it, each live knob drawn from EDGE_BIASED."""
+def scenario_points(rng, scenarios=tuple(Scenario)):
+    """A scenario and 1 to 8 points of it, each of its knobs drawn from EDGE_BIASED."""
     scenario = scenarios[rng.integers(len(scenarios))]
-    axes = _AXES[scenario]
+    axes = scenario.knobs
     points = mixed(rng, (rng.integers(1, 9), len(axes)), EDGE_BIASED)
     return scenario, [ScenarioParams(**dict(zip(axes, point.tolist()))) for point in points]
 
@@ -325,7 +357,7 @@ def scenario_points(rng, scenarios=tuple(_AXES)):
 @pytest.mark.parametrize("seed", range(200))
 def test_closed_forms_match_the_stacked_route_at_edge_biased_points(seed):
     scenario, params = scenario_points(np.random.default_rng(seed))
-    knobs = {axis: [getattr(p, axis) for p in params] for axis in _AXES[scenario]}
+    knobs = {axis: [getattr(p, axis) for p in params] for axis in scenario.knobs}
     rho = scenario_densities(scenario, ScenarioParams(**knobs))
     for p, b_max, v in zip(params, horodecki_bmax(rho), visibility_analytic(rho)):
         assert abs(bell_closed_form(scenario, p) - b_max) < CLOSED_FORM_TOL
@@ -363,7 +395,7 @@ def test_array_closed_forms_equal_their_scalar_calls_on_uniform_draws():
 @pytest.mark.parametrize("seed", range(800, 1000))
 def test_array_closed_forms_equal_their_scalar_calls_bit_for_bit(seed):
     rng = np.random.default_rng(seed)
-    scenario = list(_AXES)[rng.integers(len(_AXES))]
+    scenario = list(Scenario)[rng.integers(len(Scenario))]
     rows = mixed(rng, (rng.integers(1, 9), 4), EDGE_BIASED).tolist()  # all four knobs of each point
     params = [ScenarioParams(r=r, d=d, r_s=r_s, r_m=r_m) for r, d, r_s, r_m in rows]
     knobs = _array_knobs(params)
@@ -410,7 +442,7 @@ def test_entropy_closed_forms_match_the_stacked_route_at_edge_biased_points(seed
 def test_b_max_is_two_at_the_violation_threshold_at_edge_biased_points(seed):
     rng = np.random.default_rng(seed)
     scenario = (Scenario.SYSTEM, Scenario.METER)[rng.integers(2)]
-    knob, robustness = _AXES[scenario][1], mixed(rng, rng.integers(1, 9), EDGE_BIASED)
+    knob, robustness = scenario.knobs[1], mixed(rng, rng.integers(1, 9), EDGE_BIASED)
     d = violation_threshold(scenario, ScenarioParams(**{knob: robustness}))
     b_max = horodecki_bmax(scenario_densities(scenario, ScenarioParams(d=d, **{knob: robustness})))
     assert np.max(np.abs(b_max - 2.0)) < BOUNDARY_TOL

@@ -4,7 +4,7 @@ import pytest
 from qdl import visibility
 from qdl.linalg import partial_trace
 from qdl.states import Scenario, ScenarioParams, scenario_densities, scenario_density
-from qdl.verify import _AXES, SWEEP_RESOLUTION, _grid
+from qdl.verify import SWEEP_RESOLUTION, _grid
 from qdl.visibility import (
     ROTATION_A,
     check_identity,
@@ -93,7 +93,7 @@ def test_stacked_sweep_equals_per_state_scans():
 
 
 def test_stacked_sweep_equals_per_state_scans_on_the_verify_sweep_grid():
-    rho = np.concatenate([chunk.rho for chunk in _grid(SWEEP_RESOLUTION, *_AXES)])
+    rho = np.concatenate([chunk.rho for chunk in _grid(SWEEP_RESOLUTION, *Scenario)])
     assert rho.shape == (200, 4, 4)
     probabilities = visibility_sweep(rho).probabilities
     for k in range(len(rho)):

@@ -11,8 +11,9 @@ import qdl
 # of a fixed real symmetric stack and of each of its members alone; the number of distinct states of
 # the capped brute grids, their correlation tensor and a CHSH value; b_brute at two analyze pool points
 # whose CHSH value a fused multiply-add would round otherwise; the probabilities of the verify sweep
-# grid as one stack and of each of its states alone; and the CSVs of figures 1-7 at 41 steps and of
-# figures 4 and 6, which read S_AB off the 2x2 environment, at 161.
+# grid as one stack and of each of its states alone; the CSVs of figures 1-7 at 41 steps and of
+# figures 4 and 6, which read S_AB off the 2x2 environment, at 161; and the results of every state layer
+# (layers.LAYERS) on the edge-line states of all four scenarios, one state at a time where it takes one.
 _DIGEST_SCRIPT = """
 import hashlib, os, tempfile
 import numpy as np
@@ -22,6 +23,7 @@ from qdl.linalg import hermitian_eigenvalues, partial_transpose
 from qdl.states import Scenario, ScenarioParams, scenario_density
 from qdl.verify import BRUTE_RESOLUTION, SWEEP_RESOLUTION, _distinct, _grid
 from qdl.visibility import visibility_sweep
+from layers import LAYERS, ONE_STATE, edge_line_states
 sha = lambda *arrays: hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
 rng = np.random.default_rng(17)
 g = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))
@@ -47,23 +49,33 @@ with tempfile.TemporaryDirectory() as tmp:
         write_figure_csv(n, resolution, path)
         with open(path, "rb") as fh:
             print(f"figure_{n}_{resolution}", hashlib.sha256(fh.read()).hexdigest())
+rho = np.concatenate(list(edge_line_states().values()))
+for layer in LAYERS:
+    members = rho if layer.kind == ONE_STATE else [rho]
+    print("layer_" + layer.name, sha(*(np.asarray(x) for m in members for x in layer(m))))
 """
 
 
-def _digests(disabled_features):
+def _start_digests(disabled_features):
     env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
     if disabled_features:
         env["NPY_DISABLE_CPU_FEATURES"] = disabled_features
-    src = str(Path(qdl.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
-    run = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT], env=env, capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    return dict(line.split(" ", 1) for line in run.stdout.splitlines())
+    paths = [str(Path(qdl.__file__).resolve().parents[1]), str(Path(__file__).parent)]  # src/ and tests/
+    env["PYTHONPATH"] = os.pathsep.join(paths + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.Popen([sys.executable, "-c", _DIGEST_SCRIPT], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
 
 
 @pytest.fixture(scope="session")
 def simd_digests():
-    """The digests of one native run and of one without AVX2 and AVX-512 (X86_V3, X86_V4) dispatch.
-    numpy fuses the multiply-add of a complex product under X86_V3 dispatch and not without it, so
-    where the two complex_product digests differ, this host can tell the dispatches apart."""
-    return _digests(None), _digests("X86_V4 X86_V3")
+    """The digests of one native run and of one without AVX2 and AVX-512 (X86_V3, X86_V4) dispatch,
+    run side by side.  numpy fuses the multiply-add of a complex product under X86_V3 dispatch and not
+    without it, so where the two complex_product digests differ, this host can tell the dispatches apart."""
+    runs = [_start_digests(None), _start_digests("X86_V4 X86_V3")]
+    try:
+        outputs = [run.communicate(timeout=120) for run in runs]
+    finally:
+        for run in runs:
+            run.kill()  # a no-op once it has exited
+    assert [run.returncode for run in runs] == [0, 0], [err for _, err in outputs]
+    return tuple(dict(line.split(" ", 1) for line in out.splitlines()) for out, _ in outputs)

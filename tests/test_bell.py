@@ -20,7 +20,7 @@ from qdl.bell import (
     violates_chsh,
     violation_threshold,
 )
-from qdl.states import Scenario, ScenarioParams, scenario_densities, scenario_density
+from qdl.states import Scenario, ScenarioParams, scenario_density
 from qdl.verify import BRUTE_RESOLUTION, BRUTE_TOL, _grid
 
 SQ2 = math.sqrt(2.0)
@@ -262,18 +262,6 @@ def test_stacked_seesaw_equals_per_point_calls(sweeps, monkeypatch):
         assert converged.all()
     if sweeps == 1:
         assert not converged.any()
-
-
-def test_stacked_chsh_value_equals_per_state_calls():
-    rng = np.random.default_rng(37)
-    params = ScenarioParams(d=rng.uniform(0, 1, 12), r_s=rng.uniform(0, 1, 12), r_m=0.3)
-    rho = scenario_densities(Scenario.COMBINED, params)
-    vs = rng.standard_normal((4, 12, 3))
-    vs /= np.linalg.norm(vs, axis=-1, keepdims=True)
-    stacked = chsh_value(rho, *vs)
-    assert stacked.shape == (12,)
-    for k in range(12):
-        assert chsh_value(rho[k], *vs[:, k]) == stacked[k]
 
 
 def _four_correlator_chsh_value(rho, a, a2, b, b2):

@@ -81,10 +81,11 @@ def test_meter_info_threshold_is_none_exactly_where_r_m_squared_reaches_one_half
 
 @pytest.mark.xfail(
     raises=AssertionError,
-    reason="_combined_threshold_sq cancels as r_m -> 1: |B_max - 2| reaches 3.05e-5 at r_s = 0.5, r_m = 1 - 1e-12",
+    reason="_combined_threshold_sq cancels as r_m -> 1: |B_max - 2| reaches 0.0214 at r_s = 0.1, r_m = 1 - 1e-15 "
+    "(0.0025 at r_s = 0.9, 3.05e-5 at r_s = 0.5)",
 )
 def test_combined_b_max_is_two_at_the_violation_threshold_on_the_edge_table():
-    r_s, r_m = (a.ravel() for a in np.meshgrid([0.0, 0.5, 1.0], EDGE_TABLE, indexing="ij"))
+    r_s, r_m = (a.ravel() for a in np.meshgrid([0.0, 0.1, 0.5, 0.9, 1.0], EDGE_TABLE, indexing="ij"))
     d = violation_threshold(Scenario.COMBINED, ScenarioParams(r_s=r_s, r_m=r_m))
     b_max = horodecki_bmax(scenario_densities(Scenario.COMBINED, ScenarioParams(d=d, r_s=r_s, r_m=r_m)))
     assert np.max(np.abs(b_max - 2.0)) < BOUNDARY_TOL

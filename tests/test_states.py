@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from qdl.analysis import analyze
-from qdl.bell import chsh_brute_force, chsh_value, correlation_tensor, horodecki_bmax, horodecki_m
-from qdl.infotheory import info_threshold, mutual_information, ppt_check, von_neumann_entropy
-from qdl.linalg import hermitian_eigenvalues, partial_trace, partial_transpose
+from qdl.infotheory import info_threshold
+from qdl.linalg import hermitian_eigenvalues
 from qdl.states import (
     Scenario,
     ScenarioParams,
@@ -17,7 +16,9 @@ from qdl.states import (
     scenario_densities,
     scenario_density,
 )
-from qdl.visibility import ROTATION_A, check_identity, visibility_analytic, visibility_sweep
+from qdl.visibility import ROTATION_A, check_identity
+
+from layers import EDGE_LINE_CASES, OUTER
 
 SQ2 = math.sqrt(2.0)
 EDGE_KNOBS = np.array([0.0, 1e-15, 1e-8, 0.3, 0.5, 1 / SQ2, 1.0 - 1e-15, 1.0])
@@ -336,17 +337,7 @@ def reference_density(scenario, r=0.5, d=0.0, r_s=1.0, r_m=1.0):
     return psi @ psi.conj().T
 
 
-EDGE_LINE = np.array([0.0, 1e-15, 1e-8, 0.25, 0.5, 0.7, 1.0 - 1e-10, 1.0 - 1e-15, 1.0])
-OUTER, INNER = np.repeat(EDGE_LINE, EDGE_LINE.size), np.tile(EDGE_LINE, EDGE_LINE.size)
-STACKED_CASES = [
-    (Scenario.FREE, {"r": OUTER, "d": INNER}),
-    (Scenario.SYSTEM, {"d": OUTER, "r_s": INNER}),
-    (Scenario.METER, {"d": OUTER, "r_m": INNER}),
-    (Scenario.COMBINED, {"d": OUTER, "r_s": INNER, "r_m": INNER[::-1]}),
-]
-
-
-@pytest.mark.parametrize("scenario, knobs", STACKED_CASES)
+@pytest.mark.parametrize("scenario, knobs", EDGE_LINE_CASES)
 def test_scenario_densities_equal_single_point_states(scenario, knobs):
     stack = scenario_densities(scenario, ScenarioParams(**knobs))
     assert stack.shape == (OUTER.size, 4, 4) and stack.dtype == np.float64
@@ -358,38 +349,12 @@ def test_scenario_densities_equal_single_point_states(scenario, knobs):
         assert scenario_density(ScenarioParams(**point), scenario).tobytes() == rho.real.tobytes()
 
 
-@pytest.mark.parametrize("scenario, knobs", STACKED_CASES)
+@pytest.mark.parametrize("scenario, knobs", EDGE_LINE_CASES)
 def test_scenario_densities_are_density_matrices_on_the_edge_line(scenario, knobs):
     stack = scenario_densities(scenario, ScenarioParams(**knobs))
     assert np.max(np.abs(stack - stack.swapaxes(-1, -2))) < 1e-12
     assert np.max(np.abs(np.trace(stack, axis1=-2, axis2=-1) - 1.0)) < 1e-12
     assert np.min(hermitian_eigenvalues(stack)) >= -1e-10
-
-
-CHSH_SETTINGS = ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.6, 0.0, 0.8], [0.0, 0.8, 0.6])  # a, a', b, b'
-COMPLEX_INPUT_ROUTES = {
-    "correlation_tensor": correlation_tensor,
-    "horodecki_bmax": horodecki_bmax,
-    "ppt_spectrum": lambda rho: ppt_check(rho).ppt_spectrum,
-    "i_ab": lambda rho: mutual_information(rho).i_ab,
-    "visibility_analytic": visibility_analytic,
-    "visibility_sweep": lambda rho: visibility_sweep(rho).probabilities,
-    "chsh_value": lambda rho: chsh_value(rho, *(np.broadcast_to(v, rho.shape[:-2] + (3,)) for v in CHSH_SETTINGS)),
-}
-
-
-@pytest.mark.parametrize("scenario, knobs", STACKED_CASES)
-def test_complex_copies_of_the_states_give_the_same_bits(scenario, knobs):
-    # the states are float64; a caller's complex128 copy, exactly real, is taken as its real part on every route
-    rho = scenario_densities(scenario, ScenarioParams(**knobs))
-    twin = rho.astype(complex)
-    for name, route in COMPLEX_INPUT_ROUTES.items():
-        assert route(twin).tobytes() == route(rho).tobytes(), name
-    for keep in ("A", "B"):
-        assert partial_trace(twin, keep).tobytes() == partial_trace(rho, keep).tobytes()
-    assert partial_transpose(twin).tobytes() == partial_transpose(rho).tobytes()
-    for k in range(0, len(rho), 10):
-        assert repr(chsh_brute_force(twin[k], restarts=4)) == repr(chsh_brute_force(rho[k], restarts=4))
 
 
 @pytest.mark.parametrize(
@@ -406,9 +371,6 @@ def test_scenario_densities_reject_bad_knobs(scenario, knobs, message):
         scenario_densities(scenario, ScenarioParams(**knobs))
 
 
-NO_STATES = np.zeros((0, 4, 4))
-
-
 @pytest.mark.parametrize(
     "call, shape",
     [
@@ -419,65 +381,9 @@ NO_STATES = np.zeros((0, 4, 4))
           for s, k in zip(Scenario, (1, 2, 2, 4))),
         (lambda: info_threshold(Scenario.METER, ScenarioParams(r_m=np.array([]))), (0,)),
         (lambda: info_threshold(Scenario.SYSTEM, ScenarioParams(r_s=np.array([]))), (0,)),
-        (lambda: hermitian_eigenvalues(NO_STATES), (0, 4)),
-        (lambda: von_neumann_entropy(NO_STATES), (0,)),
-        (lambda: mutual_information(NO_STATES).i_ab, (0,)),
-        (lambda: ppt_check(NO_STATES).ppt_spectrum, (0, 4)),
-        (lambda: horodecki_bmax(NO_STATES), (0,)),
-        (lambda: visibility_analytic(NO_STATES), (0,)),
-        (lambda: visibility_sweep(NO_STATES).visibility, (0,)),
     ],
     ids=[f"amplitudes-{s.value}" for s in Scenario] + [f"densities-{s.value}" for s in Scenario]
-    + [f"environments-{s.value}" for s in Scenario]
-    + ["info_threshold-meter", "info_threshold-system", "eigenvalues", "entropy", "mutual_information", "ppt",
-       "bmax", "visibility_analytic", "visibility_sweep"],
+    + [f"environments-{s.value}" for s in Scenario] + ["info_threshold-meter", "info_threshold-system"],
 )
 def test_no_points_give_empty_results(call, shape):
     assert np.shape(call()) == shape
-
-
-_X, _Z = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
-STATE_FUNCTIONS = {
-    "correlation_tensor": correlation_tensor,
-    "horodecki_m": horodecki_m,
-    "horodecki_bmax": horodecki_bmax,
-    "chsh_value": lambda rho: chsh_value(rho, _Z, _X, _Z, _X),
-    "chsh_brute_force": lambda rho: chsh_brute_force(rho, restarts=1),
-    "visibility_sweep": visibility_sweep,
-    "visibility_analytic": visibility_analytic,
-    "partial_trace": lambda rho: partial_trace(rho, "A"),
-    "partial_transpose": partial_transpose,
-    "mutual_information": mutual_information,
-    "ppt_check": ppt_check,
-}
-
-
-def _bad_state(kind: str) -> np.ndarray:
-    if kind == "3x3":
-        return np.eye(3) / 3.0
-    rho = np.eye(4) / 4.0
-    if kind == "non-Hermitian":  # trace 1 and positive marginals, but rho[3, 0] = 0
-        rho[0, 3] = 0.4
-    else:
-        rho[1, 2] = rho[2, 1] = math.nan if kind == "nan" else math.inf
-    return rho
-
-
-# the partial trace and transpose take any finite 4x4 operator
-_OPERATOR_FUNCTIONS = ("partial_trace", "partial_transpose")
-
-
-@pytest.mark.parametrize("kind", ["3x3", "nan", "inf", "non-Hermitian"])
-@pytest.mark.parametrize("name", list(STATE_FUNCTIONS))
-def test_state_functions_name_rho_for_a_wrong_size_or_non_finite_input(name, kind):
-    # one check for every state entry point: neither numpy's broadcast error, nor the name
-    # of an internal matrix, nor a silent NaN or a number for a matrix that is not a state
-    function, rho = STATE_FUNCTIONS[name], _bad_state(kind)
-    if kind != "non-Hermitian":
-        with pytest.raises(ValueError, match=r"^rho (must be a 4x4|contains NaN/Inf)"):
-            function(rho)
-    elif name in _OPERATOR_FUNCTIONS:
-        assert np.isfinite(function(rho)).all()
-    else:
-        with pytest.raises(ValueError, match=r"^rho is not Hermitian"):
-            function(rho)
